@@ -165,9 +165,6 @@ class GraphBuilder:
         self._done = len(order)
         return created
 
-    def is_settled(self):
-        return self._done == len(emission_order(self.tree, self.include_syn))
-
     # -- finished graph ----------------------------------------------------
 
     def graph(self) -> AttributeGraph:

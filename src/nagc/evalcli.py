@@ -10,6 +10,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import model as mo
+from . import neural as nn
 from . import pipeline as pl
 from .grammar import TypeEnv, TypeCheckError, builtin_grammar, serialize_grammar, type_check
 from .syntax import deserialize_decisions, serialize_decisions
@@ -45,10 +46,10 @@ def perplexity(model: mo.Model, fold) -> tuple:
     decisions = 0
     tokens = 0
     for s in fold:
-        loss, steps = mo.sample_loss(model, s)
+        pr = mo.prep_sample(model, s)
+        loss, steps = mo.sample_loss(model, pr)
         nll += loss
         decisions += len(steps)
-        pr = mo.prep_sample(model, s)
         tokens += pr.n_tokens
     return math.exp(nll / decisions), math.exp(nll / tokens)
 
@@ -224,7 +225,7 @@ def run_cli(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except (pl.PipelineError, mo.ModelError, DataError, OSError) as e:
+    except (pl.PipelineError, mo.ModelError, nn.NeuralError, DataError, OSError) as e:
         print(f"nagc: {e}", file=sys.stderr)
         return 2
 

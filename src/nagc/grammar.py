@@ -33,9 +33,6 @@ class Symbol:
     kind: Kind
     lit_class: str | None = None  # only for Kind.LITERAL
 
-    def is_terminal(self):
-        return self.kind is not Kind.NONTERMINAL
-
 
 @dataclass(frozen=True)
 class Production:

@@ -18,7 +18,9 @@ import numpy as np
 from . import attrgraph as ag
 from . import lang
 from . import neural as nn
-from .grammar import Grammar, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar
+from .grammar import (
+    Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
+)
 from .syntax import new_partial_ast, next_expansion_site, apply_production, bind_terminal, serialize_tokens
 
 
@@ -197,18 +199,19 @@ class Model:
 @dataclass
 class Prepped:
     sample: object
-    tree: object
     ctx_order: list
-    graph: object  # AttributeGraph under the model's decoder config
-    label_idx: np.ndarray  # per attribute node; -1 on encoder-seeded nodes
-    plan: list  # decision plan mirroring tree.history
     tokens: list  # before + hole sentinel + after
     tok_idx: np.ndarray
     lex: dict  # class -> (positions, spellings) of copyable context tokens
-    n_tokens: int
     pgraph: object = None
     pg_idx: np.ndarray = None
     pg_edges: dict = None
+    # tree-dependent fields, set by prep_sample only
+    tree: object = None
+    graph: object = None  # AttributeGraph under the model's decoder config
+    label_idx: np.ndarray = None  # per attribute node; -1 on encoder-seeded nodes
+    plan: list = None  # decision plan mirroring tree.history
+    n_tokens: int = 0
 
 
 def _attr_label_id(model: Model, tree, node: ag.AttrNode) -> int:
@@ -234,12 +237,31 @@ def _lexable(cls: str, tok: str) -> bool:
     return tok in ("true", "false")
 
 
+def prep_context(model: Model, sample) -> Prepped:
+    """Tokens, copy candidates and (graph encoder) program graph of the
+    context around the hole: everything encoding and decoding need."""
+    tokens = sample.before + [lang.HOLE_TOKEN] + sample.after
+    lex = {}
+    for cls in ("int", "string", "bool"):
+        pos = [i for i, t in enumerate(tokens) if _lexable(cls, t)]
+        lex[cls] = (pos, [tokens[i] for i in pos])
+    pr = Prepped(
+        sample=sample, ctx_order=sorted(sample.scope), tokens=tokens,
+        tok_idx=np.array([model.tok2id.get(t, 0) for t in tokens], dtype=np.int64),
+        lex=lex,
+    )
+    if model.encoder == "graph":
+        _prep_program_graph(model, pr)
+    return pr
+
+
 def prep_sample(model: Model, sample) -> Prepped:
+    """prep_context plus the target tree's attribute graph and decision plan."""
     g, cfg = model.grammar, model.config
     tree = sample.target_tree(g)
-    ctx_order = sorted(sample.scope)
+    pr = prep_context(model, sample)
     graph = ag.augment_full_tree(
-        tree, ctx_order, edge_set=cfg.edge_set,
+        tree, pr.ctx_order, edge_set=cfg.edge_set,
         labels=cfg.child_labels, next_exp=cfg.next_exp,
     )
     label_idx = np.full(len(graph.nodes), -1, dtype=np.int64)
@@ -259,20 +281,8 @@ def prep_sample(model: Model, sample) -> Prepped:
         else:
             plan.append(("L", inh[tree.nodes[dec[1]].parent], dec[2], dec[3]))
 
-    tokens = sample.before + [lang.HOLE_TOKEN] + sample.after
-    tok_idx = np.array([model.tok2id.get(t, 0) for t in tokens], dtype=np.int64)
-    lex = {}
-    for cls in ("int", "string", "bool"):
-        pos = [i for i, t in enumerate(tokens) if _lexable(cls, t)]
-        lex[cls] = (pos, [tokens[i] for i in pos])
-
-    pr = Prepped(
-        sample=sample, tree=tree, ctx_order=ctx_order, graph=graph,
-        label_idx=label_idx, plan=plan, tokens=tokens, tok_idx=tok_idx,
-        lex=lex, n_tokens=len(serialize_tokens(tree)),
-    )
-    if model.encoder == "graph":
-        _prep_program_graph(model, pr)
+    pr.tree, pr.graph, pr.label_idx, pr.plan = tree, graph, label_idx, plan
+    pr.n_tokens = len(serialize_tokens(tree))
     return pr
 
 
@@ -553,7 +563,8 @@ def pick_literal_dist(model: Model, key, cls: str, enc: ContextEncoding, lex):
 
 
 def literal_spelling_probs(probs, entries) -> dict:
-    """Merged distribution over distinct spellings (vocab + copy summed)."""
+    """Merged distribution over distinct entries: a literal spelling's vocab
+    and copy slots summed."""
     out = {}
     for sp, pr in zip(entries, probs.data):
         out[sp] = out.get(sp, 0.0) + float(pr)
@@ -757,153 +768,110 @@ def _windows_for_decode(before, after, scope):
     return {name: _usages_for(name, list(before), list(after)) for name in scope}
 
 
-def _decode(model: Model, sample, width, max_steps) -> BeamResult:
-    g, cfg = model.grammar, model.config
-    ctx_order = sorted(sample.scope)
-    pr = Prepped(
-        sample=sample, tree=None, ctx_order=ctx_order, graph=None, label_idx=None,
-        plan=None, tokens=sample.before + [lang.HOLE_TOKEN] + sample.after,
-        tok_idx=None, lex=None, n_tokens=0,
-    )
-    pr.tok_idx = np.array([model.tok2id.get(t, 0) for t in pr.tokens], dtype=np.int64)
-    pr.lex = {}
-    for cls in ("int", "string", "bool"):
-        pos = [i for i, t in enumerate(pr.tokens) if _lexable(cls, t)]
-        pr.lex[cls] = (pos, [pr.tokens[i] for i in pos])
-    if model.encoder == "graph":
-        _prep_program_graph(model, pr)
-    enc = encode(model, pr)
-
-    builder = ag.GraphBuilder(new_partial_ast(g), ctx_order,
+def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
+    """The empty tree, its root and context attribute nodes seeded from the
+    context encoding."""
+    cfg = model.config
+    builder = ag.GraphBuilder(new_partial_ast(model.grammar), pr.ctx_order,
                               edge_set=cfg.edge_set, labels=cfg.child_labels,
                               next_exp=cfg.next_exp)
     states = {builder.aid_of[("inh", 0)]: enc.root}
-    for name in ctx_order:
+    for name in pr.ctx_order:
         states[builder.aid_of[("ctx", name)]] = enc.var_reps[name]
-    var_rows = {name: enc.var_reps[name] for name in ctx_order}
-    beam = [_Hyp(builder, states, var_rows, 0.0)]
-    finished: list[_Hyp] = []
-    discarded = 0
+    return _Hyp(builder, states, {n: enc.var_reps[n] for n in pr.ctx_order}, 0.0)
 
+
+def _decode(model: Model, sample, width, max_steps) -> BeamResult:
+    pr = prep_context(model, sample)
+    enc = encode(model, pr)
+    beam = [_root_hyp(model, pr, enc)]
+    finished: list[_Hyp] = []
     for _ in range(max_steps):
         if not beam:
             break
         pool = [(h.logp, None, h) for h in finished]
         for hyp in beam:
-            pool.extend(_continuations(model, hyp, enc, ctx_order, width))
+            pool.extend(_continuations(model, hyp, enc, pr, width))
         pool.sort(key=lambda x: -x[0])
-        pool = pool[:width]
         beam, finished = [], []
-        for logp, action, hyp in pool:
+        for logp, action, hyp in pool[:width]:
             if action is None:
                 finished.append(hyp)
                 continue
             child = hyp.clone()
             child.logp = logp
-            _apply_action(model, child, action, ctx_order)
+            _apply_action(model, child, action)
             if child.builder.tree.is_complete():
                 finished.append(child)
             else:
                 beam.append(child)
-    discarded += len(beam)
 
     finished.sort(key=lambda h: -h.logp)
     return BeamResult(
         hypotheses=[(h.builder.tree, h.logp) for h in finished],
-        discarded=discarded,
+        discarded=len(beam),
     )
 
 
-def _continuations(model: Model, hyp: _Hyp, enc, ctx_order, width):
-    g = model.grammar
+def _score_site(model: Model, hyp: _Hyp, enc: ContextEncoding, pr: Prepped):
+    """(probs, actions) at the next expansion site, one action per softmax
+    slot. A variable slot with an empty scope is a dead end: no actions."""
     tree = hyp.builder.tree
     site = next_expansion_site(tree)
     node = tree.nodes[site]
-    rows = [hyp.var_rows[n] for n in ctx_order]
-    out = []
+    rows = [hyp.var_rows[n] for n in pr.ctx_order]
     if tree.is_unexpanded_nonterminal(site):
         key = hyp.states[hyp.builder.aid_of[("inh", site)]]
-        probs = pick_production_dist(model, key, node.label, enc, rows).data
-        for pid in np.nonzero(probs > 0)[0]:
-            out.append((hyp.logp + math.log(probs[pid]), ("P", site, int(pid)), hyp))
-    else:
-        key = hyp.states[hyp.builder.aid_of[("inh", node.parent)]]
-        sym = g.symbols[node.label]
-        if sym.kind is Kind.VARIABLE:
-            if not ctx_order:
-                return []  # dead end: variable slot with empty scope
-            probs = pick_variable_dist(model, key, rows).data
-            for i in np.nonzero(probs > 0)[0]:
-                out.append((hyp.logp + math.log(probs[i]), ("V", site, ctx_order[i]), hyp))
-        else:
-            probs, entries = pick_literal_dist(
-                model, key, sym.lit_class, enc, _hyp_lex(model, enc, sym.lit_class)
-            )
-            merged = literal_spelling_probs(probs, entries)
-            for sp, p in merged.items():
-                if p > 0:
-                    out.append((hyp.logp + math.log(p), ("L", site, sp), hyp))
+        probs = pick_production_dist(model, key, node.label, enc, rows)
+        return probs, [("P", site, pid) for pid in range(len(probs.data))]
+    key = hyp.states[hyp.builder.aid_of[("inh", node.parent)]]
+    sym = model.grammar.symbols[node.label]
+    if sym.kind is Kind.VARIABLE:
+        if not rows:
+            return nn.Tensor(np.zeros(0)), []
+        return pick_variable_dist(model, key, rows), [("V", site, n) for n in pr.ctx_order]
+    probs, spellings = pick_literal_dist(model, key, sym.lit_class, enc, pr.lex[sym.lit_class])
+    return probs, [("L", site, sp) for sp in spellings]
+
+
+def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped, width):
+    """The `width` best one-action extensions of `hyp`. Equal actions (a
+    literal spelled in the vocab and copied from the context) merge first."""
+    probs, actions = _score_site(model, hyp, enc, pr)
+    merged = literal_spelling_probs(probs, actions)
+    out = [(hyp.logp + math.log(p), action, hyp) for action, p in merged.items() if p > 0]
     out.sort(key=lambda x: -x[0])
     return out[:width]
 
 
-def _hyp_lex(model, enc, cls):
-    pos = [i for i, t in enumerate(enc.tokens) if _lexable(cls, t)]
-    return (pos, [enc.tokens[i] for i in pos])
-
-
-def _apply_action(model: Model, hyp: _Hyp, action, ctx_order):
+def _apply_action(model: Model, hyp: _Hyp, action):
     kind, site, arg = action
-    tree = hyp.builder.tree
     if kind == "P":
-        apply_production(tree, site, model.grammar.productions[arg])
-        _settle_states(model, hyp)
+        apply_production(hyp.builder.tree, site, model.grammar.productions[arg])
     else:
-        bind_terminal(tree, site, arg)
-        _settle_states(model, hyp)
-        if kind == "V":
-            hyp.var_rows[arg] = hyp.states[hyp.builder.aid_of[("joint", site)]]
+        bind_terminal(hyp.builder.tree, site, arg)
+    _settle_states(model, hyp)
+    if kind == "V":
+        hyp.var_rows[arg] = hyp.states[hyp.builder.aid_of[("joint", site)]]
 
 
 def forced_decode(model: Model, sample):
-    """Incremental decode forced along the sample's ground-truth history.
+    """The decoder's step forced along the sample's ground-truth history.
 
     Returns (states, dists): the final aid -> vector map and one probability
     array per decision, for comparison against the teacher-forcing path.
     """
     pr = sample if isinstance(sample, Prepped) else prep_sample(model, sample)
-    g, cfg = model.grammar, model.config
     with nn.no_grad():
         enc = encode(model, pr)
-        builder = ag.GraphBuilder(new_partial_ast(g), pr.ctx_order,
-                                  edge_set=cfg.edge_set, labels=cfg.child_labels,
-                                  next_exp=cfg.next_exp)
-        states = {0: enc.root}
-        for name in pr.ctx_order:
-            states[builder.aid_of[("ctx", name)]] = enc.var_reps[name]
-        hyp = _Hyp(builder, states, {n: enc.var_reps[n] for n in pr.ctx_order}, 0.0)
+        hyp = _root_hyp(model, pr, enc)
         dists = []
         for dec in pr.tree.history:
-            tree = hyp.builder.tree
-            site = next_expansion_site(tree)
-            rows = [hyp.var_rows[n] for n in pr.ctx_order]
-            if dec[0] == "P":
-                key = hyp.states[hyp.builder.aid_of[("inh", site)]]
-                probs = pick_production_dist(model, key, tree.nodes[site].label, enc, rows)
-                dists.append(probs.data.copy())
-                _apply_action(model, hyp, ("P", site, dec[2]), pr.ctx_order)
-            else:
-                key = hyp.states[hyp.builder.aid_of[("inh", tree.nodes[site].parent)]]
-                if dec[0] == "V":
-                    probs = pick_variable_dist(model, key, rows)
-                    dists.append(probs.data.copy())
-                    _apply_action(model, hyp, ("V", site, dec[2]), pr.ctx_order)
-                else:
-                    probs, entries = pick_literal_dist(model, key, dec[2], enc, pr.lex[dec[2]])
-                    dists.append(probs.data.copy())
-                    _apply_action(model, hyp, ("L", site, dec[3]), pr.ctx_order)
-        out_states = {aid: t.data for aid, t in hyp.states.items()}
-    return out_states, dists
+            probs, _ = _score_site(model, hyp, enc, pr)
+            dists.append(probs.data.copy())
+            # (kind, site, arg): a literal record also carries its class
+            _apply_action(model, hyp, dec[:2] + dec[-1:])
+    return {aid: t.data for aid, t in hyp.states.items()}, dists
 
 
 # ---------------------------------------------------------------------------
@@ -928,19 +896,23 @@ def save_model(model: Model, path: str):
 
 
 def load_model(path: str) -> Model:
-    with open(path + ".json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if hashlib.sha256(manifest["grammar"].encode()).hexdigest() != manifest["grammar_sha256"]:
-        raise ModelError("grammar hash mismatch in manifest")
-    grammar = load_grammar(manifest["grammar"])
-    model = Model(
-        grammar, config=manifest["config"], encoder=manifest["encoder"],
-        hidden=manifest["hidden"], emb_dim=manifest["emb_dim"],
-        edge_emb=manifest["edge_emb"], seed=manifest["seed"],
-        token_vocab=manifest["token_vocab"],
-    )
+    try:
+        with open(path + ".json", encoding="utf-8") as f:
+            manifest = json.load(f)
+        if hashlib.sha256(manifest["grammar"].encode()).hexdigest() != manifest["grammar_sha256"]:
+            raise ModelError("grammar hash mismatch in manifest")
+        grammar = load_grammar(manifest["grammar"])
+        model = Model(
+            grammar, config=manifest["config"], encoder=manifest["encoder"],
+            hidden=manifest["hidden"], emb_dim=manifest["emb_dim"],
+            edge_emb=manifest["edge_emb"], seed=manifest["seed"],
+            token_vocab=manifest["token_vocab"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, GrammarError) as e:
+        raise ModelError(f"bad model manifest {path}.json: {type(e).__name__}: {e}") from None
     loaded = nn.load_checkpoint(path)
-    if loaded.names() != model.params.names():
+    want = {n: t.data.shape for n, t in model.params.items()}
+    if {n: t.data.shape for n, t in loaded.items()} != want:
         raise ModelError("checkpoint parameters do not match the manifest model")
     model.params = loaded
     return model

@@ -8,6 +8,8 @@ engine follows the dtype of its inputs.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -55,12 +57,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -233,25 +229,6 @@ def tanh(a):
     return _make(out, (a,), bw)
 
 
-def relu(a):
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0)
-
-    def bw(g):
-        _accum(a, g * (a.data > 0))
-
-    return _make(out, (a,), bw)
-
-
-def log(a):
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
 def tsum(a):
     a = as_tensor(a)
 
@@ -406,29 +383,6 @@ def logsumexp(a):
         _accum(a, g * w)
 
     return _make(np.asarray(out, dtype=a.data.dtype), (a,), bw)
-
-
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "concat": concat,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "sum": tsum,
-    "max_pool_rows": max_pool_rows,
-    "softmax": softmax,
-}
-
-
-def tensor_eval(op: str, *args):
-    """Uniform entry point over the primitive op set."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise NeuralError(f"unknown op {op!r}") from None
-    return fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -621,17 +575,31 @@ def save_checkpoint(params: ParamStore, path: str):
 def load_checkpoint(path: str) -> ParamStore:
     store = ParamStore()
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # checked against the file size first: a corrupt shape must not
+            # turn into a huge allocation
+            if n > size - f.tell():
+                raise NeuralError(f"checkpoint {path} is truncated")
+            return f.read(n)
+
+        if read(4) != _MAGIC:
             raise NeuralError("bad checkpoint magic")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != _VERSION:
             raise NeuralError(f"unsupported checkpoint version {version}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape)
+            (nlen,) = struct.unpack("<H", read(2))
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise NeuralError(f"checkpoint {path} has a corrupt parameter name") from None
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+            n = math.prod(shape)
+            data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
             store.register(name, data.copy())
+        if f.tell() != size:
+            raise NeuralError(f"checkpoint {path} has trailing bytes")
     return store

@@ -35,9 +35,6 @@ class Sample:
             self._tree = deserialize_decisions(self.target, g)
         return self._tree
 
-    def context_tokens(self):
-        return self.before + self.after
-
 
 @dataclass
 class CorpusStats:

@@ -195,20 +195,6 @@ def last_sibling(a: PartialAst, v: int):
     return sibs[i - 1] if i > 0 else None
 
 
-def ast_lookup(kind: str, a: PartialAst, v: int, ctx_vars=()):
-    if kind == "parent":
-        return a.node(v).parent
-    if kind == "children":
-        return list(a.node(v).children)
-    if kind == "lastSibling":
-        return last_sibling(a, v)
-    if kind == "lastToken":
-        return last_token(a, v)
-    if kind == "lastUse":
-        return last_use(a, v, ctx_vars)
-    raise SyntaxError_(f"unknown lookup kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 

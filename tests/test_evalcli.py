@@ -142,6 +142,42 @@ def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):
     capsys.readouterr()
 
 
+# checkpoint cut to the first n bytes (a float: that share of the file; -1:
+# one byte short), or a manifest fault
+@pytest.mark.parametrize("fault", [0, 3, 10, 100, 0.5, -1, "trailing", "manifest-json",
+                                   "manifest-field", "manifest-utf8"])
+def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corpus_samples,
+                                        tmp_path, capsys):
+    ckpt = str(tmp_path / "m.nagc")
+    M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4,
+                         token_vocab=token_vocab), ckpt)
+    sample = str(tmp_path / "s.jsonl")
+    P.write_jsonl(corpus_samples[:1], sample)
+    with open(ckpt, "rb") as f:
+        data = f.read()
+    with open(ckpt + ".json", "rb") as f:
+        manifest = f.read()
+    if fault == "trailing":
+        data += b"\0"
+    elif fault == "manifest-json":
+        manifest = manifest[: len(manifest) // 2]
+    elif fault == "manifest-field":
+        man = json.loads(manifest)
+        del man["hidden"]
+        manifest = json.dumps(man).encode()
+    elif fault == "manifest-utf8":
+        manifest = b"\xff" + manifest
+    else:
+        data = data[: int(len(data) * fault) if isinstance(fault, float) else fault]
+    with open(ckpt, "wb") as f:
+        f.write(data)
+    with open(ckpt + ".json", "wb") as f:
+        f.write(manifest)
+    assert run_cli(["complete", "--ckpt", ckpt, "--sample", sample]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: "), err
+
+
 def test_cli_grammar_dump(capsys):
     assert run_cli(["grammar", "--dump"]) == 0
     out = capsys.readouterr().out

@@ -348,26 +348,41 @@ def test_forced_grammar_decodes_unique_tree():
     assert serialize_decisions(tree) == "P0 P1"
 
 
-def test_width_1_equals_greedy(small, folds):
-    # greedy = argmax at every step; width-1 beam must match exactly
-    for s in folds["train"][:5]:
-        res = decode_beam(small, s.before, s.after, s.scope, width=1)
+def test_width_1_equals_greedy(fitted_grammar, token_vocab, folds):
+    # checked against full propagation, not the incremental decoder: every
+    # width-1 decision is an argmax of the teacher-forced distribution, and
+    # the hypothesis's log-probability is the tree's likelihood. The model is
+    # trained a little so its trees end within max_steps; untrained ones
+    # mostly run on.
+    m = Model(fitted_grammar, config="NAG", encoder="graph", hidden=32, emb_dim=16,
+              edge_emb=8, seed=0, token_vocab=token_vocab)
+    train(m, folds["train"][:20], epochs=4, seed=0)
+    checked = 0
+    for s in folds["test"]:
+        res = decode_beam(m, s.before, s.after, s.scope, width=1)
         assert len(res.hypotheses) <= 1
         if not res.hypotheses:
             continue
         tree, lp = res.hypotheses[0]
-        manual = _greedy(small, s)
-        if manual is None:
-            continue
-        assert serialize_decisions(tree) == serialize_decisions(manual[0])
-        assert abs(lp - manual[1]) < 1e-6
-
-
-def _greedy(model, s):
-    import dataclasses
-
-    res = decode_beam(model, s.before, s.after, s.scope, width=1, max_steps=50)
-    return res.hypotheses[0] if res.hypotheses else None
+        pr = prep_sample(m, make_sample(tree, s.scope, s.before, s.after))
+        with nn.no_grad():
+            encs = M.encode_many(m, [pr])
+            states = M.propagate(m, pr.graph, pr.label_idx, [pr], encs)
+            dists = _teacher_dists(m, pr, states, encs[0])
+        for dec, dist in zip(pr.plan, dists):
+            if dec[0] == "L":
+                entries = list(m.grammar.literal_vocab[dec[2]]) + pr.lex[dec[2]][1]
+                merged = literal_spelling_probs(nn.Tensor(dist), entries)
+                chosen, best = merged[dec[3]], max(merged.values())
+            else:
+                chosen = dist[dec[2] if dec[0] == "P" else pr.ctx_order.index(dec[2])]
+                best = dist.max()
+            assert chosen >= best - 1e-6
+        assert abs(lp + sample_loss(m, pr)[0]) < 1e-5
+        checked += 1
+        if checked == 5:
+            break
+    assert checked == 5
 
 
 def test_teacher_forcing_matches_forced_decode(small, folds):
