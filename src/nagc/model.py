@@ -9,6 +9,7 @@ share one implementation.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,8 +68,7 @@ CONFIGS = {
 @dataclass
 class ContextEncoding:
     root: object  # (H,) tensor seeding the root inherited attribute
-    token_states: object  # (T, H) tensor aligned with `tokens`
-    tokens: list
+    token_states: object  # (T, H) tensor aligned with the context tokens
     var_reps: dict  # name -> (H,) tensor
 
 
@@ -312,22 +312,16 @@ def _prep_program_graph(model: Model, pr: Prepped):
 # ---------------------------------------------------------------------------
 # Context encoders
 
-def _bigru(x, p, prefix: str, half: int):
-    """One bi-GRU layer over (T, d) rows; returns (T, 2*half)."""
-    T = x.data.shape[0]
-    zero = nn.Tensor(np.zeros(half, dtype=x.data.dtype))
-    fwd, bwd = [], []
-    h = zero
-    for t in range(T):
-        h = nn.gru_cell(nn.rows(x, t), h, p, f"{prefix}_f")
-        fwd.append(h)
-    h = zero
-    for t in reversed(range(T)):
-        h = nn.gru_cell(nn.rows(x, t), h, p, f"{prefix}_b")
-        bwd.append(h)
-    bwd.reverse()
-    states = nn.concat([nn.stack_rows(fwd), nn.stack_rows(bwd)], axis=1)
-    return states, fwd[-1], bwd[0]
+def _encode_tokens(model: Model, idx, prefix: str):
+    """Two bi-GRU layers over token ids, (T,) or time-major (T, B): the top
+    layer's states, (T, ..., H), and its final state, (..., H)."""
+    p = model.params
+    x = nn.rows(p["enc_tok_emb"], idx)
+    for layer in (1, 2):
+        f = nn.gru_scan(x, p, f"{prefix}{layer}_f")
+        b = nn.gru_scan(x, p, f"{prefix}{layer}_b", reverse=True)
+        x = nn.concat([f, b], axis=-1)
+    return x, nn.concat([nn.rows(f, len(idx) - 1), nn.rows(b, 0)], axis=-1)
 
 
 def _mask_window(toks, name: str, scope) -> list:
@@ -344,36 +338,36 @@ def _mask_window(toks, name: str, scope) -> list:
     return out
 
 
-def _encode_windows(model: Model, windows, name: str, scope, prefix: str):
-    """Two-layer bi-GRU over each usage window, average pooled final states."""
-    p, half = model.params, model.hidden // 2
-    finals = []
-    for toks in windows:
-        if not toks:
-            continue
-        toks = _mask_window(toks, name, scope)
-        idx = np.array([model.tok2id.get(t, 0) for t in toks], dtype=np.int64)
-        x = nn.rows(p["enc_tok_emb"], idx)
-        x, _, _ = _bigru(x, p, f"{prefix}1", half)
-        _, ff, bf = _bigru(x, p, f"{prefix}2", half)
-        finals.append(nn.concat([ff, bf]))
-    if not finals:
-        return None
-    return nn.mean_rows(nn.stack_rows(finals))
+def _encode_windows(model: Model, pr: Prepped) -> dict:
+    """Each variable's rep: the two-layer bi-GRU final states of its nonempty
+    usage windows, average pooled; enc_var_dflt when it has none. All windows
+    of one length run as one time-major batch, so no padding is needed."""
+    windows, owner = [], []
+    for name in pr.ctx_order:
+        for _, toks in pr.sample.usages.get(name, []):
+            if toks:
+                masked = _mask_window(toks, name, pr.sample.scope)
+                windows.append([model.tok2id.get(t, 0) for t in masked])
+                owner.append(name)
+    by_len = sorted(range(len(windows)), key=lambda i: len(windows[i]))
+    finals = [
+        _encode_tokens(model, np.array([windows[i] for i in group], dtype=np.int64).T, "enc_use")[1]
+        for _, group in itertools.groupby(by_len, key=lambda i: len(windows[i]))
+    ]
+    row = np.empty(len(windows), dtype=np.int64)  # window -> its row in all_finals
+    row[by_len] = np.arange(len(windows))
+    all_finals = nn.concat(finals) if finals else None
+    var_reps = {}
+    for name in pr.ctx_order:
+        pos = [row[i] for i, o in enumerate(owner) if o == name]
+        var_reps[name] = nn.mean_rows(nn.rows(all_finals, pos)) if pos else model.params["enc_var_dflt"]
+    return var_reps
 
 
 def encode_seq(model: Model, pr: Prepped) -> ContextEncoding:
-    p, half = model.params, model.hidden // 2
-    x = nn.rows(p["enc_tok_emb"], pr.tok_idx)
-    x, _, _ = _bigru(x, p, "enc_seq1", half)
-    token_states, ff, bf = _bigru(x, p, "enc_seq2", half)
-    root = nn.linear(nn.concat([ff, bf]), p, "enc_root")
-    var_reps = {}
-    for name in pr.ctx_order:
-        windows = [toks for _, toks in pr.sample.usages.get(name, [])]
-        rep = _encode_windows(model, windows, name, pr.sample.scope, "enc_use")
-        var_reps[name] = rep if rep is not None else p["enc_var_dflt"]
-    return ContextEncoding(root, token_states, pr.tokens, var_reps)
+    token_states, final = _encode_tokens(model, pr.tok_idx, "enc_seq")
+    root = nn.linear(final, model.params, "enc_root")
+    return ContextEncoding(root, token_states, _encode_windows(model, pr))
 
 
 def encode_graph(model: Model, pr: Prepped, steps: int = 8) -> ContextEncoding:
@@ -417,7 +411,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8):
                 var_reps[name] = nn.rows(h, pg.decl_nodes[name] + off)
             else:
                 var_reps[name] = p["enc_var_dflt"]
-        out.append(ContextEncoding(root, token_states, pr.tokens, var_reps))
+        out.append(ContextEncoding(root, token_states, var_reps))
     return out
 
 
@@ -645,17 +639,20 @@ def sample_loss(model: Model, sample):
 # ---------------------------------------------------------------------------
 # Training
 
-def _clip_gradients(params, max_norm: float):
+def _clip_gradients(params, max_norm: float) -> float:
+    """Scale the gradients down to norm max_norm (when set and exceeded);
+    returns their norm before clipping."""
     sq = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            sq += float(np.sum(t.grad * t.grad))
+            sq += float(np.sum(np.square(t.grad, dtype=np.float64)))
     norm = math.sqrt(sq)
-    if norm > max_norm:
+    if max_norm and norm > max_norm:
         scale = max_norm / norm
         for _, t in params.items():
             if t.grad is not None:
                 t.grad *= scale
+    return norm
 
 
 def train(model: Model, samples, epochs: int, batch_size: int = 20,
@@ -671,6 +668,7 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
         order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
         total_nll = 0.0
         total_decisions = 0
+        norms = []
         for lo in range(0, len(order), batch_size):
             batch = [preppeds[i] for i in order[lo : lo + batch_size]]
             model.params.zero_grad()
@@ -682,8 +680,10 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             nn.backward(loss)
-            if clip_norm:
-                _clip_gradients(model.params, clip_norm)
+            norm = _clip_gradients(model.params, clip_norm)
+            if not math.isfinite(norm):
+                raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
+            norms.append(norm)
             nn.adam_step(model.params, opt)
             total_nll += float(loss.data)
             total_decisions += sum(len(s) for s in steps)
@@ -691,6 +691,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             "epoch": epoch,
             "train_nll": total_nll,
             "ppl_decision": math.exp(total_nll / total_decisions),
+            "grad_norm_max": max(norms),
+            "clipped_share": sum(v > clip_norm for v in norms) / len(norms) if clip_norm else 0.0,
         }
         if valid:
             rec["valid_ppl_decision"] = _fold_ppl(model, valid)

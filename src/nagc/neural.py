@@ -207,18 +207,6 @@ def concat(parts, axis=0):
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    # exp overflow on large negatives saturates to exactly 0, which is fine
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return _make(out, (a,), bw)
-
-
 def tanh(a):
     a = as_tensor(a)
     out = np.tanh(a.data)
@@ -264,7 +252,8 @@ def mean_rows(a):
 
 
 def rows(a, idx):
-    """Gather rows of a 2D tensor (embedding lookup / graph gather)."""
+    """Gather rows (first-axis entries) of a tensor by an index or an index
+    array of any shape (embedding lookup / graph gather)."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
 
@@ -490,13 +479,73 @@ def linear(x, p: ParamStore, prefix: str):
 
 
 def gru_cell(x, h, p: ParamStore, prefix: str = "g"):
-    """Standard GRU: works on vectors or on (N, d) batches row-wise."""
-    x, h = as_tensor(x), as_tensor(h)
-    z = sigmoid(add(add(matmul(x, p[prefix + "_Wz"]), matmul(h, p[prefix + "_Uz"])), p[prefix + "_bz"]))
-    r = sigmoid(add(add(matmul(x, p[prefix + "_Wr"]), matmul(h, p[prefix + "_Ur"])), p[prefix + "_br"]))
-    hh = tanh(add(add(matmul(x, p[prefix + "_Wh"]), matmul(mul(r, h), p[prefix + "_Uh"])), p[prefix + "_bh"]))
-    ones = Tensor(np.ones_like(z.data))
-    return add(mul(sub(ones, z), h), mul(z, hh))
+    """One standard GRU step from state h: works on vectors or on (N, d)
+    batches row-wise."""
+    return _gru(as_tensor(x), as_tensor(h), p, prefix, reverse=False, step=True)
+
+
+def gru_scan(x, p: ParamStore, prefix: str, reverse: bool = False):
+    """A GRU run from the zero state over time-major x, (T, d) or (T, B, d).
+    Returns every state, (T, H) or (T, B, H), aligned with x: the final
+    state of a reverse run is row 0."""
+    return _gru(as_tensor(x), None, p, prefix, reverse, step=False)
+
+
+def _gru(x, h0, p: ParamStore, prefix: str, reverse: bool, step: bool):
+    """The GRU kernel: a whole run is one tape node with a hand-written
+    backward through time. x is time-major unless `step`, in which case x and
+    the result have no time axis. h0 None is the zero state. Each gate keeps
+    its own contiguous arrays: column slices of stacked gates are strided,
+    and elementwise work on them is several times slower."""
+    params = [p[f"{prefix}_{m}{g}"] for m in "WUb" for g in "zrh"]
+    Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in params)
+    xs = x.data[None] if step else x.data
+    xz, xr, xh = xs @ Wz, xs @ Wr, xs @ Wh  # input projections of all steps
+    T = len(xs)
+    h = np.zeros(xz.shape[1:], dtype=xz.dtype) if h0 is None else h0.data
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    saved = [None] * T  # t -> (h before step t, z, r, r * h, candidate)
+    out = [None] * T
+    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
+        for t in order:
+            z = 1.0 / (1.0 + np.exp(-(xz[t] + h @ Uz + bz)))
+            r = 1.0 / (1.0 + np.exp(-(xr[t] + h @ Ur + br)))
+            rh = r * h
+            hh = np.tanh(xh[t] + rh @ Uh + bh)
+            saved[t] = (h, z, r, rh, hh)
+            h = out[t] = (1.0 - z) * h + z * hh
+
+    def bw(g):
+        g = g[None] if step else g
+        # gate pre-activation gradients, (T, ..., H) each
+        daz, dar, dah = (np.empty_like(xz) for _ in range(3))
+        dh = np.zeros_like(h)
+        for t in reversed(order):
+            hp, z, r, rh, hh = saved[t]
+            dh = dh + g[t]
+            dah[t] = dh * z * (1.0 - hh * hh)
+            drh = dah[t] @ Uh.T
+            daz[t] = dh * (hh - hp) * z * (1.0 - z)
+            dar[t] = drh * hp * r * (1.0 - r)
+            dh = dh * (1.0 - z) + drh * r + daz[t] @ Uz.T + dar[t] @ Ur.T
+
+        def flat(a):
+            return a.reshape(-1, a.shape[-1])
+
+        X = flat(xs)
+        HP, RH = (flat(np.stack([s[i] for s in saved])) for i in (0, 3))
+        dz, dr, dhh = flat(daz), flat(dar), flat(dah)
+        grads = [X.T @ dz, X.T @ dr, X.T @ dhh, HP.T @ dz, HP.T @ dr, RH.T @ dhh,
+                 dz.sum(axis=0), dr.sum(axis=0), dhh.sum(axis=0)]
+        for t, gt in zip(params, grads):
+            _accum(t, gt)
+        dx = daz @ Wz.T + dar @ Wr.T + dah @ Wh.T
+        _accum(x, dx[0] if step else dx)
+        if h0 is not None:
+            _accum(h0, dh)
+
+    parents = [x] + params + ([h0] if h0 is not None else [])
+    return _make(out[0] if step else np.stack(out), parents, bw)
 
 
 def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:

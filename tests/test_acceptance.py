@@ -243,11 +243,16 @@ def test_acceptance_08_decode_safety(fitted_grammar, token_vocab, corpus_samples
 def test_acceptance_09_decode_equivalences(fitted_grammar, token_vocab, folds, capfd):
     m = M.Model(fitted_grammar, config="NAG", encoder="seq", hidden=32,
                 emb_dim=16, edge_emb=8, seed=3, token_vocab=token_vocab)
+    # trained a little so that its trees end within max_steps: an untrained
+    # model finishes too few holes to compare
+    M.train(m, folds["train"][:20], epochs=4, seed=0)
     greedy_ok = True
+    compared = 0
     for s in folds["test"][:10]:
         res = M.decode_beam(m, s.before, s.after, s.scope, width=1)
         if not res.hypotheses:
             continue
+        compared += 1
         tree, lp = res.hypotheses[0]
         forced = make_sample(tree, s.scope, s.before, s.after)
         pr = M.prep_sample(m, forced)
@@ -284,9 +289,9 @@ def test_acceptance_09_decode_equivalences(fitted_grammar, token_vocab, folds, c
         for a, b in zip(tf, inc):
             tf_worst = max(tf_worst, float(np.max(np.abs(a - b))))
 
-    ok = greedy_ok and tf_worst < 1e-5
+    ok = greedy_ok and compared >= 5 and tf_worst < 1e-5
     _verdict(capfd, 9, "width-1 beam is greedy; teacher dists match forced decode",
-             ok, f"teacher/forced max diff {tf_worst:.2e}")
+             ok, f"{compared}/10 greedy holes compared, teacher/forced max diff {tf_worst:.2e}")
 
 
 # -- 10: ablation trend (reported, never gated) ------------------------------

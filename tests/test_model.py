@@ -8,6 +8,7 @@ from conftest import enumerate_trees, make_sample, random_tree
 from nagc import attrgraph as A
 from nagc import model as M
 from nagc import neural as nn
+from nagc import pipeline as P
 from nagc.grammar import load_grammar
 from nagc.model import (
     CONFIGS,
@@ -84,6 +85,63 @@ def test_encode_seq_name_permutation(small):
         e2 = encode_seq(small, prep_sample(small, s2))
     assert np.array_equal(e1.var_reps["a"].data, e2.var_reps["b"].data)
     assert np.array_equal(e1.var_reps["b"].data, e2.var_reps["a"].data)
+
+
+def _loop_bigru(x, p, prefix):
+    """The per-token bi-GRU layer the batched encoder replaced: one gru_cell
+    call per token and direction."""
+    half = p[f"{prefix}_f_Uz"].data.shape[0]
+    fwd, bwd = [], []
+    for out, steps, d in ((fwd, range(len(x.data)), "f"), (bwd, reversed(range(len(x.data))), "b")):
+        h = nn.Tensor(np.zeros(half, dtype=x.data.dtype))
+        for t in steps:
+            h = nn.gru_cell(nn.rows(x, t), h, p, f"{prefix}_{d}")
+            out.append(h)
+    bwd.reverse()
+    return nn.concat([nn.stack_rows(fwd), nn.stack_rows(bwd)], axis=1), fwd[-1], bwd[0]
+
+
+def test_batched_windows_match_per_window_loop(small):
+    # windows of lengths 3, 5 and 11 spread over the variables, an empty
+    # window, and a variable without usages
+    long = ["x", "=", "a", "+", "b", ";", "c", "=", "b", "-", "1"]
+    usages = {
+        "a": [("before", ["a", "=", "0", ";", "b"]), ("before", []), ("after", ["a", "+", "c"])],
+        "b": [("before", long), ("after", ["b", "=", "a"]), ("after", ["c", ";", "b", ";", "a"])],
+        "c": [("before", long)],
+        "d": [],
+    }
+    scope = {n: "int" for n in usages}
+    s = P.Sample(file="synthetic", before=long, after=[";"], hole_type="", scope=scope,
+                 usages=usages, target="")
+    p = small.params
+    weights = {n: nn.Tensor(np.random.default_rng(i).normal(size=small.hidden).astype(np.float32))
+               for i, n in enumerate("abc")}
+
+    def grads_of(reps):
+        p.zero_grad()
+        nn.backward(nn.tsum(nn.concat([nn.mul(reps[n], weights[n]) for n in "abc"])))
+        return {n: t.grad.copy() for n, t in p.items() if t.grad is not None}
+
+    enc = encode_seq(small, M.prep_context(small, s))
+    assert enc.var_reps["d"] is p["enc_var_dflt"]
+    got = grads_of(enc.var_reps)
+    want = {}
+    for name in "abc":
+        finals = []
+        for _, toks in usages[name]:
+            if toks:
+                ids = [small.tok2id.get(t, 0) for t in M._mask_window(toks, name, scope)]
+                x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], ids), p, "enc_use1")
+                _, ff, bf = _loop_bigru(x, p, "enc_use2")
+                finals.append(nn.concat([ff, bf]))
+        want[name] = nn.mean_rows(nn.stack_rows(finals))
+        assert np.max(np.abs(enc.var_reps[name].data - want[name].data)) < 1e-6, name
+    ref = grads_of(want)
+    p.zero_grad()
+    assert set(ref) == set(got)
+    for n in ref:
+        assert np.max(np.abs(got[n] - ref[n])) < 1e-5, n
 
 
 def _int_tree(g, var):
@@ -191,7 +249,6 @@ def _fake_enc(model, rng, T=6):
     return M.ContextEncoding(
         root=nn.Tensor(rng.normal(size=H).astype(np.float32)),
         token_states=nn.Tensor(rng.normal(size=(T, H)).astype(np.float32)),
-        tokens=["t"] * T,
         var_reps={"x": nn.Tensor(rng.normal(size=H).astype(np.float32))},
     )
 
@@ -235,7 +292,6 @@ def test_literal_merge_matches_hand_computed_softmax(fitted_grammar, token_vocab
     rng = np.random.default_rng(3)
     with nn.no_grad():
         enc = _fake_enc(m, rng)
-        enc.tokens = ["0", "x", "0", "y", "z", "w"]
         key = nn.Tensor(rng.normal(size=16).astype(np.float32))
         lex = ([0, 2], ["0", "0"])
         probs, entries = pick_literal_dist(m, key, "int", enc, lex)
@@ -327,6 +383,35 @@ def test_train_determinism(fitted_grammar, token_vocab, folds):
     h1 = train(Model(fitted_grammar, **kw), folds["train"][:6], epochs=3, seed=1)
     h2 = train(Model(fitted_grammar, **kw), folds["train"][:6], epochs=3, seed=1)
     assert [r["train_nll"] for r in h1] == [r["train_nll"] for r in h2]
+
+
+def test_train_stops_on_non_finite_gradient(fitted_grammar, token_vocab, folds, monkeypatch):
+    m = Model(fitted_grammar, config="ASN", encoder="graph", hidden=16, emb_dim=8, seed=0,
+              token_vocab=token_vocab)
+    before = {n: t.data.copy() for n, t in m.params.items()}
+    real_backward = nn.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        m.params["dec_score_b"].grad[0] = np.nan
+
+    monkeypatch.setattr(nn, "backward", poisoned_backward)
+    with pytest.raises(M.TrainingDivergedError, match="non-finite gradient at epoch 0"):
+        train(m, folds["train"][:4], epochs=1)
+    assert all(np.array_equal(before[n], t.data) for n, t in m.params.items())
+
+
+def test_train_records_gradient_norm(fitted_grammar, token_vocab, folds):
+    kw = dict(config="ASN", encoder="graph", hidden=16, emb_dim=8, seed=0,
+              token_vocab=token_vocab)
+    clipped = train(Model(fitted_grammar, **kw), folds["train"][:4], epochs=1,
+                    batch_size=2, clip_norm=1e-6)
+    free = train(Model(fitted_grammar, **kw), folds["train"][:4], epochs=1,
+                 batch_size=2, clip_norm=0)
+    assert clipped[0]["clipped_share"] == 1.0 and free[0]["clipped_share"] == 0.0
+    # the norm is taken before clipping
+    assert clipped[0]["grad_norm_max"] > 1e-3
+    assert math.isfinite(free[0]["grad_norm_max"]) and free[0]["grad_norm_max"] > 1e-3
 
 
 def test_train_rejects_empty():

@@ -60,11 +60,57 @@ def test_linear_gradients():
     _fd_check(p, lambda: nn.tsum(nn.mul(linear(Tensor(x), p, "l"), linear(Tensor(x), p, "l"))))
 
 
+def _gru_store(seed, inputs):
+    """Float64 GRU parameters (prefix "g", d=4, H=3), biases nonzero, plus
+    the named input tensors, so that _fd_check covers their gradients too."""
+    p = init_params(gru_param_shapes("g", 4, 3), seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _, t in p.items():
+        t.data = rng.normal(size=t.data.shape)
+    for name, shape in inputs.items():
+        p.register(name, rng.normal(size=shape))
+    return p
+
+
+def _weighted_sum(out, seed):
+    # fixed random weights, so that no gradient cancels by symmetry
+    w = np.random.default_rng(seed).normal(size=out.data.shape)
+    return nn.tsum(nn.mul(nn.tanh(out), Tensor(w)))
+
+
 def test_gru_gradients():
     p = init_params(gru_param_shapes("g", 4, 3), seed=0, dtype=np.float64)
     rng = np.random.default_rng(2)
     x, h = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
     _fd_check(p, lambda: nn.tsum(nn.tanh(gru_cell(Tensor(x), Tensor(h), p, "g"))))
+    # one step on an (N, d) batch, gradients into x and h included
+    p = _gru_store(1, {"x": (5, 4), "h": (5, 3)})
+    _fd_check(p, lambda: _weighted_sum(gru_cell(p["x"], p["h"], p, "g"), 1))
+    # whole runs, (T, d) and time-major (T, B, d), both directions
+    for shape in ((6, 4), (5, 2, 4)):
+        for reverse in (False, True):
+            p = _gru_store(2, {"x": shape})
+            _fd_check(p, lambda: _weighted_sum(nn.gru_scan(p["x"], p, "g", reverse), 2))
+
+
+def test_gru_scan_equals_cell_loop():
+    # the whole-run kernel against a step-by-step gru_cell loop: same states
+    # and same gradients for every parameter and input
+    for shape in ((7, 4), (6, 3, 4)):
+        for reverse in (False, True):
+            a, b = _gru_store(3, {"x": shape}), _gru_store(3, {"x": shape})
+            w = np.random.default_rng(4).normal(size=shape[:-1] + (3,))
+            scan = nn.gru_scan(a["x"], a, "g", reverse)
+            backward(nn.tsum(nn.mul(scan, Tensor(w))))
+            h = Tensor(np.zeros(shape[1:-1] + (3,)))
+            steps = {}
+            for t in (reversed(range(shape[0])) if reverse else range(shape[0])):
+                h = steps[t] = gru_cell(nn.rows(b["x"], t), h, b, "g")
+            loop = nn.stack_rows([steps[t] for t in range(shape[0])])
+            backward(nn.tsum(nn.mul(loop, Tensor(w))))
+            assert np.max(np.abs(scan.data - loop.data)) < 1e-10
+            for (name, ta), (_, tb) in zip(a.items(), b.items()):
+                assert np.max(np.abs(ta.grad - tb.grad)) < 1e-8, name
 
 
 def test_embedding_gradients():
