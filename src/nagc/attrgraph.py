@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import Kind
-from .syntax import PartialAst, last_sibling, last_token, last_use
+from .syntax import PartialAst
 
 CHILD = "Child"
 PARENT = "Parent"
@@ -50,7 +50,7 @@ class AttributeGraph:
     nodes: list[AttrNode]
     edges: list[Edge]
     schedule: list[list[int]]
-    components: list[dict]  # offset, n, root_inh, ctx{name: aid}, inh/syn/joint{nid: aid}
+    components: list[dict]  # offset, n, root_inh, ctx{name: aid}, inh/joint{nid: aid}
 
     def in_edges(self, aid: int) -> list[Edge]:
         return [e for e in self.edges if e.tgt == aid]
@@ -60,110 +60,134 @@ class AttributeGraph:
         return [n.aid for n in self.nodes if n.aid not in with_in]
 
 
-def emission_order(a: PartialAst, include_syn: bool = True):
-    """Attribute refs in generation order; stops at the first open site.
-
-    The prefix grows monotonically as the tree is expanded, and on a complete
-    tree it covers every attribute node, so incremental decoding and one-shot
-    augmentation assign identical ids.
-    """
-    out: list[tuple[str, int]] = []
-    blocked = [False]
-
-    def walk(nid):
-        if blocked[0]:
-            return
-        node = a.nodes[nid]
-        kind = a.grammar.symbols[node.label].kind
-        if kind is Kind.NONTERMINAL:
-            out.append(("inh", nid))
-            if node.prod_id is None:
-                blocked[0] = True
-                return
-            for c in node.children:
-                walk(c)
-                if blocked[0]:
-                    return
-            if include_syn:
-                out.append(("syn", nid))
-        elif kind is Kind.FIXED:
-            out.append(("joint", nid))
-        elif node.binding is None:
-            blocked[0] = True
-        else:
-            out.append(("joint", nid))
-
-    walk(a.root)
-    return out
+# phases of an AST node on the builder's walk stack: not yet visited; its
+# inherited node exists and its children come once it is expanded; its
+# children are done and its synthesized node comes next
+_ENTER, _EXPAND, _EXIT = range(3)
 
 
 class GraphBuilder:
-    """Grows the attribute graph of a (partial) tree under a decoder edge set."""
+    """Grows the attribute graph of a (partial) tree under a decoder edge set.
+
+    The builder walks the tree depth-first in generation order and keeps its
+    stack of pending AST nodes between calls, so `settle` resumes the walk
+    where it stopped, at the next open site. Edge sources come from state kept
+    along the walk: the last joint node (NextToken), the last use of each
+    variable, starting at its context node (NextUse), and the last decision
+    node (NextExp). Child, NextSibling, Parent and InhToSyn edges come from
+    the parent's list of children. NextExp edges are built exactly when
+    NEXT_EXP is in the edge set. `site` is the next open AST node, None once
+    the tree is complete.
+    """
 
     def __init__(self, tree: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
-                 labels: bool = True, next_exp: bool = False):
+                 labels: bool = True):
         self.tree = tree
         self.ctx_vars = list(ctx_vars)
-        self.edge_set = frozenset(edge_set) | ({NEXT_EXP} if next_exp else frozenset())
+        self.edge_set = frozenset(edge_set)
         self.labels = labels
-        self.next_exp = next_exp
-        self.include_syn = bool(
-            self.edge_set & {PARENT, NEXT_SIBLING, INH_TO_SYN}
-        )
+        self.include_syn = bool(self.edge_set & {PARENT, NEXT_SIBLING, INH_TO_SYN})
         self.nodes: list[AttrNode] = []
         self.edges: list[Edge] = []
         self.aid_of: dict[tuple, int] = {}
-        self._done = 0  # emitted refs already materialized (excluding ctx nodes)
-        self._add_node(("inh", tree.root), tree.grammar.start)
+        self._add_node("inh", tree.root, tree.grammar.start)
         for name in self.ctx_vars:
-            self._add_node(("ctx", name), name)
-        self._done = 1  # root inh counts as emitted
+            self._add_node("ctx", name, name)
+        self._last_use = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
+        self._last_token = None
+        self._last_decision = self.aid_of[("inh", tree.root)]
+        self._stack = [(tree.root, _EXPAND)]  # the root inh node already exists
+        self.settle()
 
     def copy(self) -> "GraphBuilder":
         """Independent builder over an independent tree copy (beam branching)."""
         b = GraphBuilder.__new__(GraphBuilder)
+        b.__dict__.update(self.__dict__)
         b.tree = self.tree.copy()
-        b.ctx_vars = list(self.ctx_vars)
-        b.edge_set = self.edge_set
-        b.labels = self.labels
-        b.next_exp = self.next_exp
-        b.include_syn = self.include_syn
         b.nodes = list(self.nodes)
         b.edges = list(self.edges)
         b.aid_of = dict(self.aid_of)
-        b._done = self._done
+        b._last_use = dict(self._last_use)
+        b._stack = list(self._stack)
         return b
+
+    def settle(self):
+        """Resume the walk up to the next open site, adding every attribute
+        node that became computable, in generation order, and set `site`.
+
+        Returns one (AttrNode, in-edges) pair per node created by this call.
+        """
+        tree, stack, created = self.tree, self._stack, []
+        while stack:
+            nid, phase = stack[-1]
+            node = tree.nodes[nid]
+            kind = tree.grammar.symbols[node.label].kind
+            if phase == _ENTER and kind is Kind.NONTERMINAL:
+                stack[-1] = (nid, _EXPAND)
+                created.append(self._emit("inh", node, kind))
+            elif phase == _EXPAND:
+                if node.prod_id is None:
+                    break
+                stack[-1] = (nid, _EXIT)
+                stack.extend((c, _ENTER) for c in reversed(node.children))
+            elif phase == _EXIT:
+                stack.pop()
+                if self.include_syn:
+                    created.append(self._emit("syn", node, kind))
+            elif kind is Kind.FIXED or node.binding is not None:
+                stack.pop()
+                created.append(self._emit("joint", node, kind))
+            else:
+                break
+        self.site = stack[-1][0] if stack else None
+        return created
 
     # -- node/edge creation ------------------------------------------------
 
-    def _add_node(self, ref, label):
+    def _add_node(self, flavor, origin, label):
         aid = len(self.nodes)
-        flavor = ref[0]
-        self.nodes.append(AttrNode(aid, flavor, ref[1], label))
-        self.aid_of[ref] = aid
+        self.nodes.append(AttrNode(aid, flavor, origin, label))
+        self.aid_of[(flavor, origin)] = aid
         return aid
 
-    def _label_for(self, ref):
-        flavor, nid = ref
-        node = self.tree.nodes[nid]
-        sym = self.tree.grammar.symbols[node.label]
-        if flavor in ("inh", "syn") or sym.kind is Kind.FIXED:
-            return node.label
-        return node.binding
+    def _src(self, nid):
+        """The attribute node that stands for a finished AST node as an edge
+        source: its synthesized node, or a terminal's joint node."""
+        kind = self.tree.grammar.symbols[self.tree.nodes[nid].label].kind
+        return self.aid_of[("syn" if kind is Kind.NONTERMINAL else "joint", nid)]
 
-    def settle(self):
-        """Materialize every newly computable attribute node, in order.
-
-        Returns the list of (aid, ref) pairs created by this call.
-        """
-        order = emission_order(self.tree, self.include_syn)
-        created = []
-        for ref in order[self._done:]:
-            aid = self._add_node(ref, self._label_for(ref))
-            self.edges.extend(compute_edges(self, ref))
-            created.append((aid, ref))
-        self._done = len(order)
-        return created
+    def _emit(self, flavor, node, kind):
+        """Add one attribute node of `node` with all its in-edges."""
+        label = node.binding if flavor == "joint" and kind is not Kind.FIXED else node.label
+        tgt = self._add_node(flavor, node.nid, label)
+        wanted = self.edge_set
+        edges: list[Edge] = []
+        if flavor == "syn":
+            if PARENT in wanted:
+                edges += [Edge(self._src(c), PARENT, tgt) for c in node.children]
+            if INH_TO_SYN in wanted:
+                edges.append(Edge(self.aid_of[("inh", node.nid)], INH_TO_SYN, tgt))
+        else:
+            parent = self.tree.nodes[node.parent]
+            i = parent.children.index(node.nid)
+            if CHILD in wanted:
+                lab = (parent.prod_id, i) if self.labels else None
+                edges.append(Edge(self.aid_of[("inh", parent.nid)], CHILD, tgt, lab))
+            if flavor == "joint":
+                if NEXT_TOKEN in wanted and self._last_token is not None:
+                    edges.append(Edge(self._last_token, NEXT_TOKEN, tgt))
+                self._last_token = tgt
+                if kind is Kind.VARIABLE:
+                    if NEXT_USE in wanted and node.binding in self._last_use:
+                        edges.append(Edge(self._last_use[node.binding], NEXT_USE, tgt))
+                    self._last_use[node.binding] = tgt
+            if NEXT_SIBLING in wanted and i > 0:
+                edges.append(Edge(self._src(parent.children[i - 1]), NEXT_SIBLING, tgt))
+            if NEXT_EXP in wanted and kind is not Kind.FIXED:  # a decision node
+                edges.append(Edge(self._last_decision, NEXT_EXP, tgt))
+                self._last_decision = tgt
+        self.edges += edges
+        return self.nodes[tgt], edges
 
     # -- finished graph ----------------------------------------------------
 
@@ -174,7 +198,6 @@ class GraphBuilder:
             "root_inh": 0,
             "ctx": {name: self.aid_of[("ctx", name)] for name in self.ctx_vars},
             "inh": {r[1]: a for r, a in self.aid_of.items() if r[0] == "inh"},
-            "syn": {r[1]: a for r, a in self.aid_of.items() if r[0] == "syn"},
             "joint": {r[1]: a for r, a in self.aid_of.items() if r[0] == "joint"},
         }
         gr = AttributeGraph(list(self.nodes), list(self.edges), [], [comp])
@@ -182,93 +205,12 @@ class GraphBuilder:
         return gr
 
 
-def _attr_of(tree, builder, nid):
-    """The attribute node that represents nid as an edge source."""
-    kind = tree.grammar.symbols[tree.nodes[nid].label].kind
-    if kind is Kind.NONTERMINAL:
-        return builder.aid_of.get(("syn", nid))
-    return builder.aid_of.get(("joint", nid))
-
-
-def _is_decision_ref(tree, ref):
-    flavor, nid = ref
-    kind = tree.grammar.symbols[tree.nodes[nid].label].kind
-    if flavor == "inh":
-        return kind is Kind.NONTERMINAL
-    if flavor == "joint":
-        return kind in (Kind.VARIABLE, Kind.LITERAL)
-    return False
-
-
-def compute_edges(builder: GraphBuilder, ref) -> list[Edge]:
-    """All in-edges of one attribute node, per the deterministic edge rules.
-
-    The root inherited node and context nodes are encoder-initialized and must
-    not be passed.
-    """
-    tree = builder.tree
-    flavor, nid = ref
-    if ref == ("inh", tree.root):
-        raise GraphError("root inherited node has no computed edges")
-    if flavor == "ctx":
-        raise GraphError("context nodes have no in-edges")
-    if nid >= len(tree.nodes):
-        raise GraphError(f"unknown AST node {nid}")
-    node = tree.nodes[nid]
-    sym = tree.grammar.symbols[node.label]
-    tgt = builder.aid_of[ref]
-    wanted = builder.edge_set
-    edges: list[Edge] = []
-
-    if flavor in ("inh", "joint"):
-        if CHILD in wanted:
-            parent = tree.nodes[node.parent]
-            lab = None
-            if builder.labels:
-                lab = (parent.prod_id, parent.children.index(nid))
-            edges.append(Edge(builder.aid_of[("inh", node.parent)], CHILD, tgt, lab))
-        if flavor == "joint":
-            if NEXT_TOKEN in wanted:
-                tok = last_token(tree, nid)
-                if tok is not None:
-                    edges.append(Edge(_attr_of(tree, builder, tok), NEXT_TOKEN, tgt))
-            if NEXT_USE in wanted and sym.kind is Kind.VARIABLE:
-                use = last_use(tree, nid, builder.ctx_vars)
-                if use is not None:
-                    src = (
-                        builder.aid_of[("ctx", use[1])]
-                        if use[0] == "ctx"
-                        else builder.aid_of[("joint", use[1])]
-                    )
-                    edges.append(Edge(src, NEXT_USE, tgt))
-        if NEXT_SIBLING in wanted:
-            sib = last_sibling(tree, nid)
-            if sib is not None:
-                edges.append(Edge(_attr_of(tree, builder, sib), NEXT_SIBLING, tgt))
-    else:  # synthesized
-        if PARENT in wanted:
-            for c in node.children:
-                edges.append(Edge(_attr_of(tree, builder, c), PARENT, tgt))
-        if INH_TO_SYN in wanted:
-            edges.append(Edge(builder.aid_of[("inh", nid)], INH_TO_SYN, tgt))
-
-    if builder.next_exp and _is_decision_ref(tree, ref):
-        order = emission_order(tree, builder.include_syn)
-        pos = order.index(ref)
-        for prev in reversed(order[:pos]):
-            if _is_decision_ref(tree, prev):
-                edges.append(Edge(builder.aid_of[prev], NEXT_EXP, tgt))
-                break
-    return edges
-
-
 def augment_full_tree(t: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
-                      labels: bool = True, next_exp: bool = False) -> AttributeGraph:
+                      labels: bool = True) -> AttributeGraph:
     """One-shot augmentation of a complete tree."""
-    if not t.is_complete():
+    b = GraphBuilder(t, ctx_vars, edge_set=edge_set, labels=labels)
+    if b.site is not None:
         raise GraphError("tree is not complete")
-    b = GraphBuilder(t, ctx_vars, edge_set=edge_set, labels=labels, next_exp=next_exp)
-    b.settle()
     return b.graph()
 
 
@@ -326,45 +268,11 @@ def batch_graphs(graphs: list[AttributeGraph]) -> AttributeGraph:
                     "root_inh": comp["root_inh"] + offset,
                     "ctx": {k: v + offset for k, v in comp["ctx"].items()},
                     "inh": {k: v + offset for k, v in comp["inh"].items()},
-                    "syn": {k: v + offset for k, v in comp["syn"].items()},
                     "joint": {k: v + offset for k, v in comp["joint"].items()},
                 }
             )
         offset += len(gr.nodes)
     return AttributeGraph(nodes, edges, schedule, components)
-
-
-def unbatch_graphs(gr: AttributeGraph) -> list[AttributeGraph]:
-    out = []
-    for comp in gr.components:
-        lo, hi = comp["offset"], comp["offset"] + comp["n"]
-        d = -lo
-        nodes = [
-            AttrNode(n.aid + d, n.flavor, n.origin, n.label)
-            for n in gr.nodes
-            if lo <= n.aid < hi
-        ]
-        edges = [
-            Edge(e.src + d, e.etype, e.tgt + d, e.label)
-            for e in gr.edges
-            if lo <= e.tgt < hi
-        ]
-        schedule = []
-        for rnd in gr.schedule:
-            own = [a + d for a in rnd if lo <= a < hi]
-            if own:
-                schedule.append(own)
-        shifted = {
-            "offset": 0,
-            "n": comp["n"],
-            "root_inh": comp["root_inh"] + d,
-            "ctx": {k: v + d for k, v in comp["ctx"].items()},
-            "inh": {k: v + d for k, v in comp["inh"].items()},
-            "syn": {k: v + d for k, v in comp["syn"].items()},
-            "joint": {k: v + d for k, v in comp["joint"].items()},
-        }
-        out.append(AttributeGraph(nodes, edges, schedule, [shifted]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +303,3 @@ def export_dot(gr: AttributeGraph) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def dump_edges(gr: AttributeGraph) -> str:
-    """Line-oriented debug dump: `src etype tgt [label]`."""
-    lines = []
-    for e in gr.edges:
-        line = f"{e.src} {e.etype} {e.tgt}"
-        if e.label is not None:
-            line += f" {e.label[0]},{e.label[1]}"
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")

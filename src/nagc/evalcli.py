@@ -42,16 +42,7 @@ def perplexity(model: mo.Model, fold) -> tuple:
     """(per-decision, per-token) perplexity under teacher forcing."""
     if not fold:
         raise DataError("empty fold")
-    nll = 0.0
-    decisions = 0
-    tokens = 0
-    for s in fold:
-        pr = mo.prep_sample(model, s)
-        loss, steps = mo.sample_loss(model, pr)
-        nll += loss
-        decisions += len(steps)
-        tokens += pr.n_tokens
-    return math.exp(nll / decisions), math.exp(nll / tokens)
+    return mo.fold_perplexity(model, fold)
 
 
 def _decode_fold(model: mo.Model, fold, width: int):
@@ -163,6 +154,16 @@ class _UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser():
     p = _Parser(prog="nagc")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -189,7 +190,7 @@ def _build_parser():
     c.add_argument("--encoder", choices=["seq", "graph"], default="graph")
     c.add_argument("--epochs", type=int, default=50)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--batch-size", type=int, default=20)
+    c.add_argument("--batch-size", type=_positive_int, default=20)
     c.add_argument("--lr", type=float, default=1e-3)
     c.add_argument("--ckpt", required=True)
 

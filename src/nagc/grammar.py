@@ -86,14 +86,6 @@ class Grammar:
             fixed[cls] = tuple(entries)
         return replace(self, literal_vocab=fixed)
 
-    def structurally_equal(self, other: "Grammar") -> bool:
-        return (
-            self.symbols == other.symbols
-            and self.productions == other.productions
-            and self.start == other.start
-            and self.literal_vocab == other.literal_vocab
-        )
-
 
 def builtin_grammar() -> Grammar:
     """The canonical MiniExpr grammar (23 productions, start Expr)."""
@@ -302,11 +294,6 @@ class TypeEnv:
 
     def items(self):
         return self._map.items()
-
-    def extended(self, name, ty):
-        m = dict(self._map)
-        m[name] = ty
-        return TypeEnv(m)
 
     def __contains__(self, name):
         return name in self._map

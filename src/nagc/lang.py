@@ -523,35 +523,6 @@ def render_tree_tokens(tree: PartialAst) -> list[str]:
     return render_expr(tree_to_expr(tree))
 
 
-def render_stmt(s) -> list[str]:
-    if isinstance(s, SDecl):
-        toks = ["var", s.name, ":"]
-        toks += ["int", "[", "]"] if s.ty == "int[]" else [s.ty]
-        if s.init is not None:
-            toks += ["="] + render_expr(s.init)
-        return toks + [";"]
-    if isinstance(s, SAssign):
-        return [s.name, "="] + render_expr(s.expr) + [";"]
-    if isinstance(s, SIf):
-        toks = ["if", "("] + render_expr(s.cond) + [")", "{"]
-        for t in s.then:
-            toks += render_stmt(t)
-        toks.append("}")
-        if s.els is not None:
-            toks += ["else", "{"]
-            for t in s.els:
-                toks += render_stmt(t)
-            toks.append("}")
-        return toks
-    if isinstance(s, SWhile):
-        toks = ["while", "("] + render_expr(s.cond) + [")", "{"]
-        for t in s.body:
-            toks += render_stmt(t)
-        toks.append("}")
-        return toks
-    raise LangError(f"cannot render statement {type(s).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Program graphs for the context encoder
 
@@ -564,7 +535,6 @@ class ProgramGraph:
     terminals: list[int]  # node ids of surface tokens, in order (hole included)
     hole_node: int | None
     decl_nodes: dict[str, int]  # variable name -> declaration name terminal
-    var_terminals: dict[str, list[int]]  # name -> occurrence terminals in order
 
 
 def program_graph(tokens: list[str]) -> ProgramGraph:
@@ -655,7 +625,6 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
         terminals=term_nodes,
         hole_node=hole,
         decl_nodes=decl_nodes,
-        var_terminals=var_terms,
     )
 
 

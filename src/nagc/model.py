@@ -22,7 +22,7 @@ from . import neural as nn
 from .grammar import (
     Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
 )
-from .syntax import new_partial_ast, next_expansion_site, apply_production, bind_terminal, serialize_tokens
+from .syntax import new_partial_ast, apply_production, bind_terminal, serialize_tokens
 
 
 class ModelError(Exception):
@@ -51,10 +51,6 @@ class DecoderConfig:
     child_labels: bool
     attention: bool
     variable_pooling: bool
-
-    @property
-    def next_exp(self):
-        return ag.NEXT_EXP in self.edge_set
 
 
 CONFIGS = {
@@ -260,10 +256,8 @@ def prep_sample(model: Model, sample) -> Prepped:
     g, cfg = model.grammar, model.config
     tree = sample.target_tree(g)
     pr = prep_context(model, sample)
-    graph = ag.augment_full_tree(
-        tree, pr.ctx_order, edge_set=cfg.edge_set,
-        labels=cfg.child_labels, next_exp=cfg.next_exp,
-    )
+    graph = ag.augment_full_tree(tree, pr.ctx_order, edge_set=cfg.edge_set,
+                                 labels=cfg.child_labels)
     label_idx = np.full(len(graph.nodes), -1, dtype=np.int64)
     comp = graph.components[0]
     seeded = {comp["root_inh"]} | set(comp["ctx"].values())
@@ -661,6 +655,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
     """Teacher-forced MLE training; returns per-epoch metric dicts."""
     if not samples:
         raise ModelError("empty training fold")
+    if batch_size < 1:
+        raise ModelError(f"batch size must be >= 1, got {batch_size}")
     preppeds = [prep_sample(model, s) for s in samples]
     opt = nn.OptState(lr=lr)
     history = []
@@ -695,21 +691,25 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             "clipped_share": sum(v > clip_norm for v in norms) / len(norms) if clip_norm else 0.0,
         }
         if valid:
-            rec["valid_ppl_decision"] = _fold_ppl(model, valid)
+            rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
         history.append(rec)
         if log:
             log(rec)
     return history
 
 
-def _fold_ppl(model: Model, samples) -> float:
+def fold_perplexity(model: Model, samples) -> tuple:
+    """(per-decision, per-token) perplexity of a fold under teacher forcing."""
     nll = 0.0
-    n = 0
+    decisions = 0
+    tokens = 0
     for s in samples:
-        loss, steps = sample_loss(model, s)
+        pr = prep_sample(model, s)
+        loss, steps = sample_loss(model, pr)
         nll += loss
-        n += len(steps)
-    return math.exp(nll / n)
+        decisions += len(steps)
+        tokens += pr.n_tokens
+    return math.exp(nll / decisions), math.exp(nll / tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -735,18 +735,10 @@ class _Hyp:
 
 
 def _settle_states(model: Model, hyp: _Hyp):
-    before = len(hyp.builder.edges)
-    created = hyp.builder.settle()
-    new_edges = hyp.builder.edges[before:]
-    by_tgt = {}
-    for e in new_edges:
-        by_tgt.setdefault(e.tgt, []).append(e)
     tree = hyp.builder.tree
-    for aid, ref in created:
-        label_id = _attr_label_id(model, tree, hyp.builder.nodes[aid])
-        hyp.states[aid] = node_representation(
-            model, label_id, by_tgt.get(aid, []), lambda a: hyp.states[a]
-        )
+    for node, in_edges in hyp.builder.settle():
+        label_id = _attr_label_id(model, tree, node)
+        hyp.states[node.aid] = node_representation(model, label_id, in_edges, hyp.states.__getitem__)
 
 
 def decode_beam(model: Model, before, after, scope, width: int = 5,
@@ -775,8 +767,7 @@ def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
     context encoding."""
     cfg = model.config
     builder = ag.GraphBuilder(new_partial_ast(model.grammar), pr.ctx_order,
-                              edge_set=cfg.edge_set, labels=cfg.child_labels,
-                              next_exp=cfg.next_exp)
+                              edge_set=cfg.edge_set, labels=cfg.child_labels)
     states = {builder.aid_of[("inh", 0)]: enc.root}
     for name in pr.ctx_order:
         states[builder.aid_of[("ctx", name)]] = enc.var_reps[name]
@@ -803,7 +794,7 @@ def _decode(model: Model, sample, width, max_steps) -> BeamResult:
             child = hyp.clone()
             child.logp = logp
             _apply_action(model, child, action)
-            if child.builder.tree.is_complete():
+            if child.builder.site is None:
                 finished.append(child)
             else:
                 beam.append(child)
@@ -818,8 +809,7 @@ def _decode(model: Model, sample, width, max_steps) -> BeamResult:
 def _score_site(model: Model, hyp: _Hyp, enc: ContextEncoding, pr: Prepped):
     """(probs, actions) at the next expansion site, one action per softmax
     slot. A variable slot with an empty scope is a dead end: no actions."""
-    tree = hyp.builder.tree
-    site = next_expansion_site(tree)
+    tree, site = hyp.builder.tree, hyp.builder.site
     node = tree.nodes[site]
     rows = [hyp.var_rows[n] for n in pr.ctx_order]
     if tree.is_unexpanded_nonterminal(site):

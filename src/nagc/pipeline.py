@@ -4,14 +4,13 @@ file-respecting splits and JSONL persistence."""
 from __future__ import annotations
 
 import json
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lang
-from .grammar import Grammar, TypeEnv, type_check
-from .syntax import deserialize_decisions, serialize_decisions, serialize_tokens
+from .grammar import Grammar, GrammarError, TypeCheckError, TypeEnv, type_check
+from .syntax import deserialize_decisions, serialize_decisions
 
 
 class PipelineError(Exception):
@@ -34,29 +33,6 @@ class Sample:
         if self._tree is None or self._tree.grammar is not g:
             self._tree = deserialize_decisions(self.target, g)
         return self._tree
-
-
-@dataclass
-class CorpusStats:
-    n_samples: int
-    token_mean: float
-    token_sd: float
-    step_mean: float
-    step_sd: float
-    fold_counts: dict
-
-
-def corpus_stats(samples, g: Grammar, folds=None) -> CorpusStats:
-    toks = [len(serialize_tokens(s.target_tree(g))) for s in samples]
-    steps = [len(s.target.split()) for s in samples]
-    return CorpusStats(
-        n_samples=len(samples),
-        token_mean=statistics.fmean(toks) if toks else 0.0,
-        token_sd=statistics.pstdev(toks) if toks else 0.0,
-        step_mean=statistics.fmean(steps) if steps else 0.0,
-        step_sd=statistics.pstdev(steps) if steps else 0.0,
-        fold_counts={k: len(v) for k, v in (folds or {}).items()},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +345,8 @@ def dedup(samples) -> list[Sample]:
 def split(samples, ratio=(3, 1, 1), seed: int = 0) -> dict:
     """File-respecting split: whole files assigned to folds by seeded shuffle,
     greedily targeting the ratio by sample count."""
+    if len(ratio) != 3 or min(ratio) < 0 or sum(ratio) <= 0:
+        raise PipelineError(f"ratio {ratio} needs three non-negative parts with a positive sum")
     by_file: dict[str, list[Sample]] = {}
     for s in samples:
         by_file.setdefault(s.file, []).append(s)
@@ -419,10 +397,9 @@ def write_jsonl(samples, path):
 def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
     """Load samples; with a grammar, validate the Sample invariants."""
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:  # bytes, so a non-UTF-8 line fails in the try below
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
@@ -435,6 +412,10 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
                     usages={k: [(side, list(toks)) for side, toks in v] for k, v in obj["usages"].items()},
                     target=obj["target"],
                 )
+                texts = [s.file, s.hole_type, s.target, *s.before, *s.after, *s.scope.values()]
+                texts += [x for uses in s.usages.values() for side, toks in uses for x in (side, *toks)]
+                if not all(isinstance(x, str) for x in texts):
+                    raise TypeError("names, types and tokens must be strings")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise PipelineError(f"{path}:{lineno}: malformed sample: {e}") from None
             if g is not None:
@@ -451,6 +432,9 @@ def _validate(s: Sample, g: Grammar, path, lineno):
     used = {rec[1:] for rec in s.target.split() if rec.startswith("V")}
     if not used <= set(s.scope):
         raise PipelineError(f"{path}:{lineno}: target uses out-of-scope variables {used - set(s.scope)}")
-    ty = type_check(tree, TypeEnv(s.scope))
+    try:
+        ty = type_check(tree, TypeEnv(s.scope))
+    except (GrammarError, TypeCheckError) as e:
+        raise PipelineError(f"{path}:{lineno}: ill-typed sample: {e}") from None
     if ty != s.hole_type:
         raise PipelineError(f"{path}:{lineno}: hole type {s.hole_type} but target has type {ty}")

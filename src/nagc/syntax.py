@@ -1,4 +1,4 @@
-"""Partial ASTs: grammar-driven expansion, frontier order and positional lookups.
+"""Partial ASTs: grammar-driven expansion, frontier order and decision sequences.
 
 A PartialAst is updated in place by apply_production/bind_terminal; beam search
 branches by copying first, so no tree is ever shared between hypotheses.
@@ -121,20 +121,6 @@ def bind_terminal(a: PartialAst, v: int, spelling: str) -> PartialAst:
     return a
 
 
-def replay(g: Grammar, history) -> PartialAst:
-    """Rebuild a tree by replaying decisions at the frontier order sites."""
-    a = new_partial_ast(g)
-    for dec in history:
-        site = next_expansion_site(a)
-        if site is None:
-            raise SyntaxError_("history continues past a complete tree")
-        if dec[0] == "P":
-            apply_production(a, site, g.productions[dec[2]])
-        else:
-            bind_terminal(a, site, dec[2] if dec[0] == "V" else dec[3])
-    return a
-
-
 def trees_equal(a: PartialAst, b: PartialAst) -> bool:
     if len(a.nodes) != len(b.nodes):
         return False
@@ -143,56 +129,6 @@ def trees_equal(a: PartialAst, b: PartialAst) -> bool:
         == (y.label, y.parent, y.children, y.binding, y.prod_id)
         for x, y in zip(a.nodes, b.nodes)
     )
-
-
-# ---------------------------------------------------------------------------
-# Positional lookups
-
-def _terminal_leaves_before(a: PartialAst, v: int):
-    """Bound/fixed terminal leaves strictly left of v, left-to-right."""
-    out = []
-    for nid in a.leaves():
-        if nid == v:
-            break
-        sym = a.grammar.symbols[a.nodes[nid].label]
-        if sym.kind is Kind.FIXED:
-            out.append(nid)
-        elif sym.kind in (Kind.VARIABLE, Kind.LITERAL) and a.nodes[nid].binding is not None:
-            out.append(nid)
-    return out
-
-
-def last_token(a: PartialAst, v: int):
-    """Most recent generated terminal before v, or None."""
-    before = _terminal_leaves_before(a, v)
-    return before[-1] if before else None
-
-
-def last_use(a: PartialAst, v: int, ctx_vars=()):
-    """Previous occurrence of the same variable: an earlier AST leaf, else the
-    context variable, following lexical order only.
-
-    Returns ("ast", nid), ("ctx", name) or None.
-    """
-    node = a.node(v)
-    if a.grammar.symbols[node.label].kind is not Kind.VARIABLE or node.binding is None:
-        raise SyntaxError_(f"node {v} is not a bound variable occurrence")
-    for nid in reversed(_terminal_leaves_before(a, v)):
-        n = a.nodes[nid]
-        if a.grammar.symbols[n.label].kind is Kind.VARIABLE and n.binding == node.binding:
-            return ("ast", nid)
-    if node.binding in ctx_vars:
-        return ("ctx", node.binding)
-    return None
-
-
-def last_sibling(a: PartialAst, v: int):
-    node = a.node(v)
-    if node.parent is None:
-        return None
-    sibs = a.nodes[node.parent].children
-    i = sibs.index(v)
-    return sibs[i - 1] if i > 0 else None
 
 
 # ---------------------------------------------------------------------------

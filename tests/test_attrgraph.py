@@ -14,18 +14,16 @@ from nagc.attrgraph import (
     NEXT_SIBLING,
     NEXT_TOKEN,
     NEXT_USE,
+    PAPER_EDGE_TYPES,
     PARENT,
     GraphBuilder,
     GraphError,
     augment_full_tree,
     batch_graphs,
-    compute_edges,
-    dump_edges,
-    emission_order,
     export_dot,
     propagation_schedule,
-    unbatch_graphs,
 )
+from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
 
 
 def _tree(g, text):
@@ -76,23 +74,39 @@ def test_node_ids_follow_generation_order(g):
     assert flavors[10] == (10, "syn")  # root synthesized, last
 
 
-def test_emission_order_is_monotone_under_expansion(g):
-    # prefix stability: expanding the tree only appends to the order
-    from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
+# edge set and child labels of the Tree, ASN, Syn and NAG decoder configs
+DECODER_EDGES = [((CHILD,), False), ((CHILD,), True), ((CHILD, NEXT_EXP), False),
+                 (PAPER_EDGE_TYPES, True)]
 
+
+def test_builder_settled_per_decision_matches_one_shot(g):
+    # the walk resumed after every decision ends where one-shot augmentation
+    # does, and its site is always the tree's next expansion site
     rng = np.random.default_rng(1)
-    full = random_tree(g, rng, ["i"])
-    t = new_partial_ast(g)
-    prev = emission_order(t)
-    for dec in full.history:
-        site = next_expansion_site(t)
-        if dec[0] == "P":
-            apply_production(t, site, g.productions[dec[2]])
-        else:
-            bind_terminal(t, site, dec[2] if dec[0] == "V" else dec[3])
-        cur = emission_order(t)
-        assert cur[: len(prev)] == prev
-        prev = cur
+    scopes = (["i"], ["i", "j"], ["i", "j", "s", "b", "arr"])
+    for k in range(1000):
+        scope = scopes[k % len(scopes)]
+        ctx = scope if k % 4 else scope[:1]  # some variables outside the context
+        full = random_tree(g, rng, scope)
+        for edge_set, labels in DECODER_EDGES:
+            t = new_partial_ast(g)
+            b = GraphBuilder(t, ctx, edge_set=edge_set, labels=labels)
+            for dec in full.history:
+                site = next_expansion_site(t)
+                assert b.site == site
+                if dec[0] == "P":
+                    apply_production(t, site, g.productions[dec[2]])
+                else:
+                    bind_terminal(t, site, dec[2] if dec[0] == "V" else dec[3])
+                n_nodes, n_edges = len(b.nodes), len(b.edges)
+                created = b.settle()
+                assert [n for n, _ in created] == b.nodes[n_nodes:]
+                assert [e for _, es in created for e in es] == b.edges[n_edges:]
+                assert all(e.tgt == n.aid for n, es in created for e in es)
+            assert b.site is None
+            one = GraphBuilder(full, ctx, edge_set=edge_set, labels=labels)
+            assert list(b.aid_of.items()) == list(one.aid_of.items())
+            assert b.graph() == augment_full_tree(full, ctx, edge_set=edge_set, labels=labels)
 
 
 def test_edges_are_pure_function_of_tree(g):
@@ -105,16 +119,6 @@ def test_edges_are_pure_function_of_tree(g):
     assert [n.label for n in b1.nodes] == [n.label for n in b2.nodes]
 
 
-def test_compute_edges_rejects_source_nodes(g):
-    tree, ctx = _sub_fixture(g)
-    b = GraphBuilder(tree, ctx)
-    b.settle()
-    with pytest.raises(GraphError):
-        compute_edges(b, ("inh", tree.root))
-    with pytest.raises(GraphError):
-        compute_edges(b, ("ctx", "i"))
-
-
 def test_restricted_edge_sets_drop_synthesized_nodes(g):
     tree, ctx = _sub_fixture(g)
     gr = augment_full_tree(tree, ctx, edge_set=(CHILD,), labels=False)
@@ -125,7 +129,7 @@ def test_restricted_edge_sets_drop_synthesized_nodes(g):
 
 def test_next_exp_chains_decisions(g):
     tree, ctx = _sub_fixture(g)
-    gr = augment_full_tree(tree, ctx, edge_set=(CHILD, NEXT_EXP), labels=False, next_exp=True)
+    gr = augment_full_tree(tree, ctx, edge_set=(CHILD, NEXT_EXP), labels=False)
     chain = sorted((e.src, e.tgt) for e in gr.edges if e.etype == NEXT_EXP)
     # without syn nodes the order is: root inh 0, ctx 1-2, left inh 3,
     # "i" joint 4, "-" joint 5, right inh 6, "j" joint 7
@@ -185,11 +189,17 @@ def test_batch_unbatch_round_trip(g):
     assert len(batched.nodes) == sum(len(gr.nodes) for gr in graphs)
     # rounds are merged index-wise
     assert len(batched.schedule) == max(len(gr.schedule) for gr in graphs)
-    back = unbatch_graphs(batched)
-    for orig, rec in zip(graphs, back):
-        assert orig.nodes == rec.nodes
-        assert sorted(orig.edges, key=str) == sorted(rec.edges, key=str)
-        assert orig.schedule == rec.schedule
+    # each component's offset maps its slice back onto the original graph
+    for orig, comp in zip(graphs, batched.components):
+        lo, hi = comp["offset"], comp["offset"] + comp["n"]
+        assert [A.AttrNode(n.aid - lo, n.flavor, n.origin, n.label)
+                for n in batched.nodes[lo:hi]] == orig.nodes
+        assert [A.Edge(e.src - lo, e.etype, e.tgt - lo, e.label)
+                for e in batched.edges if lo <= e.tgt < hi] == orig.edges
+        rounds = [[a - lo for a in rnd if lo <= a < hi] for rnd in batched.schedule]
+        assert rounds[: len(orig.schedule)] == orig.schedule
+        for key in ("ctx", "inh", "joint"):
+            assert {k: v - lo for k, v in comp[key].items()} == orig.components[0][key]
 
 
 def test_export_dot_colors(g):
@@ -199,10 +209,3 @@ def test_export_dot_colors(g):
                    'color="orange"', 'color="blue"'):
         assert needle in dot
     assert dot.startswith("digraph")
-
-
-def test_dump_edges_format(g):
-    tree, ctx = _sub_fixture(g)
-    lines = dump_edges(augment_full_tree(tree, ctx)).strip().splitlines()
-    assert len(lines) == len(EXPECTED_SUB_EDGES)
-    assert any(line.endswith("5,0") for line in lines)  # labeled Child edge

@@ -124,6 +124,10 @@ def test_cli_usage_errors_exit_1(capsys):
     assert run_cli(["train", "--data", "x"]) == 1  # missing --ckpt
     assert run_cli([]) == 1
     capsys.readouterr()
+    for size in ("0", "-3"):
+        assert run_cli(["train", "--data", "x", "--ckpt", "m", "--batch-size", size]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+        assert len(err) == 1 and "--batch-size" in err[0], err
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):
@@ -137,9 +141,39 @@ def test_cli_data_errors_exit_2(tmp_path, capsys):
 
 def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):
     path = str(tmp_path / "s.jsonl")
-    P.write_jsonl(corpus_samples[:10], path)
+    P.write_jsonl(corpus_samples, path)  # enough files for a split
     assert run_cli(["split", "--in", path, "--ratio", "3:1", "--out-dir", str(tmp_path / "d")]) == 2
     capsys.readouterr()
+    assert run_cli(["split", "--in", path, "--ratio", "0:0:0", "--out-dir", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: "), err
+
+
+# the second line of a sample file: a scope variable of an unknown type, an
+# ill-typed target, a context token that is not a string, or a byte that is
+# not UTF-8
+@pytest.mark.parametrize("fault", ["scope-type", "ill-typed", "token-type", "not-utf8"])
+def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
+    path = str(tmp_path / "s.jsonl")
+    P.write_jsonl(corpus_samples[:2], path)
+    with open(path, "rb") as f:
+        first, second = f.read().splitlines()
+    if fault == "not-utf8":
+        second = second[:20] + b"\xff" + second[20:]
+    else:
+        obj = json.loads(second)
+        if fault == "scope-type":
+            obj["scope"]["f"] = "float"
+        elif fault == "token-type":
+            obj["before"][0] = 1
+        else:
+            obj["target"] = 'P4 P1 Lint:1 P2 Lstring:"a"'  # int + string
+        second = json.dumps(obj).encode()
+    with open(path, "wb") as f:
+        f.write(first + b"\n" + second + b"\n")
+    assert run_cli(["split", "--in", path, "--out-dir", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"nagc: {path}:2: "), err
 
 
 # checkpoint cut to the first n bytes (a float: that share of the file; -1:

@@ -421,6 +421,14 @@ def test_train_rejects_empty():
         train(m, [], epochs=1)
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_train_rejects_bad_batch_size(fitted_grammar, token_vocab, folds, batch_size):
+    m = Model(fitted_grammar, config="Tree", encoder="seq", hidden=8, emb_dim=4, seed=0,
+              token_vocab=token_vocab)
+    with pytest.raises(ModelError):
+        train(m, folds["train"][:2], epochs=1, batch_size=batch_size)
+
+
 # -- decoding ---------------------------------------------------------------
 
 def test_forced_grammar_decodes_unique_tree():

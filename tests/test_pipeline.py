@@ -106,6 +106,13 @@ def test_split_needs_five_files():
         P.split(samples)
 
 
+@pytest.mark.parametrize("ratio", [(0, 0, 0), (3, -1, 1), (3, 1)])
+def test_split_rejects_bad_ratio(ratio):
+    samples = [_mk(f"f{i}", ["t"], [], {}, "P1 Lint:1") for i in range(5)]
+    with pytest.raises(PipelineError):
+        P.split(samples, ratio)
+
+
 def test_jsonl_round_trip(g, corpus_samples, tmp_path):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples, path)
@@ -138,13 +145,6 @@ def test_read_validates_invariants(tmp_path, g):
     P.write_jsonl([bad], path)
     with pytest.raises(PipelineError):
         P.read_jsonl(path, g)
-
-
-def test_corpus_stats_shape(g, corpus_samples, folds):
-    stats = P.corpus_stats(corpus_samples, g, folds)
-    assert stats.n_samples == len(corpus_samples)
-    assert 2.0 < stats.token_mean < 8.0  # tuned toward ~4
-    assert stats.fold_counts["train"] == len(folds["train"])
 
 
 def test_corpus_dir_round_trip(tmp_path):

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import random_tree
 from nagc import lang as L
 from nagc import syntax as S
+from nagc.attrgraph import NEXT_SIBLING, NEXT_TOKEN, NEXT_USE, GraphBuilder
 from nagc.grammar import Kind
 from nagc.syntax import (
     MalformedSequenceError,
@@ -11,12 +14,8 @@ from nagc.syntax import (
     apply_production,
     bind_terminal,
     deserialize_decisions,
-    last_sibling,
-    last_token,
-    last_use,
     new_partial_ast,
     next_expansion_site,
-    replay,
     serialize_decisions,
     serialize_tokens,
     trees_equal,
@@ -58,13 +57,6 @@ def test_bind_terminal_errors(g):
         bind_terminal(t, 0, "i")
 
 
-def test_replay_reproduces_tree(g):
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        t = random_tree(g, rng, ["i", "j"])
-        assert trees_equal(t, replay(g, t.history))
-
-
 def test_decision_round_trip(g):
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -103,49 +95,76 @@ def test_deserialize_rejects_malformed(g, seq):
         deserialize_decisions(seq, g)
 
 
-def _brute_last_token(t, v):
-    # linear scan over leaves, independent of the production-path logic
-    prev = None
-    for nid in t.leaves():
-        if nid == v:
-            return prev
-        node = t.nodes[nid]
-        sym = t.grammar.symbols[node.label]
-        if sym.kind is Kind.FIXED or node.binding is not None:
-            prev = nid
-    return prev
+# Positional relations on a complete tree, computed by brute force from its
+# leaves and lists of children, against the edges the GraphBuilder emits for
+# them. Edges are compared as (source ref, target ref) pairs, a ref being an
+# (attribute flavor, AST node id or context variable) key of `aid_of`.
+
+def _kind(t, nid):
+    return t.grammar.symbols[t.nodes[nid].label].kind
+
+
+def _brute_edges(t, ctx, etype):
+    leaves = t.leaves()  # every leaf of a complete tree is a terminal
+    out = []
+    if etype == NEXT_TOKEN:
+        out = [(("joint", a), ("joint", b)) for a, b in zip(leaves, leaves[1:])]
+    elif etype == NEXT_USE:
+        for i, v in enumerate(leaves):
+            name = t.nodes[v].binding
+            if _kind(t, v) is not Kind.VARIABLE:
+                continue
+            prev = [u for u in leaves[:i] if _kind(t, u) is Kind.VARIABLE and t.nodes[u].binding == name]
+            if prev:
+                out.append((("joint", prev[-1]), ("joint", v)))
+            elif name in ctx:
+                out.append((("ctx", name), ("joint", v)))
+    else:
+        def ref(nid, nt_flavor):
+            return (nt_flavor if _kind(t, nid) is Kind.NONTERMINAL else "joint", nid)
+
+        for node in t.nodes:
+            for a, b in zip(node.children, node.children[1:]):
+                out.append((ref(a, "syn"), ref(b, "inh")))
+    return Counter(out)
+
+
+def _builder_edges(t, ctx, etype):
+    b = GraphBuilder(t, ctx)
+    ref = {aid: key for key, aid in b.aid_of.items()}
+    return Counter((ref[e.src], ref[e.tgt]) for e in b.edges if e.etype == etype)
+
+
+def _check_random_trees(g, etype, seed):
+    rng = np.random.default_rng(seed)
+    scopes = (["i"], ["i", "j", "k"], ["i", "j", "s", "b", "arr"])
+    for k in range(200):
+        scope = scopes[k % len(scopes)]
+        ctx = scope[: 1 + k % len(scope)]  # some variables outside the context
+        t = random_tree(g, rng, scope)
+        assert _builder_edges(t, ctx, etype) == _brute_edges(t, ctx, etype)
 
 
 def test_last_token_matches_brute_force(g):
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        t = random_tree(g, rng, ["i", "j", "k"])
-        for nid in t.leaves():
-            assert last_token(t, nid) == _brute_last_token(t, nid)
+    _check_random_trees(g, NEXT_TOKEN, seed=6)
 
 
 def test_last_use_chain(g):
     t = _tree(g, "i - i")
-    leaves = [n for n in t.leaves() if t.nodes[n].binding == "i"]
-    first, second = leaves
-    assert last_use(t, first, ["i"]) == ("ctx", "i")
-    assert last_use(t, second, ["i"]) == ("ast", first)
-    assert last_use(t, first, []) is None
-
-
-def test_last_use_requires_bound_variable(g):
-    t = _tree(g, "1 + 2")
-    lit = t.leaves()[0]
-    with pytest.raises(SyntaxError_):
-        last_use(t, lit, [])
+    first, second = [n for n in t.leaves() if t.nodes[n].binding == "i"]
+    chain = Counter({(("joint", first), ("joint", second)): 1})
+    assert _builder_edges(t, ["i"], NEXT_USE) == chain + Counter({(("ctx", "i"), ("joint", first)): 1})
+    assert _builder_edges(t, [], NEXT_USE) == chain
+    _check_random_trees(g, NEXT_USE, seed=7)
 
 
 def test_last_sibling(g):
     t = _tree(g, "i - j")
     kids = t.nodes[0].children
-    assert last_sibling(t, kids[0]) is None
-    assert last_sibling(t, kids[1]) == kids[0]
-    assert last_sibling(t, 0) is None
+    assert _builder_edges(t, [], NEXT_SIBLING) == Counter(
+        {(("syn", kids[0]), ("joint", kids[1])): 1, (("joint", kids[1]), ("inh", kids[2])): 1}
+    )
+    _check_random_trees(g, NEXT_SIBLING, seed=8)
 
 
 def test_copy_isolates_mutation(g):
