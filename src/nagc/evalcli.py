@@ -197,14 +197,14 @@ def _build_parser():
     c = sub.add_parser("evaluate")
     c.add_argument("--data", required=True)
     c.add_argument("--ckpt", required=True)
-    c.add_argument("--beam", type=int, default=5)
+    c.add_argument("--beam", type=_positive_int, default=5)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--report")
 
     c = sub.add_parser("complete")
     c.add_argument("--ckpt", required=True)
     c.add_argument("--sample", required=True)
-    c.add_argument("--beam", type=int, default=5)
+    c.add_argument("--beam", type=_positive_int, default=5)
 
     c = sub.add_parser("graph-dot")
     c.add_argument("--sample", required=True)

@@ -188,8 +188,8 @@ def load_grammar(text: str) -> Grammar:
         raise GrammarParseError("no productions")
 
     symbols: dict[str, Symbol] = {}
-    lhss = {lhs for lhs, _, _ in rules}
-    for lhs in lhss:
+    # first-appearance order, so symbol (and label) ids never depend on the hash seed
+    for lhs in dict.fromkeys(lhs for lhs, _, _ in rules):
         symbols[lhs] = Symbol(lhs, Kind.NONTERMINAL)
     symbols.update(declared)
     prods = []

@@ -381,19 +381,14 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8):
             s.append(src + off)
             t.append(tgt + off)
         off += len(pr.pg_idx)
-    N = off
     h = nn.rows(p["enc_gnode_emb"], np.concatenate(idx_parts))
-    merged = {
-        name: (np.concatenate(s), np.concatenate(t)) for name, (s, t) in edge_arrays.items()
-    }
-    for _ in range(steps):
-        msgs = None
-        for name, (src, tgt) in merged.items():
-            m = nn.scatter_rows(N, tgt, nn.linear(nn.rows(h, src), p, f"enc_gg_{name}"))
-            msgs = m if msgs is None else nn.add(msgs, m)
-        if msgs is None:
-            break
-        h = nn.gru_cell(msgs, h, p, "enc_gg_g")
+    if edge_arrays:  # a context without edges keeps its embeddings
+        edges = nn.EdgeIndex(off, h.data.shape[1], [
+            (np.concatenate(s), np.concatenate(t)) for s, t in edge_arrays.values()
+        ])
+        prefixes = [f"enc_gg_{name}" for name in edge_arrays]
+        for _ in range(steps):
+            h = nn.gru_cell(nn.edge_messages(h, edges, p, prefixes), h, p, "enc_gg_g")
     out = []
     for pr, off in zip(preppeds, offsets):
         pg = pr.pgraph

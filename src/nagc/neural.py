@@ -1,6 +1,7 @@
 """Dense tensor core with reverse-mode autodiff, plus the layers the model
-needs: linear maps, GRU cell, additive attention, masked softmax, pooling,
-embeddings, an Adam optimizer and a binary checkpoint format.
+needs: linear maps, GRU cell, the gated-graph message step, additive
+attention, masked softmax, pooling, embeddings, an Adam optimizer and a
+binary checkpoint format.
 
 Compute is 32-bit by default; gradient checks build 64-bit parameters and the
 engine follows the dtype of its inputs.
@@ -251,6 +252,25 @@ def mean_rows(a):
     return _make(a.data.mean(axis=0), (a,), bw)
 
 
+def _flat_index(idx, d: int):
+    """The flat element offsets of the rows idx, in order, in a C-ordered
+    array of d elements a row."""
+    return idx.reshape(-1) if d == 1 else (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+
+
+def _segment_sum(out, idx, src, flat=None):
+    """Add each row src[k] into out[idx[k]] and return out; idx has any shape
+    and src is idx.shape + out's row shape. This is np.add.at(out, idx, src)
+    bit for bit (every element takes its additions in the same order), but
+    through a 1-D index, which NumPy runs several times faster than the 2-D
+    form. out must be C-contiguous; flat is _flat_index(idx, row size) when
+    the caller keeps it."""
+    if flat is None:
+        flat = _flat_index(idx, math.prod(out.shape[1:]))
+    np.add.at(out.reshape(-1), flat, src.reshape(-1))
+    return out
+
+
 def rows(a, idx):
     """Gather rows (first-axis entries) of a tensor by an index or an index
     array of any shape (embedding lookup / graph gather)."""
@@ -258,9 +278,7 @@ def rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, _segment_sum(np.zeros(a.data.shape, a.data.dtype), idx, g))
 
     return _make(a.data[idx], (a,), bw)
 
@@ -269,8 +287,7 @@ def scatter_rows(n, idx, src):
     """(n, d) tensor with src rows summed into positions idx."""
     src = as_tensor(src)
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((n, src.data.shape[1]), dtype=src.data.dtype)
-    np.add.at(out, idx, src.data)
+    out = _segment_sum(np.zeros((n, src.data.shape[1]), src.data.dtype), idx, src.data)
 
     def bw(g):
         _accum(src, g[idx])
@@ -297,9 +314,7 @@ def gather_elems(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, _segment_sum(np.zeros(a.data.shape, a.data.dtype), idx, g))
 
     return _make(a.data[idx], (a,), bw)
 
@@ -476,6 +491,49 @@ def init_params(shapes: dict[str, tuple], seed: int, dtype=np.float32) -> ParamS
 
 def linear(x, p: ParamStore, prefix: str):
     return add(matmul(x, p[prefix + "_W"]), p[prefix + "_b"])
+
+
+class EdgeIndex:
+    """The edges of several edge types over n state rows of width d, type
+    after type in one array, with the flat indices of their sources and
+    targets built once: every message step over the graph reuses them."""
+
+    def __init__(self, n: int, d: int, edges):
+        """edges: one (src, tgt) pair of index arrays per edge type."""
+        self.n, self.d = n, d
+        self.bounds = np.cumsum([0] + [len(s) for s, _ in edges]).tolist()
+        self.src = np.concatenate([s for s, _ in edges]).astype(np.int64, copy=False)
+        self.tgt = np.concatenate([t for _, t in edges]).astype(np.int64, copy=False)
+        self.src_flat = _flat_index(self.src, d)
+        self.tgt_flat = _flat_index(self.tgt, d)
+
+
+def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes):
+    """The message step of a gated graph network as one tape node: the sum
+    over edge types e of scatter(tgt_e, linear(h[src_e], prefix_e)), with
+    one prefix per type of `edges`."""
+    h = as_tensor(h)
+    if h.data.shape != (edges.n, edges.d):
+        raise ShapeError(f"edge_messages: state {h.data.shape} vs ({edges.n}, {edges.d})")
+    params = [(p[pre + "_W"], p[pre + "_b"]) for pre in prefixes]
+    spans = list(zip(edges.bounds[:-1], edges.bounds[1:], params))
+    hs = h.data[edges.src]
+    m = np.empty(hs.shape, hs.dtype)
+    for a, z, (W, b) in spans:
+        np.matmul(hs[a:z], W.data, out=m[a:z])
+        m[a:z] += b.data
+    out = _segment_sum(np.zeros(h.data.shape, hs.dtype), edges.tgt, m, edges.tgt_flat)
+
+    def bw(g):
+        gm = g[edges.tgt]
+        dhs = np.empty_like(hs)
+        for a, z, (W, b) in spans:
+            _accum(W, hs[a:z].T @ gm[a:z])
+            _accum(b, gm[a:z].sum(axis=0))
+            np.matmul(gm[a:z], W.data.T, out=dhs[a:z])
+        _accum(h, _segment_sum(np.zeros(h.data.shape, hs.dtype), edges.src, dhs, edges.src_flat))
+
+    return _make(out, [h] + [t for pair in params for t in pair], bw)
 
 
 def gru_cell(x, h, p: ParamStore, prefix: str = "g"):

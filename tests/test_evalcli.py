@@ -128,6 +128,12 @@ def test_cli_usage_errors_exit_1(capsys):
         assert run_cli(["train", "--data", "x", "--ckpt", "m", "--batch-size", size]) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
         assert len(err) == 1 and "--batch-size" in err[0], err
+    # a bad width fails in the parser, before any data is read
+    for argv in (["evaluate", "--data", "x", "--ckpt", "m", "--beam", "0"],
+                 ["complete", "--ckpt", "m", "--sample", "x", "--beam", "-1"]):
+        assert run_cli(argv) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+        assert len(err) == 1 and "--beam" in err[0], err
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,35 @@ def test_load_grammar_reports_line_numbers():
 def test_load_grammar_unknown_symbol():
     with pytest.raises(GrammarParseError):
         load_grammar("@start S\nS -> Undefined\n")
+
+
+ORDER_GRAMMAR = """@start Stmt
+Stmt -> Expr ";"
+Op -> "+"
+Expr -> Atom Op Atom
+Atom -> "x"
+Op -> "-"
+"""
+
+
+def test_nonterminal_order_ignores_hash_seed():
+    # symbol order fixes the label ids and embedding rows of a model, so it
+    # must be the same in every process: the order of first appearance
+    script = (
+        "import sys; from nagc.grammar import load_grammar, Kind; "
+        "g = load_grammar(sys.stdin.read()); "
+        "print(' '.join(n for n, s in g.symbols.items() if s.kind is Kind.NONTERMINAL)); "
+        "print(' '.join(g.symbols))"
+    )
+    src = os.path.dirname(os.path.dirname(G.__file__))
+    outs = set()
+    for seed in ("0", "1", "2", "3", "6", "42"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], input=ORDER_GRAMMAR, env=env,
+                             capture_output=True, text=True, check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1, outs
+    assert outs.pop().splitlines()[0] == "Stmt Op Expr Atom"
 
 
 def test_literal_vocab_always_carries_unk(g):

@@ -28,7 +28,9 @@ from nagc.model import (
     save_model,
     train,
 )
-from nagc.syntax import serialize_decisions
+from nagc.syntax import apply_production, bind_terminal, new_partial_ast, serialize_decisions
+
+import test_neural
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +147,6 @@ def test_batched_windows_match_per_window_loop(small):
 
 
 def _int_tree(g, var):
-    from nagc.syntax import apply_production, bind_terminal, new_partial_ast
-
     t = new_partial_ast(g)
     apply_production(t, 0, g.productions[0])
     bind_terminal(t, 1, var)
@@ -174,6 +174,24 @@ def test_encode_graph_8_differs_from_7(gmodel, folds):
         e7 = M.encode_graph_many(gmodel, [pr], steps=7)[0]
         e8 = M.encode_graph_many(gmodel, [pr], steps=8)[0]
     assert not np.allclose(e7.token_states.data, e8.token_states.data)
+
+
+def test_graph_encoder_loss_gradients():
+    # gate 04's end-to-end check runs the seq encoder; this one runs the
+    # GGNN, message step and GRU backward included, through the whole loss
+    g = load_grammar(SMALL)
+    m = Model(g, config="NAG", encoder="graph", hidden=4, emb_dim=4, edge_emb=4, seed=1,
+              token_vocab=["<UNK>", "?HOLE?", "x", "y", "0"])
+    m.params = m.params.astype(np.float64)
+    t = new_partial_ast(g)
+    apply_production(t, 0, g.by_lhs("S")[2])  # S -> Var
+    bind_terminal(t, 1, "x")
+    before = ["var", "x", ":", "int", ";", "var", "y", ":", "int", ";", "y", "=", "x", "+"]
+    s = make_sample(t, {"x": "int", "y": "int"}, before, [";", "x", "=", "y", ";"])
+    pr = prep_sample(m, s)
+    assert len(pr.pg_edges) == 6
+    test_neural._fd_check(m.params, lambda: M.batch_loss(m, [pr])[0],
+                          samples_per_tensor=6, eps=1e-4)
 
 
 # -- node representation ----------------------------------------------------
@@ -323,8 +341,6 @@ def test_literal_dist_without_context_tokens(small):
 def test_forced_grammar_loss_zero():
     g = load_grammar(FORCED)
     m = Model(g, config="Tree", encoder="seq", hidden=16, emb_dim=8, seed=0)
-    from nagc.syntax import apply_production, new_partial_ast
-
     t = new_partial_ast(g)
     apply_production(t, 0, g.productions[0])
     apply_production(t, 2, g.productions[1])

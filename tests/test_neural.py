@@ -119,6 +119,100 @@ def test_embedding_gradients():
     _fd_check(p, lambda: nn.tsum(nn.mul(nn.rows(p["emb"], idx), nn.rows(p["emb"], idx))))
 
 
+def _add_at(shape, idx, src):
+    out = np.zeros(shape, dtype=src.dtype)
+    np.add.at(out, idx, src)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_sum_equals_add_at(dtype):
+    # bit for bit, for every index shape the engine passes: each element
+    # must take its additions in np.add.at's order
+    rng = np.random.default_rng(20)
+    cases = [
+        ((5, 7), rng.integers(0, 5, 300)),  # duplicate-heavy
+        ((5, 7), np.int64(3)),  # scalar
+        ((6, 3, 7), rng.integers(0, 6, (4, 9))),  # time-major (T, B) into 3-D rows
+        ((5, 7), np.zeros(0, dtype=np.int64)),  # empty
+        ((9,), rng.integers(0, 9, 40)),  # 1-D, as in gather_elems
+    ]
+    for shape, idx in cases:
+        src = (rng.normal(size=np.shape(idx) + shape[1:]) * 10.0 ** rng.integers(-6, 6)).astype(dtype)
+        got = nn._segment_sum(np.zeros(shape, dtype), idx, src)
+        assert got.dtype == dtype
+        assert np.array_equal(got, _add_at(shape, idx, src)), (shape, np.shape(idx))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_and_scatter_match_add_at(dtype):
+    rng = np.random.default_rng(21)
+    a = Tensor(rng.normal(size=(6, 5)).astype(dtype), requires_grad=True)
+    idx = rng.integers(0, 6, (7, 3))
+    g = rng.normal(size=(7, 3, 5)).astype(dtype)
+    backward(nn.tsum(nn.mul(nn.rows(a, idx), Tensor(g))))
+    assert np.array_equal(a.grad, _add_at(a.data.shape, idx, g))
+
+    src = Tensor(rng.normal(size=(40, 5)).astype(dtype), requires_grad=True)
+    tgt = rng.integers(0, 4, 40)
+    out = nn.scatter_rows(4, tgt, src)
+    assert np.array_equal(out.data, _add_at((4, 5), tgt, src.data))
+
+    v = Tensor(rng.normal(size=8).astype(dtype), requires_grad=True)
+    idx = rng.integers(0, 8, 30)
+    g = rng.normal(size=30).astype(dtype)
+    backward(nn.tsum(nn.mul(nn.gather_elems(v, idx), Tensor(g))))
+    assert np.array_equal(v.grad, _add_at((8,), idx, g))
+
+
+def test_scatter_rows_gradients():
+    p = init_params({"src": (6, 3)}, seed=0, dtype=np.float64)
+    p["src"].data[:] = np.random.default_rng(22).normal(size=(6, 3))
+    _fd_check(p, lambda: _weighted_sum(nn.scatter_rows(4, [0, 2, 2, 0, 3, 2], p["src"]), 22))
+
+
+# two edge types over five nodes; sources and targets repeat within and
+# across the types, and node 4 receives nothing
+_EDGES = {"ea": ([0, 1, 1, 3, 0], [1, 2, 2, 0, 3]), "eb": ([2, 2, 0, 1], [0, 1, 1, 3])}
+
+
+def _message_store(seed):
+    shapes = {"h": (5, 3)}
+    for name in _EDGES:
+        shapes.update({f"{name}_W": (3, 3), f"{name}_b": (3,)})
+    p = init_params(shapes, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _, t in p.items():  # nonzero biases and states
+        t.data = rng.normal(size=t.data.shape)
+    edges = nn.EdgeIndex(5, 3, [(np.array(s), np.array(t)) for s, t in _EDGES.values()])
+    return p, edges
+
+
+def test_edge_messages_gradients():
+    p, edges = _message_store(23)
+    _fd_check(p, lambda: _weighted_sum(nn.edge_messages(p["h"], edges, p, list(_EDGES)), 23))
+
+
+def test_edge_messages_matches_per_type_loop():
+    # the fused step against the per-type composition of rows, linear and
+    # scatter_rows it replaces: same messages, same gradients
+    a, edges = _message_store(24)
+    b, _ = _message_store(24)
+    w = Tensor(np.random.default_rng(25).normal(size=(5, 3)))
+    fused = nn.edge_messages(a["h"], edges, a, list(_EDGES))
+    backward(nn.tsum(nn.mul(fused, w)))
+    loop = None
+    for name, (src, tgt) in _EDGES.items():
+        m = nn.scatter_rows(5, tgt, linear(nn.rows(b["h"], src), b, name))
+        loop = m if loop is None else nn.add(loop, m)
+    backward(nn.tsum(nn.mul(loop, w)))
+    assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
+    for (name, ta), (_, tb) in zip(a.items(), b.items()):
+        assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
+    with pytest.raises(ShapeError):
+        nn.edge_messages(Tensor(np.zeros((4, 3))), edges, a, list(_EDGES))
+
+
 def test_attention_gradients():
     shapes = {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "key": (1, 4), "mem": (3, 4)}
     p = init_params(shapes, seed=3, dtype=np.float64)

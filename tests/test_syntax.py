@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
+from test_attrgraph import DECODER_EDGES
 from nagc import lang as L
 from nagc import syntax as S
-from nagc.attrgraph import NEXT_SIBLING, NEXT_TOKEN, NEXT_USE, GraphBuilder
+from nagc.attrgraph import (
+    CHILD, INH_TO_SYN, NEXT_EXP, NEXT_SIBLING, NEXT_TOKEN, NEXT_USE, PAPER_EDGE_TYPES, PARENT,
+    GraphBuilder,
+)
 from nagc.grammar import Kind
 from nagc.syntax import (
     MalformedSequenceError,
@@ -98,14 +102,28 @@ def test_deserialize_rejects_malformed(g, seq):
 # Positional relations on a complete tree, computed by brute force from its
 # leaves and lists of children, against the edges the GraphBuilder emits for
 # them. Edges are compared as (source ref, target ref) pairs, a ref being an
-# (attribute flavor, AST node id or context variable) key of `aid_of`.
+# (attribute flavor, AST node id or context variable) key of `aid_of`; Child
+# edges carry their (production id, child index) label as a third entry.
 
 def _kind(t, nid):
     return t.grammar.symbols[t.nodes[nid].label].kind
 
 
-def _brute_edges(t, ctx, etype):
+def _ref(t, nid, nt_flavor):
+    return (nt_flavor if _kind(t, nid) is Kind.NONTERMINAL else "joint", nid)
+
+
+def _preorder(t, nid=None):
+    nid = t.root if nid is None else nid
+    out = [nid]
+    for c in t.nodes[nid].children:
+        out += _preorder(t, c)
+    return out
+
+
+def _brute_edges(t, ctx, etype, labels=True):
     leaves = t.leaves()  # every leaf of a complete tree is a terminal
+    nts = [n.nid for n in t.nodes if _kind(t, n.nid) is Kind.NONTERMINAL]
     out = []
     if etype == NEXT_TOKEN:
         out = [(("joint", a), ("joint", b)) for a, b in zip(leaves, leaves[1:])]
@@ -119,30 +137,42 @@ def _brute_edges(t, ctx, etype):
                 out.append((("joint", prev[-1]), ("joint", v)))
             elif name in ctx:
                 out.append((("ctx", name), ("joint", v)))
-    else:
-        def ref(nid, nt_flavor):
-            return (nt_flavor if _kind(t, nid) is Kind.NONTERMINAL else "joint", nid)
-
+    elif etype == NEXT_SIBLING:
         for node in t.nodes:
             for a, b in zip(node.children, node.children[1:]):
-                out.append((ref(a, "syn"), ref(b, "inh")))
+                out.append((_ref(t, a, "syn"), _ref(t, b, "inh")))
+    elif etype == CHILD:
+        for n in nts:
+            pid = t.nodes[n].prod_id
+            for i, c in enumerate(t.nodes[n].children):
+                out.append((("inh", n), _ref(t, c, "inh"), (pid, i) if labels else None))
+    elif etype == PARENT:
+        out = [(_ref(t, c, "syn"), ("syn", n)) for n in nts for c in t.nodes[n].children]
+    elif etype == INH_TO_SYN:
+        out = [(("inh", n), ("syn", n)) for n in nts]
+    elif etype == NEXT_EXP:  # decision nodes chained in generation order
+        decisions = [_ref(t, n, "inh") for n in _preorder(t) if _kind(t, n) is not Kind.FIXED]
+        out = list(zip(decisions, decisions[1:]))
     return Counter(out)
 
 
-def _builder_edges(t, ctx, etype):
-    b = GraphBuilder(t, ctx)
+def _builder_edges(t, ctx, etype, edge_set=PAPER_EDGE_TYPES, labels=True):
+    b = GraphBuilder(t, ctx, edge_set=edge_set, labels=labels)
     ref = {aid: key for key, aid in b.aid_of.items()}
-    return Counter((ref[e.src], ref[e.tgt]) for e in b.edges if e.etype == etype)
+    return Counter((ref[e.src], ref[e.tgt]) + ((e.label,) if etype == CHILD else ())
+                   for e in b.edges if e.etype == etype)
 
 
-def _check_random_trees(g, etype, seed):
+def _check_random_trees(g, etype, seed, edge_sets=((PAPER_EDGE_TYPES, True),)):
     rng = np.random.default_rng(seed)
     scopes = (["i"], ["i", "j", "k"], ["i", "j", "s", "b", "arr"])
     for k in range(200):
         scope = scopes[k % len(scopes)]
         ctx = scope[: 1 + k % len(scope)]  # some variables outside the context
         t = random_tree(g, rng, scope)
-        assert _builder_edges(t, ctx, etype) == _brute_edges(t, ctx, etype)
+        for edge_set, labels in edge_sets:
+            want = _brute_edges(t, ctx, etype, labels) if etype in edge_set else Counter()
+            assert _builder_edges(t, ctx, etype, edge_set, labels) == want, (edge_set, labels)
 
 
 def test_last_token_matches_brute_force(g):
@@ -165,6 +195,13 @@ def test_last_sibling(g):
         {(("syn", kids[0]), ("joint", kids[1])): 1, (("joint", kids[1]), ("inh", kids[2])): 1}
     )
     _check_random_trees(g, NEXT_SIBLING, seed=8)
+
+
+@pytest.mark.parametrize("etype", [CHILD, PARENT, INH_TO_SYN, NEXT_EXP])
+def test_structural_edges_match_brute_force(g, etype):
+    # under the Tree, ASN, Syn and NAG edge sets; a type outside the set
+    # must emit no edge at all
+    _check_random_trees(g, etype, seed=9, edge_sets=DECODER_EDGES)
 
 
 def test_copy_isolates_mutation(g):
