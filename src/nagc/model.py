@@ -1,9 +1,11 @@
 """The generative model: context encoders, attribute-node message passing,
-the three decision pickers, teacher-forced training and beam-search decoding.
+the decision scorers, teacher-forced training and beam-search decoding.
 
-All decision math lives in the pick_* functions; decoding calls them on
-incrementally computed states under no_grad, so teacher forcing and decoding
-share one implementation.
+All decision math lives in three batched scorers, one per decision kind
+(production, variable, literal): teacher forcing scores every decision of a
+batch at once through them, and the pick_* functions that decoding calls are
+their one-key case, on incrementally computed states under no_grad. Training
+and decoding thus share one scoring implementation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +71,58 @@ class ContextEncoding:
 
 
 @dataclass
-class StepLoss:
-    entries: list = field(default_factory=list)  # (kind, nll) pairs
-
-    def add(self, kind, nll: float):
-        self.entries.append((kind, nll))
-
-    def total(self):
-        return sum(v for _, v in self.entries)
+class BatchEncoding:
+    """The context encodings of a batch as batch-wide tables; indexing gives
+    one sample's ContextEncoding."""
+    roots: object  # (S, H) tensor
+    var_table: object  # (K, H) tensor: each sample's context variables in ctx_order
+    var_start: np.ndarray  # (S + 1,) the first var_table row of each sample
+    tokens: object  # (sum of T, H) tensor: each sample's token states
+    tok_start: np.ndarray  # (S + 1,) the first tokens row of each sample
+    names: list  # each sample's ctx_order
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.names)
+
+    def __getitem__(self, i) -> ContextEncoding:
+        v0 = self.var_start[i]
+        return ContextEncoding(
+            nn.rows(self.roots, i),
+            nn.rows(self.tokens, np.arange(self.tok_start[i], self.tok_start[i + 1])),
+            {name: nn.rows(self.var_table, v0 + j) for j, name in enumerate(self.names[i])},
+        )
+
+    @classmethod
+    def of(cls, encodings, preppeds) -> "BatchEncoding":
+        names = [pr.ctx_order for pr in preppeds]
+        reps = [e.var_reps[n] for e, ns in zip(encodings, names) for n in ns]
+        H = encodings[0].root.data.shape[-1]
+        return cls(
+            nn.stack_rows([e.root for e in encodings]),
+            nn.stack_rows(reps) if reps else nn.Tensor(np.zeros((0, H), encodings[0].root.data.dtype)),
+            np.cumsum([0] + [len(ns) for ns in names]),
+            nn.concat([e.token_states for e in encodings]),
+            np.cumsum([0] + [len(e.token_states.data) for e in encodings]),
+            names,
+        )
+
+
+@dataclass
+class StepLoss:
+    """The teacher-forced NLL of every decision of a batch, in plan order,
+    sample after sample."""
+    nll: np.ndarray  # (D,)
+    kind: np.ndarray  # (D,) "P", "V" or "L"
+
+    @property
+    def entries(self):
+        return list(zip(self.kind.tolist(), self.nll.tolist()))
+
+    def total(self):
+        return float(self.nll.sum())
+
+    def __len__(self):
+        return len(self.nll)
 
 
 def token_vocab_from_samples(samples, top_k: int = 500) -> list:
@@ -207,6 +250,7 @@ class Prepped:
     graph: object = None  # AttributeGraph under the model's decoder config
     label_idx: np.ndarray = None  # per attribute node; -1 on encoder-seeded nodes
     plan: list = None  # decision plan mirroring tree.history
+    var_rows: np.ndarray = None  # (decisions, |scope|) node of each variable's row
     n_tokens: int = 0
 
 
@@ -267,15 +311,22 @@ def prep_sample(model: Model, sample) -> Prepped:
 
     inh, joint = comp["inh"], comp["joint"]
     plan = []
+    # a variable's row at a decision: its context node until its first use,
+    # then the joint node of its latest use
+    rows = [comp["ctx"][name] for name in pr.ctx_order]
+    var_rows = []
     for dec in tree.history:
+        var_rows.append(list(rows))
         if dec[0] == "P":
             plan.append(("P", inh[dec[1]], dec[2], tree.nodes[dec[1]].label))
         elif dec[0] == "V":
             plan.append(("V", inh[tree.nodes[dec[1]].parent], dec[2], joint[dec[1]]))
+            rows[pr.ctx_order.index(dec[2])] = joint[dec[1]]
         else:
             plan.append(("L", inh[tree.nodes[dec[1]].parent], dec[2], dec[3]))
 
     pr.tree, pr.graph, pr.label_idx, pr.plan = tree, graph, label_idx, plan
+    pr.var_rows = np.array(var_rows, dtype=np.int64).reshape(len(plan), len(rows))
     pr.n_tokens = len(serialize_tokens(tree))
     return pr
 
@@ -368,8 +419,9 @@ def encode_graph(model: Model, pr: Prepped, steps: int = 8) -> ContextEncoding:
     return encode_graph_many(model, [pr], steps)[0]
 
 
-def encode_graph_many(model: Model, preppeds, steps: int = 8):
-    """Encode several context graphs as one disconnected GGNN batch."""
+def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
+    """Encode several context graphs as one disconnected GGNN batch; the
+    holes, tokens and declarations of all samples are one gather each."""
     p = model.params
     idx_parts, edge_arrays, offsets = [], {}, []
     off = 0
@@ -389,29 +441,30 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8):
         prefixes = [f"enc_gg_{name}" for name in edge_arrays]
         for _ in range(steps):
             h = nn.gru_cell(nn.edge_messages(h, edges, p, prefixes), h, p, "enc_gg_g")
-    out = []
-    for pr, off in zip(preppeds, offsets):
-        pg = pr.pgraph
-        token_states = nn.rows(h, np.asarray(pg.terminals, dtype=np.int64) + off)
-        root = nn.linear(nn.rows(h, pg.hole_node + off), p, "enc_root")
-        var_reps = {}
-        for name in pr.ctx_order:
-            if name in pg.decl_nodes:
-                var_reps[name] = nn.rows(h, pg.decl_nodes[name] + off)
-            else:
-                var_reps[name] = p["enc_var_dflt"]
-        out.append(ContextEncoding(root, token_states, var_reps))
-    return out
+    pgs = [pr.pgraph for pr in preppeds]
+    roots = nn.linear(nn.rows(h, [pg.hole_node + o for pg, o in zip(pgs, offsets)]), p, "enc_root")
+    tokens = nn.rows(h, np.concatenate([np.asarray(pg.terminals, dtype=np.int64) + o
+                                        for pg, o in zip(pgs, offsets)]))
+    # a variable the context does not declare reads enc_var_dflt, row `off`
+    decls = [pg.decl_nodes[n] + o if n in pg.decl_nodes else off
+             for pr, pg, o in zip(preppeds, pgs, offsets) for n in pr.ctx_order]
+    if off in decls:
+        h = nn.concat([h, nn.stack_rows([p["enc_var_dflt"]])])
+    names = [pr.ctx_order for pr in preppeds]
+    return BatchEncoding(
+        roots, nn.rows(h, np.asarray(decls, dtype=np.int64)), np.cumsum([0] + [len(n) for n in names]),
+        tokens, np.cumsum([0] + [len(pg.terminals) for pg in pgs]), names,
+    )
 
 
 def encode(model: Model, pr: Prepped) -> ContextEncoding:
     return encode_seq(model, pr) if model.encoder == "seq" else encode_graph(model, pr)
 
 
-def encode_many(model: Model, preppeds):
+def encode_many(model: Model, preppeds) -> BatchEncoding:
     if model.encoder == "graph":
         return encode_graph_many(model, preppeds)
-    return [encode_seq(model, pr) for pr in preppeds]
+    return BatchEncoding.of([encode_seq(model, pr) for pr in preppeds], preppeds)
 
 
 # ---------------------------------------------------------------------------
@@ -438,111 +491,126 @@ def node_representation(model: Model, label_id: int, in_edges, state_of):
 
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
               preppeds, encodings):
-    """Full-graph propagation over a (possibly batched) attribute graph.
+    """Full-graph propagation over a (possibly batched) attribute graph: the
+    (N, H) attribute states in node order. `encodings` is a BatchEncoding
+    or a list of ContextEncodings.
 
-    Round 0 holds the encoder-seeded nodes; later rounds are evaluated as
-    whole vectorized layers.
+    Round 0 holds the encoder-seeded nodes. Every later round is one message
+    step over the in-edges of its nodes plus one GRU step, and its states are
+    appended to one table in schedule order, so that a round reads all
+    earlier states without copying the table.
     """
+    if not isinstance(encodings, BatchEncoding):
+        encodings = BatchEncoding.of(encodings, preppeds)
     p, cfg = model.params, model.config
-    N = len(batched.nodes)
-    src_ids, src_rows = [], []
-    for comp, enc, pr in zip(batched.components, encodings, preppeds):
-        src_ids.append(comp["root_inh"])
-        src_rows.append(enc.root)
-        for name in pr.ctx_order:
-            src_ids.append(comp["ctx"][name])
-            src_rows.append(enc.var_reps[name])
-    states = nn.scatter_rows(N, src_ids, nn.stack_rows(src_rows))
+    schedule, N = batched.schedule, len(batched.nodes)
+    row = np.empty(N, dtype=np.int64)  # each node's row in the table
+    row[np.concatenate(schedule)] = np.arange(N)
+    seed = {}  # node -> its row of [roots; var_table]
+    for i, comp in enumerate(batched.components):
+        seed[comp["root_inh"]] = i
+        for j, name in enumerate(encodings.names[i]):
+            seed[comp["ctx"][name]] = len(encodings) + encodings.var_start[i] + j
+    if len(seed) != len(schedule[0]):
+        raise ModelError("attribute node has no in-edges; schedule violation")
+    table = nn.rows(nn.concat([encodings.roots, encodings.var_table]), [seed[a] for a in schedule[0]])
 
-    round_of = {}
-    pos_in_round = {}
-    for r, rnd in enumerate(batched.schedule):
-        for i, a in enumerate(rnd):
-            round_of[a] = r
-            pos_in_round[a] = i
-    per_round: list[dict] = [dict() for _ in batched.schedule]
-    for e in batched.edges:
-        per_round[round_of[e.tgt]].setdefault(e.etype, []).append(e)
-
-    for r, rnd in enumerate(batched.schedule):
-        if r == 0:
-            continue
-        msgs = None
-        for etype, es in per_round[r].items():
-            srcs = [e.src for e in es]
-            tgts = [pos_in_round[e.tgt] for e in es]
-            inp = nn.rows(states, srcs)
-            if etype == ag.CHILD and cfg.child_labels:
-                lab = [model.edge_label2id[e.label] for e in es]
-                inp = nn.concat([inp, nn.rows(p["dec_emb_edge"], lab)], axis=1)
-            m = nn.scatter_rows(len(rnd), tgts, nn.linear(inp, p, f"dec_f_{etype}"))
-            msgs = m if msgs is None else nn.add(msgs, m)
-        x = nn.rows(p["dec_emb_label"], label_idx[rnd])
-        new = nn.gru_cell(x, msgs, p, "dec_g")
-        states = nn.add(states, nn.scatter_rows(N, rnd, new))
-    return states
+    # edges sorted by the round of their target, then by type
+    etypes = list(cfg.edge_set)
+    code = {t: k for k, t in enumerate(etypes)}
+    edges = batched.edges
+    src = row[np.fromiter((e.src for e in edges), np.int64, len(edges))]
+    tgt = row[np.fromiter((e.tgt for e in edges), np.int64, len(edges))]
+    typ = np.fromiter((code[e.etype] for e in edges), np.int64, len(edges))
+    labelled = cfg.child_labels and ag.CHILD in code
+    if labelled:
+        lab = np.fromiter((model.edge_label2id[e.label] if e.label is not None else -1
+                           for e in edges), np.int64, len(edges))
+    starts = np.cumsum([0] + [len(rnd) for rnd in schedule])  # table rows per round
+    rnd = np.searchsorted(starts, tgt, side="right") - 1
+    order = np.lexsort((typ, rnd))
+    src, tgt, typ = src[order], tgt[order], typ[order]
+    if labelled:
+        lab = lab[order]
+    cut = np.searchsorted(rnd[order], np.arange(len(starts)))
+    buf = np.empty((N, table.data.shape[1]), table.data.dtype)
+    for r in range(1, len(schedule)):
+        a, z = cut[r], cut[r + 1]
+        kinds, firsts = np.unique(typ[a:z], return_index=True)
+        bounds = list(a + firsts) + [z]
+        groups = []
+        for k, lo, hi in zip(kinds, bounds, bounds[1:]):
+            group = (src[lo:hi], tgt[lo:hi] - starts[r])
+            groups.append(group + (lab[lo:hi],) if labelled and etypes[k] == ag.CHILD else group)
+        index = nn.EdgeIndex(starts[r], buf.shape[1], groups, n_tgt=len(schedule[r]))
+        msgs = nn.edge_messages(table, index, p, [f"dec_f_{etypes[k]}" for k in kinds],
+                                p["dec_emb_edge"] if labelled else None)
+        x = nn.rows(p["dec_emb_label"], label_idx[schedule[r]])
+        table = nn.append_rows(table, nn.gru_cell(x, msgs, p, "dec_g"), buf)
+    return nn.rows(table, row)
 
 
 # ---------------------------------------------------------------------------
-# Pickers
+# Decision scorers: keys (D, H) score against rows idx of a table, with -1
+# padding in idx; a key (H,) with idx None is the one-key case the pickers
+# use, over every row of the table.
 
-def _production_logits(model: Model, key, enc: ContextEncoding = None,
-                       var_rows=None):
+def _production_logits(model: Model, keys, tokens=None, tok_idx=None, owner=None,
+                       var_table=None, var_idx=None):
+    """dec_score of each key concatenated, as the config asks, with its
+    attention over its sample's context tokens (rows tok_idx[owner] of
+    tokens) and the max-pool of its in-scope variable rows (zeros without
+    any)."""
     p, cfg = model.params, model.config
-    inp = key
+    parts = [keys]
     if cfg.attention:
-        inp = nn.concat([inp, nn.attention(key, enc.token_states, p, "dec_att")])
+        parts.append(nn.attention(keys, tokens, p, "dec_att", tok_idx, owner))
     if cfg.variable_pooling:
-        if var_rows:
-            pool = nn.max_pool_rows(nn.stack_rows(var_rows))
+        if var_table is None:
+            parts.append(nn.Tensor(np.zeros(keys.data.shape, keys.data.dtype)))
         else:
-            pool = nn.Tensor(np.zeros(model.hidden, dtype=key.data.dtype))
-        inp = nn.concat([inp, pool])
+            parts.append(nn.max_pool_rows(var_table, var_idx))
+    inp = parts[0] if len(parts) == 1 else nn.concat(parts, axis=-1)
     return nn.linear(inp, p, "dec_score")
+
+
+def _variable_scores(model: Model, keys, var_table, var_idx=None):
+    p = model.params
+    return nn.pointer_scores(keys, var_table, p["dec_var_B"], p["dec_var_w"], var_idx)
+
+
+def _literal_scores(model: Model, keys, cls: str, mem=None, mem_idx=None):
+    """Class vocab scores, then copy scores against the memory rows of
+    lexable context tokens when there are any."""
+    p = model.params
+    scores = nn.linear(keys, p, f"dec_lit_{cls}")
+    if mem is None:
+        return scores
+    return nn.concat([scores, nn.pointer_scores(keys, mem, p["dec_copy_B"], idx=mem_idx)], axis=-1)
 
 
 def pick_production_dist(model: Model, key, nt: str, enc: ContextEncoding = None,
                          var_rows=None):
     """Masked distribution over all productions, restricted to lhs == nt."""
-    return nn.masked_softmax(_production_logits(model, key, enc, var_rows),
-                             model.mask(nt))
-
-
-def _variable_scores(model: Model, key, var_rows):
-    if not var_rows:
-        raise ModelError("no variables in scope")
-    p = model.params
-    V = nn.stack_rows(var_rows)
-    return nn.add(
-        nn.matmul(nn.matmul(key, p["dec_var_B"]), nn.transpose(V)),
-        nn.matmul(V, p["dec_var_w"]),
-    )
+    logits = _production_logits(model, key, enc.token_states if enc else None,
+                                var_table=nn.stack_rows(var_rows) if var_rows else None)
+    return nn.masked_softmax(logits, model.mask(nt))
 
 
 def pick_variable_dist(model: Model, key, var_rows):
     """Pointer distribution over the in-scope variables, in the given order."""
-    return nn.softmax(_variable_scores(model, key, var_rows))
-
-
-def _literal_scores(model: Model, key, cls: str, enc: ContextEncoding, lex):
-    p = model.params
-    vocab = model.grammar.literal_vocab[cls]
-    scores = nn.linear(key, p, f"dec_lit_{cls}")
-    positions, spellings = lex
-    entries = list(vocab)
-    if positions:
-        mem = nn.rows(enc.token_states, positions)
-        copy = nn.matmul(nn.matmul(key, p["dec_copy_B"]), nn.transpose(mem))
-        scores = nn.concat([scores, copy])
-        entries += spellings
-    return scores, entries
+    if not var_rows:
+        raise ModelError("no variables in scope")
+    return nn.softmax(_variable_scores(model, key, nn.stack_rows(var_rows)))
 
 
 def pick_literal_dist(model: Model, key, cls: str, enc: ContextEncoding, lex):
     """One softmax over class vocab scores ++ copy scores of lexable context
     tokens. Returns (probs, spellings) with one entry per softmax slot."""
-    scores, entries = _literal_scores(model, key, cls, enc, lex)
-    return nn.softmax(scores), entries
+    positions, spellings = lex
+    mem = nn.rows(enc.token_states, positions) if positions else None
+    probs = nn.softmax(_literal_scores(model, key, cls, mem))
+    return probs, list(model.grammar.literal_vocab[cls]) + spellings
 
 
 def literal_spelling_probs(probs, entries) -> dict:
@@ -554,67 +622,84 @@ def literal_spelling_probs(probs, entries) -> dict:
     return out
 
 
-def _literal_target_indices(entries, target: str, cls: str):
-    idxs = [i for i, sp in enumerate(entries) if sp == target]
-    if not idxs:
-        idxs = [entries.index(UNK_LITERAL[cls])]
-    return idxs
-
-
 # ---------------------------------------------------------------------------
 # Teacher forcing
 
-def tree_log_prob(model: Model, pr: Prepped, states, offset: int,
-                  enc: ContextEncoding):
-    """Negative log-probability of the ground-truth tree under teacher
-    forcing, with per-decision tags. `states` must come from propagate."""
-    log_terms = []
-    step_loss = StepLoss()
-    var_aid = {name: None for name in pr.ctx_order}
+def _padded(seqs) -> np.ndarray:
+    """Rows of unequal length as one (len, longest) index array, -1 after
+    each row's end."""
+    out = np.full((len(seqs), max(map(len, seqs), default=0)), -1, dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        out[i, : len(seq)] = seq
+    return out
 
-    def var_row(name):
-        aid = var_aid[name]
-        return enc.var_reps[name] if aid is None else nn.rows(states, offset + aid)
 
-    # stable log-softmax path: log-probs computed in the log domain so a
-    # wide logit spread cannot underflow the target slot to exact zero
-    for dec in pr.plan:
-        key = nn.rows(states, offset + dec[1])
-        rows = [var_row(n) for n in pr.ctx_order]
-        if dec[0] == "P":
-            logits = _production_logits(model, key, enc, rows)
-            logp = nn.masked_log_softmax(logits, model.mask(dec[3]))
-            idxs = [dec[2]]
-        elif dec[0] == "V":
-            logp = nn.log_softmax(_variable_scores(model, key, rows))
-            idxs = [pr.ctx_order.index(dec[2])]
-            var_aid[dec[2]] = dec[3]
-        else:
-            scores, entries = _literal_scores(model, key, dec[2], enc, pr.lex[dec[2]])
-            logp = nn.log_softmax(scores)
-            idxs = _literal_target_indices(entries, dec[3], dec[2])
-        ll = nn.logsumexp(nn.gather_elems(logp, idxs))
-        log_terms.append(ll)
-        step_loss.add(dec[0], -float(ll.data))
-    total = log_terms[0]
-    for t in log_terms[1:]:
-        total = nn.add(total, t)
-    return nn.scale(total, -1.0), step_loss
+def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
+    """Negative log-probability of the batch's ground-truth trees under
+    teacher forcing, and its StepLoss. `states` must come from propagate and
+    `offsets` hold each sample's first node. Every decision is scored at
+    once, one group per kind (and literal class), each group's NLL one fused
+    node."""
+    g = model.grammar
+    kinds = np.array([dec[0] for pr in preppeds for dec in pr.plan])
+    owner = np.repeat(np.arange(len(preppeds)), [len(pr.plan) for pr in preppeds])
+    decs = [dec for pr in preppeds for dec in pr.plan]
+    keys = np.array([dec[1] for dec in decs], dtype=np.int64) + np.asarray(offsets)[owner]
+    var_idx = np.full((len(decs), max(len(pr.ctx_order) for pr in preppeds)), -1, dtype=np.int64)
+    for pr, off, d in zip(preppeds, offsets, np.cumsum([0] + [len(pr.plan) for pr in preppeds])):
+        var_idx[d : d + len(pr.plan), : len(pr.ctx_order)] = pr.var_rows + off
+    toks = _padded([np.arange(a, z) for a, z in zip(enc.tok_start, enc.tok_start[1:])])
+
+    groups = []  # (positions in plan order, scores, support, target)
+    sel = np.flatnonzero(kinds == "P")
+    if sel.size:
+        logits = _production_logits(model, nn.rows(states, keys[sel]), enc.tokens, toks, owner[sel],
+                                    states, var_idx[sel])
+        support = np.isfinite(np.stack([model.mask(decs[i][3]) for i in sel]))
+        target = np.zeros(support.shape, dtype=bool)
+        target[np.arange(sel.size), [decs[i][2] for i in sel]] = True
+        groups.append((sel, logits, support, target))
+    sel = np.flatnonzero(kinds == "V")
+    if sel.size:
+        vidx = var_idx[sel]
+        target = np.zeros(vidx.shape, dtype=bool)
+        target[np.arange(sel.size), [preppeds[owner[i]].ctx_order.index(decs[i][2]) for i in sel]] = True
+        groups.append((sel, _variable_scores(model, nn.rows(states, keys[sel]), states, vidx),
+                       vidx >= 0, target))
+    for cls in sorted(g.literal_vocab):
+        sel = np.flatnonzero([dec[0] == "L" and dec[2] == cls for dec in decs])
+        if not sel.size:
+            continue
+        vocab = list(g.literal_vocab[cls])
+        lex = [preppeds[owner[i]].lex[cls] for i in sel]
+        copy_idx = _padded([enc.tok_start[owner[i]] + np.asarray(pos, dtype=np.int64)
+                            for i, (pos, _) in zip(sel, lex)])
+        scores = _literal_scores(model, nn.rows(states, keys[sel]), cls,
+                                 enc.tokens if copy_idx.shape[1] else None, copy_idx)
+        support = np.concatenate([np.ones((sel.size, len(vocab)), dtype=bool), copy_idx >= 0], axis=1)
+        target = np.zeros(support.shape, dtype=bool)
+        for row, (i, (_, spellings)) in enumerate(zip(sel, lex)):
+            spelling = decs[i][3]
+            hits = [k for k, sp in enumerate(vocab + spellings) if sp == spelling]
+            target[row, hits or [vocab.index(UNK_LITERAL[cls])]] = True
+        groups.append((sel, scores, support, target))
+
+    nlls = [nn.masked_nll(scores, support, target) for _, scores, support, target in groups]
+    nll = nlls[0] if len(nlls) == 1 else nn.concat(nlls)
+    per_decision = np.empty(len(decs))
+    per_decision[np.concatenate([sel for sel, *_ in groups])] = nll.data
+    return nn.tsum(nll), StepLoss(per_decision, kinds)
 
 
 def batch_loss(model: Model, preppeds):
-    """Summed teacher-forcing loss over a batch as one disconnected graph."""
+    """Summed teacher-forcing loss over a batch as one disconnected graph,
+    and the batch's StepLoss."""
     encodings = encode_many(model, preppeds)
     batched = ag.batch_graphs([pr.graph for pr in preppeds])
     label_idx = np.concatenate([pr.label_idx for pr in preppeds])
     states = propagate(model, batched, label_idx, preppeds, encodings)
-    total = None
-    steps = []
-    for pr, comp, enc in zip(preppeds, batched.components, encodings):
-        loss, sl = tree_log_prob(model, pr, states, comp["offset"], enc)
-        total = loss if total is None else nn.add(total, loss)
-        steps.append(sl)
-    return total, steps
+    offsets = [comp["offset"] for comp in batched.components]
+    return tree_log_prob(model, preppeds, offsets, states, encodings)
 
 
 def sample_loss(model: Model, sample):
@@ -622,7 +707,7 @@ def sample_loss(model: Model, sample):
     pr = sample if isinstance(sample, Prepped) else prep_sample(model, sample)
     with nn.no_grad():
         loss, steps = batch_loss(model, [pr])
-    return float(loss.data), steps[0]
+    return float(loss.data), steps
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +744,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
         order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
         total_nll = 0.0
         total_decisions = 0
+        kind_nll = dict.fromkeys("PVL", 0.0)
+        kind_count = dict.fromkeys("PVL", 0)
         norms = []
         for lo in range(0, len(order), batch_size):
             batch = [preppeds[i] for i in order[lo : lo + batch_size]]
@@ -677,7 +764,11 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             norms.append(norm)
             nn.adam_step(model.params, opt)
             total_nll += float(loss.data)
-            total_decisions += sum(len(s) for s in steps)
+            total_decisions += len(steps)
+            for k in kind_nll:
+                mine = steps.kind == k
+                kind_nll[k] += float(steps.nll[mine].sum())
+                kind_count[k] += int(mine.sum())
         rec = {
             "epoch": epoch,
             "train_nll": total_nll,
@@ -685,6 +776,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             "grad_norm_max": max(norms),
             "clipped_share": sum(v > clip_norm for v in norms) / len(norms) if clip_norm else 0.0,
         }
+        rec.update({f"nll_{k}": v for k, v in kind_nll.items()})
+        rec.update({f"decisions_{k}": v for k, v in kind_count.items()})
         if valid:
             rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
         history.append(rec)
@@ -694,16 +787,18 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
 
 
 def fold_perplexity(model: Model, samples) -> tuple:
-    """(per-decision, per-token) perplexity of a fold under teacher forcing."""
+    """(per-decision, per-token) perplexity of a fold under teacher forcing,
+    scored in batches of 20 samples."""
     nll = 0.0
     decisions = 0
     tokens = 0
-    for s in samples:
-        pr = prep_sample(model, s)
-        loss, steps = sample_loss(model, pr)
-        nll += loss
+    for lo in range(0, len(samples), 20):
+        preppeds = [prep_sample(model, s) for s in samples[lo : lo + 20]]
+        with nn.no_grad():
+            _, steps = batch_loss(model, preppeds)
+        nll += steps.total()
         decisions += len(steps)
-        tokens += pr.n_tokens
+        tokens += sum(pr.n_tokens for pr in preppeds)
     return math.exp(nll / decisions), math.exp(nll / tokens)
 
 

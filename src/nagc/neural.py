@@ -101,6 +101,16 @@ def _accum(t: Tensor, g):
         t.grad = t.grad + g
 
 
+def _accum_rows(t: Tensor, idx, src, flat=None):
+    """Add each row src[k] into row idx[k] of t's gradient, in place: a
+    gather's backward allocates t's gradient once, not once per gather."""
+    if t.grad is None:
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
+    elif not t.grad.flags.c_contiguous:  # _segment_sum adds through a flat view
+        t.grad = np.ascontiguousarray(t.grad)
+    _segment_sum(t.grad, idx, src, flat)
+
+
 # ---------------------------------------------------------------------------
 # Primitive operations
 
@@ -227,19 +237,57 @@ def tsum(a):
     return _make(a.data.sum(), (a,), bw)
 
 
-def max_pool_rows(a):
-    """Elementwise max over the rows of a 2D tensor."""
+def _padded_rows(table: np.ndarray, idx):
+    """(rows, valid): the rows idx of table, (D, V, d), and idx >= 0. Padding
+    (-1) reads row 0; callers mask it out. idx None is one key's view of
+    every row, (1, R, d), with valid None: nothing to mask."""
+    if idx is None:
+        return table[None], None
+    idx = np.asarray(idx, dtype=np.int64)
+    valid = idx >= 0
+    return table[np.where(valid, idx, 0)], valid
+
+
+def _padded_grad(t: Tensor, idx, g_rows):
+    """Add g_rows, laid out as _padded_rows(t.data, idx), into t's gradient;
+    its padded entries must be zero."""
+    if idx is None:
+        _accum(t, g_rows[0])
+    else:
+        _accum_rows(t, np.where(np.asarray(idx) >= 0, idx, 0), g_rows)
+
+
+def max_pool_rows(a, idx=None):
+    """Elementwise max over rows of a 2-D tensor: over all of them, (d,),
+    or over the rows idx[k] for each row of an index array idx (D, V) with
+    -1 for padding, (D, d). An index row without entries pools to zeros."""
     a = as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ShapeError(f"max_pool_rows needs a nonempty 2D input, got {a.data.shape}")
-    idx = np.argmax(a.data, axis=0)
+    if idx is None:
+        if a.data.ndim != 2 or a.data.shape[0] == 0:
+            raise ShapeError(f"max_pool_rows needs a nonempty 2D input, got {a.data.shape}")
+        arg = np.argmax(a.data, axis=0)
+        cols = np.arange(a.data.shape[1])
+
+        def bw(g):
+            ga = np.zeros_like(a.data)
+            ga[arg, cols] = g
+            _accum(a, ga)
+
+        return _make(a.data[arg, cols], (a,), bw)
+    rows_, valid = _padded_rows(a.data, idx)
+    D, V, d = rows_.shape
+    if V == 0:
+        return Tensor(np.zeros((D, d), a.data.dtype))
+    arg = np.where(valid[:, :, None], rows_, -np.inf).argmax(axis=1)  # (D, d)
+    pick = (np.arange(D)[:, None], arg, np.arange(d))
+    keep = valid.any(axis=1)[:, None]  # a row without entries pools to 0
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[idx, np.arange(a.data.shape[1])] = g
-        _accum(a, ga)
+        ga = np.zeros_like(rows_)
+        ga[pick] = np.where(keep, g, 0.0)
+        _padded_grad(a, idx, ga)
 
-    return _make(a.data[idx, np.arange(a.data.shape[1])], (a,), bw)
+    return _make(np.where(keep, rows_[pick], 0.0), (a,), bw)
 
 
 def mean_rows(a):
@@ -263,9 +311,13 @@ def _segment_sum(out, idx, src, flat=None):
     and src is idx.shape + out's row shape. This is np.add.at(out, idx, src)
     bit for bit (every element takes its additions in the same order), but
     through a 1-D index, which NumPy runs several times faster than the 2-D
-    form. out must be C-contiguous; flat is _flat_index(idx, row size) when
-    the caller keeps it."""
+    form from about ten rows up; fewer rows take the 2-D form. out must be
+    C-contiguous; flat is _flat_index(idx, row size) when the caller keeps
+    it."""
     if flat is None:
+        if np.size(idx) < 10:  # building the flat index costs more here
+            np.add.at(out, idx, src)
+            return out
         flat = _flat_index(idx, math.prod(out.shape[1:]))
     np.add.at(out.reshape(-1), flat, src.reshape(-1))
     return out
@@ -278,7 +330,7 @@ def rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        _accum(a, _segment_sum(np.zeros(a.data.shape, a.data.dtype), idx, g))
+        _accum_rows(a, idx, g)
 
     return _make(a.data[idx], (a,), bw)
 
@@ -314,7 +366,7 @@ def gather_elems(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        _accum(a, _segment_sum(np.zeros(a.data.shape, a.data.dtype), idx, g))
+        _accum_rows(a, idx, g)
 
     return _make(a.data[idx], (a,), bw)
 
@@ -494,46 +546,88 @@ def linear(x, p: ParamStore, prefix: str):
 
 
 class EdgeIndex:
-    """The edges of several edge types over n state rows of width d, type
-    after type in one array, with the flat indices of their sources and
-    targets built once: every message step over the graph reuses them."""
+    """The edges of several edge types from n source rows of width d into
+    n_tgt target rows (n by default), type after type in one array, with the
+    flat indices of their sources and targets built once: every message step
+    over the graph reuses them."""
 
-    def __init__(self, n: int, d: int, edges):
-        """edges: one (src, tgt) pair of index arrays per edge type."""
+    def __init__(self, n: int, d: int, edges, n_tgt: int | None = None):
+        """edges: one (src, tgt) or (src, tgt, label) triple of index arrays
+        per edge type; a labelled type's messages also depend on each edge's
+        label (see edge_messages)."""
         self.n, self.d = n, d
-        self.bounds = np.cumsum([0] + [len(s) for s, _ in edges]).tolist()
-        self.src = np.concatenate([s for s, _ in edges]).astype(np.int64, copy=False)
-        self.tgt = np.concatenate([t for _, t in edges]).astype(np.int64, copy=False)
+        self.n_tgt = n if n_tgt is None else n_tgt
+        self.bounds = np.cumsum([0] + [len(e[0]) for e in edges]).tolist()
+        self.src = np.concatenate([e[0] for e in edges]).astype(np.int64, copy=False)
+        self.tgt = np.concatenate([e[1] for e in edges]).astype(np.int64, copy=False)
+        self.labels = [np.asarray(e[2], dtype=np.int64) if len(e) > 2 else None for e in edges]
         self.src_flat = _flat_index(self.src, d)
         self.tgt_flat = _flat_index(self.tgt, d)
 
 
-def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes):
+def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes, emb=None):
     """The message step of a gated graph network as one tape node: the sum
     over edge types e of scatter(tgt_e, linear(h[src_e], prefix_e)), with
-    one prefix per type of `edges`."""
+    one prefix per type of `edges`, into (n_tgt, d). A labelled type's
+    weight has rows for the source state and then rows for a label
+    embedding, its message is linear(concat(h[src], emb[label])), computed
+    as h[src] @ W_top + b + (emb @ W_bottom)[label]."""
     h = as_tensor(h)
     if h.data.shape != (edges.n, edges.d):
         raise ShapeError(f"edge_messages: state {h.data.shape} vs ({edges.n}, {edges.d})")
+    d = edges.d
     params = [(p[pre + "_W"], p[pre + "_b"]) for pre in prefixes]
-    spans = list(zip(edges.bounds[:-1], edges.bounds[1:], params))
+    spans = list(zip(edges.bounds[:-1], edges.bounds[1:], params, edges.labels))
     hs = h.data[edges.src]
     m = np.empty(hs.shape, hs.dtype)
-    for a, z, (W, b) in spans:
-        np.matmul(hs[a:z], W.data, out=m[a:z])
+    for a, z, (W, b), lab in spans:
+        np.matmul(hs[a:z], W.data[:d], out=m[a:z])
         m[a:z] += b.data
-    out = _segment_sum(np.zeros(h.data.shape, hs.dtype), edges.tgt, m, edges.tgt_flat)
+        if lab is not None:
+            m[a:z] += (emb.data @ W.data[d:])[lab]
+    out = _segment_sum(np.zeros((edges.n_tgt, d), hs.dtype), edges.tgt, m, edges.tgt_flat)
 
     def bw(g):
         gm = g[edges.tgt]
         dhs = np.empty_like(hs)
-        for a, z, (W, b) in spans:
-            _accum(W, hs[a:z].T @ gm[a:z])
+        for a, z, (W, b), lab in spans:
+            dW = hs[a:z].T @ gm[a:z]
+            if lab is not None:
+                dlab = _segment_sum(np.zeros((len(emb.data), d), gm.dtype), lab, gm[a:z])
+                dW = np.concatenate([dW, emb.data.T @ dlab])
+                _accum(emb, dlab @ W.data[d:].T)
+            _accum(W, dW)
             _accum(b, gm[a:z].sum(axis=0))
-            np.matmul(gm[a:z], W.data.T, out=dhs[a:z])
-        _accum(h, _segment_sum(np.zeros(h.data.shape, hs.dtype), edges.src, dhs, edges.src_flat))
+            np.matmul(gm[a:z], W.data[:d].T, out=dhs[a:z])
+        _accum_rows(h, edges.src, dhs, edges.src_flat)
 
-    return _make(out, [h] + [t for pair in params for t in pair], bw)
+    parents = [h] + [t for pair in params for t in pair]
+    if any(lab is not None for lab in edges.labels):
+        parents.append(emb)
+    return _make(out, parents, bw)
+
+
+def append_rows(table, new, buf: np.ndarray):
+    """The rows of table and then those of new, (n + k, d), stored in
+    buf[:n + k]. Unless table's data already is buf[:n], its rows are copied
+    there first; new's rows are written after them. A chain of appends
+    (table the result of the previous one) thus writes each row once, and
+    the gradient reaching table is a view of the result's, with no copy:
+    O(k) work per append however long the table grows."""
+    table, new = as_tensor(table), as_tensor(new)
+    n, k = len(table.data), len(new.data)
+    if table.data.base is not buf:
+        buf[:n] = table.data
+    buf[n : n + k] = new.data
+
+    def bw(g):
+        _accum(new, g[n:])
+        if table.grad is None:
+            table.grad = g[:n]  # the result's gradient is not read again
+        else:
+            table.grad = table.grad + g[:n]
+
+    return _make(buf[: n + k], (table, new), bw)
 
 
 def gru_cell(x, h, p: ParamStore, prefix: str = "g"):
@@ -615,15 +709,112 @@ def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:
     return shapes
 
 
-def attention(key, memories, p: ParamStore, prefix: str = "att"):
-    """Additive attention: score_i = w . tanh(Wk key + Wm mem_i)."""
-    memories = as_tensor(memories)
+def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owner=None):
+    """Additive attention, one tape node: score_t = w . tanh(Wk key + Wm
+    mem_t), softmax over t, the weighted sum of the memories. A key (H,)
+    reads every row of memories (T, H). Keys (D, H) read groups of rows of
+    memories (R, H): idx (S, T) names the rows of S groups, with -1 for
+    padding, which is masked out, and owner (D,) the group of each key.
+    memories @ Wm is computed once per group row however many keys read it."""
+    keys, memories = as_tensor(keys), as_tensor(memories)
     if memories.data.ndim != 2 or memories.data.shape[0] == 0:
         raise NeuralError("attention requires at least one memory row")
-    proj = tanh(add(matmul(memories, p[prefix + "_Wm"]), matmul(as_tensor(key), p[prefix + "_Wk"])))
-    scores = matmul(proj, p[prefix + "_w"])
-    weights = softmax(scores)
-    return matmul(weights, memories)
+    Wm, Wk, w = p[prefix + "_Wm"], p[prefix + "_Wk"], p[prefix + "_w"]
+    k = keys.data.reshape(-1, keys.data.shape[-1])
+    own = np.zeros(len(k), dtype=np.int64) if owner is None else np.asarray(owner, dtype=np.int64)
+    mem, valid = _padded_rows(memories.data, idx)  # (S, T, H)
+    mproj = mem @ Wm.data
+    proj = mproj[own]  # (D, T, H), a new array: updated in place
+    proj += (k @ Wk.data)[:, None, :]
+    np.tanh(proj, out=proj)
+    sc = proj @ w.data
+    if valid is not None:
+        if not valid[own].any(axis=1).all():
+            raise NeuralError("attention requires at least one memory row per key")
+        sc = np.where(valid[own], sc, -np.inf)
+    e = np.exp(sc - sc.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)  # (D, T), zero on padding
+    mem_k = mem[own]
+    out = (a[:, None, :] @ mem_k)[:, 0]
+
+    def bw(g):
+        # sums over the keys of each group, as one matmul
+        groups = (own == np.arange(len(mem))[:, None]).astype(k.dtype)  # (S, D)
+        g = g.reshape(out.shape)
+        da = (mem_k @ g[:, :, None])[:, :, 0]
+        dsc = a * (da - np.sum(a * da, axis=1, keepdims=True))
+        _accum(w, np.tensordot(dsc, proj, axes=2))
+        dpre = proj * proj
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= w.data
+        dpre *= dsc[:, :, None]
+        dk = dpre.sum(axis=1)
+        _accum(Wk, k.T @ dk)
+        _accum(keys, (dk @ Wk.data.T).reshape(keys.data.shape))
+        # a memory row's gradient: through Wm, then through the weighted sum
+        dmproj = (groups @ dpre.reshape(len(k), -1)).reshape(mem.shape)
+        _accum(Wm, mem.reshape(-1, mem.shape[-1]).T @ dmproj.reshape(-1, mem.shape[-1]))
+        dmem = (groups @ (a[:, :, None] * g[:, None, :]).reshape(len(k), -1)).reshape(mem.shape)
+        dmem += dmproj @ Wm.data.T
+        _padded_grad(memories, idx, dmem)
+
+    return _make(out.reshape(keys.data.shape), (keys, memories, Wm, Wk, w), bw)
+
+
+def pointer_scores(keys, table, B, w=None, idx=None):
+    """Bilinear pointer scores, one tape node: s = (key @ B) . row, plus
+    row . w when w is given. A key (H,) scores every row of table, (R,);
+    keys (D, H) score the rows idx[k] of table, (D, V), with idx (D, V) and
+    -1 for padding, which scores 0."""
+    keys, table, B = as_tensor(keys), as_tensor(table), as_tensor(B)
+    k = keys.data.reshape(-1, keys.data.shape[-1])
+    rows_, valid = _padded_rows(table.data, idx)  # (D, V, H)
+    kb = k @ B.data
+    s = (rows_ @ kb[:, :, None])[:, :, 0]
+    if w is not None:
+        s = s + rows_ @ w.data
+    if valid is not None:
+        s = np.where(valid, s, 0.0)
+
+    def bw(g):
+        g = g.reshape(s.shape)
+        if valid is not None:
+            g = np.where(valid, g, 0.0)
+        dkb = (g[:, None, :] @ rows_)[:, 0]
+        _accum(B, k.T @ dkb)
+        _accum(keys, (dkb @ B.data.T).reshape(keys.data.shape))
+        drow = g[:, :, None] * kb[:, None, :]
+        if w is not None:
+            _accum(w, np.tensordot(g, rows_, axes=2))
+            drow = drow + g[:, :, None] * w.data
+        _padded_grad(table, idx, drow)
+
+    out = s[0] if keys.data.ndim == 1 else s
+    return _make(out, (keys, table, B) + ((w,) if w is not None else ()), bw)
+
+
+def masked_nll(scores, support, target):
+    """Per-row negative log-likelihood of a set of target entries, one tape
+    node: lse(scores over support) - lse(scores over target), for scores
+    (D, C) and boolean masks support and target (D, C), target within
+    support. Returns (D,). Raises DegenerateMaskError when a row's support
+    is empty or its scores there are not finite."""
+    scores = as_tensor(scores)
+    x = np.where(support, scores.data, -np.inf)
+    xt = np.where(target, scores.data, -np.inf)
+    hi = np.max(x, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(hi)):
+        raise DegenerateMaskError("all entries masked")
+    hit = np.max(xt, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(hit)):
+        raise NeuralError("a row has no target entry")
+    lse = hi + np.log(np.sum(np.exp(x - hi), axis=-1, keepdims=True))
+    lset = hit + np.log(np.sum(np.exp(xt - hit), axis=-1, keepdims=True))
+
+    def bw(g):
+        _accum(scores, g[:, None] * (np.exp(x - lse) - np.exp(xt - lset)))
+
+    return _make((lse - lset)[:, 0], (scores,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from nagc import attrgraph as A
 from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
-from nagc.grammar import load_grammar
+from nagc.grammar import UNK_LITERAL, load_grammar
 from nagc.model import (
     CONFIGS,
     Model,
@@ -364,6 +364,184 @@ def test_total_probability_sums_to_one():
             nll, _ = sample_loss(m, s)
             total += math.exp(-nll)
         assert abs(total - 1.0) < 1e-5
+
+
+# The teacher-forced loss as it was computed one decision at a time, kept
+# as the oracle of the batched scorers: a per-round, per-edge-type
+# propagation loop and per-decision scores built from primitive ops.
+
+def _oracle_propagate(model, batched, label_idx, encs):
+    p, cfg = model.params, model.config
+    N = len(batched.nodes)
+    src_ids, src_rows = [], []
+    for comp, enc in zip(batched.components, encs):
+        src_ids.append(comp["root_inh"])
+        src_rows.append(enc.root)
+        for name, aid in comp["ctx"].items():
+            src_ids.append(aid)
+            src_rows.append(enc.var_reps[name])
+    states = nn.scatter_rows(N, src_ids, nn.stack_rows(src_rows))
+    round_of = {a: r for r, rnd in enumerate(batched.schedule) for a in rnd}
+    pos_in_round = {a: i for rnd in batched.schedule for i, a in enumerate(rnd)}
+    per_round = [dict() for _ in batched.schedule]
+    for e in batched.edges:
+        per_round[round_of[e.tgt]].setdefault(e.etype, []).append(e)
+    for r, rnd in enumerate(batched.schedule[1:], start=1):
+        msgs = None
+        for etype, es in per_round[r].items():
+            inp = nn.rows(states, [e.src for e in es])
+            if etype == A.CHILD and cfg.child_labels:
+                lab = [model.edge_label2id[e.label] for e in es]
+                inp = nn.concat([inp, nn.rows(p["dec_emb_edge"], lab)], axis=1)
+            m = nn.scatter_rows(len(rnd), [pos_in_round[e.tgt] for e in es],
+                                nn.linear(inp, p, f"dec_f_{etype}"))
+            msgs = m if msgs is None else nn.add(msgs, m)
+        new = nn.gru_cell(nn.rows(p["dec_emb_label"], label_idx[rnd]), msgs, p, "dec_g")
+        states = nn.add(states, nn.scatter_rows(N, rnd, new))
+    return states
+
+
+def _oracle_tree_nll(model, pr, states, offset, enc):
+    p, cfg = model.params, model.config
+    var_aid = {name: None for name in pr.ctx_order}
+    total = None
+    for dec in pr.plan:
+        key = nn.rows(states, offset + dec[1])
+        rows = [enc.var_reps[n] if var_aid[n] is None else nn.rows(states, offset + var_aid[n])
+                for n in pr.ctx_order]
+        if dec[0] == "P":
+            inp = key
+            if cfg.attention:
+                mem = enc.token_states
+                proj = nn.tanh(nn.add(nn.matmul(mem, p["dec_att_Wm"]), nn.matmul(key, p["dec_att_Wk"])))
+                att = nn.matmul(nn.softmax(nn.matmul(proj, p["dec_att_w"])), mem)
+                inp = nn.concat([inp, att])
+            if cfg.variable_pooling:
+                pool = (nn.max_pool_rows(nn.stack_rows(rows)) if rows
+                        else nn.Tensor(np.zeros(model.hidden, dtype=key.data.dtype)))
+                inp = nn.concat([inp, pool])
+            logp = nn.masked_log_softmax(nn.linear(inp, p, "dec_score"), model.mask(dec[3]))
+            idxs = [dec[2]]
+        elif dec[0] == "V":
+            V = nn.stack_rows(rows)
+            scores = nn.add(nn.matmul(nn.matmul(key, p["dec_var_B"]), nn.transpose(V)),
+                            nn.matmul(V, p["dec_var_w"]))
+            logp = nn.log_softmax(scores)
+            idxs = [pr.ctx_order.index(dec[2])]
+            var_aid[dec[2]] = dec[3]
+        else:
+            cls = dec[2]
+            scores = nn.linear(key, p, f"dec_lit_{cls}")
+            positions, spellings = pr.lex[cls]
+            entries = list(model.grammar.literal_vocab[cls])
+            if positions:
+                mem = nn.rows(enc.token_states, positions)
+                copy = nn.matmul(nn.matmul(key, p["dec_copy_B"]), nn.transpose(mem))
+                scores = nn.concat([scores, copy])
+                entries += spellings
+            logp = nn.log_softmax(scores)
+            idxs = [i for i, sp in enumerate(entries) if sp == dec[3]]
+            idxs = idxs or [entries.index(UNK_LITERAL[cls])]
+        ll = nn.logsumexp(nn.gather_elems(logp, idxs))
+        total = ll if total is None else nn.add(total, ll)
+    return nn.scale(total, -1.0)
+
+
+def _oracle_loss(model, preppeds):
+    encs = M.encode_many(model, preppeds)
+    encs = [encs[i] for i in range(len(preppeds))]
+    batched = A.batch_graphs([pr.graph for pr in preppeds])
+    label_idx = np.concatenate([pr.label_idx for pr in preppeds])
+    states = _oracle_propagate(model, batched, label_idx, encs)
+    total = None
+    for pr, comp, enc in zip(preppeds, batched.components, encs):
+        nll = _oracle_tree_nll(model, pr, states, comp["offset"], enc)
+        total = nll if total is None else nn.add(total, nll)
+    return total
+
+
+# scope sizes 0-5; file "a" has no copy candidates at all; "zz" and the
+# closing 2 are UNK literals; the 7 of `a + 7` sits in a vocab slot and two
+# copy slots
+MIXED_FILES = [
+    ("a", "var z : int = 1 + 0 ;"),
+    ("b", 'var a : int = 7 ; var s : string = "q" ; var b : bool = s.StartsWith("zz") ; '
+          "var c : int = a + 7 ; var d : int = c - a ; a = d + c * 2 ;"),
+]
+
+
+def _mixed_batch(g, config, encoder):
+    samples = P.extract_samples(MIXED_FILES, g)
+    gv = g.with_literal_vocab({"int": ("0", "1", "7"), "string": ('"q"',), "bool": ("true",)})
+    m = Model(gv, config=config, encoder=encoder, hidden=6, emb_dim=4, edge_emb=3, seed=2,
+              token_vocab=M.token_vocab_from_samples(samples))
+    m.params = m.params.astype(np.float64)
+    rng = np.random.default_rng(3)
+    for _, t in m.params.items():  # nonzero biases, spread logits
+        t.data = rng.normal(scale=0.5, size=t.data.shape)
+    return m, [prep_sample(m, s) for s in samples]
+
+
+def _grads(model, loss):
+    model.params.zero_grad()
+    nn.backward(loss)
+    return {n: t.grad if t.grad is not None else np.zeros_like(t.data) for n, t in model.params.items()}
+
+
+def test_mixed_batch_covers_the_cases(g):
+    m, batch = _mixed_batch(g, "NAG", "seq")
+    assert sorted(len(pr.ctx_order) for pr in batch) == [0, 0, 1, 2, 3, 4, 5]
+    assert not any(positions for positions, _ in batch[0].lex.values())
+    lits = [(dec[3], pr.lex[dec[2]][1]) for pr in batch for dec in pr.plan if dec[0] == "L"]
+    vocab = set(m.grammar.literal_vocab["int"]) | set(m.grammar.literal_vocab["string"])
+    assert any(sp not in vocab and sp not in copies for sp, copies in lits)  # UNK
+    assert any(sp in vocab and sp in copies for sp, copies in lits)  # vocab and copy slot
+
+
+@pytest.mark.parametrize("encoder", ["seq", "graph"])
+@pytest.mark.parametrize("config", ["Tree", "ASN", "Syn", "NAG"])
+def test_batch_loss_matches_per_decision_oracle(g, config, encoder):
+    m, batch = _mixed_batch(g, config, encoder)
+    loss, steps = M.batch_loss(m, batch)
+    got = _grads(m, loss)
+    ref_loss = _oracle_loss(m, batch)
+    want = _grads(m, ref_loss)
+    assert abs(float(loss.data) - float(ref_loss.data)) <= 1e-12 * abs(float(ref_loss.data))
+    assert abs(steps.total() - float(ref_loss.data)) <= 1e-12 * abs(float(ref_loss.data))
+    assert len(steps) == sum(len(pr.plan) for pr in batch)
+    assert steps.kind.tolist() == [dec[0] for pr in batch for dec in pr.plan]
+    for name in want:
+        scale = max(np.max(np.abs(want[name])), 1e-300)
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
+def test_batch_loss_raises_on_all_masked_row(g):
+    m, batch = _mixed_batch(g, "NAG", "graph")
+    m._masks["Expr"] = np.full(len(m.grammar.productions), -np.inf)
+    with pytest.raises(nn.DegenerateMaskError):
+        M.batch_loss(m, batch)
+
+
+def test_train_records_nll_per_decision_kind(fitted_grammar, token_vocab, folds):
+    m = Model(fitted_grammar, config="NAG", encoder="graph", hidden=16, emb_dim=8, seed=0,
+              token_vocab=token_vocab)
+    samples = folds["train"][:12]
+    rec = train(m, samples, epochs=1, batch_size=5)[0]
+    plans = [prep_sample(m, s).plan for s in samples]
+    for k in "PVL":
+        assert rec[f"decisions_{k}"] == sum(dec[0] == k for plan in plans for dec in plan)
+        assert rec[f"nll_{k}"] > 0.0
+    total = rec["nll_P"] + rec["nll_V"] + rec["nll_L"]
+    assert abs(total - rec["train_nll"]) <= 1e-5 * rec["train_nll"]
+
+
+def test_fold_perplexity_matches_per_sample_losses(small, folds):
+    samples = folds["test"][:25]  # two batches, the second short
+    losses = [sample_loss(small, s) for s in samples]
+    nll = sum(loss for loss, _ in losses)
+    decisions = sum(len(steps) for _, steps in losses)
+    ppl, _ = M.fold_perplexity(small, samples)
+    assert abs(ppl - math.exp(nll / decisions)) <= 1e-6 * ppl
 
 
 def test_loss_decreases_under_optimization(small, folds):

@@ -227,6 +227,140 @@ def test_attention_gradients():
     _fd_check(p, loss)
 
 
+def _batch_store(seed, shapes):
+    p = init_params(shapes, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _, t in p.items():  # small enough that _weighted_sum's tanh does not saturate
+        t.data = rng.normal(scale=0.5, size=t.data.shape)
+    return p
+
+
+# three keys over seven memory rows: padded, full and single-row index rows
+_PADDED = np.array([[0, 2, 3, -1, -1], [4, 5, 6, 1, 0], [6, -1, -1, -1, -1]])
+
+
+# five keys reading three groups of memory rows (the middle one unread)
+_OWNER = np.array([2, 0, 0, 2, 0])
+
+
+def test_batched_attention_gradients():
+    p = _batch_store(30, {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "keys": (5, 4),
+                          "mem": (7, 4)})
+    _fd_check(p, lambda: _weighted_sum(attention(p["keys"], p["mem"], p, "att", _PADDED, _OWNER), 30))
+
+
+def test_batched_attention_matches_single_keys():
+    p = _batch_store(31, {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "keys": (5, 4),
+                          "mem": (7, 4)})
+    out = attention(p["keys"], p["mem"], p, "att", _PADDED, _OWNER)
+    for d, group in enumerate(_OWNER):
+        row = _PADDED[group]
+        one = attention(nn.rows(p["keys"], d), nn.rows(p["mem"], row[row >= 0]), p, "att")
+        assert np.allclose(out.data[d], one.data, rtol=1e-12, atol=1e-15)
+    with pytest.raises(NeuralError):  # a key with no memory row
+        attention(nn.rows(p["keys"], [0, 1]), p["mem"], p, "att", np.array([[0], [-1]]), [0, 1])
+
+
+def test_padded_max_pool_gradients():
+    p = _batch_store(32, {"x": (6, 3)})
+    idx = np.array([[0, 1, 5], [2, -1, -1], [-1, -1, -1], [3, 3, 4]])
+    _fd_check(p, lambda: _weighted_sum(nn.max_pool_rows(p["x"], idx), 32))
+    out = nn.max_pool_rows(p["x"], idx).data
+    assert np.array_equal(out[2], np.zeros(3))  # no entries: zeros
+    for d in (0, 1, 3):
+        assert np.array_equal(out[d], nn.max_pool_rows(nn.rows(p["x"], idx[d][idx[d] >= 0])).data)
+    assert nn.max_pool_rows(p["x"], np.zeros((2, 0), dtype=np.int64)).data.shape == (2, 3)
+
+
+@pytest.mark.parametrize("with_w", [True, False])
+def test_pointer_scores_gradients(with_w):
+    p = _batch_store(33, {"k": (3, 4), "t": (5, 4), "B": (4, 4), "w": (4,)})
+    idx = np.array([[0, 1, 4], [2, -1, -1], [3, 3, 0]])
+    w = p["w"] if with_w else None
+    _fd_check(p, lambda: _weighted_sum(nn.pointer_scores(p["k"], p["t"], p["B"], w, idx), 33))
+    out = nn.pointer_scores(p["k"], p["t"], p["B"], w, idx).data
+    for d, row in enumerate(idx):
+        one = nn.pointer_scores(nn.rows(p["k"], d), nn.rows(p["t"], row[row >= 0]), p["B"], w)
+        assert np.allclose(out[d, row >= 0], one.data, rtol=1e-12, atol=1e-15)
+        assert np.all(out[d, row < 0] == 0.0)
+    p.zero_grad()
+    _fd_check(p, lambda: _weighted_sum(nn.pointer_scores(nn.rows(p["k"], 1), p["t"], p["B"], w), 34))
+
+
+_SUPPORT = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 0, 0]], dtype=bool)
+_TARGET = np.array([[0, 1, 0, 1, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=bool)
+
+
+def test_masked_nll_gradients():
+    p = _batch_store(35, {"s": (3, 5)})
+    weights = Tensor(np.array([1.0, 2.0, -0.5]))
+    _fd_check(p, lambda: nn.tsum(nn.mul(nn.masked_nll(p["s"], _SUPPORT, _TARGET), weights)))
+
+
+def test_masked_nll_matches_log_softmax():
+    s = np.random.default_rng(36).normal(size=(3, 5)) * 20.0  # spread logits
+    got = nn.masked_nll(Tensor(s), _SUPPORT, _TARGET).data
+    for d in range(3):
+        lp = nn.masked_log_softmax(Tensor(s[d]), np.where(_SUPPORT[d], 0.0, -np.inf))
+        want = -float(nn.logsumexp(nn.gather_elems(lp, np.flatnonzero(_TARGET[d]))).data)
+        assert abs(got[d] - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_masked_nll_raises_on_degenerate_rows():
+    s = Tensor(np.zeros((2, 3)))
+    support = np.array([[1, 1, 0], [0, 0, 0]], dtype=bool)
+    with pytest.raises(DegenerateMaskError):
+        nn.masked_nll(s, support, support)
+    with pytest.raises(DegenerateMaskError):  # a saturated score
+        nn.masked_nll(Tensor(np.array([[np.inf, 0.0, 0.0]])), support[:1], support[:1])
+
+
+def test_labelled_edge_messages_gradients_and_loop():
+    # edges from 5 source rows into 3 targets; the first type is labelled,
+    # its weight (3 + 2, 3) splits into state rows and label rows
+    shapes = {"h": (5, 3), "emb": (4, 2), "la_W": (5, 3), "la_b": (3,), "lb_W": (3, 3), "lb_b": (3,)}
+    edges = [(np.array([0, 4, 4, 2]), np.array([1, 0, 1, 2]), np.array([3, 0, 3, 1])),
+             (np.array([1, 3]), np.array([2, 2]))]
+    index = nn.EdgeIndex(5, 3, edges, n_tgt=3)
+    a = _batch_store(37, shapes)
+    _fd_check(a, lambda: _weighted_sum(nn.edge_messages(a["h"], index, a, ["la", "lb"], a["emb"]), 37))
+    a.zero_grad()
+    b = _batch_store(37, shapes)
+    w = Tensor(np.random.default_rng(38).normal(size=(3, 3)))
+    fused = nn.edge_messages(a["h"], index, a, ["la", "lb"], a["emb"])
+    backward(nn.tsum(nn.mul(fused, w)))
+    (s0, t0, lab), (s1, t1) = edges
+    inp = nn.concat([nn.rows(b["h"], s0), nn.rows(b["emb"], lab)], axis=1)
+    loop = nn.add(nn.scatter_rows(3, t0, linear(inp, b, "la")),
+                  nn.scatter_rows(3, t1, linear(nn.rows(b["h"], s1), b, "lb")))
+    backward(nn.tsum(nn.mul(loop, w)))
+    assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
+    for (name, ta), (_, tb) in zip(a.items(), b.items()):
+        assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
+
+
+def test_append_rows_gradients_and_buffer():
+    # a chain of appends into one buffer, read by gathers between appends,
+    # against concat
+    p = _batch_store(39, {"a": (2, 3), "b": (3, 3), "c": (1, 3)})
+
+    def chain(concat):
+        buf = np.empty((6, 3))
+        t = p["a"]
+        reads = []
+        for part in (p["b"], p["c"]):
+            reads.append(nn.rows(t, [1, 0, 1]))
+            t = nn.concat([t, part]) if concat else nn.append_rows(t, part, buf)
+        reads.append(t)
+        return nn.concat([nn.tanh(r) for r in reads]), t, buf
+
+    _fd_check(p, lambda: _weighted_sum(chain(False)[0], 39))
+    got, table, buf = chain(False)
+    want, _, _ = chain(True)
+    assert np.array_equal(got.data, want.data)
+    assert table.data.base is buf  # each row was written once, into buf
+
+
 def test_masked_softmax_gradients():
     p = init_params({"x": (2, 5)}, seed=7, dtype=np.float64)
     p["x"].data[:] = np.random.default_rng(8).normal(size=(2, 5))
