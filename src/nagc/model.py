@@ -787,15 +787,22 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
 
 
 def fold_perplexity(model: Model, samples) -> tuple:
-    """(per-decision, per-token) perplexity of a fold under teacher forcing,
-    scored in batches of 20 samples."""
+    """(per-decision, per-token) perplexity of a fold under teacher forcing.
+
+    Graph contexts are scored in batches of 20 samples, which share one GGNN
+    batch. The seq encoder runs one sample at a time, so a batch saves it
+    nothing; its samples are scored one by one, each a short call."""
+    size = 20 if model.encoder == "graph" else 1
     nll = 0.0
     decisions = 0
     tokens = 0
-    for lo in range(0, len(samples), 20):
-        preppeds = [prep_sample(model, s) for s in samples[lo : lo + 20]]
-        with nn.no_grad():
-            _, steps = batch_loss(model, preppeds)
+    for lo in range(0, len(samples), size):
+        preppeds = [prep_sample(model, s) for s in samples[lo : lo + size]]
+        if size == 1:
+            _, steps = sample_loss(model, preppeds[0])
+        else:
+            with nn.no_grad():
+                _, steps = batch_loss(model, preppeds)
         nll += steps.total()
         decisions += len(steps)
         tokens += sum(pr.n_tokens for pr in preppeds)

@@ -535,12 +535,14 @@ def test_train_records_nll_per_decision_kind(fitted_grammar, token_vocab, folds)
     assert abs(total - rec["train_nll"]) <= 1e-5 * rec["train_nll"]
 
 
-def test_fold_perplexity_matches_per_sample_losses(small, folds):
-    samples = folds["test"][:25]  # two batches, the second short
-    losses = [sample_loss(small, s) for s in samples]
+@pytest.mark.parametrize("which", ["small", "gmodel"])
+def test_fold_perplexity_matches_per_sample_losses(which, request, folds):
+    model = request.getfixturevalue(which)
+    samples = folds["test"][:25]  # graph: two batches, the second short
+    losses = [sample_loss(model, s) for s in samples]
     nll = sum(loss for loss, _ in losses)
     decisions = sum(len(steps) for _, steps in losses)
-    ppl, _ = M.fold_perplexity(small, samples)
+    ppl, _ = M.fold_perplexity(model, samples)
     assert abs(ppl - math.exp(nll / decisions)) <= 1e-6 * ppl
 
 
