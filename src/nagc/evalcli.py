@@ -66,7 +66,8 @@ def well_typed_rate(model: mo.Model, fold, width: int = 5, decoded=None) -> tupl
     """
     if not fold:
         raise DataError("empty fold")
-    decoded = decoded or _decode_fold(model, fold, width)
+    if decoded is None:
+        decoded = _decode_fold(model, fold, width)
     ok = 0
     unk_only = 0
     for s, res in zip(fold, decoded):
@@ -93,9 +94,12 @@ def well_typed_rate(model: mo.Model, fold, width: int = 5, decoded=None) -> tupl
 
 def accuracy_at_k(model: mo.Model, fold, k: int, width: int = 5, decoded=None) -> float:
     """Exact production-sequence match within the top-k hypotheses."""
+    if not fold:
+        raise DataError("empty fold")
     if k > width:
         raise DataError(f"k={k} exceeds beam width {width}")
-    decoded = decoded or _decode_fold(model, fold, width)
+    if decoded is None:
+        decoded = _decode_fold(model, fold, width)
     hits = 0
     for s, res in zip(fold, decoded):
         top = [serialize_decisions(t) for t, _ in res.hypotheses[:k]]
@@ -164,6 +168,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser():
     p = _Parser(prog="nagc")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -191,7 +205,7 @@ def _build_parser():
     c.add_argument("--epochs", type=int, default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--batch-size", type=_positive_int, default=20)
-    c.add_argument("--lr", type=float, default=1e-3)
+    c.add_argument("--lr", type=_positive_float, default=1e-3)
     c.add_argument("--ckpt", required=True)
 
     c = sub.add_parser("evaluate")

@@ -237,7 +237,6 @@ class Model:
 
 @dataclass
 class Prepped:
-    sample: object
     ctx_order: list
     tokens: list  # before + hole sentinel + after
     tok_idx: np.ndarray
@@ -245,6 +244,7 @@ class Prepped:
     pgraph: object = None
     pg_idx: np.ndarray = None
     pg_edges: dict = None
+    windows: list = None  # seq encoder: (variable, masked token ids) per usage window
     # tree-dependent fields, set by prep_sample only
     tree: object = None
     graph: object = None  # AttributeGraph under the model's decoder config
@@ -277,21 +277,24 @@ def _lexable(cls: str, tok: str) -> bool:
     return tok in ("true", "false")
 
 
-def prep_context(model: Model, sample) -> Prepped:
-    """Tokens, copy candidates and (graph encoder) program graph of the
-    context around the hole: everything encoding and decoding need."""
-    tokens = sample.before + [lang.HOLE_TOKEN] + sample.after
+def prep_context(model: Model, before, after, scope) -> Prepped:
+    """Tokens, copy candidates and the encoder's structure (seq: usage
+    windows; graph: program graph) of the context around the hole:
+    everything encoding and decoding need."""
+    tokens = list(before) + [lang.HOLE_TOKEN] + list(after)
     lex = {}
     for cls in ("int", "string", "bool"):
         pos = [i for i, t in enumerate(tokens) if _lexable(cls, t)]
         lex[cls] = (pos, [tokens[i] for i in pos])
     pr = Prepped(
-        sample=sample, ctx_order=sorted(sample.scope), tokens=tokens,
+        ctx_order=sorted(scope), tokens=tokens,
         tok_idx=np.array([model.tok2id.get(t, 0) for t in tokens], dtype=np.int64),
         lex=lex,
     )
     if model.encoder == "graph":
         _prep_program_graph(model, pr)
+    else:
+        pr.windows = _usage_windows(model, before, after, scope, pr.ctx_order)
     return pr
 
 
@@ -299,7 +302,7 @@ def prep_sample(model: Model, sample) -> Prepped:
     """prep_context plus the target tree's attribute graph and decision plan."""
     g, cfg = model.grammar, model.config
     tree = sample.target_tree(g)
-    pr = prep_context(model, sample)
+    pr = prep_context(model, sample.before, sample.after, sample.scope)
     graph = ag.augment_full_tree(tree, pr.ctx_order, edge_set=cfg.edge_set,
                                  labels=cfg.child_labels)
     label_idx = np.full(len(graph.nodes), -1, dtype=np.int64)
@@ -383,28 +386,40 @@ def _mask_window(toks, name: str, scope) -> list:
     return out
 
 
+_WINDOW = 5  # tokens each side of a variable use
+
+
+def _usage_windows(model: Model, before, after, scope, ctx_order) -> list:
+    """(variable, masked token ids) of each usage window: a use with up to
+    _WINDOW tokens each side, never across the hole. Variables come in
+    ctx_order, then windows before the hole before those after it, left to
+    right."""
+    windows = []
+    for name in ctx_order:
+        for toks in (before, after):
+            for i, t in enumerate(toks):
+                if t == name:
+                    masked = _mask_window(toks[max(0, i - _WINDOW) : i + _WINDOW + 1], name, scope)
+                    windows.append((name, [model.tok2id.get(w, 0) for w in masked]))
+    return windows
+
+
 def _encode_windows(model: Model, pr: Prepped) -> dict:
-    """Each variable's rep: the two-layer bi-GRU final states of its nonempty
-    usage windows, average pooled; enc_var_dflt when it has none. All windows
-    of one length run as one time-major batch, so no padding is needed."""
-    windows, owner = [], []
-    for name in pr.ctx_order:
-        for _, toks in pr.sample.usages.get(name, []):
-            if toks:
-                masked = _mask_window(toks, name, pr.sample.scope)
-                windows.append([model.tok2id.get(t, 0) for t in masked])
-                owner.append(name)
-    by_len = sorted(range(len(windows)), key=lambda i: len(windows[i]))
+    """Each variable's rep: the two-layer bi-GRU final states of its usage
+    windows, average pooled; enc_var_dflt when it has none. All windows of
+    one length run as one time-major batch, so no padding is needed."""
+    ids = [w for _, w in pr.windows]
+    by_len = sorted(range(len(ids)), key=lambda i: len(ids[i]))
     finals = [
-        _encode_tokens(model, np.array([windows[i] for i in group], dtype=np.int64).T, "enc_use")[1]
-        for _, group in itertools.groupby(by_len, key=lambda i: len(windows[i]))
+        _encode_tokens(model, np.array([ids[i] for i in group], dtype=np.int64).T, "enc_use")[1]
+        for _, group in itertools.groupby(by_len, key=lambda i: len(ids[i]))
     ]
-    row = np.empty(len(windows), dtype=np.int64)  # window -> its row in all_finals
-    row[by_len] = np.arange(len(windows))
+    row = np.empty(len(ids), dtype=np.int64)  # window -> its row in all_finals
+    row[by_len] = np.arange(len(ids))
     all_finals = nn.concat(finals) if finals else None
     var_reps = {}
     for name in pr.ctx_order:
-        pos = [row[i] for i, o in enumerate(owner) if o == name]
+        pos = [row[i] for i, (owner, _) in enumerate(pr.windows) if owner == name]
         var_reps[name] = nn.mean_rows(nn.rows(all_finals, pos)) if pos else model.params["enc_var_dflt"]
     return var_reps
 
@@ -844,19 +859,8 @@ def decode_beam(model: Model, before, after, scope, width: int = 5,
     states so no full propagation is ever run during decoding."""
     if width < 1 or max_steps < 1:
         raise ModelError("width and max-steps must be >= 1")
-    from .pipeline import Sample
-
-    sample = Sample(file="", before=list(before), after=list(after), hole_type="",
-                    scope=dict(scope), usages=_windows_for_decode(before, after, scope),
-                    target="")
     with nn.no_grad():
-        return _decode(model, sample, width, max_steps)
-
-
-def _windows_for_decode(before, after, scope):
-    from .pipeline import _usages_for
-
-    return {name: _usages_for(name, list(before), list(after)) for name in scope}
+        return _decode(model, prep_context(model, before, after, scope), width, max_steps)
 
 
 def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
@@ -871,8 +875,7 @@ def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
     return _Hyp(builder, states, {n: enc.var_reps[n] for n in pr.ctx_order}, 0.0)
 
 
-def _decode(model: Model, sample, width, max_steps) -> BeamResult:
-    pr = prep_context(model, sample)
+def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
     enc = encode(model, pr)
     beam = [_root_hyp(model, pr, enc)]
     finished: list[_Hyp] = []

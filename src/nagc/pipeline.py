@@ -24,7 +24,6 @@ class Sample:
     after: list[str]
     hole_type: str
     scope: dict  # name -> type
-    usages: dict  # name -> list of (side, window tokens)
     target: str  # decision sequence
 
     _tree: object = field(default=None, repr=False, compare=False)
@@ -241,18 +240,6 @@ def read_corpus(dirpath):
 # ---------------------------------------------------------------------------
 # Extraction
 
-_WINDOW = 5
-
-
-def _usages_for(name, before, after):
-    out = []
-    for side, toks in (("before", before), ("after", after)):
-        for i, t in enumerate(toks):
-            if t == name:
-                out.append((side, toks[max(0, i - _WINDOW) : i + _WINDOW + 1]))
-    return out
-
-
 def extract_samples(files, g: Grammar) -> list[Sample]:
     """One sample per top-level expression (initializer, assignment rhs,
     if/while condition) in each parseable file."""
@@ -268,18 +255,13 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
             continue
         for site in sites:
             tree = lang.expr_to_tree(site.expr, g)
-            before = tokens[: site.start]
-            after = tokens[site.end :]
-            scope = dict(site.scope)
-            usages = {n: _usages_for(n, before, after) for n in scope}
             samples.append(
                 Sample(
                     file=fname,
-                    before=before,
-                    after=after,
+                    before=tokens[: site.start],
+                    after=tokens[site.end :],
                     hole_type=site.hole_type,
-                    scope=scope,
-                    usages=usages,
+                    scope=dict(site.scope),
                     target=serialize_decisions(tree),
                 )
             )
@@ -385,7 +367,6 @@ def write_jsonl(samples, path):
                         "after": s.after,
                         "hole_type": s.hole_type,
                         "scope": s.scope,
-                        "usages": {k: [[side, toks] for side, toks in v] for k, v in s.usages.items()},
                         "target": s.target,
                     },
                     ensure_ascii=False,
@@ -409,11 +390,9 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
                     after=list(obj["after"]),
                     hole_type=obj["hole_type"],
                     scope=dict(obj["scope"]),
-                    usages={k: [(side, list(toks)) for side, toks in v] for k, v in obj["usages"].items()},
                     target=obj["target"],
                 )
                 texts = [s.file, s.hole_type, s.target, *s.before, *s.after, *s.scope.values()]
-                texts += [x for uses in s.usages.values() for side, toks in uses for x in (side, *toks)]
                 if not all(isinstance(x, str) for x in texts):
                     raise TypeError("names, types and tokens must be strings")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:

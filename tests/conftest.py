@@ -107,13 +107,11 @@ def make_sample(tree, scope, before=None, after=None):
 
     before = before if before is not None else ["var", "i", ":", "int", ";"]
     after = after if after is not None else [";"]
-    usages = {n: P._usages_for(n, before, after) for n in scope}
     return P.Sample(
         file="synthetic",
         before=before,
         after=after,
         hole_type="",
         scope=dict(scope),
-        usages=usages,
         target=serialize_decisions(tree),
     )

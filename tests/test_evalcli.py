@@ -104,6 +104,15 @@ def test_perplexity_empty_fold_raises(trained):
         E.perplexity(trained, [])
 
 
+def test_accuracy_empty_fold_raises(trained):
+    # like perplexity and well_typed_rate, and also with a precomputed decode
+    for decoded in (None, []):
+        with pytest.raises(DataError, match="empty fold"):
+            E.accuracy_at_k(trained, [], k=1, decoded=decoded)
+        with pytest.raises(DataError, match="empty fold"):
+            E.well_typed_rate(trained, [], decoded=decoded)
+
+
 def test_accuracy_k_beyond_width_raises(trained, folds):
     with pytest.raises(DataError):
         E.accuracy_at_k(trained, folds["test"][:2], k=6, width=5)
@@ -134,6 +143,14 @@ def test_cli_usage_errors_exit_1(capsys):
         assert run_cli(argv) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
         assert len(err) == 1 and "--beam" in err[0], err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.001", "fast"])
+def test_cli_bad_lr_exits_1(lr, capsys):
+    # fails in the parser, before any data is read
+    assert run_cli(["train", "--data", "x", "--ckpt", "m", f"--lr={lr}"]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+    assert len(err) == 1 and "--lr" in err[0], err
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import UNK_LITERAL, load_grammar
+from nagc.lang import HOLE_TOKEN
 from nagc.model import (
     CONFIGS,
     Model,
@@ -103,19 +104,44 @@ def _loop_bigru(x, p, prefix):
     return nn.concat([nn.stack_rows(fwd), nn.stack_rows(bwd)], axis=1), fwd[-1], bwd[0]
 
 
+def test_prep_context_usage_windows(small, gmodel, folds):
+    # each use with up to 5 tokens each side, never across the hole; variables
+    # in sorted order, then windows before the hole before those after it,
+    # left to right; a variable without uses has none
+    before = ["a", "=", "1", ";", "b", "=", "a", "+", "a", ";", "if", "(", "b"]
+    after = [")", "{", "a", "=", "b", ";", "}"]
+    scope = {"b": "int", "z": "int", "a": "int"}
+    S, O = M.SELF_TOKEN, M.OTHER_VAR_TOKEN
+    want = [
+        ("a", [S, "=", "1", ";", O, "="]),
+        ("a", ["=", "1", ";", O, "=", S, "+", S, ";", "if", "("]),
+        ("a", [";", O, "=", S, "+", S, ";", "if", "(", O]),
+        ("a", [")", "{", S, "=", O, ";", "}"]),
+        ("b", [O, "=", "1", ";", S, "=", O, "+", O, ";"]),
+        ("b", ["+", O, ";", "if", "(", S]),
+        ("b", [")", "{", O, "=", S, ";", "}"]),
+    ]
+    pr = M.prep_context(small, before, after, scope)
+    assert pr.windows == [(n, [small.tok2id.get(t, 0) for t in toks]) for n, toks in want]
+    s = folds["train"][0]
+    assert M.prep_context(gmodel, s.before, s.after, s.scope).windows is None
+    self_id, hole_id = small.tok2id[S], small.tok2id[HOLE_TOKEN]
+    for s in folds["train"][:40]:
+        pr = M.prep_context(small, s.before, s.after, s.scope)
+        assert [n for n, _ in pr.windows] == [
+            n for n in sorted(s.scope) for _ in range(s.before.count(n) + s.after.count(n))
+        ]
+        for _, ids in pr.windows:
+            assert len(ids) <= 11 and self_id in ids and hole_id not in ids
+
+
 def test_batched_windows_match_per_window_loop(small):
-    # windows of lengths 3, 5 and 11 spread over the variables, an empty
-    # window, and a variable without usages
-    long = ["x", "=", "a", "+", "b", ";", "c", "=", "b", "-", "1"]
-    usages = {
-        "a": [("before", ["a", "=", "0", ";", "b"]), ("before", []), ("after", ["a", "+", "c"])],
-        "b": [("before", long), ("after", ["b", "=", "a"]), ("after", ["c", ";", "b", ";", "a"])],
-        "c": [("before", long)],
-        "d": [],
-    }
-    scope = {n: "int" for n in usages}
-    s = P.Sample(file="synthetic", before=long, after=[";"], hole_type="", scope=scope,
-                 usages=usages, target="")
+    # windows of several lengths, some of them equal, cut short by either
+    # end of the context or by the hole; d has no uses
+    before = ["a", "=", "0", ";", "b", "=", "a", "+", "c", ";",
+              "c", "=", "b", "-", "1", ";", "b", "="]
+    after = [";", "a", "=", "c", ";"]
+    scope = {n: "int" for n in "abcd"}
     p = small.params
     weights = {n: nn.Tensor(np.random.default_rng(i).normal(size=small.hidden).astype(np.float32))
                for i, n in enumerate("abc")}
@@ -125,15 +151,19 @@ def test_batched_windows_match_per_window_loop(small):
         nn.backward(nn.tsum(nn.concat([nn.mul(reps[n], weights[n]) for n in "abc"])))
         return {n: t.grad.copy() for n, t in p.items() if t.grad is not None}
 
-    enc = encode_seq(small, M.prep_context(small, s))
+    pr = M.prep_context(small, before, after, scope)
+    assert len({len(ids) for _, ids in pr.windows}) >= 4
+    enc = encode_seq(small, pr)
     assert enc.var_reps["d"] is p["enc_var_dflt"]
     got = grads_of(enc.var_reps)
     want = {}
     for name in "abc":
         finals = []
-        for _, toks in usages[name]:
-            if toks:
-                ids = [small.tok2id.get(t, 0) for t in M._mask_window(toks, name, scope)]
+        for toks in (before, after):
+            for i in [i for i, t in enumerate(toks) if t == name]:
+                window = [M.SELF_TOKEN if t == name else M.OTHER_VAR_TOKEN if t in scope else t
+                          for t in toks[max(0, i - 5) : i + 6]]
+                ids = [small.tok2id.get(t, 0) for t in window]
                 x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], ids), p, "enc_use1")
                 _, ff, bf = _loop_bigru(x, p, "enc_use2")
                 finals.append(nn.concat([ff, bf]))

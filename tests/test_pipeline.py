@@ -1,9 +1,12 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from nagc import lang as L
+from nagc import model as M
+from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import TypeEnv, type_check
 from nagc.pipeline import PipelineError, Sample
@@ -33,11 +36,6 @@ def test_extract_samples_fields(g, corpus_samples):
         assert type_check(tree, TypeEnv(s.scope)) == s.hole_type
         used = {rec[1:] for rec in s.target.split() if rec.startswith("V")}
         assert used <= set(s.scope)
-        for name, occ in s.usages.items():
-            for side, toks in occ:
-                assert side in ("before", "after")
-                assert name in toks
-                assert len(toks) <= 11  # 5-token window each side
 
 
 def test_extraction_deterministic(g):
@@ -57,7 +55,7 @@ def test_extract_skips_unparseable(g, capsys):
 
 def _mk(file, before, after, scope, target):
     return Sample(file=file, before=before, after=after, hole_type="int",
-                  scope=scope, usages={}, target=target)
+                  scope=scope, target=target)
 
 
 def test_dedup_alpha_equivalent():
@@ -116,11 +114,42 @@ def test_split_rejects_bad_ratio(ratio):
 def test_jsonl_round_trip(g, corpus_samples, tmp_path):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples, path)
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            assert set(json.loads(line)) == {"file", "before", "after", "hole_type", "scope", "target"}
     back = P.read_jsonl(path, g)
     assert back == [
-        Sample(s.file, s.before, s.after, s.hole_type, s.scope, s.usages, s.target)
+        Sample(s.file, s.before, s.after, s.hole_type, s.scope, s.target)
         for s in corpus_samples
     ]
+
+
+def test_jsonl_legacy_usages_key_is_ignored(g, fitted_grammar, token_vocab, corpus_samples, tmp_path):
+    # files written before usage windows were derived at prep time carry a
+    # `usages` key; it is ignored, even when malformed
+    s = next(s for s in corpus_samples if len(s.scope) > 1)
+    new = {"file": s.file, "before": s.before, "after": s.after, "hole_type": s.hole_type,
+           "scope": s.scope, "target": s.target}
+    legacy = dict(new, usages={
+        n: [[side, toks[max(0, i - 5) : i + 6]]
+            for side, toks in (("before", s.before), ("after", s.after))
+            for i, t in enumerate(toks) if t == n]
+        for n in s.scope
+    })
+    malformed = dict(new, usages=[7, None])
+    path = str(tmp_path / "mixed.jsonl")
+    with open(path, "w", encoding="utf-8") as f:
+        for obj in (new, legacy, malformed):
+            f.write(json.dumps(obj) + "\n")
+    back = P.read_jsonl(path, g)
+    assert back == [s, s, s]
+    m = M.Model(fitted_grammar, encoder="seq", hidden=16, emb_dim=8, seed=0, token_vocab=token_vocab)
+    with nn.no_grad():
+        encs = [M.encode(m, M.prep_sample(m, b)) for b in back]
+    for enc in encs[1:]:
+        assert np.array_equal(enc.root.data, encs[0].root.data)
+        assert np.array_equal(enc.token_states.data, encs[0].token_states.data)
+        assert all(np.array_equal(enc.var_reps[n].data, encs[0].var_reps[n].data) for n in s.scope)
 
 
 def test_jsonl_empty_file(tmp_path, g):
