@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import Kind
-from .syntax import PartialAst
+from .syntax import PartialAst, apply_production, bind_terminal
 
 CHILD = "Child"
 PARENT = "Parent"
@@ -50,7 +50,7 @@ class AttributeGraph:
     nodes: list[AttrNode]
     edges: list[Edge]
     schedule: list[list[int]]
-    components: list[dict]  # offset, n, root_inh, ctx{name: aid}, inh/joint{nid: aid}
+    components: list[dict]  # offset, n, root_inh, ctx{name: aid}
 
     def in_edges(self, aid: int) -> list[Edge]:
         return [e for e in self.edges if e.tgt == aid]
@@ -72,12 +72,14 @@ class GraphBuilder:
     The builder walks the tree depth-first in generation order and keeps its
     stack of pending AST nodes between calls, so `settle` resumes the walk
     where it stopped, at the next open site. Edge sources come from state kept
-    along the walk: the last joint node (NextToken), the last use of each
-    variable, starting at its context node (NextUse), and the last decision
-    node (NextExp). Child, NextSibling, Parent and InhToSyn edges come from
-    the parent's list of children. NextExp edges are built exactly when
-    NEXT_EXP is in the edge set. `site` is the next open AST node, None once
-    the tree is complete.
+    along the walk: the last joint node (NextToken), `last_use` (NextUse) and
+    the last decision node (NextExp). Child, NextSibling, Parent and InhToSyn
+    edges come from the parent's list of children. NextExp edges are built
+    exactly when NEXT_EXP is in the edge set. Every walk over decisions reads
+    its rules here: `site` is the next open AST node, None once the tree is
+    complete; `key` is the node that scores its decision; `last_use` maps each
+    variable to its context node (if any) until its first use, then to the
+    joint node of its latest use. `decide` makes one decision and settles.
     """
 
     def __init__(self, tree: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
@@ -93,7 +95,7 @@ class GraphBuilder:
         self._add_node("inh", tree.root, tree.grammar.start)
         for name in self.ctx_vars:
             self._add_node("ctx", name, name)
-        self._last_use = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
+        self.last_use = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
         self._last_token = None
         self._last_decision = self.aid_of[("inh", tree.root)]
         self._stack = [(tree.root, _EXPAND)]  # the root inh node already exists
@@ -107,7 +109,7 @@ class GraphBuilder:
         b.nodes = list(self.nodes)
         b.edges = list(self.edges)
         b.aid_of = dict(self.aid_of)
-        b._last_use = dict(self._last_use)
+        b.last_use = dict(self.last_use)
         b._stack = list(self._stack)
         return b
 
@@ -141,6 +143,24 @@ class GraphBuilder:
                 break
         self.site = stack[-1][0] if stack else None
         return created
+
+    @property
+    def key(self):
+        """The node that scores the decision at `site`: the site's inherited
+        node, or for a terminal slot its parent's; None once complete."""
+        if not self._stack:
+            return None
+        nid, phase = self._stack[-1]  # _EXPAND at a nonterminal, _ENTER at a slot
+        return self.aid_of[("inh", nid if phase == _EXPAND else self.tree.nodes[nid].parent)]
+
+    def decide(self, kind: str, arg):
+        """Make decision `kind` ("P" production id, "V" variable, "L" literal
+        spelling) at `site` and settle; returns what `settle` returns."""
+        if kind == "P":
+            apply_production(self.tree, self.site, self.tree.grammar.productions[arg])
+        else:
+            bind_terminal(self.tree, self.site, arg)
+        return self.settle()
 
     # -- node/edge creation ------------------------------------------------
 
@@ -178,9 +198,9 @@ class GraphBuilder:
                     edges.append(Edge(self._last_token, NEXT_TOKEN, tgt))
                 self._last_token = tgt
                 if kind is Kind.VARIABLE:
-                    if NEXT_USE in wanted and node.binding in self._last_use:
-                        edges.append(Edge(self._last_use[node.binding], NEXT_USE, tgt))
-                    self._last_use[node.binding] = tgt
+                    if NEXT_USE in wanted and node.binding in self.last_use:
+                        edges.append(Edge(self.last_use[node.binding], NEXT_USE, tgt))
+                    self.last_use[node.binding] = tgt
             if NEXT_SIBLING in wanted and i > 0:
                 edges.append(Edge(self._src(parent.children[i - 1]), NEXT_SIBLING, tgt))
             if NEXT_EXP in wanted and kind is not Kind.FIXED:  # a decision node
@@ -192,14 +212,8 @@ class GraphBuilder:
     # -- finished graph ----------------------------------------------------
 
     def graph(self) -> AttributeGraph:
-        comp = {
-            "offset": 0,
-            "n": len(self.nodes),
-            "root_inh": 0,
-            "ctx": {name: self.aid_of[("ctx", name)] for name in self.ctx_vars},
-            "inh": {r[1]: a for r, a in self.aid_of.items() if r[0] == "inh"},
-            "joint": {r[1]: a for r, a in self.aid_of.items() if r[0] == "joint"},
-        }
+        ctx = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
+        comp = {"offset": 0, "n": len(self.nodes), "root_inh": 0, "ctx": ctx}
         gr = AttributeGraph(list(self.nodes), list(self.edges), [], [comp])
         gr.schedule = propagation_schedule(gr)
         return gr
@@ -267,8 +281,6 @@ def batch_graphs(graphs: list[AttributeGraph]) -> AttributeGraph:
                     "n": comp["n"],
                     "root_inh": comp["root_inh"] + offset,
                     "ctx": {k: v + offset for k, v in comp["ctx"].items()},
-                    "inh": {k: v + offset for k, v in comp["inh"].items()},
-                    "joint": {k: v + offset for k, v in comp["joint"].items()},
                 }
             )
         offset += len(gr.nodes)

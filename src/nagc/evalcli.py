@@ -202,7 +202,7 @@ def _build_parser():
     c.add_argument("--data", required=True)
     c.add_argument("--config", choices=["tree", "asn", "syn", "nag"], default="nag")
     c.add_argument("--encoder", choices=["seq", "graph"], default="graph")
-    c.add_argument("--epochs", type=int, default=50)
+    c.add_argument("--epochs", type=_positive_int, default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--batch-size", type=_positive_int, default=20)
     c.add_argument("--lr", type=_positive_float, default=1e-3)

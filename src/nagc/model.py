@@ -24,7 +24,7 @@ from . import neural as nn
 from .grammar import (
     Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
 )
-from .syntax import new_partial_ast, apply_production, bind_terminal, serialize_tokens
+from .syntax import new_partial_ast, serialize_tokens
 
 
 class ModelError(Exception):
@@ -299,38 +299,31 @@ def prep_context(model: Model, before, after, scope) -> Prepped:
 
 
 def prep_sample(model: Model, sample) -> Prepped:
-    """prep_context plus the target tree's attribute graph and decision plan."""
+    """prep_context plus the target tree's attribute graph and decision plan,
+    read off a GraphBuilder that replays the target's decisions as decoding
+    makes them: each decision's key, and its var_rows from `last_use`."""
     g, cfg = model.grammar, model.config
-    tree = sample.target_tree(g)
     pr = prep_context(model, sample.before, sample.after, sample.scope)
-    graph = ag.augment_full_tree(tree, pr.ctx_order, edge_set=cfg.edge_set,
-                                 labels=cfg.child_labels)
-    label_idx = np.full(len(graph.nodes), -1, dtype=np.int64)
-    comp = graph.components[0]
-    seeded = {comp["root_inh"]} | set(comp["ctx"].values())
-    for node in graph.nodes:
-        if node.aid not in seeded:
-            label_idx[node.aid] = _attr_label_id(model, tree, node)
-
-    inh, joint = comp["inh"], comp["joint"]
-    plan = []
-    # a variable's row at a decision: its context node until its first use,
-    # then the joint node of its latest use
-    rows = [comp["ctx"][name] for name in pr.ctx_order]
-    var_rows = []
-    for dec in tree.history:
-        var_rows.append(list(rows))
+    builder = ag.GraphBuilder(new_partial_ast(g), pr.ctx_order, edge_set=cfg.edge_set,
+                              labels=cfg.child_labels)
+    label_idx = [-1] * len(builder.nodes)  # the encoder seeds the root and context nodes
+    plan, var_rows = [], []
+    for dec in sample.target_tree(g).history:
+        var_rows.append([builder.last_use[name] for name in pr.ctx_order])
+        key = builder.key
+        created = builder.decide(dec[0], dec[-1])
+        label_idx += [_attr_label_id(model, builder.tree, node) for node, _ in created]
         if dec[0] == "P":
-            plan.append(("P", inh[dec[1]], dec[2], tree.nodes[dec[1]].label))
+            plan.append(("P", key, dec[2], builder.tree.nodes[dec[1]].label))
         elif dec[0] == "V":
-            plan.append(("V", inh[tree.nodes[dec[1]].parent], dec[2], joint[dec[1]]))
-            rows[pr.ctx_order.index(dec[2])] = joint[dec[1]]
+            plan.append(("V", key, dec[2], builder.last_use[dec[2]]))
         else:
-            plan.append(("L", inh[tree.nodes[dec[1]].parent], dec[2], dec[3]))
+            plan.append(("L", key, dec[2], dec[3]))
 
-    pr.tree, pr.graph, pr.label_idx, pr.plan = tree, graph, label_idx, plan
-    pr.var_rows = np.array(var_rows, dtype=np.int64).reshape(len(plan), len(rows))
-    pr.n_tokens = len(serialize_tokens(tree))
+    pr.tree, pr.graph, pr.plan = builder.tree, builder.graph(), plan
+    pr.label_idx = np.array(label_idx, dtype=np.int64)
+    pr.var_rows = np.array(var_rows, dtype=np.int64)
+    pr.n_tokens = len(serialize_tokens(builder.tree))
     return pr
 
 
@@ -834,23 +827,15 @@ class BeamResult:
 
 
 class _Hyp:
-    __slots__ = ("builder", "states", "var_rows", "logp")
+    __slots__ = ("builder", "states", "logp")
 
-    def __init__(self, builder, states, var_rows, logp):
+    def __init__(self, builder, states, logp):
         self.builder = builder
         self.states = states  # aid -> (H,) tensor
-        self.var_rows = var_rows  # name -> (H,) tensor
         self.logp = logp
 
     def clone(self):
-        return _Hyp(self.builder.copy(), dict(self.states), dict(self.var_rows), self.logp)
-
-
-def _settle_states(model: Model, hyp: _Hyp):
-    tree = hyp.builder.tree
-    for node, in_edges in hyp.builder.settle():
-        label_id = _attr_label_id(model, tree, node)
-        hyp.states[node.aid] = node_representation(model, label_id, in_edges, hyp.states.__getitem__)
+        return _Hyp(self.builder.copy(), dict(self.states), self.logp)
 
 
 def decode_beam(model: Model, before, after, scope, width: int = 5,
@@ -869,10 +854,10 @@ def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
     cfg = model.config
     builder = ag.GraphBuilder(new_partial_ast(model.grammar), pr.ctx_order,
                               edge_set=cfg.edge_set, labels=cfg.child_labels)
-    states = {builder.aid_of[("inh", 0)]: enc.root}
+    states = {builder.key: enc.root}
     for name in pr.ctx_order:
-        states[builder.aid_of[("ctx", name)]] = enc.var_reps[name]
-    return _Hyp(builder, states, {n: enc.var_reps[n] for n in pr.ctx_order}, 0.0)
+        states[builder.last_use[name]] = enc.var_reps[name]
+    return _Hyp(builder, states, 0.0)
 
 
 def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
@@ -893,7 +878,7 @@ def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
                 continue
             child = hyp.clone()
             child.logp = logp
-            _apply_action(model, child, action)
+            _apply_action(model, child, *action)
             if child.builder.site is None:
                 finished.append(child)
             else:
@@ -907,23 +892,23 @@ def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
 
 
 def _score_site(model: Model, hyp: _Hyp, enc: ContextEncoding, pr: Prepped):
-    """(probs, actions) at the next expansion site, one action per softmax
-    slot. A variable slot with an empty scope is a dead end: no actions."""
-    tree, site = hyp.builder.tree, hyp.builder.site
-    node = tree.nodes[site]
-    rows = [hyp.var_rows[n] for n in pr.ctx_order]
-    if tree.is_unexpanded_nonterminal(site):
-        key = hyp.states[hyp.builder.aid_of[("inh", site)]]
-        probs = pick_production_dist(model, key, node.label, enc, rows)
-        return probs, [("P", site, pid) for pid in range(len(probs.data))]
-    key = hyp.states[hyp.builder.aid_of[("inh", node.parent)]]
+    """(probs, actions) at the next expansion site, one (kind, arg) action
+    per softmax slot. A variable slot with an empty scope is a dead end: no
+    actions."""
+    b = hyp.builder
+    node = b.tree.nodes[b.site]
+    key = hyp.states[b.key]
+    rows = [hyp.states[b.last_use[n]] for n in pr.ctx_order]
     sym = model.grammar.symbols[node.label]
+    if sym.kind is Kind.NONTERMINAL:
+        probs = pick_production_dist(model, key, node.label, enc, rows)
+        return probs, [("P", pid) for pid in range(len(probs.data))]
     if sym.kind is Kind.VARIABLE:
         if not rows:
             return nn.Tensor(np.zeros(0)), []
-        return pick_variable_dist(model, key, rows), [("V", site, n) for n in pr.ctx_order]
+        return pick_variable_dist(model, key, rows), [("V", n) for n in pr.ctx_order]
     probs, spellings = pick_literal_dist(model, key, sym.lit_class, enc, pr.lex[sym.lit_class])
-    return probs, [("L", site, sp) for sp in spellings]
+    return probs, [("L", sp) for sp in spellings]
 
 
 def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped, width):
@@ -936,15 +921,12 @@ def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped, width):
     return out[:width]
 
 
-def _apply_action(model: Model, hyp: _Hyp, action):
-    kind, site, arg = action
-    if kind == "P":
-        apply_production(hyp.builder.tree, site, model.grammar.productions[arg])
-    else:
-        bind_terminal(hyp.builder.tree, site, arg)
-    _settle_states(model, hyp)
-    if kind == "V":
-        hyp.var_rows[arg] = hyp.states[hyp.builder.aid_of[("joint", site)]]
+def _apply_action(model: Model, hyp: _Hyp, kind: str, arg):
+    """Make one decision and compute the states of the nodes it settles."""
+    tree = hyp.builder.tree
+    for node, in_edges in hyp.builder.decide(kind, arg):
+        label_id = _attr_label_id(model, tree, node)
+        hyp.states[node.aid] = node_representation(model, label_id, in_edges, hyp.states.__getitem__)
 
 
 def forced_decode(model: Model, sample):
@@ -961,8 +943,7 @@ def forced_decode(model: Model, sample):
         for dec in pr.tree.history:
             probs, _ = _score_site(model, hyp, enc, pr)
             dists.append(probs.data.copy())
-            # (kind, site, arg): a literal record also carries its class
-            _apply_action(model, hyp, dec[:2] + dec[-1:])
+            _apply_action(model, hyp, dec[0], dec[-1])
     return {aid: t.data for aid, t in hyp.states.items()}, dists
 
 

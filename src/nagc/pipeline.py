@@ -384,12 +384,15 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
                 continue
             try:
                 obj = json.loads(line)
+                if not (isinstance(obj["before"], list) and isinstance(obj["after"], list)
+                        and isinstance(obj["scope"], dict)):
+                    raise TypeError("before and after must be lists, scope an object")
                 s = Sample(
                     file=obj["file"],
-                    before=list(obj["before"]),
-                    after=list(obj["after"]),
+                    before=obj["before"],
+                    after=obj["after"],
                     hole_type=obj["hole_type"],
-                    scope=dict(obj["scope"]),
+                    scope=obj["scope"],
                     target=obj["target"],
                 )
                 texts = [s.file, s.hole_type, s.target, *s.before, *s.after, *s.scope.values()]

@@ -23,7 +23,8 @@ from nagc.attrgraph import (
     export_dot,
     propagation_schedule,
 )
-from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
+from nagc.grammar import Kind
+from nagc.syntax import new_partial_ast, next_expansion_site, trees_equal
 
 
 def _tree(g, text):
@@ -79,9 +80,29 @@ DECODER_EDGES = [((CHILD,), False), ((CHILD,), True), ((CHILD, NEXT_EXP), False)
                  (PAPER_EDGE_TYPES, True)]
 
 
+def _brute_key_and_last_use(t, b, ctx):
+    # the rules recomputed from the partial tree alone: the key is the site's
+    # inherited node, or its parent's at a terminal slot; a variable's node is
+    # its context node until its first use, then the joint node of its latest
+    # use in generation (pre)order
+    aid = {(n.flavor, n.origin): n.aid for n in b.nodes}
+    site = next_expansion_site(t)
+    key = None
+    if site is not None:
+        owner = site if t.is_unexpanded_nonterminal(site) else t.nodes[site].parent
+        key = aid[("inh", owner)]
+    last_use = {name: aid[("ctx", name)] for name in ctx}
+    for nid in t.preorder():
+        node = t.nodes[nid]
+        if t.grammar.symbols[node.label].kind is Kind.VARIABLE and node.binding is not None:
+            last_use[node.binding] = aid[("joint", nid)]
+    return key, last_use
+
+
 def test_builder_settled_per_decision_matches_one_shot(g):
     # the walk resumed after every decision ends where one-shot augmentation
-    # does, and its site is always the tree's next expansion site
+    # does; its site is always the tree's next expansion site, and its key and
+    # last_use always follow the rules recomputed from the partial tree
     rng = np.random.default_rng(1)
     scopes = (["i"], ["i", "j"], ["i", "j", "s", "b", "arr"])
     for k in range(1000):
@@ -92,18 +113,16 @@ def test_builder_settled_per_decision_matches_one_shot(g):
             t = new_partial_ast(g)
             b = GraphBuilder(t, ctx, edge_set=edge_set, labels=labels)
             for dec in full.history:
-                site = next_expansion_site(t)
-                assert b.site == site
-                if dec[0] == "P":
-                    apply_production(t, site, g.productions[dec[2]])
-                else:
-                    bind_terminal(t, site, dec[2] if dec[0] == "V" else dec[3])
+                assert b.site == next_expansion_site(t) == dec[1]
+                assert (b.key, b.last_use) == _brute_key_and_last_use(t, b, ctx)
                 n_nodes, n_edges = len(b.nodes), len(b.edges)
-                created = b.settle()
+                created = b.decide(dec[0], dec[-1])
                 assert [n for n, _ in created] == b.nodes[n_nodes:]
                 assert [e for _, es in created for e in es] == b.edges[n_edges:]
                 assert all(e.tgt == n.aid for n, es in created for e in es)
             assert b.site is None
+            assert (b.key, b.last_use) == _brute_key_and_last_use(t, b, ctx)
+            assert trees_equal(t, full)
             one = GraphBuilder(full, ctx, edge_set=edge_set, labels=labels)
             assert list(b.aid_of.items()) == list(one.aid_of.items())
             assert b.graph() == augment_full_tree(full, ctx, edge_set=edge_set, labels=labels)
@@ -198,8 +217,8 @@ def test_batch_unbatch_round_trip(g):
                 for e in batched.edges if lo <= e.tgt < hi] == orig.edges
         rounds = [[a - lo for a in rnd if lo <= a < hi] for rnd in batched.schedule]
         assert rounds[: len(orig.schedule)] == orig.schedule
-        for key in ("ctx", "inh", "joint"):
-            assert {k: v - lo for k, v in comp[key].items()} == orig.components[0][key]
+        assert comp["root_inh"] - lo == orig.components[0]["root_inh"]
+        assert {k: v - lo for k, v in comp["ctx"].items()} == orig.components[0]["ctx"]
 
 
 def test_export_dot_colors(g):

@@ -133,10 +133,11 @@ def test_cli_usage_errors_exit_1(capsys):
     assert run_cli(["train", "--data", "x"]) == 1  # missing --ckpt
     assert run_cli([]) == 1
     capsys.readouterr()
-    for size in ("0", "-3"):
-        assert run_cli(["train", "--data", "x", "--ckpt", "m", "--batch-size", size]) == 1
-        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
-        assert len(err) == 1 and "--batch-size" in err[0], err
+    for flag in ("--batch-size", "--epochs"):
+        for size in ("0", "-3"):
+            assert run_cli(["train", "--data", "x", "--ckpt", "m", flag, size]) == 1
+            err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+            assert len(err) == 1 and flag in err[0], err
     # a bad width fails in the parser, before any data is read
     for argv in (["evaluate", "--data", "x", "--ckpt", "m", "--beam", "0"],
                  ["complete", "--ckpt", "m", "--sample", "x", "--beam", "-1"]):
@@ -173,9 +174,10 @@ def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):
 
 
 # the second line of a sample file: a scope variable of an unknown type, an
-# ill-typed target, a context token that is not a string, or a byte that is
-# not UTF-8
-@pytest.mark.parametrize("fault", ["scope-type", "ill-typed", "token-type", "not-utf8"])
+# ill-typed target, a context token that is not a string, a byte that is not
+# UTF-8, a context given as one string, or a scope given as a list of pairs
+@pytest.mark.parametrize("fault", ["scope-type", "ill-typed", "token-type", "not-utf8",
+                                   "before-string", "scope-pairs"])
 def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples[:2], path)
@@ -189,6 +191,10 @@ def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
             obj["scope"]["f"] = "float"
         elif fault == "token-type":
             obj["before"][0] = 1
+        elif fault == "before-string":
+            obj["before"] = " ".join(obj["before"])
+        elif fault == "scope-pairs":
+            obj["scope"] = sorted(obj["scope"].items())
         else:
             obj["target"] = 'P4 P1 Lint:1 P2 Lstring:"a"'  # int + string
         second = json.dumps(obj).encode()

@@ -168,6 +168,23 @@ def test_jsonl_truncated_line_names_line(tmp_path, g, corpus_samples):
     assert ":3" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["before", "after", "scope"])
+def test_jsonl_rejects_mistyped_containers(field, tmp_path, g, corpus_samples):
+    # a string context or a scope of [name, type] pairs would coerce into
+    # characters or a dict and pass validation; neither may load
+    s = next(s for s in corpus_samples if s.before and s.after)
+    obj = {"file": s.file, "before": s.before, "after": s.after, "hole_type": s.hole_type,
+           "scope": s.scope, "target": s.target}
+    obj[field] = sorted(s.scope.items()) if field == "scope" else " ".join(obj[field])
+    path = str(tmp_path / "m.jsonl")
+    P.write_jsonl([s], path)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(obj) + "\n")
+    with pytest.raises(PipelineError) as err:
+        P.read_jsonl(path, g)
+    assert ":2: malformed sample" in str(err.value)
+
+
 def test_read_validates_invariants(tmp_path, g):
     bad = _mk("f", ["t"], [], {}, "P4 P0 Vzz P1 Lint:1")  # zz out of scope
     path = str(tmp_path / "bad.jsonl")
