@@ -184,8 +184,8 @@ def _build_parser():
 
     c = sub.add_parser("gen-corpus")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--files", type=int, default=200)
-    c.add_argument("--stmts", type=int, default=8)
+    c.add_argument("--files", type=_positive_int, default=200)
+    c.add_argument("--stmts", type=_positive_int, default=8)
     c.add_argument("--out", required=True)
 
     c = sub.add_parser("extract")

@@ -355,14 +355,13 @@ def _prep_program_graph(model: Model, pr: Prepped):
 
 def _encode_tokens(model: Model, idx, prefix: str):
     """Two bi-GRU layers over token ids, (T,) or time-major (T, B): the top
-    layer's states, (T, ..., H), and its final state, (..., H)."""
+    layer's states, (T, ..., H), and its final state, (..., H). Each layer
+    is one fused scan over both directions."""
     p = model.params
     x = nn.rows(p["enc_tok_emb"], idx)
     for layer in (1, 2):
-        f = nn.gru_scan(x, p, f"{prefix}{layer}_f")
-        b = nn.gru_scan(x, p, f"{prefix}{layer}_b", reverse=True)
-        x = nn.concat([f, b], axis=-1)
-    return x, nn.concat([nn.rows(f, len(idx) - 1), nn.rows(b, 0)], axis=-1)
+        x = nn.bigru_scan(x, p, f"{prefix}{layer}")
+    return x, nn.bigru_final(x)
 
 
 def _mask_window(toks, name: str, scope) -> list:
@@ -824,6 +823,9 @@ def fold_perplexity(model: Model, samples) -> tuple:
 class BeamResult:
     hypotheses: list  # (tree, log_prob), best first
     discarded: int  # hypotheses dropped for exceeding max-steps
+    expanded: int  # continuations scored: nonzero one-action extensions
+    pruned: int  # of those, cut by the width and never made a hypothesis
+    dead_end: int  # hypotheses whose site had no actions (empty scope)
 
 
 class _Hyp:
@@ -864,13 +866,21 @@ def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
     enc = encode(model, pr)
     beam = [_root_hyp(model, pr, enc)]
     finished: list[_Hyp] = []
+    expanded = pruned = dead_end = 0
     for _ in range(max_steps):
         if not beam:
             break
         pool = [(h.logp, None, h) for h in finished]
         for hyp in beam:
-            pool.extend(_continuations(model, hyp, enc, pr, width))
+            conts = _continuations(model, hyp, enc, pr)
+            if conts is None:
+                dead_end += 1
+                continue
+            expanded += len(conts)
+            pruned += max(0, len(conts) - width)
+            pool.extend(conts[:width])
         pool.sort(key=lambda x: -x[0])
+        pruned += sum(action is not None for _, action, _ in pool[width:])
         beam, finished = [], []
         for logp, action, hyp in pool[:width]:
             if action is None:
@@ -888,6 +898,9 @@ def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
     return BeamResult(
         hypotheses=[(h.builder.tree, h.logp) for h in finished],
         discarded=len(beam),
+        expanded=expanded,
+        pruned=pruned,
+        dead_end=dead_end,
     )
 
 
@@ -911,14 +924,17 @@ def _score_site(model: Model, hyp: _Hyp, enc: ContextEncoding, pr: Prepped):
     return probs, [("L", sp) for sp in spellings]
 
 
-def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped, width):
-    """The `width` best one-action extensions of `hyp`. Equal actions (a
-    literal spelled in the vocab and copied from the context) merge first."""
+def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped):
+    """The one-action extensions of `hyp` with nonzero probability, best
+    first, or None at a dead end. Equal actions (a literal spelled in the
+    vocab and copied from the context) merge first."""
     probs, actions = _score_site(model, hyp, enc, pr)
+    if not actions:
+        return None
     merged = literal_spelling_probs(probs, actions)
     out = [(hyp.logp + math.log(p), action, hyp) for action, p in merged.items() if p > 0]
     out.sort(key=lambda x: -x[0])
-    return out[:width]
+    return out
 
 
 def _apply_action(model: Model, hyp: _Hyp, kind: str, arg):

@@ -633,71 +633,132 @@ def append_rows(table, new, buf: np.ndarray):
 def gru_cell(x, h, p: ParamStore, prefix: str = "g"):
     """One standard GRU step from state h: works on vectors or on (N, d)
     batches row-wise."""
-    return _gru(as_tensor(x), as_tensor(h), p, prefix, reverse=False, step=True)
+    return _gru(as_tensor(x), as_tensor(h), p, (prefix,))
 
 
-def gru_scan(x, p: ParamStore, prefix: str, reverse: bool = False):
-    """A GRU run from the zero state over time-major x, (T, d) or (T, B, d).
-    Returns every state, (T, H) or (T, B, H), aligned with x: the final
-    state of a reverse run is row 0."""
-    return _gru(as_tensor(x), None, p, prefix, reverse, step=False)
+def bigru_scan(x, p: ParamStore, prefix: str):
+    """A bidirectional GRU layer over time-major x, (T, d) or (T, B, d): the
+    GRUs `prefix`_f (forward in time) and `prefix`_b (backward) both run from
+    the zero state, as one fused scan. Returns (T, 2H) or (T, B, 2H), aligned
+    with x: row t is [h_f(t), h_b(t)], where h_f(t) has read x[:t + 1] and
+    h_b(t) x[t:]."""
+    return _gru(as_tensor(x), None, p, (f"{prefix}_f", f"{prefix}_b"))
 
 
-def _gru(x, h0, p: ParamStore, prefix: str, reverse: bool, step: bool):
-    """The GRU kernel: a whole run is one tape node with a hand-written
-    backward through time. x is time-major unless `step`, in which case x and
-    the result have no time axis. h0 None is the zero state. Each gate keeps
-    its own contiguous arrays: column slices of stacked gates are strided,
-    and elementwise work on them is several times slower."""
-    params = [p[f"{prefix}_{m}{g}"] for m in "WUb" for g in "zrh"]
-    Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in params)
-    xs = x.data[None] if step else x.data
-    xz, xr, xh = xs @ Wz, xs @ Wr, xs @ Wh  # input projections of all steps
-    T = len(xs)
-    h = np.zeros(xz.shape[1:], dtype=xz.dtype) if h0 is None else h0.data
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    saved = [None] * T  # t -> (h before step t, z, r, r * h, candidate)
-    out = [None] * T
-    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
-        for t in order:
-            z = 1.0 / (1.0 + np.exp(-(xz[t] + h @ Uz + bz)))
-            r = 1.0 / (1.0 + np.exp(-(xr[t] + h @ Ur + br)))
-            rh = r * h
-            hh = np.tanh(xh[t] + rh @ Uh + bh)
-            saved[t] = (h, z, r, rh, hh)
-            h = out[t] = (1.0 - z) * h + z * hh
+def bigru_final(states):
+    """The final state of a bigru_scan result, (..., 2H): the forward half of
+    its last row and the backward half of its first."""
+    states = as_tensor(states)
+    H = states.data.shape[-1] // 2
 
     def bw(g):
-        g = g[None] if step else g
-        # gate pre-activation gradients, (T, ..., H) each
+        gs = np.zeros_like(states.data)
+        gs[-1, ..., :H] = g[..., :H]
+        gs[0, ..., H:] = g[..., H:]
+        _accum(states, gs)
+
+    return _make(np.concatenate([states.data[-1, ..., :H], states.data[0, ..., H:]], axis=-1),
+                 (states,), bw)
+
+
+def _block_diag(a, b):
+    out = np.zeros((len(a) + len(b),) * 2, dtype=a.dtype)
+    out[: len(a), : len(a)], out[len(a) :, len(a) :] = a, b
+    return out
+
+
+def _flip_back(a, H: int):
+    """A time-major (T, ..., 2H) array with its second half flipped in time:
+    maps the time-aligned rows of a bidirectional layer to the steps of its
+    fused scan and back."""
+    return np.concatenate([a[..., :H], a[::-1, ..., H:]], axis=-1)
+
+
+def _gru(x, h0, p: ParamStore, prefixes):
+    """The GRU kernel: a whole run is one tape node with a hand-written
+    backward through time. With h0, one step of the GRU prefixes[0] on x
+    without a time axis. Without, a scan from the zero state over time-major
+    x; with two prefixes, the second GRU runs backwards in time, fused with
+    the first: the state is [h_f, h_b], scan step s reads x[s] and x[T-1-s],
+    and the recurrent weights are block-diagonal, assembled here from each
+    GRU's own arrays. Each gate keeps its own contiguous arrays: column
+    slices of stacked gates are strided, and elementwise work on them is
+    several times slower."""
+    step, k = h0 is not None, len(prefixes)
+    params = [p[f"{pre}_{m}{g}"] for m in "WUb" for g in "zrh" for pre in prefixes]
+    if k == 1:
+        Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in params)
+    else:
+        parts = [[t.data for t in params[i : i + k]] for i in range(0, 9 * k, k)]
+        Wz, Wr, Wh, bz, br, bh = (np.concatenate(ds, axis=-1) for ds in parts[:3] + parts[6:])
+        Uz, Ur, Uh = (_block_diag(*ds) for ds in parts[3:6])
+    H = len(Uz) // k  # state width of one GRU
+    xs = x.data[None] if step else x.data
+    xz, xr, xh = xs @ Wz + bz, xs @ Wr + br, xs @ Wh + bh  # input side of all steps
+    if k > 1:
+        xz, xr, xh = _flip_back(xz, H), _flip_back(xr, H), _flip_back(xh, H)
+    T = len(xs)
+    h = h0.data if step else np.zeros(xz.shape[1:], dtype=xz.dtype)
+    saved, out = [], []  # per scan step: (state before it, z, r, r * h, candidate); state after it
+    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
+        for s in range(T):
+            z = np.exp(-(xz[s] + h @ Uz))
+            z += 1.0
+            np.reciprocal(z, out=z)
+            r = np.exp(-(xr[s] + h @ Ur))
+            r += 1.0
+            np.reciprocal(r, out=r)
+            rh = r * h
+            c = np.tanh(xh[s] + rh @ Uh)
+            saved.append((h, z, r, rh, c))
+            h = h + z * (c - h)
+            out.append(h)
+
+    def bw(g):
+        g = g[None] if step else g if k == 1 else _flip_back(g, H)
+        HP, Z, R, RH, C = (a[0][None] if T == 1 else np.stack(a) for a in zip(*saved))
+        # the local derivatives of every step at once: dh/dh_prev through
+        # 1 - z, and those of c, z and r by their pre-activations, times
+        # what the chain rule multiplies them by
+        keep = 1.0 - Z
+        dc_da, dz_da, dr_da = Z * (1.0 - C * C), (C - HP) * Z * keep, HP * R * (1.0 - R)
+        UzT, UrT, UhT = Uz.T, Ur.T, Uh.T
+        # gate pre-activation gradients per scan step, (T, ..., k * H) each
         daz, dar, dah = (np.empty_like(xz) for _ in range(3))
         dh = np.zeros_like(h)
-        for t in reversed(order):
-            hp, z, r, rh, hh = saved[t]
-            dh = dh + g[t]
-            dah[t] = dh * z * (1.0 - hh * hh)
-            drh = dah[t] @ Uh.T
-            daz[t] = dh * (hh - hp) * z * (1.0 - z)
-            dar[t] = drh * hp * r * (1.0 - r)
-            dh = dh * (1.0 - z) + drh * r + daz[t] @ Uz.T + dar[t] @ Ur.T
+        for s in reversed(range(T)):
+            dh = dh + g[s]
+            dah[s] = dh * dc_da[s]
+            drh = dah[s] @ UhT
+            daz[s] = dh * dz_da[s]
+            dar[s] = drh * dr_da[s]
+            dh = dh * keep[s] + drh * R[s] + daz[s] @ UzT + dar[s] @ UrT
 
         def flat(a):
             return a.reshape(-1, a.shape[-1])
 
-        X = flat(xs)
-        HP, RH = (flat(np.stack([s[i] for s in saved])) for i in (0, 3))
+        HP, RH = flat(HP), flat(RH)
         dz, dr, dhh = flat(daz), flat(dar), flat(dah)
-        grads = [X.T @ dz, X.T @ dr, X.T @ dhh, HP.T @ dz, HP.T @ dr, RH.T @ dhh,
-                 dz.sum(axis=0), dr.sum(axis=0), dhh.sum(axis=0)]
-        for t, gt in zip(params, grads):
-            _accum(t, gt)
+        if k > 1:  # back to time-aligned rows, as x
+            daz, dar, dah = _flip_back(daz, H), _flip_back(dar, H), _flip_back(dah, H)
+        X, xdz, xdr, xdh = flat(xs), flat(daz), flat(dar), flat(dah)
+        for i in range(k):  # the diagonal blocks go to each GRU
+            c = slice(i * H, (i + 1) * H)
+            grads = [X.T @ xdz[:, c], X.T @ xdr[:, c], X.T @ xdh[:, c],
+                     HP[:, c].T @ dz[:, c], HP[:, c].T @ dr[:, c], RH[:, c].T @ dhh[:, c],
+                     dz[:, c].sum(axis=0), dr[:, c].sum(axis=0), dhh[:, c].sum(axis=0)]
+            for j, gt in enumerate(grads):
+                _accum(params[j * k + i], gt)
         dx = daz @ Wz.T + dar @ Wr.T + dah @ Wh.T
         _accum(x, dx[0] if step else dx)
-        if h0 is not None:
+        if step:
             _accum(h0, dh)
 
-    parents = [x] + params + ([h0] if h0 is not None else [])
-    return _make(out[0] if step else np.stack(out), parents, bw)
+    parents = [x] + params + ([h0] if step else [])
+    if step:
+        return _make(h, parents, bw)
+    out = np.stack(out)
+    return _make(out if k == 1 else _flip_back(out, H), parents, bw)
 
 
 def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:

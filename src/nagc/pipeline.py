@@ -210,6 +210,8 @@ def generate_corpus(seed: int, n_files: int, stmts_per_file: int = 8):
     """Deterministic list of (filename, text) MiniExpr programs."""
     if n_files < 1:
         raise PipelineError("n_files must be >= 1")
+    if stmts_per_file < 1:
+        raise PipelineError("stmts_per_file must be >= 1")
     files = []
     for i in range(n_files):
         rng = np.random.default_rng([seed, i])

@@ -138,6 +138,12 @@ def test_cli_usage_errors_exit_1(capsys):
             assert run_cli(["train", "--data", "x", "--ckpt", "m", flag, size]) == 1
             err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
             assert len(err) == 1 and flag in err[0], err
+    # a corpus needs at least one file of at least one statement
+    for flag in ("--files", "--stmts"):
+        for size in ("0", "-1", "-3"):
+            assert run_cli(["gen-corpus", "--out", "never-written", flag, size]) == 1
+            err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+            assert len(err) == 1 and flag in err[0], err
     # a bad width fails in the parser, before any data is read
     for argv in (["evaluate", "--data", "x", "--ckpt", "m", "--beam", "0"],
                  ["complete", "--ckpt", "m", "--sample", "x", "--beam", "-1"]):

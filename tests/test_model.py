@@ -104,6 +104,50 @@ def _loop_bigru(x, p, prefix):
     return nn.concat([nn.stack_rows(fwd), nn.stack_rows(bwd)], axis=1), fwd[-1], bwd[0]
 
 
+def test_encode_seq_matches_per_token_loop(small, folds, fitted_grammar, token_vocab):
+    # the token encoder (one fused scan per bi-GRU layer) against the
+    # per-token loop over enc_seq1 and enc_seq2: token states, final state
+    # and root in float32; in float64 also every parameter's gradient
+    def loop_encode(m, pr):
+        p = m.params
+        x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], pr.tok_idx), p, "enc_seq1")
+        states, ff, bf = _loop_bigru(x, p, "enc_seq2")
+        final = nn.concat([ff, bf])
+        return states, final, nn.linear(final, p, "enc_root")
+
+    def fused_encode(m, pr):
+        enc = encode_seq(m, pr)
+        return enc.token_states, M._encode_tokens(m, pr.tok_idx, "enc_seq")[1], enc.root
+
+    with nn.no_grad():
+        for s in folds["train"][:6]:
+            pr = M.prep_context(small, s.before, s.after, s.scope)
+            for got, want in zip(fused_encode(small, pr), loop_encode(small, pr)):
+                assert got.data.shape == want.data.shape
+                assert np.max(np.abs(got.data - want.data)) < 1e-6
+
+    m = Model(fitted_grammar, config="NAG", encoder="seq", hidden=8, emb_dim=4, edge_emb=4,
+              seed=1, token_vocab=token_vocab)
+    m.params = m.params.astype(np.float64)
+    rng = np.random.default_rng(5)
+    for _, t in m.params.items():  # nonzero biases
+        t.data = rng.normal(scale=0.5, size=t.data.shape)
+    for s in folds["train"][:2]:
+        pr = M.prep_context(m, s.before, s.after, s.scope)
+        weights = [nn.Tensor(rng.normal(size=(len(pr.tokens), 8))), nn.Tensor(rng.normal(size=8))]
+        grads = []
+        for encode in (fused_encode, loop_encode):
+            states, _, root = encode(m, pr)
+            m.params.zero_grad()
+            nn.backward(nn.add(nn.tsum(nn.mul(states, weights[0])), nn.tsum(nn.mul(root, weights[1]))))
+            grads.append({n: t.grad.copy() for n, t in m.params.items() if t.grad is not None})
+        m.params.zero_grad()
+        got, want = grads
+        assert set(got) == set(want) and "enc_seq1_b_Uz" in got
+        for n in want:
+            assert np.max(np.abs(got[n] - want[n])) < 1e-8, n
+
+
 def test_prep_context_usage_windows(small, gmodel, folds):
     # each use with up to 5 tokens each side, never across the hole; variables
     # in sorted order, then windows before the hole before those after it,
@@ -743,6 +787,25 @@ def test_beam_respects_width_and_max_steps(small, folds):
     assert len(res.hypotheses) <= 3
     with pytest.raises(ModelError):
         decode_beam(small, s.before, s.after, s.scope, width=0)
+
+
+def test_beam_statistics(small, folds, monkeypatch):
+    # every scored continuation is either pruned or made a hypothesis
+    children = []
+    apply = M._apply_action
+    monkeypatch.setattr(M, "_apply_action", lambda *a: children.append(1) or apply(*a))
+    for s in folds["test"][:4]:
+        children.clear()
+        res = decode_beam(small, s.before, s.after, s.scope, width=5)
+        assert res.expanded == res.pruned + len(children)
+        assert res.pruned > 0 and res.dead_end == 0
+    # with no variable in scope, S -> Var leads to a slot without actions
+    m = Model(load_grammar(SMALL), config="NAG", encoder="seq", hidden=8, emb_dim=4,
+              edge_emb=4, seed=0)
+    children.clear()
+    res = decode_beam(m, ["a", ";"], [], {}, width=8)
+    assert res.dead_end == 1 and res.expanded == res.pruned + len(children)
+    assert all(tree.nodes[1].label != "Var" for tree, _ in res.hypotheses)
 
 
 # -- persistence ------------------------------------------------------------

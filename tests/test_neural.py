@@ -60,10 +60,12 @@ def test_linear_gradients():
     _fd_check(p, lambda: nn.tsum(nn.mul(linear(Tensor(x), p, "l"), linear(Tensor(x), p, "l"))))
 
 
-def _gru_store(seed, inputs):
-    """Float64 GRU parameters (prefix "g", d=4, H=3), biases nonzero, plus
-    the named input tensors, so that _fd_check covers their gradients too."""
-    p = init_params(gru_param_shapes("g", 4, 3), seed=seed, dtype=np.float64)
+def _gru_store(seed, inputs, prefixes=("g",)):
+    """Float64 GRU parameters (d=4, H=3) for each prefix, biases nonzero,
+    plus the named input tensors, so that _fd_check covers their gradients
+    too."""
+    shapes = {k: v for pre in prefixes for k, v in gru_param_shapes(pre, 4, 3).items()}
+    p = init_params(shapes, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     for _, t in p.items():
         t.data = rng.normal(size=t.data.shape)
@@ -78,6 +80,9 @@ def _weighted_sum(out, seed):
     return nn.tsum(nn.mul(nn.tanh(out), Tensor(w)))
 
 
+BI = ("g_f", "g_b")  # the two directions of a bidirectional layer "g"
+
+
 def test_gru_gradients():
     p = init_params(gru_param_shapes("g", 4, 3), seed=0, dtype=np.float64)
     rng = np.random.default_rng(2)
@@ -86,31 +91,39 @@ def test_gru_gradients():
     # one step on an (N, d) batch, gradients into x and h included
     p = _gru_store(1, {"x": (5, 4), "h": (5, 3)})
     _fd_check(p, lambda: _weighted_sum(gru_cell(p["x"], p["h"], p, "g"), 1))
-    # whole runs, (T, d) and time-major (T, B, d), both directions
+    # fused bidirectional runs and their final state, (T, d) and time-major
+    # (T, B, d)
     for shape in ((6, 4), (5, 2, 4)):
-        for reverse in (False, True):
-            p = _gru_store(2, {"x": shape})
-            _fd_check(p, lambda: _weighted_sum(nn.gru_scan(p["x"], p, "g", reverse), 2))
+        p = _gru_store(2, {"x": shape}, BI)
+        _fd_check(p, lambda: _weighted_sum(nn.bigru_scan(p["x"], p, "g"), 2))
+        p = _gru_store(3, {"x": shape}, BI)
+        _fd_check(p, lambda: _weighted_sum(nn.bigru_final(nn.bigru_scan(p["x"], p, "g")), 3))
 
 
 def test_gru_scan_equals_cell_loop():
-    # the whole-run kernel against a step-by-step gru_cell loop: same states
-    # and same gradients for every parameter and input
-    for shape in ((7, 4), (6, 3, 4)):
-        for reverse in (False, True):
-            a, b = _gru_store(3, {"x": shape}), _gru_store(3, {"x": shape})
-            w = np.random.default_rng(4).normal(size=shape[:-1] + (3,))
-            scan = nn.gru_scan(a["x"], a, "g", reverse)
-            backward(nn.tsum(nn.mul(scan, Tensor(w))))
+    # the fused bidirectional kernel against two step-by-step gru_cell loops,
+    # one per direction: same states, same final state and same gradients
+    # for every parameter and input
+    for shape in ((7, 4), (6, 3, 4), (1, 2, 4)):
+        a, b = _gru_store(3, {"x": shape}, BI), _gru_store(3, {"x": shape}, BI)
+        rng = np.random.default_rng(4)
+        w, wf = rng.normal(size=shape[:-1] + (6,)), rng.normal(size=shape[1:-1] + (6,))
+        scan = nn.bigru_scan(a["x"], a, "g")
+        final = nn.bigru_final(scan)
+        backward(nn.add(nn.tsum(nn.mul(scan, Tensor(w))), nn.tsum(nn.mul(final, Tensor(wf)))))
+        steps = {}
+        for d, order in (("f", range(shape[0])), ("b", reversed(range(shape[0])))):
             h = Tensor(np.zeros(shape[1:-1] + (3,)))
-            steps = {}
-            for t in (reversed(range(shape[0])) if reverse else range(shape[0])):
-                h = steps[t] = gru_cell(nn.rows(b["x"], t), h, b, "g")
-            loop = nn.stack_rows([steps[t] for t in range(shape[0])])
-            backward(nn.tsum(nn.mul(loop, Tensor(w))))
-            assert np.max(np.abs(scan.data - loop.data)) < 1e-10
-            for (name, ta), (_, tb) in zip(a.items(), b.items()):
-                assert np.max(np.abs(ta.grad - tb.grad)) < 1e-8, name
+            for t in order:
+                h = steps[d, t] = gru_cell(nn.rows(b["x"], t), h, b, f"g_{d}")
+        loop = nn.concat([nn.stack_rows([steps[d, t] for t in range(shape[0])]) for d in "fb"],
+                         axis=-1)
+        loop_final = nn.concat([steps["f", shape[0] - 1], steps["b", 0]], axis=-1)
+        backward(nn.add(nn.tsum(nn.mul(loop, Tensor(w))), nn.tsum(nn.mul(loop_final, Tensor(wf)))))
+        assert np.max(np.abs(scan.data - loop.data)) < 1e-10
+        assert np.max(np.abs(final.data - loop_final.data)) < 1e-10
+        for (name, ta), (_, tb) in zip(a.items(), b.items()):
+            assert np.max(np.abs(ta.grad - tb.grad)) < 1e-8, name
 
 
 def test_embedding_gradients():

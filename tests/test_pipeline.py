@@ -20,6 +20,12 @@ def test_generate_corpus_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("n_files, stmts", [(0, 8), (3, 0), (3, -1)])
+def test_generate_corpus_rejects_empty_files(n_files, stmts):
+    with pytest.raises(PipelineError):
+        P.generate_corpus(seed=0, n_files=n_files, stmts_per_file=stmts)
+
+
 def test_generated_files_parse_and_type_check(g):
     for name, text in P.generate_corpus(seed=9, n_files=15):
         tokens = L.tokenize(text)
