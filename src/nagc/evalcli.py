@@ -158,14 +158,21 @@ class _UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # NumPy's generators take non-negative seeds only
 
 
 def _positive_float(text: str) -> float:
@@ -183,7 +190,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("gen-corpus")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--files", type=_positive_int, default=200)
     c.add_argument("--stmts", type=_positive_int, default=8)
     c.add_argument("--out", required=True)
@@ -195,7 +202,7 @@ def _build_parser():
     c = sub.add_parser("split")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--ratio", default="3:1:1")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--out-dir", required=True)
 
     c = sub.add_parser("train")
@@ -203,7 +210,7 @@ def _build_parser():
     c.add_argument("--config", choices=["tree", "asn", "syn", "nag"], default="nag")
     c.add_argument("--encoder", choices=["seq", "graph"], default="graph")
     c.add_argument("--epochs", type=_positive_int, default=50)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--batch-size", type=_positive_int, default=20)
     c.add_argument("--lr", type=_positive_float, default=1e-3)
     c.add_argument("--ckpt", required=True)

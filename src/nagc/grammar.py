@@ -1,12 +1,15 @@
 """MiniExpr grammar: symbols, productions, literal vocabularies and type rules.
 
-Grammars are immutable after construction and safe to share between threads.
+Grammars are immutable after construction and safe to share between threads;
+their per-production indexes are built on first use, and two threads that race
+to build one build equal copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +80,25 @@ class Grammar:
     def by_lhs(self, nt: str) -> list[Production]:
         return [p for p in self.productions if p.lhs == nt]
 
+    @cached_property
+    def fixed_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each production's fixed tokens in rhs order, indexed by pid."""
+        return tuple(
+            tuple(s for s in p.rhs if self.symbols[s].kind is Kind.FIXED) for p in self.productions
+        )
+
+    def form(self, p: Production) -> tuple:
+        """What a production builds: a lone variable or literal slot is its
+        `(kind, literal class)`, any other production its rhs's fixed tokens."""
+        sym = self.symbols[p.rhs[0]]
+        if len(p.rhs) == 1 and sym.kind in (Kind.VARIABLE, Kind.LITERAL):
+            return (sym.kind, sym.lit_class)
+        return self.fixed_tokens[p.pid]
+
+    @cached_property
+    def by_form(self) -> dict[tuple, Production]:
+        return {self.form(p): p for p in self.productions}
+
     def with_literal_vocab(self, vocab: dict[str, tuple[str, ...]]) -> "Grammar":
         fixed = {}
         for cls in LITERAL_CLASSES:
@@ -87,50 +109,41 @@ class Grammar:
         return replace(self, literal_vocab=fixed)
 
 
+BUILTIN_GRAMMAR_TEXT = """\
+@start Expr
+@variable Var
+@literal int IntLit
+@literal string StrLit
+@literal bool BoolLit
+Expr -> Var
+Expr -> IntLit
+Expr -> StrLit
+Expr -> BoolLit
+Expr -> Expr "+" Expr
+Expr -> Expr "-" Expr
+Expr -> Expr "*" Expr
+Expr -> Expr "%" Expr
+Expr -> Expr "<" Expr
+Expr -> Expr ">" Expr
+Expr -> Expr "<=" Expr
+Expr -> Expr ">=" Expr
+Expr -> Expr "==" Expr
+Expr -> Expr "!=" Expr
+Expr -> Expr "&&" Expr
+Expr -> Expr "||" Expr
+Expr -> "!" Expr
+Expr -> Expr "." "Length"
+Expr -> Expr "[" Expr "]"
+Expr -> Expr "." "StartsWith" "(" Expr ")"
+Expr -> Expr "." "Contains" "(" Expr ")"
+Expr -> Expr "." "Substring" "(" Expr "," Expr ")"
+Expr -> Expr "." "IndexOf" "(" Expr ")"
+"""
+
+
 def builtin_grammar() -> Grammar:
     """The canonical MiniExpr grammar (23 productions, start Expr)."""
-    nonterms = ["Expr"]
-    var_syms = ["Var"]
-    lit_syms = [("IntLit", "int"), ("StrLit", "string"), ("BoolLit", "bool")]
-    rules = [
-        ("Expr", ("Var",)),
-        ("Expr", ("IntLit",)),
-        ("Expr", ("StrLit",)),
-        ("Expr", ("BoolLit",)),
-        ("Expr", ("Expr", "+", "Expr")),
-        ("Expr", ("Expr", "-", "Expr")),
-        ("Expr", ("Expr", "*", "Expr")),
-        ("Expr", ("Expr", "%", "Expr")),
-        ("Expr", ("Expr", "<", "Expr")),
-        ("Expr", ("Expr", ">", "Expr")),
-        ("Expr", ("Expr", "<=", "Expr")),
-        ("Expr", ("Expr", ">=", "Expr")),
-        ("Expr", ("Expr", "==", "Expr")),
-        ("Expr", ("Expr", "!=", "Expr")),
-        ("Expr", ("Expr", "&&", "Expr")),
-        ("Expr", ("Expr", "||", "Expr")),
-        ("Expr", ("!", "Expr")),
-        ("Expr", ("Expr", ".", "Length")),
-        ("Expr", ("Expr", "[", "Expr", "]")),
-        ("Expr", ("Expr", ".", "StartsWith", "(", "Expr", ")")),
-        ("Expr", ("Expr", ".", "Contains", "(", "Expr", ")")),
-        ("Expr", ("Expr", ".", "Substring", "(", "Expr", ",", "Expr", ")")),
-        ("Expr", ("Expr", ".", "IndexOf", "(", "Expr", ")")),
-    ]
-    symbols: dict[str, Symbol] = {}
-    for n in nonterms:
-        symbols[n] = Symbol(n, Kind.NONTERMINAL)
-    for n in var_syms:
-        symbols[n] = Symbol(n, Kind.VARIABLE)
-    for n, cls in lit_syms:
-        symbols[n] = Symbol(n, Kind.LITERAL, cls)
-    for _, rhs in rules:
-        for s in rhs:
-            if s not in symbols:
-                symbols[s] = Symbol(s, Kind.FIXED)
-    prods = tuple(Production(i, lhs, rhs) for i, (lhs, rhs) in enumerate(rules))
-    vocab = {cls: (UNK_LITERAL[cls],) for cls in LITERAL_CLASSES}
-    return Grammar(symbols=symbols, productions=prods, start="Expr", literal_vocab=vocab)
+    return load_grammar(BUILTIN_GRAMMAR_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +217,8 @@ def load_grammar(text: str) -> Grammar:
             if s not in symbols:
                 symbols[s] = Symbol(s, Kind.FIXED)
         prods.append(Production(pid, lhs, clean))
-    full_vocab = {}
-    for cls in LITERAL_CLASSES:
-        entries = vocab.get(cls, [])
-        if UNK_LITERAL[cls] not in entries:
-            entries.append(UNK_LITERAL[cls])
-        full_vocab[cls] = tuple(entries)
-    return Grammar(
-        symbols=symbols,
-        productions=tuple(prods),
-        start=start or rules[0][0],
-        literal_vocab=full_vocab,
-    )
+    g = Grammar(symbols=symbols, productions=tuple(prods), start=start or rules[0][0])
+    return g.with_literal_vocab(vocab)
 
 
 def _rhs_tokens(text: str, lineno: int):
@@ -313,14 +316,28 @@ class TypeCheckError(Exception):
         super().__init__(msg)
 
 
-_INT_OPS = {"-", "*", "%"}
-_CMP_OPS = {"<", ">", "<=", ">="}
-_EQ_OPS = {"==", "!="}
-_BOOL_OPS = {"&&", "||"}
-
-
-def _fixed_signature(g: Grammar, prod: Production) -> tuple[str, ...]:
-    return tuple(s for s in prod.rhs if g.symbols[s].kind is Kind.FIXED)
+# Typing rules by a production's fixed tokens: argument types -> result type.
+_TYPING = {
+    ("+",): {("int", "int"): "int", ("string", "string"): "string"},
+    ("-",): {("int", "int"): "int"},
+    ("*",): {("int", "int"): "int"},
+    ("%",): {("int", "int"): "int"},
+    ("<",): {("int", "int"): "bool"},
+    (">",): {("int", "int"): "bool"},
+    ("<=",): {("int", "int"): "bool"},
+    (">=",): {("int", "int"): "bool"},
+    ("==",): {(t, t): "bool" for t in TYPES},
+    ("!=",): {(t, t): "bool" for t in TYPES},
+    ("&&",): {("bool", "bool"): "bool"},
+    ("||",): {("bool", "bool"): "bool"},
+    ("!",): {("bool",): "bool"},
+    (".", "Length"): {("string",): "int", ("int[]",): "int"},
+    ("[", "]"): {("int[]", "int"): "int"},
+    (".", "StartsWith", "(", ")"): {("string", "string"): "bool"},
+    (".", "Contains", "(", ")"): {("string", "string"): "bool"},
+    (".", "Substring", "(", ",", ")"): {("string", "int", "int"): "string"},
+    (".", "IndexOf", "(", ")"): {("string", "string"): "int"},
+}
 
 
 def type_check(expr, env: TypeEnv, *, allow_unk: bool = False) -> str:
@@ -329,8 +346,7 @@ def type_check(expr, env: TypeEnv, *, allow_unk: bool = False) -> str:
     Raises TypeCheckError on ill-typed trees; an UNK literal is flagged with
     its own error kind so callers can report it separately.
     """
-    g = expr.grammar
-    return _check(g, expr, expr.nodes[expr.root], env, allow_unk)
+    return _check(expr.grammar, expr, expr.nodes[expr.root], env, allow_unk)
 
 
 def _check(g, tree, node, env, allow_unk):
@@ -343,62 +359,20 @@ def _check(g, tree, node, env, allow_unk):
     if sym.kind is Kind.LITERAL:
         if node.binding == UNK_LITERAL[sym.lit_class] and not allow_unk:
             raise TypeCheckError("unk-literal", f"UNK literal of class {sym.lit_class}")
-        return {"int": "int", "string": "string", "bool": "bool"}[sym.lit_class]
+        return sym.lit_class  # each literal class is named after its type
     if sym.kind is Kind.FIXED:
         raise TypeCheckError("no-rule", f"fixed terminal {node.label!r} has no type")
 
-    prod = g.productions[node.prod_id]
     kids = [tree.nodes[c] for c in node.children]
-    sub = [
-        _check(g, tree, k, env, allow_unk)
-        for k in kids
-        if g.symbols[k.label].kind is not Kind.FIXED
-    ]
-    sig = _fixed_signature(g, prod)
-
-    if not sig and len(sub) == 1:
+    sub = tuple([
+        _check(g, tree, k, env, allow_unk) for k in kids if g.symbols[k.label].kind is not Kind.FIXED
+    ])
+    fixed = g.fixed_tokens[node.prod_id]
+    if not fixed and len(sub) == 1:
         return sub[0]
-    if sig == ("+",):
-        if sub == ["int", "int"]:
-            return "int"
-        if sub == ["string", "string"]:
-            return "string"
-        raise TypeCheckError("operand-mismatch", f"+ applied to {sub}")
-    if len(sig) == 1 and sig[0] in _INT_OPS:
-        _expect(sub, ["int", "int"], sig[0])
-        return "int"
-    if len(sig) == 1 and sig[0] in _CMP_OPS:
-        _expect(sub, ["int", "int"], sig[0])
-        return "bool"
-    if len(sig) == 1 and sig[0] in _EQ_OPS:
-        if len(sub) == 2 and sub[0] == sub[1]:
-            return "bool"
-        raise TypeCheckError("operand-mismatch", f"{sig[0]} applied to {sub}")
-    if len(sig) == 1 and sig[0] in _BOOL_OPS:
-        _expect(sub, ["bool", "bool"], sig[0])
-        return "bool"
-    if sig == ("!",):
-        _expect(sub, ["bool"], "!")
-        return "bool"
-    if sig == (".", "Length"):
-        if sub == ["string"] or sub == ["int[]"]:
-            return "int"
-        raise TypeCheckError("operand-mismatch", f".Length applied to {sub}")
-    if sig == ("[", "]"):
-        _expect(sub, ["int[]", "int"], "indexing")
-        return "int"
-    if sig in ((".", "StartsWith", "(", ")"), (".", "Contains", "(", ")")):
-        _expect(sub, ["string", "string"], sig[1])
-        return "bool"
-    if sig == (".", "Substring", "(", ",", ")"):
-        _expect(sub, ["string", "int", "int"], "Substring")
-        return "string"
-    if sig == (".", "IndexOf", "(", ")"):
-        _expect(sub, ["string", "string"], "IndexOf")
-        return "int"
-    raise TypeCheckError("no-rule", f"no type rule for production {prod.pid}")
-
-
-def _expect(actual, expected, what):
-    if actual != expected:
-        raise TypeCheckError("operand-mismatch", f"{what} applied to {actual}")
+    rule = _TYPING.get(fixed)
+    if rule is None:
+        raise TypeCheckError("no-rule", f"no type rule for production {node.prod_id}")
+    if sub not in rule:
+        raise TypeCheckError("operand-mismatch", f"{' '.join(fixed)} applied to {list(sub)}")
+    return rule[sub]

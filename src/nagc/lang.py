@@ -356,85 +356,47 @@ def parse_expression(tokens: list[str]):
 # ---------------------------------------------------------------------------
 # Expression structs <-> derivation trees
 
-def _prod_table(g: Grammar):
-    """Maps structural signatures to builtin-shaped production ids."""
-    table = {}
-    for p in g.productions:
-        fixed = tuple(s for s in p.rhs if g.symbols[s].kind is Kind.FIXED)
-        if len(p.rhs) == 1:
-            sym = g.symbols[p.rhs[0]]
-            if sym.kind is Kind.VARIABLE:
-                table["var"] = p
-            elif sym.kind is Kind.LITERAL:
-                table["lit:" + sym.lit_class] = p
-        elif fixed == (".", "Length"):
-            table["length"] = p
-        elif fixed == ("[", "]"):
-            table["index"] = p
-        elif len(fixed) == 1:
-            table["op:" + fixed[0]] = p
-        elif len(fixed) >= 4 and fixed[0] == ".":
-            table["call:" + fixed[1]] = p
-    return table
+def expr_form(e):
+    """The grammar form an expression struct builds (see `Grammar.form`) and
+    its sub-expressions, in rhs order."""
+    if isinstance(e, EVar):
+        return (Kind.VARIABLE, None), []
+    if isinstance(e, ELit):
+        return (Kind.LITERAL, e.cls), []
+    if isinstance(e, EBin):
+        return (e.op,), [e.left, e.right]
+    if isinstance(e, EUn):
+        return (e.op,), [e.operand]
+    if isinstance(e, ELength):
+        return (".", "Length"), [e.obj]
+    if isinstance(e, EIndex):
+        return ("[", "]"), [e.arr, e.idx]
+    if isinstance(e, ECall):
+        return (".", e.method, "(", *[","] * (len(e.args) - 1), ")"), [e.obj, *e.args]
+    raise LangError(f"no grammar form for {type(e).__name__}")
 
 
 def expr_to_tree(e, g: Grammar) -> PartialAst:
     """Derivation tree of an expression struct, built in frontier order."""
-    table = _prod_table(g)
     tree = new_partial_ast(g)
-    _expand(tree, tree.root, e, g, table)
+    _expand(tree, tree.root, e, g)
     return tree
 
 
-def _expand(tree, site, e, g, table):
-    def prod(key):
-        try:
-            return table[key]
-        except KeyError:
-            raise LangError(f"grammar has no production for {key!r}") from None
-
-    if isinstance(e, EVar):
-        p = prod("var")
-        apply_production(tree, site, p)
-        bind_terminal(tree, tree.nodes[site].children[0], e.name)
-    elif isinstance(e, ELit):
-        p = prod("lit:" + e.cls)
-        apply_production(tree, site, p)
-        bind_terminal(tree, tree.nodes[site].children[0], e.spelling)
-    elif isinstance(e, EBin):
-        p = prod("op:" + e.op)
-        apply_production(tree, site, p)
-        kids = _nonterm_children(tree, site, g)
-        _expand(tree, kids[0], e.left, g, table)
-        _expand(tree, kids[1], e.right, g, table)
-    elif isinstance(e, EUn):
-        p = prod("op:" + e.op)
-        apply_production(tree, site, p)
-        _expand(tree, _nonterm_children(tree, site, g)[0], e.operand, g, table)
-    elif isinstance(e, ELength):
-        apply_production(tree, site, prod("length"))
-        _expand(tree, _nonterm_children(tree, site, g)[0], e.obj, g, table)
-    elif isinstance(e, EIndex):
-        apply_production(tree, site, prod("index"))
-        kids = _nonterm_children(tree, site, g)
-        _expand(tree, kids[0], e.arr, g, table)
-        _expand(tree, kids[1], e.idx, g, table)
-    elif isinstance(e, ECall):
-        apply_production(tree, site, prod("call:" + e.method))
-        kids = _nonterm_children(tree, site, g)
-        _expand(tree, kids[0], e.obj, g, table)
-        for k, a in zip(kids[1:], e.args):
-            _expand(tree, k, a, g, table)
-    else:
-        raise LangError(f"cannot expand {type(e).__name__}")
-
-
-def _nonterm_children(tree, site, g):
-    return [
-        c
-        for c in tree.nodes[site].children
-        if g.symbols[tree.nodes[c].label].kind is Kind.NONTERMINAL
-    ]
+def _expand(tree, site, e, g):
+    form, subs = expr_form(e)
+    try:
+        p = g.by_form[form]
+    except KeyError:
+        raise LangError(f"grammar has no production for {form!r}") from None
+    apply_production(tree, site, p)
+    kids = tree.nodes[site].children
+    if not subs:
+        bind_terminal(tree, kids[0], e.name if isinstance(e, EVar) else e.spelling)
+        return
+    slots = [c for c in kids if g.symbols[tree.nodes[c].label].kind is Kind.NONTERMINAL]
+    for k, s in zip(slots, subs):
+        _expand(tree, k, s, g)
 
 
 def tree_to_expr(tree: PartialAst, nid=None):
@@ -447,7 +409,7 @@ def tree_to_expr(tree: PartialAst, nid=None):
     if sym.kind is Kind.LITERAL:
         return ELit(sym.lit_class, node.binding)
     prod = g.productions[node.prod_id]
-    fixed = tuple(s for s in prod.rhs if g.symbols[s].kind is Kind.FIXED)
+    fixed = g.fixed_tokens[prod.pid]
     sub = [
         tree_to_expr(tree, c)
         for c in node.children
@@ -459,7 +421,7 @@ def tree_to_expr(tree: PartialAst, nid=None):
         return ELength(sub[0])
     if fixed == ("[", "]"):
         return EIndex(sub[0], sub[1])
-    if len(fixed) == 1 and fixed[0] == "!":
+    if fixed == ("!",):
         return EUn("!", sub[0])
     if len(fixed) == 1:
         return EBin(fixed[0], sub[0], sub[1])
@@ -526,6 +488,14 @@ def render_tree_tokens(tree: PartialAst) -> list[str]:
 # ---------------------------------------------------------------------------
 # Program graphs for the context encoder
 
+# Labels of the program graph's internal nodes that are not surface tokens, in
+# the order of their rows in a graph encoder's node embedding.
+INTERNAL_LABELS = (
+    "program", "decl", "assign", "if", "while",
+    ".Length", "[]", ".StartsWith", ".Contains", ".Substring", ".IndexOf",
+)
+
+
 @dataclass
 class ProgramGraph:
     labels: list[str]  # per node
@@ -570,8 +540,10 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
         if isinstance(e, (EVar, ELit, EHole)):
             # single-token structures map straight to their terminal
             return e, term_nodes[e.span[0]]
-        node = internal(_expr_label(e))
-        subs = [(s, build_expr(s)[1]) for s in _expr_children(e)]
+        form, kids = expr_form(e)
+        # a method call is labelled by its name alone: ".Substring", not ".Substring(,)"
+        node = internal("".join(form[:2] if form[0] == "." else form))
+        subs = [(s, build_expr(s)[1]) for s in kids]
         attach(node, e.span[0], e.span[1], subs)
         return e, node
 
@@ -626,34 +598,6 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
         hole_node=hole,
         decl_nodes=decl_nodes,
     )
-
-
-def _expr_label(e):
-    if isinstance(e, EBin):
-        return e.op
-    if isinstance(e, EUn):
-        return "!"
-    if isinstance(e, ELength):
-        return ".Length"
-    if isinstance(e, EIndex):
-        return "[]"
-    if isinstance(e, ECall):
-        return "." + e.method
-    raise LangError(f"no label for {type(e).__name__}")
-
-
-def _expr_children(e):
-    if isinstance(e, EBin):
-        return [e.left, e.right]
-    if isinstance(e, EUn):
-        return [e.operand]
-    if isinstance(e, ELength):
-        return [e.obj]
-    if isinstance(e, EIndex):
-        return [e.arr, e.idx]
-    if isinstance(e, ECall):
-        return [e.obj] + list(e.args)
-    return []
 
 
 def _collect_decls(stmts, term_nodes, decl_nodes, var_names):

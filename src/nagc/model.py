@@ -40,11 +40,6 @@ UNK_TOKEN = "<UNK>"
 SELF_TOKEN = "<SELF>"  # the variable a usage window belongs to
 OTHER_VAR_TOKEN = "<OTHERVAR>"  # any other in-scope variable
 
-_GRAPH_ENC_INTERNAL = (
-    "program", "decl", "assign", "if", "while",
-    ".Length", "[]", ".StartsWith", ".Contains", ".Substring", ".IndexOf",
-)
-
 
 @dataclass(frozen=True)
 class DecoderConfig:
@@ -178,7 +173,7 @@ class Model:
             for i in range(len(p.rhs)):
                 self.edge_label2id[(p.pid, i)] = len(self.edge_label2id)
 
-        self.graph_labels = list(dict.fromkeys(self.token_vocab + list(_GRAPH_ENC_INTERNAL)))
+        self.graph_labels = list(dict.fromkeys(self.token_vocab + list(lang.INTERNAL_LABELS)))
         self.glab2id = {l: i for i, l in enumerate(self.graph_labels)}
 
         self._masks = {}

@@ -62,21 +62,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
@@ -136,17 +121,6 @@ def add(a, b):
         _accum(b, g)
 
     return _make(a.data + b.data, (a, b), bw)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "sub")
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(a.data - b.data, (a, b), bw)
 
 
 def mul(a, b):
@@ -510,12 +484,6 @@ class ParamStore:
         out = ParamStore()
         for n, t in self.items():
             out.register(n, t.data.astype(dtype))
-        return out
-
-    def clone(self):
-        out = ParamStore()
-        for n, t in self.items():
-            out.register(n, t.data.copy())
         return out
 
 

@@ -150,6 +150,14 @@ def test_cli_usage_errors_exit_1(capsys):
         assert run_cli(argv) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
         assert len(err) == 1 and "--beam" in err[0], err
+    # NumPy generators take non-negative seeds only
+    for argv in (["gen-corpus", "--out", "never-written"],
+                 ["split", "--in", "x", "--out-dir", "never-written"],
+                 ["train", "--data", "x", "--ckpt", "m"]):
+        for seed in ("-1", "two"):
+            assert run_cli(argv + ["--seed", seed]) == 1
+            err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+            assert len(err) == 1 and "--seed" in err[0], err
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.001", "fast"])

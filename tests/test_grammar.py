@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from nagc.grammar import (
     serialize_grammar,
     type_check,
 )
+from nagc.syntax import apply_production, bind_terminal, new_partial_ast
 
 
 def test_builtin_has_23_productions(g):
@@ -160,3 +162,55 @@ def test_type_env_is_immutable():
     bindings["j"] = "bool"  # the env keeps its own copy
     assert "j" not in env
     assert env.lookup("i") == "int" and len(env) == 1
+
+
+# The MiniExpr typing rules, by compound production: argument types -> result.
+# Every other tuple of argument types is an operand mismatch.
+_EQ = {(t, t): "bool" for t in ("int", "bool", "string", "int[]")}
+TYPING_SPEC = {
+    "Expr + Expr": {("int", "int"): "int", ("string", "string"): "string"},
+    "Expr - Expr": {("int", "int"): "int"},
+    "Expr * Expr": {("int", "int"): "int"},
+    "Expr % Expr": {("int", "int"): "int"},
+    "Expr < Expr": {("int", "int"): "bool"},
+    "Expr > Expr": {("int", "int"): "bool"},
+    "Expr <= Expr": {("int", "int"): "bool"},
+    "Expr >= Expr": {("int", "int"): "bool"},
+    "Expr == Expr": _EQ,
+    "Expr != Expr": _EQ,
+    "Expr && Expr": {("bool", "bool"): "bool"},
+    "Expr || Expr": {("bool", "bool"): "bool"},
+    "! Expr": {("bool",): "bool"},
+    "Expr . Length": {("string",): "int", ("int[]",): "int"},
+    "Expr [ Expr ]": {("int[]", "int"): "int"},
+    "Expr . StartsWith ( Expr )": {("string", "string"): "bool"},
+    "Expr . Contains ( Expr )": {("string", "string"): "bool"},
+    "Expr . Substring ( Expr , Expr )": {("string", "int", "int"): "string"},
+    "Expr . IndexOf ( Expr )": {("string", "string"): "int"},
+}
+
+
+def test_type_check_matches_spec_for_every_argument_tuple(g):
+    var_prod = g.by_form[(Kind.VARIABLE, None)]
+    compound = {" ".join(p.rhs): p for p in g.productions if len(p.rhs) > 1}
+    assert set(compound) == set(TYPING_SPEC)
+    checked = 0
+    for rhs, p in compound.items():
+        arity = sum(s == "Expr" for s in p.rhs)
+        for args in itertools.product(G.TYPES, repeat=arity):
+            tree = new_partial_ast(g)
+            apply_production(tree, tree.root, p)
+            slots = [c for c in tree.nodes[tree.root].children if tree.nodes[c].label == "Expr"]
+            for i, site in enumerate(slots):
+                apply_production(tree, site, var_prod)
+                bind_terminal(tree, tree.nodes[site].children[0], f"v{i}")
+            env = TypeEnv({f"v{i}": t for i, t in enumerate(args)})
+            expected = TYPING_SPEC[rhs].get(args)
+            if expected is None:
+                with pytest.raises(TypeCheckError) as err:
+                    type_check(tree, env)
+                assert err.value.kind == "operand-mismatch", (rhs, args)
+            else:
+                assert type_check(tree, env) == expected, (rhs, args)
+            checked += 1
+    assert checked == 16 * 4**2 + 2 * 4 + 4**3  # binary, unary, Substring

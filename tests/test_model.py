@@ -10,7 +10,7 @@ from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import UNK_LITERAL, load_grammar
-from nagc.lang import HOLE_TOKEN
+from nagc.lang import HOLE_TOKEN, INTERNAL_LABELS, program_graph
 from nagc.model import (
     CONFIGS,
     Model,
@@ -248,6 +248,24 @@ def test_encode_graph_8_differs_from_7(gmodel, folds):
         e7 = M.encode_graph_many(gmodel, [pr], steps=7)[0]
         e8 = M.encode_graph_many(gmodel, [pr], steps=8)[0]
     assert not np.allclose(e7.token_states.data, e8.token_states.data)
+
+
+def test_graph_labels_cover_every_internal_node(gmodel, corpus_samples):
+    # an internal label missing from graph_labels would silently read the UNK row
+    emitted = set()
+    for s in corpus_samples:
+        pg = program_graph(s.before + [HOLE_TOKEN] + s.after)
+        terminals = set(pg.terminals)
+        emitted.update(lab for i, lab in enumerate(pg.labels) if i not in terminals)
+    assert emitted and emitted <= set(gmodel.graph_labels), emitted - set(gmodel.graph_labels)
+    # this order is the row layout of enc_gnode_emb in saved checkpoints
+    assert INTERNAL_LABELS == (
+        "program", "decl", "assign", "if", "while",
+        ".Length", "[]", ".StartsWith", ".Contains", ".Substring", ".IndexOf",
+    )
+    assert gmodel.graph_labels[len(gmodel.token_vocab):] == [
+        lab for lab in INTERNAL_LABELS if lab not in gmodel.token_vocab
+    ]
 
 
 def test_graph_encoder_loss_gradients():
