@@ -33,6 +33,12 @@ class EvalReport:
     n: int
     config: str
     seed: int
+    # beam search, summed over the fold: continuations scored, of those cut
+    # by the width, hypotheses with no actions, hypotheses left at max-steps
+    expanded: int
+    pruned: int
+    dead_end: int
+    discarded: int
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,8 @@ def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport
         n=len(fold),
         config=model.config.name,
         seed=seed,
+        **{k: sum(getattr(res, k) for res in decoded)
+           for k in ("expanded", "pruned", "dead_end", "discarded")},
     )
 
 
@@ -299,6 +307,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "evaluate":
+        # a report that cannot be written fails before the evaluation runs
+        if args.report and not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
+            raise DataError(f"no directory for the report {args.report}")
         m = mo.load_model(args.ckpt)
         fold = pl.read_jsonl(args.data, m.grammar)
         report = evaluate(m, fold, width=args.beam, seed=args.seed)

@@ -11,7 +11,6 @@ and decoding thus share one scoring implementation.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -85,20 +84,6 @@ class BatchEncoding:
             nn.rows(self.roots, i),
             nn.rows(self.tokens, np.arange(self.tok_start[i], self.tok_start[i + 1])),
             {name: nn.rows(self.var_table, v0 + j) for j, name in enumerate(self.names[i])},
-        )
-
-    @classmethod
-    def of(cls, encodings, preppeds) -> "BatchEncoding":
-        names = [pr.ctx_order for pr in preppeds]
-        reps = [e.var_reps[n] for e, ns in zip(encodings, names) for n in ns]
-        H = encodings[0].root.data.shape[-1]
-        return cls(
-            nn.stack_rows([e.root for e in encodings]),
-            nn.stack_rows(reps) if reps else nn.Tensor(np.zeros((0, H), encodings[0].root.data.dtype)),
-            np.cumsum([0] + [len(ns) for ns in names]),
-            nn.concat([e.token_states for e in encodings]),
-            np.cumsum([0] + [len(e.token_states.data) for e in encodings]),
-            names,
         )
 
 
@@ -348,14 +333,24 @@ def _prep_program_graph(model: Model, pr: Prepped):
 # ---------------------------------------------------------------------------
 # Context encoders
 
-def _encode_tokens(model: Model, idx, prefix: str):
-    """Two bi-GRU layers over token ids, (T,) or time-major (T, B): the top
-    layer's states, (T, ..., H), and its final state, (..., H). Each layer
-    is one fused scan over both directions."""
+def _padded(seqs, fill: int = -1) -> np.ndarray:
+    """Rows of unequal length as one (len, longest) index array, fill after
+    each row's end."""
+    out = np.full((len(seqs), max(map(len, seqs), default=0)), fill, dtype=np.int64)
+    for i, seq in enumerate(seqs):
+        out[i, : len(seq)] = seq
+    return out
+
+
+def _encode_tokens(model: Model, idx, prefix: str, lengths=None):
+    """Two bi-GRU layers over token ids, (T,) or time-major (T, B), with the
+    lengths of a padded batch's columns: the top layer's states, (T, ..., H),
+    and its final state, (..., H). Each layer is one masked, fused scan over
+    both directions."""
     p = model.params
     x = nn.rows(p["enc_tok_emb"], idx)
     for layer in (1, 2):
-        x = nn.bigru_scan(x, p, f"{prefix}{layer}")
+        x = nn.bigru_scan(x, p, f"{prefix}{layer}", lengths)
     return x, nn.bigru_final(x)
 
 
@@ -391,30 +386,36 @@ def _usage_windows(model: Model, before, after, scope, ctx_order) -> list:
     return windows
 
 
-def _encode_windows(model: Model, pr: Prepped) -> dict:
-    """Each variable's rep: the two-layer bi-GRU final states of its usage
-    windows, average pooled; enc_var_dflt when it has none. All windows of
-    one length run as one time-major batch, so no padding is needed."""
-    ids = [w for _, w in pr.windows]
-    by_len = sorted(range(len(ids)), key=lambda i: len(ids[i]))
-    finals = [
-        _encode_tokens(model, np.array([ids[i] for i in group], dtype=np.int64).T, "enc_use")[1]
-        for _, group in itertools.groupby(by_len, key=lambda i: len(ids[i]))
-    ]
-    row = np.empty(len(ids), dtype=np.int64)  # window -> its row in all_finals
-    row[by_len] = np.arange(len(ids))
-    all_finals = nn.concat(finals) if finals else None
-    var_reps = {}
-    for name in pr.ctx_order:
-        pos = [row[i] for i, (owner, _) in enumerate(pr.windows) if owner == name]
-        var_reps[name] = nn.mean_rows(nn.rows(all_finals, pos)) if pos else model.params["enc_var_dflt"]
-    return var_reps
-
-
 def encode_seq(model: Model, pr: Prepped) -> ContextEncoding:
-    token_states, final = _encode_tokens(model, pr.tok_idx, "enc_seq")
-    root = nn.linear(final, model.params, "enc_root")
-    return ContextEncoding(root, token_states, _encode_windows(model, pr))
+    return _encode_seq_many(model, [pr])[0]
+
+
+def _encode_seq_many(model: Model, preppeds) -> BatchEncoding:
+    """The seq encoder on a batch of contexts: the token sequences of all of
+    them as one padded time-major batch, and all their usage windows as
+    another, each batch one masked bi-GRU scan per layer. A variable's rep is
+    the mean of its windows' final states; enc_var_dflt when it has none."""
+    p = model.params
+    lens = [len(pr.tok_idx) for pr in preppeds]
+    states, final = _encode_tokens(model, _padded([pr.tok_idx for pr in preppeds], 0).T,
+                                   "enc_seq", lens)
+    S, H = len(preppeds), final.data.shape[-1]
+    tokens = nn.rows(nn.reshape(states, (-1, H)),
+                     np.concatenate([np.arange(n) * S + j for j, n in enumerate(lens)]))
+    names = [pr.ctx_order for pr in preppeds]
+    var_start = np.cumsum([0] + [len(ns) for ns in names])
+    owner = np.array([var_start[j] + pr.ctx_order.index(name)
+                      for j, pr in enumerate(preppeds) for name, _ in pr.windows], dtype=np.int64)
+    ids = [w for pr in preppeds for _, w in pr.windows]
+    parts = [nn.stack_rows([p["enc_var_dflt"]])]  # row 0; window i is row i + 1
+    if ids:
+        parts.append(_encode_tokens(model, _padded(ids, 0).T, "enc_use", [len(w) for w in ids])[1])
+    count = np.bincount(owner, minlength=var_start[-1])
+    mean = np.zeros((var_start[-1], len(ids) + 1), dtype=final.data.dtype)
+    mean[count == 0, 0] = 1.0
+    mean[owner, np.arange(1, len(ids) + 1)] = 1.0 / count[owner]
+    return BatchEncoding(nn.linear(final, p, "enc_root"), nn.matmul(mean, nn.concat(parts)),
+                         var_start, tokens, np.cumsum([0] + lens), names)
 
 
 def encode_graph(model: Model, pr: Prepped, steps: int = 8) -> ContextEncoding:
@@ -464,9 +465,8 @@ def encode(model: Model, pr: Prepped) -> ContextEncoding:
 
 
 def encode_many(model: Model, preppeds) -> BatchEncoding:
-    if model.encoder == "graph":
-        return encode_graph_many(model, preppeds)
-    return BatchEncoding.of([encode_seq(model, pr) for pr in preppeds], preppeds)
+    many = _encode_seq_many if model.encoder == "seq" else encode_graph_many
+    return many(model, preppeds)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +494,14 @@ def node_representation(model: Model, label_id: int, in_edges, state_of):
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
               preppeds, encodings):
     """Full-graph propagation over a (possibly batched) attribute graph: the
-    (N, H) attribute states in node order. `encodings` is a BatchEncoding
-    or a list of ContextEncodings.
+    (N, H) attribute states in node order, seeded from the BatchEncoding
+    `encodings` of `preppeds`.
 
     Round 0 holds the encoder-seeded nodes. Every later round is one message
     step over the in-edges of its nodes plus one GRU step, and its states are
     appended to one table in schedule order, so that a round reads all
     earlier states without copying the table.
     """
-    if not isinstance(encodings, BatchEncoding):
-        encodings = BatchEncoding.of(encodings, preppeds)
     p, cfg = model.params, model.config
     schedule, N = batched.schedule, len(batched.nodes)
     row = np.empty(N, dtype=np.int64)  # each node's row in the table
@@ -626,15 +624,6 @@ def literal_spelling_probs(probs, entries) -> dict:
 
 # ---------------------------------------------------------------------------
 # Teacher forcing
-
-def _padded(seqs) -> np.ndarray:
-    """Rows of unequal length as one (len, longest) index array, -1 after
-    each row's end."""
-    out = np.full((len(seqs), max(map(len, seqs), default=0)), -1, dtype=np.int64)
-    for i, seq in enumerate(seqs):
-        out[i, : len(seq)] = seq
-    return out
-
 
 def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
     """Negative log-probability of the batch's ground-truth trees under

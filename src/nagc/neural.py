@@ -264,6 +264,15 @@ def max_pool_rows(a, idx=None):
     return _make(np.where(keep, rows_[pick], 0.0), (a,), bw)
 
 
+def reshape(a, shape):
+    a = as_tensor(a)
+
+    def bw(g):
+        _accum(a, g.reshape(a.data.shape))
+
+    return _make(a.data.reshape(shape), (a,), bw)
+
+
 def mean_rows(a):
     a = as_tensor(a)
     n = a.data.shape[0]
@@ -604,13 +613,16 @@ def gru_cell(x, h, p: ParamStore, prefix: str = "g"):
     return _gru(as_tensor(x), as_tensor(h), p, (prefix,))
 
 
-def bigru_scan(x, p: ParamStore, prefix: str):
+def bigru_scan(x, p: ParamStore, prefix: str, lengths=None):
     """A bidirectional GRU layer over time-major x, (T, d) or (T, B, d): the
     GRUs `prefix`_f (forward in time) and `prefix`_b (backward) both run from
     the zero state, as one fused scan. Returns (T, 2H) or (T, B, 2H), aligned
     with x: row t is [h_f(t), h_b(t)], where h_f(t) has read x[:t + 1] and
-    h_b(t) x[t:]."""
-    return _gru(as_tensor(x), None, p, (f"{prefix}_f", f"{prefix}_b"))
+    h_b(t) x[t:]. With lengths (B,), column j of a padded batch holds only its
+    first lengths[j] steps: from row lengths[j] on, its forward half keeps its
+    last state and its backward half is zero, so bigru_final gives each
+    column's own final state."""
+    return _gru(as_tensor(x), None, p, (f"{prefix}_f", f"{prefix}_b"), lengths)
 
 
 def bigru_final(states):
@@ -642,7 +654,7 @@ def _flip_back(a, H: int):
     return np.concatenate([a[..., :H], a[::-1, ..., H:]], axis=-1)
 
 
-def _gru(x, h0, p: ParamStore, prefixes):
+def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     """The GRU kernel: a whole run is one tape node with a hand-written
     backward through time. With h0, one step of the GRU prefixes[0] on x
     without a time axis. Without, a scan from the zero state over time-major
@@ -651,7 +663,9 @@ def _gru(x, h0, p: ParamStore, prefixes):
     and the recurrent weights are block-diagonal, assembled here from each
     GRU's own arrays. Each gate keeps its own contiguous arrays: column
     slices of stacked gates are strided, and elementwise work on them is
-    several times slower."""
+    several times slower. Lengths mask the update gate z of each column's
+    padded steps to 0, which leaves its state unchanged there, h + 0 (c - h);
+    the backward needs nothing more, as the saved z is the masked one."""
     step, k = h0 is not None, len(prefixes)
     params = [p[f"{pre}_{m}{g}"] for m in "WUb" for g in "zrh" for pre in prefixes]
     if k == 1:
@@ -666,6 +680,11 @@ def _gru(x, h0, p: ParamStore, prefixes):
     if k > 1:
         xz, xr, xh = _flip_back(xz, H), _flip_back(xr, H), _flip_back(xh, H)
     T = len(xs)
+    mask = None
+    if lengths is not None and min(lengths) < T:  # 1 where a step reads its column's data
+        valid = (np.arange(T)[:, None] < np.asarray(lengths)).astype(xz.dtype)[..., None]
+        mask = np.broadcast_to(valid, xz.shape)
+        mask = _flip_back(mask, H) if k > 1 else mask
     h = h0.data if step else np.zeros(xz.shape[1:], dtype=xz.dtype)
     saved, out = [], []  # per scan step: (state before it, z, r, r * h, candidate); state after it
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
@@ -673,6 +692,8 @@ def _gru(x, h0, p: ParamStore, prefixes):
             z = np.exp(-(xz[s] + h @ Uz))
             z += 1.0
             np.reciprocal(z, out=z)
+            if mask is not None:
+                z *= mask[s]
             r = np.exp(-(xr[s] + h @ Ur))
             r += 1.0
             np.reciprocal(r, out=r)

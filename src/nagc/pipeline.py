@@ -234,8 +234,12 @@ def read_corpus(dirpath):
     files = []
     for name in sorted(os.listdir(dirpath)):
         if name.endswith(".mexp"):
-            with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                files.append((name, f.read()))
+            path = os.path.join(dirpath, name)
+            try:
+                with open(path, encoding="utf-8") as f:
+                    files.append((name, f.read()))
+            except UnicodeDecodeError as e:
+                raise PipelineError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     return files
 
 
@@ -328,7 +332,8 @@ def dedup(samples) -> list[Sample]:
 
 def split(samples, ratio=(3, 1, 1), seed: int = 0) -> dict:
     """File-respecting split: whole files assigned to folds by seeded shuffle,
-    greedily targeting the ratio by sample count."""
+    greedily targeting the ratio by sample count; a fold whose part is 0
+    stays empty."""
     if len(ratio) != 3 or min(ratio) < 0 or sum(ratio) <= 0:
         raise PipelineError(f"ratio {ratio} needs three non-negative parts with a positive sum")
     by_file: dict[str, list[Sample]] = {}
@@ -349,7 +354,7 @@ def split(samples, ratio=(3, 1, 1), seed: int = 0) -> dict:
         deficits = [
             targets[i] - (counts[i] / placed if placed else 0.0) for i in range(3)
         ]
-        fold = max(range(3), key=lambda i: deficits[i])
+        fold = max((i for i in range(3) if ratio[i] > 0), key=lambda i: deficits[i])
         folds[names[fold]].extend(by_file[fname])
         counts[fold] += len(by_file[fname])
     return folds

@@ -60,6 +60,11 @@ def test_report_invariants(trained, folds):
         assert 0.0 <= r <= 1.0
     assert rep.acc1 <= rep.acc5
     assert rep.well_typed_no_unk >= rep.well_typed
+    # the beam counters are the fold's sums of the BeamResult counters
+    results = [M.decode_beam(trained, s.before, s.after, s.scope, width=5) for s in fold]
+    for k in ("expanded", "pruned", "dead_end", "discarded"):
+        assert getattr(rep, k) == sum(getattr(res, k) for res in results), k
+    assert rep.expanded >= rep.pruned > 0
 
 
 def test_evaluate_deterministic(trained, folds):
@@ -177,6 +182,32 @@ def test_cli_data_errors_exit_2(tmp_path, capsys):
     assert "nagc:" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_corpus_file_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mexp").write_text("var x : int = 1 ;\n", encoding="utf-8")
+    (corpus / "b.mexp").write_bytes(b"\xff\xfevar y : int = 2 ;\n")
+    assert run_cli(["extract", "--in", str(corpus), "--out", str(tmp_path / "o.jsonl")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: ") and "b.mexp" in err[0], err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_cli_report_in_missing_directory_exits_2(fitted_grammar, token_vocab, corpus_samples,
+                                                 tmp_path, capsys):
+    # refused before the checkpoint is loaded: nothing is evaluated or printed
+    ckpt, data = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
+    M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4,
+                         token_vocab=token_vocab), ckpt)
+    P.write_jsonl(corpus_samples[:2], data)
+    report = str(tmp_path / "missing" / "report.json")
+    assert run_cli(["evaluate", "--data", data, "--ckpt", ckpt, "--report", report]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: ") and report in err[0], err
+
+
 def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples, path)  # enough files for a split
@@ -284,7 +315,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     rep = json.loads(out.strip().splitlines()[-1])
     assert set(rep) == {"ppl_decision", "ppl_token", "well_typed", "well_typed_no_unk",
-                        "acc1", "acc5", "n", "config", "seed"}
+                        "acc1", "acc5", "n", "config", "seed",
+                        "expanded", "pruned", "dead_end", "discarded"}
     with open(report) as f:
         assert json.load(f) == rep
 

@@ -104,27 +104,56 @@ def _loop_bigru(x, p, prefix):
     return nn.concat([nn.stack_rows(fwd), nn.stack_rows(bwd)], axis=1), fwd[-1], bwd[0]
 
 
+def _loop_encode(m, pr):
+    """A context's token states, root, variable reps and final state from
+    per-token loops: the token encoder over enc_seq1 and enc_seq2, each
+    usage window alone over enc_use1 and enc_use2."""
+    p = m.params
+    x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], pr.tok_idx), p, "enc_seq1")
+    states, ff, bf = _loop_bigru(x, p, "enc_seq2")
+    final = nn.concat([ff, bf])
+    reps = {}
+    for name in pr.ctx_order:
+        finals = []
+        for ids in [ids for owner, ids in pr.windows if owner == name]:
+            x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], ids), p, "enc_use1")
+            _, wf, wb = _loop_bigru(x, p, "enc_use2")
+            finals.append(nn.concat([wf, wb]))
+        reps[name] = nn.mean_rows(nn.stack_rows(finals)) if finals else p["enc_var_dflt"]
+    return states, nn.linear(final, p, "enc_root"), reps, final
+
+
+def _flat(states, root, reps, *_):
+    return [states, root] + [reps[n] for n in sorted(reps)]
+
+
 def test_encode_seq_matches_per_token_loop(small, folds, fitted_grammar, token_vocab):
-    # the token encoder (one fused scan per bi-GRU layer) against the
-    # per-token loop over enc_seq1 and enc_seq2: token states, final state
-    # and root in float32; in float64 also every parameter's gradient
-    def loop_encode(m, pr):
-        p = m.params
-        x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], pr.tok_idx), p, "enc_seq1")
-        states, ff, bf = _loop_bigru(x, p, "enc_seq2")
-        final = nn.concat([ff, bf])
-        return states, final, nn.linear(final, p, "enc_root")
+    # the seq encoder (one masked, fused scan per bi-GRU layer over a padded
+    # batch) against per-token loops, context by context: token states,
+    # root, var reps and final state in float32, each context alone and four
+    # of different lengths in one batch, one of them with a variable without
+    # uses; in float64 also every parameter's gradient
+    import dataclasses
 
-    def fused_encode(m, pr):
-        enc = encode_seq(m, pr)
-        return enc.token_states, M._encode_tokens(m, pr.tok_idx, "enc_seq")[1], enc.root
-
+    s = folds["train"]
+    samples = [s[0], dataclasses.replace(s[1], after=[]),
+               dataclasses.replace(s[2], before=s[2].before[-20:]),
+               dataclasses.replace(s[3], after=s[3].after[:10], scope={**s[3].scope, "zz": "int"})]
     with nn.no_grad():
-        for s in folds["train"][:6]:
-            pr = M.prep_context(small, s.before, s.after, s.scope)
-            for got, want in zip(fused_encode(small, pr), loop_encode(small, pr)):
-                assert got.data.shape == want.data.shape
-                assert np.max(np.abs(got.data - want.data)) < 1e-6
+        prs = [M.prep_context(small, x.before, x.after, x.scope) for x in samples + s[4:6]]
+        assert len({len(pr.tokens) for pr in prs[:4]}) == 4
+        assert not any(owner == "zz" for owner, _ in prs[3].windows)
+        batch = M.encode_many(small, prs[:4])
+        for i, pr in enumerate(prs):
+            want = _loop_encode(small, pr)
+            encs = [encode_seq(small, pr)] + ([batch[i]] if i < 4 else [])
+            for enc in encs:
+                assert set(enc.var_reps) == set(want[2])
+                for got, w in zip(_flat(enc.token_states, enc.root, enc.var_reps), _flat(*want)):
+                    assert got.data.shape == w.data.shape
+                    assert np.max(np.abs(got.data - w.data)) < 1e-6
+            final = M._encode_tokens(small, pr.tok_idx, "enc_seq")[1]
+            assert np.max(np.abs(final.data - want[3].data)) < 1e-6
 
     m = Model(fitted_grammar, config="NAG", encoder="seq", hidden=8, emb_dim=4, edge_emb=4,
               seed=1, token_vocab=token_vocab)
@@ -132,20 +161,23 @@ def test_encode_seq_matches_per_token_loop(small, folds, fitted_grammar, token_v
     rng = np.random.default_rng(5)
     for _, t in m.params.items():  # nonzero biases
         t.data = rng.normal(scale=0.5, size=t.data.shape)
-    for s in folds["train"][:2]:
-        pr = M.prep_context(m, s.before, s.after, s.scope)
-        weights = [nn.Tensor(rng.normal(size=(len(pr.tokens), 8))), nn.Tensor(rng.normal(size=8))]
-        grads = []
-        for encode in (fused_encode, loop_encode):
-            states, _, root = encode(m, pr)
-            m.params.zero_grad()
-            nn.backward(nn.add(nn.tsum(nn.mul(states, weights[0])), nn.tsum(nn.mul(root, weights[1]))))
-            grads.append({n: t.grad.copy() for n, t in m.params.items() if t.grad is not None})
+    prs = [M.prep_context(m, x.before, x.after, x.scope) for x in samples]
+    weights = [[rng.normal(size=(len(pr.tokens), 8))] + [rng.normal(size=8)] * (1 + len(pr.ctx_order))
+               for pr in prs]
+    batch = M.encode_many(m, prs)
+    grads = []
+    for outs in ([_flat(batch[i].token_states, batch[i].root, batch[i].var_reps) for i in range(4)],
+                 [_flat(*_loop_encode(m, pr)) for pr in prs]):
         m.params.zero_grad()
-        got, want = grads
-        assert set(got) == set(want) and "enc_seq1_b_Uz" in got
-        for n in want:
-            assert np.max(np.abs(got[n] - want[n])) < 1e-8, n
+        terms = [nn.tsum(nn.mul(o, nn.Tensor(w))) for os_, ws in zip(outs, weights)
+                 for o, w in zip(os_, ws)]
+        nn.backward(nn.tsum(nn.stack_rows(terms)))
+        grads.append({n: t.grad.copy() for n, t in m.params.items() if t.grad is not None})
+    m.params.zero_grad()
+    got, want = grads
+    assert set(got) == set(want) and {"enc_seq1_b_Uz", "enc_use2_f_Wh", "enc_var_dflt"} <= set(got)
+    for n in want:
+        assert np.max(np.abs(got[n] - want[n])) < 1e-8, n
 
 
 def test_prep_context_usage_windows(small, gmodel, folds):
@@ -188,19 +220,19 @@ def test_batched_windows_match_per_window_loop(small):
     scope = {n: "int" for n in "abcd"}
     p = small.params
     weights = {n: nn.Tensor(np.random.default_rng(i).normal(size=small.hidden).astype(np.float32))
-               for i, n in enumerate("abc")}
+               for i, n in enumerate("abcd")}
 
     def grads_of(reps):
         p.zero_grad()
-        nn.backward(nn.tsum(nn.concat([nn.mul(reps[n], weights[n]) for n in "abc"])))
+        nn.backward(nn.tsum(nn.concat([nn.mul(reps[n], weights[n]) for n in "abcd"])))
         return {n: t.grad.copy() for n, t in p.items() if t.grad is not None}
 
     pr = M.prep_context(small, before, after, scope)
     assert len({len(ids) for _, ids in pr.windows}) >= 4
     enc = encode_seq(small, pr)
-    assert enc.var_reps["d"] is p["enc_var_dflt"]
+    assert np.array_equal(enc.var_reps["d"].data, p["enc_var_dflt"].data)
     got = grads_of(enc.var_reps)
-    want = {}
+    want = {"d": p["enc_var_dflt"]}
     for name in "abc":
         finals = []
         for toks in (before, after):
@@ -293,8 +325,7 @@ def test_node_representation_permutation_invariant(small, folds):
 
     pr = prep_sample(small, folds["train"][1])
     with nn.no_grad():
-        enc = encode_seq(small, pr)
-        states = M.propagate(small, pr.graph, pr.label_idx, [pr], [enc])
+        states = M.propagate(small, pr.graph, pr.label_idx, [pr], M.encode_many(small, [pr]))
         state_of = lambda aid: nn.rows(states, aid)
         for node in pr.graph.nodes:
             edges = pr.graph.in_edges(node.aid)

@@ -91,13 +91,14 @@ def test_gru_gradients():
     # one step on an (N, d) batch, gradients into x and h included
     p = _gru_store(1, {"x": (5, 4), "h": (5, 3)})
     _fd_check(p, lambda: _weighted_sum(gru_cell(p["x"], p["h"], p, "g"), 1))
-    # fused bidirectional runs and their final state, (T, d) and time-major
-    # (T, B, d)
-    for shape in ((6, 4), (5, 2, 4)):
+    # fused bidirectional runs and their final state, (T, d), time-major
+    # (T, B, d), and a padded (T, B, d) batch of columns of unequal lengths,
+    # one of them full and one a single step
+    for shape, lengths in (((6, 4), None), ((5, 2, 4), None), ((5, 3, 4), [5, 1, 3])):
         p = _gru_store(2, {"x": shape}, BI)
-        _fd_check(p, lambda: _weighted_sum(nn.bigru_scan(p["x"], p, "g"), 2))
+        _fd_check(p, lambda: _weighted_sum(nn.bigru_scan(p["x"], p, "g", lengths), 2))
         p = _gru_store(3, {"x": shape}, BI)
-        _fd_check(p, lambda: _weighted_sum(nn.bigru_final(nn.bigru_scan(p["x"], p, "g")), 3))
+        _fd_check(p, lambda: _weighted_sum(nn.bigru_final(nn.bigru_scan(p["x"], p, "g", lengths)), 3))
 
 
 def test_gru_scan_equals_cell_loop():
@@ -124,6 +125,34 @@ def test_gru_scan_equals_cell_loop():
         assert np.max(np.abs(final.data - loop_final.data)) < 1e-10
         for (name, ta), (_, tb) in zip(a.items(), b.items()):
             assert np.max(np.abs(ta.grad - tb.grad)) < 1e-8, name
+
+    # a padded batch against each of its columns run alone: the same states
+    # on each column's own steps, the same final states, the same gradients;
+    # padded steps read nothing, so their inputs get no gradient
+    lengths = [6, 1, 4]
+    cols = {f"x{j}": (n, 4) for j, n in enumerate(lengths)}
+    a, b = _gru_store(5, {"x": (6, 3, 4)}, BI), _gru_store(5, cols, BI)
+    for j, n in enumerate(lengths):
+        b[f"x{j}"].data = a["x"].data[:n, j].copy()
+    rng = np.random.default_rng(6)
+    w, wf = rng.normal(size=(6, 3, 6)), rng.normal(size=(3, 6))
+    w[np.arange(6)[:, None] >= lengths] = 0.0  # each column's own steps
+    scan = nn.bigru_scan(a["x"], a, "g", lengths)
+    final = nn.bigru_final(scan)
+    backward(nn.add(nn.tsum(nn.mul(scan, Tensor(w))), nn.tsum(nn.mul(final, Tensor(wf)))))
+    for j, n in enumerate(lengths):
+        alone = nn.bigru_scan(b[f"x{j}"], b, "g")
+        alone_final = nn.bigru_final(alone)
+        assert np.max(np.abs(scan.data[:n, j] - alone.data)) < 1e-10
+        assert np.max(np.abs(final.data[j] - alone_final.data)) < 1e-10
+        assert np.array_equal(scan.data[n:, j, 3:], np.zeros((6 - n, 3)))
+        backward(nn.add(nn.tsum(nn.mul(alone, Tensor(w[:n, j]))),
+                        nn.tsum(nn.mul(alone_final, Tensor(wf[j])))))
+        assert np.max(np.abs(a["x"].grad[:n, j] - b[f"x{j}"].grad)) < 1e-8
+        assert not a["x"].grad[n:, j].any()
+    for name, t in a.items():
+        if name != "x":
+            assert np.max(np.abs(t.grad - b[name].grad)) < 1e-8, name
 
 
 def test_embedding_gradients():

@@ -104,6 +104,15 @@ def test_split_five_equal_files():
     assert len(files["train"]) == 3 and len(files["valid"]) == 1 and len(files["test"]) == 1
 
 
+@pytest.mark.parametrize("ratio", [(0, 1, 0), (1, 0, 1), (0, 2, 3)])
+def test_split_zero_part_gets_no_files(corpus_samples, ratio):
+    for seed in range(3):
+        folds = P.split(corpus_samples, ratio, seed=seed)
+        sizes = [len(folds[name]) for name in ("train", "valid", "test")]
+        assert [n > 0 for n in sizes] == [r > 0 for r in ratio], sizes
+        assert sum(sizes) == len(corpus_samples)
+
+
 def test_split_needs_five_files():
     samples = [_mk(f"f{i}", ["t"], [], {}, "P1 Lint:1") for i in range(4)]
     with pytest.raises(PipelineError):
