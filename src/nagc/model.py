@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,8 +424,9 @@ def encode_graph(model: Model, pr: Prepped, steps: int = 8) -> ContextEncoding:
 
 
 def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
-    """Encode several context graphs as one disconnected GGNN batch; the
-    holes, tokens and declarations of all samples are one gather each."""
+    """Encode several context graphs as one disconnected GGNN batch, all its
+    steps one nn.ggnn node; the holes, tokens and declarations of all samples
+    are one gather each."""
     p = model.params
     idx_parts, edge_arrays, offsets = [], {}, []
     off = 0
@@ -441,9 +443,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
         edges = nn.EdgeIndex(off, h.data.shape[1], [
             (np.concatenate(s), np.concatenate(t)) for s, t in edge_arrays.values()
         ])
-        prefixes = [f"enc_gg_{name}" for name in edge_arrays]
-        for _ in range(steps):
-            h = nn.gru_cell(nn.edge_messages(h, edges, p, prefixes), h, p, "enc_gg_g")
+        h = nn.ggnn(h, edges, p, [f"enc_gg_{name}" for name in edge_arrays], "enc_gg_g", steps)
     pgs = [pr.pgraph for pr in preppeds]
     roots = nn.linear(nn.rows(h, [pg.hole_node + o for pg, o in zip(pgs, offsets)]), p, "enc_root")
     tokens = nn.rows(h, np.concatenate([np.asarray(pg.terminals, dtype=np.int64) + o
@@ -723,24 +723,33 @@ def _clip_gradients(params, max_norm: float) -> float:
 def train(model: Model, samples, epochs: int, batch_size: int = 20,
           seed: int = 0, lr: float = 1e-3, valid=None, log=None,
           clip_norm: float = 5.0):
-    """Teacher-forced MLE training; returns per-epoch metric dicts."""
+    """Teacher-forced MLE training; returns per-epoch metric dicts. Each
+    record carries its phase times in seconds: prep_s (the prep pass, in
+    epoch 0; 0.0 after), forward_s (batch_loss), backward_s (backward and
+    gradient clipping) and adam_s, and samples_per_s over the epoch's
+    batches."""
     if not samples:
         raise ModelError("empty training fold")
     if batch_size < 1:
         raise ModelError(f"batch size must be >= 1, got {batch_size}")
+    start = time.perf_counter()
     preppeds = [prep_sample(model, s) for s in samples]
+    prep_s = time.perf_counter() - start
     opt = nn.OptState(lr=lr)
     history = []
     for epoch in range(epochs):
+        epoch_start = time.perf_counter()
         order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
         total_nll = 0.0
         total_decisions = 0
         kind_nll = dict.fromkeys("PVL", 0.0)
         kind_count = dict.fromkeys("PVL", 0)
         norms = []
+        phase = dict.fromkeys(("forward_s", "backward_s", "adam_s"), 0.0)
         for lo in range(0, len(order), batch_size):
             batch = [preppeds[i] for i in order[lo : lo + batch_size]]
             model.params.zero_grad()
+            t0 = time.perf_counter()
             try:
                 loss, steps = batch_loss(model, batch)
             except nn.DegenerateMaskError:
@@ -748,12 +757,17 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
                 raise TrainingDivergedError(f"degenerate softmax at epoch {epoch}")
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            t1 = time.perf_counter()
             nn.backward(loss)
             norm = _clip_gradients(model.params, clip_norm)
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
             norms.append(norm)
+            t2 = time.perf_counter()
             nn.adam_step(model.params, opt)
+            phase["adam_s"] += time.perf_counter() - t2
+            phase["backward_s"] += t2 - t1
+            phase["forward_s"] += t1 - t0
             total_nll += float(loss.data)
             total_decisions += len(steps)
             for k in kind_nll:
@@ -766,6 +780,9 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             "ppl_decision": math.exp(total_nll / total_decisions),
             "grad_norm_max": max(norms),
             "clipped_share": sum(v > clip_norm for v in norms) / len(norms) if clip_norm else 0.0,
+            "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
+            "prep_s": prep_s if epoch == 0 else 0.0,
+            **phase,
         }
         rec.update({f"nll_{k}": v for k, v in kind_nll.items()})
         rec.update({f"decisions_{k}": v for k, v in kind_count.items()})

@@ -9,6 +9,7 @@ engine follows the dtype of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -86,14 +87,14 @@ def _accum(t: Tensor, g):
         t.grad = t.grad + g
 
 
-def _accum_rows(t: Tensor, idx, src, flat=None):
+def _accum_rows(t: Tensor, idx, src):
     """Add each row src[k] into row idx[k] of t's gradient, in place: a
     gather's backward allocates t's gradient once, not once per gather."""
     if t.grad is None:
         t.grad = np.zeros(t.data.shape, t.data.dtype)
     elif not t.grad.flags.c_contiguous:  # _segment_sum adds through a flat view
         t.grad = np.ascontiguousarray(t.grad)
-    _segment_sum(t.grad, idx, src, flat)
+    _segment_sum(t.grad, idx, src)
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +284,46 @@ def mean_rows(a):
     return _make(a.data.mean(axis=0), (a,), bw)
 
 
-def _flat_index(idx, d: int):
-    """The flat element offsets of the rows idx, in order, in a C-ordered
-    array of d elements a row."""
-    return idx.reshape(-1) if d == 1 else (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-
-
-def _segment_sum(out, idx, src, flat=None):
+def _segment_sum(out, idx, src):
     """Add each row src[k] into out[idx[k]] and return out; idx has any shape
     and src is idx.shape + out's row shape. This is np.add.at(out, idx, src)
     bit for bit (every element takes its additions in the same order), but
     through a 1-D index, which NumPy runs several times faster than the 2-D
-    form from about ten rows up; fewer rows take the 2-D form. out must be
-    C-contiguous; flat is _flat_index(idx, row size) when the caller keeps
-    it."""
-    if flat is None:
-        if np.size(idx) < 10:  # building the flat index costs more here
-            np.add.at(out, idx, src)
-            return out
-        flat = _flat_index(idx, math.prod(out.shape[1:]))
+    form from about ten rows up; fewer rows take the 2-D form. out must be C-contiguous."""
+    if np.size(idx) < 10:  # building the flat index costs more here
+        np.add.at(out, idx, src)
+        return out
+    d = math.prod(out.shape[1:])
+    flat = np.reshape(idx, -1) if d == 1 else (np.reshape(idx, (-1, 1)) * d + np.arange(d)).ravel()
     np.add.at(out.reshape(-1), flat, src.reshape(-1))
     return out
 
 
+def _segment_layout(idx):
+    """(rows, ids): the rows a 1-D index array names, most entries first, and
+    per rank j the position in idx of the j-th entry of rows[:len(ids[j])]."""
+    order = np.argsort(idx, kind="stable")  # grouped by row, index order within one
+    names, first, count = np.unique(idx[order], return_index=True, return_counts=True)
+    by = np.argsort(-count, kind="stable")
+    more = np.searchsorted(-count[by], -np.arange(count.max(initial=0)))  # rows with > j entries
+    return names[by], [order[first[by][:c] + j] for j, c in enumerate(more)]
+
+
+def _layout_sum(out, layout, src):
+    """np.add.at(out, idx, src) bit for bit, and returns out, through idx's
+    _segment_layout: per rank, one gather and one add into a prefix."""
+    rows_, ids = layout
+    acc = out[rows_]
+    for k in ids:
+        acc[: len(k)] += src[k]
+    out[rows_] = acc
+    return out
+
+
 def rows(a, idx):
-    """Gather rows (first-axis entries) of a tensor by an index or an index
-    array of any shape (embedding lookup / graph gather)."""
+    """Gather rows (first-axis entries, elements of a 1-D tensor) of a tensor
+    by an index or an index array of any shape (embedding lookup / graph
+    gather)."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
 
@@ -341,17 +356,6 @@ def stack_rows(parts):
             _accum(p, g[i])
 
     return _make(np.stack([p.data for p in parts]), parts, bw)
-
-
-def gather_elems(a, idx):
-    """Gather elements of a 1D tensor."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def bw(g):
-        _accum_rows(a, idx, g)
-
-    return _make(a.data[idx], (a,), bw)
 
 
 def softmax(a):
@@ -524,22 +528,38 @@ def linear(x, p: ParamStore, prefix: str):
 
 class EdgeIndex:
     """The edges of several edge types from n source rows of width d into
-    n_tgt target rows (n by default), type after type in one array, with the
-    flat indices of their sources and targets built once: every message step
-    over the graph reuses them."""
+    n_tgt target rows (n by default), type after type in one array, and the
+    segment layouts of their targets and sources, each built on first use.
+    edges: one (src, tgt) or (src, tgt, label) triple of index arrays per
+    type; a labelled type's messages also depend on each edge's label."""
 
     def __init__(self, n: int, d: int, edges, n_tgt: int | None = None):
-        """edges: one (src, tgt) or (src, tgt, label) triple of index arrays
-        per edge type; a labelled type's messages also depend on each edge's
-        label (see edge_messages)."""
         self.n, self.d = n, d
         self.n_tgt = n if n_tgt is None else n_tgt
-        self.bounds = np.cumsum([0] + [len(e[0]) for e in edges]).tolist()
+        bounds = np.cumsum([0] + [len(e[0]) for e in edges]).tolist()
+        self.spans = list(zip(bounds[:-1], bounds[1:]))
         self.src = np.concatenate([e[0] for e in edges]).astype(np.int64, copy=False)
         self.tgt = np.concatenate([e[1] for e in edges]).astype(np.int64, copy=False)
         self.labels = [np.asarray(e[2], dtype=np.int64) if len(e) > 2 else None for e in edges]
-        self.src_flat = _flat_index(self.src, d)
-        self.tgt_flat = _flat_index(self.tgt, d)
+
+    tgt_layout = functools.cached_property(lambda self: _segment_layout(self.tgt))
+    src_layout = functools.cached_property(lambda self: _segment_layout(self.src))
+
+
+def _message_rows(hs, edges: EdgeIndex, Ws):
+    """Each edge's message before its bias: hs[e] @ W_top of its type."""
+    m = np.empty(hs.shape, hs.dtype)
+    for (a, z), W in zip(edges.spans, Ws):
+        np.matmul(hs[a:z], W.data[: edges.d], out=m[a:z])
+    return m
+
+
+def _message_rows_bw(gm, hs, edges: EdgeIndex, Ws):
+    """Back through _message_rows from gm: the gradients of hs and W_tops."""
+    dhs = np.empty_like(hs)
+    for (a, z), W in zip(edges.spans, Ws):
+        np.matmul(gm[a:z], W.data[: edges.d].T, out=dhs[a:z])
+    return dhs, [hs[a:z].T @ gm[a:z] for a, z in edges.spans]
 
 
 def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes, emb=None):
@@ -553,35 +573,77 @@ def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes, emb=None):
     if h.data.shape != (edges.n, edges.d):
         raise ShapeError(f"edge_messages: state {h.data.shape} vs ({edges.n}, {edges.d})")
     d = edges.d
-    params = [(p[pre + "_W"], p[pre + "_b"]) for pre in prefixes]
-    spans = list(zip(edges.bounds[:-1], edges.bounds[1:], params, edges.labels))
+    Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
+    spans = list(zip(edges.spans, Ws, bs, edges.labels))
     hs = h.data[edges.src]
-    m = np.empty(hs.shape, hs.dtype)
-    for a, z, (W, b), lab in spans:
-        np.matmul(hs[a:z], W.data[:d], out=m[a:z])
+    m = _message_rows(hs, edges, Ws)
+    for (a, z), W, b, lab in spans:
         m[a:z] += b.data
         if lab is not None:
             m[a:z] += (emb.data @ W.data[d:])[lab]
-    out = _segment_sum(np.zeros((edges.n_tgt, d), hs.dtype), edges.tgt, m, edges.tgt_flat)
+    out = _segment_sum(np.zeros((edges.n_tgt, d), hs.dtype), edges.tgt, m)
 
     def bw(g):
         gm = g[edges.tgt]
-        dhs = np.empty_like(hs)
-        for a, z, (W, b), lab in spans:
-            dW = hs[a:z].T @ gm[a:z]
+        dhs, dWs = _message_rows_bw(gm, hs, edges, Ws)
+        for ((a, z), W, b, lab), dW in zip(spans, dWs):
             if lab is not None:
                 dlab = _segment_sum(np.zeros((len(emb.data), d), gm.dtype), lab, gm[a:z])
                 dW = np.concatenate([dW, emb.data.T @ dlab])
                 _accum(emb, dlab @ W.data[d:].T)
             _accum(W, dW)
             _accum(b, gm[a:z].sum(axis=0))
-            np.matmul(gm[a:z], W.data[:d].T, out=dhs[a:z])
-        _accum_rows(h, edges.src, dhs, edges.src_flat)
+        _accum_rows(h, edges.src, dhs)
 
-    parents = [h] + [t for pair in params for t in pair]
-    if any(lab is not None for lab in edges.labels):
-        parents.append(emb)
-    return _make(out, parents, bw)
+    labelled = any(lab is not None for lab in edges.labels)
+    return _make(out, [h] + Ws + bs + ([emb] if labelled else []), bw)
+
+
+def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int):
+    """`steps` steps h <- gru_cell(edge_messages(h, edges, p, prefixes), h,
+    p, gru_prefix) over unlabelled edges among h's rows, as one tape node
+    with a hand-written backward through the steps. Messages are summed
+    through the target layout onto each target's in-edge bias sum."""
+    h = as_tensor(h)
+    if steps == 0:
+        return h
+    labelled = any(lab is not None for lab in edges.labels)
+    if h.data.shape != (edges.n, edges.d) or edges.n_tgt != edges.n or labelled:
+        raise ShapeError(f"ggnn: state {h.data.shape} vs unlabelled ({edges.n}, {edges.d}) edges")
+    Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
+    gru = [p[f"{gru_prefix}_{m}{g}"] for m in "WUb" for g in "zrh"]
+    Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
+    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=edges.n) for a, z in edges.spans],
+                      axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
+    bias = counts @ np.stack([b.data for b in bs])
+    parents = [h] + Ws + gru + bs
+    saved = [] if _track(*parents) else None  # per step: input, state, h[src], z, r, r * h, c
+    H = h.data
+    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
+        for _ in range(steps):
+            hs = H[edges.src]
+            X = _layout_sum(bias.copy(), edges.tgt_layout, _message_rows(hs, edges, Ws))
+            *gates, H_next = _gru_step(X @ Wz + bz, X @ Wr + br, X @ Wh + bh, H, (Uz, Ur, Uh))
+            if saved is not None:
+                saved.append((X, H, hs, *gates))
+            H = H_next
+
+    def bw(g):
+        grads = [np.zeros_like(t.data) for t in Ws + gru]
+        dX_sum, dh, UT = np.zeros_like(H), g, (Uz.T, Ur.T, Uh.T)
+        for X, HP, hs, Z, R, RH, C in reversed(saved):
+            *da, dh = _gru_step_bw(dh, R, _gru_local(HP, Z, R, C), UT)
+            dX = da[0] @ Wz.T + da[1] @ Wr.T + da[2] @ Wh.T
+            dX_sum += dX
+            dhs, dWs = _message_rows_bw(dX[edges.tgt], hs, edges, Ws)
+            for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, RH, da)):
+                acc += gt
+            _layout_sum(dh, edges.src_layout, dhs)
+        for t, gt in zip(Ws + gru + bs, grads + list(counts.T @ dX_sum)):
+            _accum(t, gt)
+        _accum(h, dh)
+
+    return _make(H, parents, bw)
 
 
 def append_rows(table, new, buf: np.ndarray):
@@ -654,6 +716,44 @@ def _flip_back(a, H: int):
     return np.concatenate([a[..., :H], a[::-1, ..., H:]], axis=-1)
 
 
+def _gru_step(xz, xr, xh, h, U, mask=None):
+    """One GRU step from state h, given the gates' input sides x @ W + b and
+    recurrent weights U: (z, r, r * h, candidate, new state). mask scales z."""
+    Uz, Ur, Uh = U
+    z = np.exp(-(xz + h @ Uz))
+    np.reciprocal(np.add(z, 1.0, out=z), out=z)
+    if mask is not None:
+        z *= mask
+    r = np.exp(-(xr + h @ Ur))
+    np.reciprocal(np.add(r, 1.0, out=r), out=r)
+    rh = r * h
+    c = np.tanh(xh + rh @ Uh)
+    return z, r, rh, c, h + z * (c - h)
+
+
+def _gru_local(HP, Z, R, C):
+    """Local derivatives of one or many GRU steps: dh/dh_prev through 1 - z,
+    and those of c, z and r by their pre-activations times their factors."""
+    return 1.0 - Z, Z * (1.0 - C * C), (C - HP) * Z * (1.0 - Z), HP * R * (1.0 - R)
+
+
+def _gru_step_bw(dh, R, local, UT):
+    """Back through one GRU step from dh, the gradient of the state after it:
+    those of the pre-activations of z, r and c and of the state before it."""
+    keep, dc_da, dz_da, dr_da = local
+    dah = dh * dc_da
+    drh = dah @ UT[2]
+    daz, dar = dh * dz_da, drh * dr_da
+    return daz, dar, dah, dh * keep + drh * R + daz @ UT[0] + dar @ UT[1]
+
+
+def _gru_grads(X, dx, HP, RH, ds):
+    """The gradients of a GRU's W, U and b of z, r and h, from rows of its
+    steps: inputs X with gate gradients dx, and HP and RH (r * h) with ds."""
+    return [X.T @ dx[0], X.T @ dx[1], X.T @ dx[2], HP.T @ ds[0], HP.T @ ds[1], RH.T @ ds[2],
+            ds[0].sum(axis=0), ds[1].sum(axis=0), ds[2].sum(axis=0)]
+
+
 def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     """The GRU kernel: a whole run is one tape node with a hand-written
     backward through time. With h0, one step of the GRU prefixes[0] on x
@@ -680,7 +780,7 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     if k > 1:
         xz, xr, xh = _flip_back(xz, H), _flip_back(xr, H), _flip_back(xh, H)
     T = len(xs)
-    mask = None
+    mask = [None] * T
     if lengths is not None and min(lengths) < T:  # 1 where a step reads its column's data
         valid = (np.arange(T)[:, None] < np.asarray(lengths)).astype(xz.dtype)[..., None]
         mask = np.broadcast_to(valid, xz.shape)
@@ -689,54 +789,33 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     saved, out = [], []  # per scan step: (state before it, z, r, r * h, candidate); state after it
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
         for s in range(T):
-            z = np.exp(-(xz[s] + h @ Uz))
-            z += 1.0
-            np.reciprocal(z, out=z)
-            if mask is not None:
-                z *= mask[s]
-            r = np.exp(-(xr[s] + h @ Ur))
-            r += 1.0
-            np.reciprocal(r, out=r)
-            rh = r * h
-            c = np.tanh(xh[s] + rh @ Uh)
+            z, r, rh, c, h_next = _gru_step(xz[s], xr[s], xh[s], h, (Uz, Ur, Uh), mask[s])
             saved.append((h, z, r, rh, c))
-            h = h + z * (c - h)
+            h = h_next
             out.append(h)
 
     def bw(g):
         g = g[None] if step else g if k == 1 else _flip_back(g, H)
         HP, Z, R, RH, C = (a[0][None] if T == 1 else np.stack(a) for a in zip(*saved))
-        # the local derivatives of every step at once: dh/dh_prev through
-        # 1 - z, and those of c, z and r by their pre-activations, times
-        # what the chain rule multiplies them by
-        keep = 1.0 - Z
-        dc_da, dz_da, dr_da = Z * (1.0 - C * C), (C - HP) * Z * keep, HP * R * (1.0 - R)
-        UzT, UrT, UhT = Uz.T, Ur.T, Uh.T
+        local = _gru_local(HP, Z, R, C)  # of every step at once
+        UT = (Uz.T, Ur.T, Uh.T)
         # gate pre-activation gradients per scan step, (T, ..., k * H) each
         daz, dar, dah = (np.empty_like(xz) for _ in range(3))
         dh = np.zeros_like(h)
         for s in reversed(range(T)):
-            dh = dh + g[s]
-            dah[s] = dh * dc_da[s]
-            drh = dah[s] @ UhT
-            daz[s] = dh * dz_da[s]
-            dar[s] = drh * dr_da[s]
-            dh = dh * keep[s] + drh * R[s] + daz[s] @ UzT + dar[s] @ UrT
+            daz[s], dar[s], dah[s], dh = _gru_step_bw(dh + g[s], R[s], [a[s] for a in local], UT)
 
-        def flat(a):
-            return a.reshape(-1, a.shape[-1])
+        def flat(*arrays):
+            return [a.reshape(-1, a.shape[-1]) for a in arrays]
 
-        HP, RH = flat(HP), flat(RH)
-        dz, dr, dhh = flat(daz), flat(dar), flat(dah)
+        (X, HP, RH), ds = flat(xs, HP, RH), flat(daz, dar, dah)
         if k > 1:  # back to time-aligned rows, as x
             daz, dar, dah = _flip_back(daz, H), _flip_back(dar, H), _flip_back(dah, H)
-        X, xdz, xdr, xdh = flat(xs), flat(daz), flat(dar), flat(dah)
+        dx = flat(daz, dar, dah)
         for i in range(k):  # the diagonal blocks go to each GRU
             c = slice(i * H, (i + 1) * H)
-            grads = [X.T @ xdz[:, c], X.T @ xdr[:, c], X.T @ xdh[:, c],
-                     HP[:, c].T @ dz[:, c], HP[:, c].T @ dr[:, c], RH[:, c].T @ dhh[:, c],
-                     dz[:, c].sum(axis=0), dr[:, c].sum(axis=0), dhh[:, c].sum(axis=0)]
-            for j, gt in enumerate(grads):
+            cols = [[a[:, c] for a in grads] for grads in (dx, ds)]
+            for j, gt in enumerate(_gru_grads(X, cols[0], HP[:, c], RH[:, c], cols[1])):
                 _accum(params[j * k + i], gt)
         dx = daz @ Wz.T + dar @ Wr.T + dah @ Wh.T
         _accum(x, dx[0] if step else dx)

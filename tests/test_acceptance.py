@@ -100,6 +100,7 @@ def test_acceptance_04_gradient_checks(capfd):
     test_neural.test_masked_softmax_gradients()
     test_neural.test_masked_log_softmax_gradients()
     test_neural.test_pooling_gradients()
+    test_neural.test_ggnn_gradients()
 
     # end-to-end: full loss on a 3-node tree, all parameters, 64-bit
     g = load_grammar(test_model.SMALL)
@@ -117,7 +118,9 @@ def test_acceptance_04_gradient_checks(capfd):
     # a coarser step keeps fp roundoff noise below near-zero gradients
     worst = test_neural._fd_check(m.params, lambda: M.batch_loss(m, [pr])[0],
                                   samples_per_tensor=3, eps=1e-4)
-    _verdict(capfd, 4, "finite-difference gradients, layers + end-to-end loss",
+    # and the same through the graph encoder's GGNN
+    worst = max(worst, test_model.graph_encoder_loss_fd_check())
+    _verdict(capfd, 4, "finite-difference gradients, layers + seq and graph end-to-end loss",
              worst < 1e-4, f"worst rel err {worst:.2e}")
 
 
@@ -322,24 +325,25 @@ def test_acceptance_10_ablation_trend(capfd):
 # -- 11: determinism ----------------------------------------------------------
 
 def test_acceptance_11_determinism(fitted_grammar, token_vocab, folds, tmp_path, capfd):
-    kw = dict(config="ASN", encoder="seq", hidden=16, emb_dim=8, edge_emb=4,
-              seed=5, token_vocab=token_vocab)
-    paths = []
-    for run in range(2):
-        m = M.Model(fitted_grammar, **kw)
-        M.train(m, folds["train"][:10], epochs=3, seed=2)
-        path = str(tmp_path / f"run{run}.ckpt")
-        M.save_model(m, path)
-        paths.append(path)
-    with open(paths[0], "rb") as f:
-        a = f.read()
-    with open(paths[1], "rb") as f:
-        b = f.read()
-    ckpt_identical = a == b
+    paths = {}
+    for encoder in ("seq", "graph"):
+        kw = dict(config="ASN", encoder=encoder, hidden=16, emb_dim=8, edge_emb=4,
+                  seed=5, token_vocab=token_vocab)
+        for run in range(2):
+            m = M.Model(fitted_grammar, **kw)
+            M.train(m, folds["train"][:10], epochs=3, seed=2)
+            path = str(tmp_path / f"{encoder}{run}.ckpt")
+            M.save_model(m, path)
+            paths[encoder, run] = path
+    raw = {}
+    for key, path in paths.items():
+        with open(path, "rb") as f:
+            raw[key] = f.read()
+    ckpt_identical = all(raw[enc, 0] == raw[enc, 1] for enc in ("seq", "graph"))
 
-    m = M.load_model(paths[0])
+    m = M.load_model(paths["seq", 0])
     r1 = E.evaluate(m, folds["test"][:8], width=3, seed=0)
     r2 = E.evaluate(m, folds["test"][:8], width=3, seed=0)
     ok = ckpt_identical and r1 == r2
-    _verdict(capfd, 11, "bit-identical retrain checkpoints; repeatable evaluation",
+    _verdict(capfd, 11, "bit-identical seq and graph retrain checkpoints; repeatable evaluation",
              ok, f"ckpt identical: {ckpt_identical}, reports equal: {r1 == r2}")

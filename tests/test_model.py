@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -300,9 +301,22 @@ def test_graph_labels_cover_every_internal_node(gmodel, corpus_samples):
     ]
 
 
-def test_graph_encoder_loss_gradients():
-    # gate 04's end-to-end check runs the seq encoder; this one runs the
-    # GGNN, message step and GRU backward included, through the whole loss
+def test_encode_graph_many_matches_each_context_alone(gmodel, folds):
+    # one disconnected GGNN batch of 20 contexts against each context alone
+    prs = [prep_sample(gmodel, s) for s in folds["train"][:20]]
+    with nn.no_grad():
+        batch = M.encode_graph_many(gmodel, prs)
+        for i, pr in enumerate(prs):
+            alone = encode_graph(gmodel, pr)
+            for got, want in zip(_flat(batch[i].token_states, batch[i].root, batch[i].var_reps),
+                                 _flat(alone.token_states, alone.root, alone.var_reps)):
+                assert np.max(np.abs(got.data - want.data)) < 1e-5
+
+
+def graph_encoder_loss_fd_check():
+    """The worst relative finite-difference error of the whole loss of a
+    graph-encoder model, through the GGNN (message steps and GRU backward
+    included), over a sample of every parameter's entries, in float64."""
     g = load_grammar(SMALL)
     m = Model(g, config="NAG", encoder="graph", hidden=4, emb_dim=4, edge_emb=4, seed=1,
               token_vocab=["<UNK>", "?HOLE?", "x", "y", "0"])
@@ -314,8 +328,13 @@ def test_graph_encoder_loss_gradients():
     s = make_sample(t, {"x": "int", "y": "int"}, before, [";", "x", "=", "y", ";"])
     pr = prep_sample(m, s)
     assert len(pr.pg_edges) == 6
-    test_neural._fd_check(m.params, lambda: M.batch_loss(m, [pr])[0],
-                          samples_per_tensor=6, eps=1e-4)
+    return test_neural._fd_check(m.params, lambda: M.batch_loss(m, [pr])[0],
+                                 samples_per_tensor=6, eps=1e-4)
+
+
+def test_graph_encoder_loss_gradients():
+    # gate 04 runs this check next to its seq-encoder one
+    graph_encoder_loss_fd_check()
 
 
 # -- node representation ----------------------------------------------------
@@ -565,7 +584,7 @@ def _oracle_tree_nll(model, pr, states, offset, enc):
             logp = nn.log_softmax(scores)
             idxs = [i for i, sp in enumerate(entries) if sp == dec[3]]
             idxs = idxs or [entries.index(UNK_LITERAL[cls])]
-        ll = nn.logsumexp(nn.gather_elems(logp, idxs))
+        ll = nn.logsumexp(nn.rows(logp, idxs))
         total = ll if total is None else nn.add(total, ll)
     return nn.scale(total, -1.0)
 
@@ -731,6 +750,24 @@ def test_train_records_gradient_norm(fitted_grammar, token_vocab, folds):
     # the norm is taken before clipping
     assert clipped[0]["grad_norm_max"] > 1e-3
     assert math.isfinite(free[0]["grad_norm_max"]) and free[0]["grad_norm_max"] > 1e-3
+
+
+def test_train_records_phase_times(fitted_grammar, token_vocab, folds):
+    m = Model(fitted_grammar, config="NAG", encoder="graph", hidden=16, emb_dim=8, seed=0,
+              token_vocab=token_vocab)
+    samples = folds["train"][:8]
+    phases = ("prep_s", "forward_s", "backward_s", "adam_s")
+    start = time.perf_counter()
+    first = train(m, samples, epochs=1, batch_size=3)[0]
+    wall = time.perf_counter() - start
+    for key in phases + ("samples_per_s",):
+        assert first[key] >= 0.0, key
+    assert first["prep_s"] > 0.0 and first["samples_per_s"] > 0.0
+    assert sum(first[k] for k in phases) <= wall
+    # the batches of an epoch take len(samples) / samples_per_s seconds
+    assert sum(first[k] for k in phases[1:]) <= len(samples) / first["samples_per_s"]
+    later = train(m, samples, epochs=2, batch_size=3)[1]
+    assert later["prep_s"] == 0.0 and later["forward_s"] > 0.0
 
 
 def test_train_rejects_empty():

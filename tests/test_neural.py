@@ -177,7 +177,7 @@ def test_segment_sum_equals_add_at(dtype):
         ((5, 7), np.int64(3)),  # scalar
         ((6, 3, 7), rng.integers(0, 6, (4, 9))),  # time-major (T, B) into 3-D rows
         ((5, 7), np.zeros(0, dtype=np.int64)),  # empty
-        ((9,), rng.integers(0, 9, 40)),  # 1-D, as in gather_elems
+        ((9,), rng.integers(0, 9, 40)),  # 1-D, as in rows of a 1-D tensor
     ]
     for shape, idx in cases:
         src = (rng.normal(size=np.shape(idx) + shape[1:]) * 10.0 ** rng.integers(-6, 6)).astype(dtype)
@@ -203,7 +203,7 @@ def test_gather_and_scatter_match_add_at(dtype):
     v = Tensor(rng.normal(size=8).astype(dtype), requires_grad=True)
     idx = rng.integers(0, 8, 30)
     g = rng.normal(size=30).astype(dtype)
-    backward(nn.tsum(nn.mul(nn.gather_elems(v, idx), Tensor(g))))
+    backward(nn.tsum(nn.mul(nn.rows(v, idx), Tensor(g))))
     assert np.array_equal(v.grad, _add_at((8,), idx, g))
 
 
@@ -253,6 +253,82 @@ def test_edge_messages_matches_per_type_loop():
         assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
     with pytest.raises(ShapeError):
         nn.edge_messages(Tensor(np.zeros((4, 3))), edges, a, list(_EDGES))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_layout_equals_add_at(dtype):
+    # the degree-sorted layout must give every row its additions in
+    # np.add.at's order: into zeros, and into a nonzero array, as gradients
+    # accumulate. Entries of very different magnitudes make any other order
+    # round differently.
+    rng = np.random.default_rng(26)
+    cases = [
+        rng.integers(0, 7, 300),  # duplicate-heavy, every row named
+        rng.integers(2, 5, 40),  # rows 0, 1, 5 and 6 take nothing
+        np.full(50, 3),  # one row takes every entry
+        np.zeros(0, dtype=np.int64),  # no entries
+    ]
+    for idx in cases:
+        layout = nn._segment_layout(idx)
+        src = (rng.normal(size=(len(idx), 5)) * 10.0 ** rng.integers(-6, 6, (len(idx), 1))).astype(dtype)
+        for start in (np.zeros((7, 5), dtype), rng.normal(size=(7, 5)).astype(dtype)):
+            want = start.copy()
+            np.add.at(want, idx, src)
+            got = nn._layout_sum(start.copy(), layout, src)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), len(idx)
+
+
+# six edge types over six nodes, as the graph encoder has: sources and
+# targets repeat within and across the types, type e3 has no edges and
+# node 5 receives nothing
+_GG_EDGES = {"e0": ([0, 1, 1, 3], [1, 2, 2, 0]), "e1": ([2, 2, 0], [0, 1, 1]), "e2": ([4, 5], [3, 4]),
+             "e3": ([], []), "e4": ([5, 0, 2], [2, 4, 3]), "e5": ([1], [0])}
+
+
+def _ggnn_store(seed):
+    """Float64 GGNN parameters (d = 3) for the six types of _GG_EDGES and the
+    GRU "gg", all nonzero, with the initial states h."""
+    shapes = {"h": (6, 3), **gru_param_shapes("gg", 3, 3)}
+    for name in _GG_EDGES:
+        shapes.update({f"{name}_W": (3, 3), f"{name}_b": (3,)})
+    p = init_params(shapes, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _, t in p.items():
+        t.data = rng.normal(size=t.data.shape)
+    edges = nn.EdgeIndex(6, 3, [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
+                                for s, t in _GG_EDGES.values()])
+    return p, edges
+
+
+def test_ggnn_gradients():
+    # h0, the W and b of all six edge types and the nine GRU arrays
+    for steps in (0, 1, 3):
+        p, edges = _ggnn_store(30 + steps)
+        _fd_check(p, lambda: _weighted_sum(nn.ggnn(p["h"], edges, p, list(_GG_EDGES), "gg", steps), 31))
+
+
+def test_ggnn_matches_step_loop():
+    # the fused steps against the edge_messages + gru_cell loop they
+    # replace: same states, same gradients. The layouts are built only where
+    # they are read: the target layout by the forward steps, the source
+    # layout by the backward.
+    a, edges = _ggnn_store(40)
+    b, loop_edges = _ggnn_store(40)
+    w = Tensor(np.random.default_rng(41).normal(size=(6, 3)))
+    fused = nn.ggnn(a["h"], edges, a, list(_GG_EDGES), "gg", 3)
+    assert "tgt_layout" in vars(edges) and "src_layout" not in vars(edges)
+    backward(nn.tsum(nn.mul(fused, w)))
+    assert "src_layout" in vars(edges)
+    h = b["h"]
+    for _ in range(3):
+        h = gru_cell(nn.edge_messages(h, loop_edges, b, list(_GG_EDGES)), h, b, "gg")
+    backward(nn.tsum(nn.mul(h, w)))
+    assert not {"tgt_layout", "src_layout"} & set(vars(loop_edges))
+    assert np.allclose(fused.data, h.data, rtol=1e-12, atol=1e-14)
+    for (name, ta), (_, tb) in zip(a.items(), b.items()):
+        assert np.allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-12), name
+    with pytest.raises(ShapeError):
+        nn.ggnn(Tensor(np.zeros((5, 3))), edges, a, list(_GG_EDGES), "gg", 1)
 
 
 def test_attention_gradients():
@@ -344,7 +420,7 @@ def test_masked_nll_matches_log_softmax():
     got = nn.masked_nll(Tensor(s), _SUPPORT, _TARGET).data
     for d in range(3):
         lp = nn.masked_log_softmax(Tensor(s[d]), np.where(_SUPPORT[d], 0.0, -np.inf))
-        want = -float(nn.logsumexp(nn.gather_elems(lp, np.flatnonzero(_TARGET[d]))).data)
+        want = -float(nn.logsumexp(nn.rows(lp, np.flatnonzero(_TARGET[d]))).data)
         assert abs(got[d] - want) <= 1e-12 * max(abs(want), 1.0)
 
 
@@ -431,7 +507,7 @@ def test_masked_log_softmax_gradients():
 
     def loss():
         lp = nn.masked_log_softmax(p["x"], mask)
-        return nn.tsum(nn.gather_elems(lp, [0, 1, 3, 4]))
+        return nn.tsum(nn.rows(lp, [0, 1, 3, 4]))
 
     _fd_check(p, loss)
 
