@@ -39,6 +39,14 @@ class EvalReport:
     pruned: int
     dead_end: int
     discarded: int
+    # teacher forcing, summed over the fold per decision kind (P, V, L), as
+    # in train's epoch records
+    nll_P: float
+    nll_V: float
+    nll_L: float
+    decisions_P: int
+    decisions_V: int
+    decisions_L: int
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +123,14 @@ def accuracy_at_k(model: mo.Model, fold, k: int, width: int = 5, decoded=None) -
 
 
 def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport:
-    ppl_d, ppl_t = perplexity(model, fold)
+    if not fold:
+        raise DataError("empty fold")
+    sums = mo.fold_nll(model, fold)
     decoded = _decode_fold(model, fold, width)
     wt, wt_no_unk = well_typed_rate(model, fold, width, decoded=decoded)
     return EvalReport(
-        ppl_decision=ppl_d,
-        ppl_token=ppl_t,
+        ppl_decision=math.exp(sums["nll"] / sums["decisions"]),
+        ppl_token=math.exp(sums["nll"] / sums["tokens"]),
         well_typed=wt,
         well_typed_no_unk=wt_no_unk,
         acc1=accuracy_at_k(model, fold, 1, width, decoded=decoded),
@@ -130,6 +140,7 @@ def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport
         seed=seed,
         **{k: sum(getattr(res, k) for res in decoded)
            for k in ("expanded", "pruned", "dead_end", "discarded")},
+        **{f"{m}_{k}": sums[f"{m}_{k}"] for m in ("nll", "decisions") for k in "PVL"},
     )
 
 

@@ -102,6 +102,12 @@ class StepLoss:
     def total(self):
         return float(self.nll.sum())
 
+    def by_kind(self) -> dict:
+        """The summed NLL nll_k and the count decisions_k of each kind k."""
+        mine = {k: self.kind == k for k in "PVL"}
+        return {**{f"nll_{k}": float(self.nll[m].sum()) for k, m in mine.items()},
+                **{f"decisions_{k}": int(m.sum()) for k, m in mine.items()}}
+
     def __len__(self):
         return len(self.nll)
 
@@ -742,8 +748,7 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
         order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
         total_nll = 0.0
         total_decisions = 0
-        kind_nll = dict.fromkeys("PVL", 0.0)
-        kind_count = dict.fromkeys("PVL", 0)
+        kinds = {}  # nll_k and decisions_k summed over the epoch
         norms = []
         phase = dict.fromkeys(("forward_s", "backward_s", "adam_s"), 0.0)
         for lo in range(0, len(order), batch_size):
@@ -770,10 +775,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             phase["forward_s"] += t1 - t0
             total_nll += float(loss.data)
             total_decisions += len(steps)
-            for k in kind_nll:
-                mine = steps.kind == k
-                kind_nll[k] += float(steps.nll[mine].sum())
-                kind_count[k] += int(mine.sum())
+            for name, v in steps.by_kind().items():
+                kinds[name] = kinds.get(name, 0) + v
         rec = {
             "epoch": epoch,
             "train_nll": total_nll,
@@ -783,9 +786,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
             "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
             "prep_s": prep_s if epoch == 0 else 0.0,
             **phase,
+            **kinds,
         }
-        rec.update({f"nll_{k}": v for k, v in kind_nll.items()})
-        rec.update({f"decisions_{k}": v for k, v in kind_count.items()})
         if valid:
             rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
         history.append(rec)
@@ -794,16 +796,15 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
     return history
 
 
-def fold_perplexity(model: Model, samples) -> tuple:
-    """(per-decision, per-token) perplexity of a fold under teacher forcing.
+def fold_nll(model: Model, samples) -> dict:
+    """The summed NLL of a fold under teacher forcing, its decision and token
+    counts, and per decision kind k nll_k and decisions_k (StepLoss.by_kind).
 
     Graph contexts are scored in batches of 20 samples, which share one GGNN
     batch. The seq encoder runs one sample at a time, so a batch saves it
     nothing; its samples are scored one by one, each a short call."""
     size = 20 if model.encoder == "graph" else 1
-    nll = 0.0
-    decisions = 0
-    tokens = 0
+    sums = dict.fromkeys(("nll", "decisions", "tokens"), 0)
     for lo in range(0, len(samples), size):
         preppeds = [prep_sample(model, s) for s in samples[lo : lo + size]]
         if size == 1:
@@ -811,10 +812,18 @@ def fold_perplexity(model: Model, samples) -> tuple:
         else:
             with nn.no_grad():
                 _, steps = batch_loss(model, preppeds)
-        nll += steps.total()
-        decisions += len(steps)
-        tokens += sum(pr.n_tokens for pr in preppeds)
-    return math.exp(nll / decisions), math.exp(nll / tokens)
+        sums["nll"] += steps.total()
+        sums["decisions"] += len(steps)
+        sums["tokens"] += sum(pr.n_tokens for pr in preppeds)
+        for name, v in steps.by_kind().items():
+            sums[name] = sums.get(name, 0) + v
+    return sums
+
+
+def fold_perplexity(model: Model, samples) -> tuple:
+    """(per-decision, per-token) perplexity of a fold under teacher forcing."""
+    sums = fold_nll(model, samples)
+    return math.exp(sums["nll"] / sums["decisions"]), math.exp(sums["nll"] / sums["tokens"])
 
 
 # ---------------------------------------------------------------------------

@@ -611,8 +611,9 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     if h.data.shape != (edges.n, edges.d) or edges.n_tgt != edges.n or labelled:
         raise ShapeError(f"ggnn: state {h.data.shape} vs unlabelled ({edges.n}, {edges.d}) edges")
     Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
-    gru = [p[f"{gru_prefix}_{m}{g}"] for m in "WUb" for g in "zrh"]
+    gru = [p[n] for n in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
+    U = np.array((Uz, Ur))
     counts = np.stack([np.bincount(edges.tgt[a:z], minlength=edges.n) for a, z in edges.spans],
                       axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
     bias = counts @ np.stack([b.data for b in bs])
@@ -623,9 +624,14 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
         for _ in range(steps):
             hs = H[edges.src]
             X = _layout_sum(bias.copy(), edges.tgt_layout, _message_rows(hs, edges, Ws))
-            *gates, H_next = _gru_step(X @ Wz + bz, X @ Wr + br, X @ Wh + bh, H, (Uz, Ur, Uh))
+            C = X @ Wh + bh
+            ZR = np.empty((2,) + C.shape, C.dtype)
+            np.negative(X @ Wz + bz, out=ZR[0])
+            np.negative(X @ Wr + br, out=ZR[1])
+            RH, H_next = np.empty_like(C), np.empty_like(C)
+            _gru_step(ZR, C, H, U, Uh, RH, H_next)
             if saved is not None:
-                saved.append((X, H, hs, *gates))
+                saved.append((X, H, hs, *ZR, RH, C))
             H = H_next
 
     def bw(g):
@@ -716,19 +722,22 @@ def _flip_back(a, H: int):
     return np.concatenate([a[..., :H], a[::-1, ..., H:]], axis=-1)
 
 
-def _gru_step(xz, xr, xh, h, U, mask=None):
-    """One GRU step from state h, given the gates' input sides x @ W + b and
-    recurrent weights U: (z, r, r * h, candidate, new state). mask scales z."""
-    Uz, Ur, Uh = U
-    z = np.exp(-(xz + h @ Uz))
-    np.reciprocal(np.add(z, 1.0, out=z), out=z)
+def _gru_step(zr, c, h, U, Uh, rh, out, mask=None):
+    """One GRU step from h, in place, U = [Uz, Ur]: zr (2, ..., H), minus the
+    input sides of z and r, becomes 1 / (1 + exp(zr - h @ U)) = [z, r] (mask
+    scales z), c the candidate from its input side, rh r * h, out h + z (c - h)."""
+    zr -= h @ U
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.reciprocal(zr, out=zr)
     if mask is not None:
-        z *= mask
-    r = np.exp(-(xr + h @ Ur))
-    np.reciprocal(np.add(r, 1.0, out=r), out=r)
-    rh = r * h
-    c = np.tanh(xh + rh @ Uh)
-    return z, r, rh, c, h + z * (c - h)
+        zr[0] *= mask
+    np.multiply(zr[1], h, out=rh)
+    c += rh @ Uh
+    np.tanh(c, out=c)
+    np.subtract(c, h, out=out)
+    out *= zr[0]
+    out += h
 
 
 def _gru_local(HP, Z, R, C):
@@ -754,6 +763,11 @@ def _gru_grads(X, dx, HP, RH, ds):
             ds[0].sum(axis=0), ds[1].sum(axis=0), ds[2].sum(axis=0)]
 
 
+@functools.cache
+def _gru_names(prefixes: tuple) -> tuple:  # W, U, b; z, r, h; GRU
+    return tuple(f"{pre}_{m}{g}" for m in "WUb" for g in "zrh" for pre in prefixes)
+
+
 def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     """The GRU kernel: a whole run is one tape node with a hand-written
     backward through time. With h0, one step of the GRU prefixes[0] on x
@@ -761,61 +775,63 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
     x; with two prefixes, the second GRU runs backwards in time, fused with
     the first: the state is [h_f, h_b], scan step s reads x[s] and x[T-1-s],
     and the recurrent weights are block-diagonal, assembled here from each
-    GRU's own arrays. Each gate keeps its own contiguous arrays: column
-    slices of stacked gates are strided, and elementwise work on them is
-    several times slower. Lengths mask the update gate z of each column's
-    padded steps to 0, which leaves its state unchanged there, h + 0 (c - h);
-    the backward needs nothing more, as the saved z is the masked one."""
+    GRU's own arrays. The input sides of all steps are formed once; per step,
+    those of z and r form one negated (2, ..., kH) block, which keeps each
+    gate contiguous (elementwise work on strided column slices is several
+    times slower). Each step writes its gates, candidate, r * h and state in
+    place into run buffers; row 0 of the states is h0. Lengths mask the
+    update gate z of each column's padded steps to 0, which leaves its state
+    unchanged there, h + 0 (c - h); the backward reads the masked z."""
     step, k = h0 is not None, len(prefixes)
-    params = [p[f"{pre}_{m}{g}"] for m in "WUb" for g in "zrh" for pre in prefixes]
+    params = [p[n] for n in _gru_names(prefixes)]
     if k == 1:
         Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in params)
     else:
         parts = [[t.data for t in params[i : i + k]] for i in range(0, 9 * k, k)]
         Wz, Wr, Wh, bz, br, bh = (np.concatenate(ds, axis=-1) for ds in parts[:3] + parts[6:])
         Uz, Ur, Uh = (_block_diag(*ds) for ds in parts[3:6])
+    U = np.array((Uz, Ur))
     H = len(Uz) // k  # state width of one GRU
     xs = x.data[None] if step else x.data
-    xz, xr, xh = xs @ Wz + bz, xs @ Wr + br, xs @ Wh + bh  # input side of all steps
-    if k > 1:
-        xz, xr, xh = _flip_back(xz, H), _flip_back(xr, H), _flip_back(xh, H)
-    T = len(xs)
+    T, C = len(xs), xs @ Wh + bh  # input sides of all steps
+    ZR = np.empty((T, 2) + C.shape[1:], C.dtype)
+    np.negative(xs @ Wz + bz, out=ZR[:, 0])
+    np.negative(xs @ Wr + br, out=ZR[:, 1])
+    if k > 1:  # the backward GRU's inputs in scan order
+        ZR[..., H:], C = ZR[::-1, ..., H:], _flip_back(C, H)
     mask = [None] * T
     if lengths is not None and min(lengths) < T:  # 1 where a step reads its column's data
-        valid = (np.arange(T)[:, None] < np.asarray(lengths)).astype(xz.dtype)[..., None]
-        mask = np.broadcast_to(valid, xz.shape)
+        valid = (np.arange(T)[:, None] < np.asarray(lengths)).astype(C.dtype)[..., None]
+        mask = np.broadcast_to(valid, C.shape)
         mask = _flip_back(mask, H) if k > 1 else mask
-    h = h0.data if step else np.zeros(xz.shape[1:], dtype=xz.dtype)
-    saved, out = [], []  # per scan step: (state before it, z, r, r * h, candidate); state after it
+    RH, S = np.empty_like(C), np.empty((T + 1,) + C.shape[1:], C.dtype)
+    S[0] = h0.data if step else 0.0
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
         for s in range(T):
-            z, r, rh, c, h_next = _gru_step(xz[s], xr[s], xh[s], h, (Uz, Ur, Uh), mask[s])
-            saved.append((h, z, r, rh, c))
-            h = h_next
-            out.append(h)
+            _gru_step(ZR[s], C[s], S[s], U, Uh, RH[s], S[s + 1], mask[s])
 
     def bw(g):
         g = g[None] if step else g if k == 1 else _flip_back(g, H)
-        HP, Z, R, RH, C = (a[0][None] if T == 1 else np.stack(a) for a in zip(*saved))
+        HP, Z, R = S[:-1], ZR[:, 0], ZR[:, 1]
         local = _gru_local(HP, Z, R, C)  # of every step at once
         UT = (Uz.T, Ur.T, Uh.T)
         # gate pre-activation gradients per scan step, (T, ..., k * H) each
-        daz, dar, dah = (np.empty_like(xz) for _ in range(3))
-        dh = np.zeros_like(h)
+        daz, dar, dah = (np.empty_like(C) for _ in range(3))
+        dh = np.zeros_like(S[0])
         for s in reversed(range(T)):
             daz[s], dar[s], dah[s], dh = _gru_step_bw(dh + g[s], R[s], [a[s] for a in local], UT)
 
         def flat(*arrays):
             return [a.reshape(-1, a.shape[-1]) for a in arrays]
 
-        (X, HP, RH), ds = flat(xs, HP, RH), flat(daz, dar, dah)
+        (X, HP, rh), ds = flat(xs, HP, RH), flat(daz, dar, dah)
         if k > 1:  # back to time-aligned rows, as x
             daz, dar, dah = _flip_back(daz, H), _flip_back(dar, H), _flip_back(dah, H)
         dx = flat(daz, dar, dah)
         for i in range(k):  # the diagonal blocks go to each GRU
             c = slice(i * H, (i + 1) * H)
             cols = [[a[:, c] for a in grads] for grads in (dx, ds)]
-            for j, gt in enumerate(_gru_grads(X, cols[0], HP[:, c], RH[:, c], cols[1])):
+            for j, gt in enumerate(_gru_grads(X, cols[0], HP[:, c], rh[:, c], cols[1])):
                 _accum(params[j * k + i], gt)
         dx = daz @ Wz.T + dar @ Wr.T + dah @ Wh.T
         _accum(x, dx[0] if step else dx)
@@ -823,10 +839,7 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
             _accum(h0, dh)
 
     parents = [x] + params + ([h0] if step else [])
-    if step:
-        return _make(h, parents, bw)
-    out = np.stack(out)
-    return _make(out if k == 1 else _flip_back(out, H), parents, bw)
+    return _make(S[1] if step else S[1:] if k == 1 else _flip_back(S[1:], H), parents, bw)
 
 
 def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:
@@ -1026,6 +1039,8 @@ def load_checkpoint(path: str) -> ParamStore:
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
             n = math.prod(shape)
             data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise NeuralError(f"checkpoint {path} has a NaN or inf in parameter {name!r}")
             store.register(name, data.copy())
         if f.tell() != size:
             raise NeuralError(f"checkpoint {path} has trailing bytes")

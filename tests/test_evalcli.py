@@ -67,6 +67,20 @@ def test_report_invariants(trained, folds):
     assert rep.expanded >= rep.pruned > 0
 
 
+def test_report_nll_by_kind(trained, folds):
+    # the per-kind sums of the teacher-forced NLL add up to the fold's: its
+    # per-decision perplexity is exp(sum / count); two passes agree
+    fold = folds["test"][:12]
+    rep = E.evaluate(trained, fold, width=2)
+    nll = rep.nll_P + rep.nll_V + rep.nll_L
+    count = rep.decisions_P + rep.decisions_V + rep.decisions_L
+    assert count == sum(len(M.prep_sample(trained, s).plan) for s in fold)
+    assert min(rep.decisions_P, rep.decisions_V, rep.decisions_L) > 0
+    assert min(rep.nll_P, rep.nll_V, rep.nll_L) > 0.0
+    assert abs(math.exp(nll / count) - rep.ppl_decision) <= 1e-9 * rep.ppl_decision
+    assert E.evaluate(trained, fold, width=2) == rep
+
+
 def test_evaluate_deterministic(trained, folds):
     fold = folds["test"][:6]
     a = E.evaluate(trained, fold, width=3, seed=1)
@@ -250,6 +264,23 @@ def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"nagc: {path}:2: "), err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, corpus_samples,
+                                           tmp_path, capsys):
+    # refused at load, naming the parameter, before anything is printed
+    ckpt, sample = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
+    m = M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4, token_vocab=token_vocab)
+    m.params["dec_g_Uz"].data[2, 1] = value
+    M.save_model(m, ckpt)
+    P.write_jsonl(corpus_samples[:2], sample)
+    for argv in (["evaluate", "--data", sample, "--ckpt", ckpt],
+                 ["complete", "--ckpt", ckpt, "--sample", sample]):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (out, err)
+        assert err.startswith("nagc: ") and "'dec_g_Uz'" in err, err
+
+
 # checkpoint cut to the first n bytes (a float: that share of the file; -1:
 # one byte short), or a manifest fault
 @pytest.mark.parametrize("fault", [0, 3, 10, 100, 0.5, -1, "trailing", "manifest-json",
@@ -316,7 +347,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     rep = json.loads(out.strip().splitlines()[-1])
     assert set(rep) == {"ppl_decision", "ppl_token", "well_typed", "well_typed_no_unk",
                         "acc1", "acc5", "n", "config", "seed",
-                        "expanded", "pruned", "dead_end", "discarded"}
+                        "expanded", "pruned", "dead_end", "discarded",
+                        "nll_P", "nll_V", "nll_L", "decisions_P", "decisions_V", "decisions_L"}
     with open(report) as f:
         assert json.load(f) == rep
 

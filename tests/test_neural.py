@@ -92,9 +92,11 @@ def test_gru_gradients():
     p = _gru_store(1, {"x": (5, 4), "h": (5, 3)})
     _fd_check(p, lambda: _weighted_sum(gru_cell(p["x"], p["h"], p, "g"), 1))
     # fused bidirectional runs and their final state, (T, d), time-major
-    # (T, B, d), and a padded (T, B, d) batch of columns of unequal lengths,
-    # one of them full and one a single step
-    for shape, lengths in (((6, 4), None), ((5, 2, 4), None), ((5, 3, 4), [5, 1, 3])):
+    # (T, B, d), single-step runs (T = 1), and padded (T, B, d) batches of
+    # columns of unequal lengths, each with a full column and one of a single
+    # step
+    for shape, lengths in (((6, 4), None), ((5, 2, 4), None), ((1, 4), None),
+                           ((1, 2, 4), None), ((5, 3, 4), [5, 1, 3]), ((2, 2, 4), [1, 2])):
         p = _gru_store(2, {"x": shape}, BI)
         _fd_check(p, lambda: _weighted_sum(nn.bigru_scan(p["x"], p, "g", lengths), 2))
         p = _gru_store(3, {"x": shape}, BI)
@@ -153,6 +155,52 @@ def test_gru_scan_equals_cell_loop():
     for name, t in a.items():
         if name != "x":
             assert np.max(np.abs(t.grad - b[name].grad)) < 1e-8, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_step_equals_per_gate_formulas(dtype):
+    # bit for bit: the stacked z/r block with its negation folded into the
+    # operands, the in-place sigmoid and the in-place candidate and state
+    # against the textbook GRU written one gate at a time
+    rng = np.random.default_rng(50)
+    d, H = 4, 5
+    Wz, Wr, Wh = (rng.normal(size=(d, H)).astype(dtype) for _ in range(3))
+    Uz, Ur, Uh = (rng.normal(size=(H, H)).astype(dtype) for _ in range(3))
+    bz, br, bh = (rng.normal(size=H).astype(dtype) for _ in range(3))
+    br[0] = -1e4  # exp(-a) overflows to inf: r[..., 0] is 0
+    for lead, masked in (((), False), ((6,), False), ((6,), True)):
+        x = rng.normal(size=lead + (d,)).astype(dtype)
+        h = rng.normal(size=lead + (H,)).astype(dtype)
+        mask = (rng.random(lead + (H,)) < 0.5).astype(dtype) if masked else None
+        with np.errstate(over="ignore"):
+            z = 1.0 / (1.0 + np.exp(-((x @ Wz + bz) + h @ Uz)))
+            r = 1.0 / (1.0 + np.exp(-((x @ Wr + br) + h @ Ur)))
+            z = z * mask if masked else z
+            c = np.tanh((x @ Wh + bh) + (r * h) @ Uh)
+            zr, cand = -np.array([x @ Wz + bz, x @ Wr + br]), x @ Wh + bh
+            rh, out = np.empty_like(h), np.empty_like(h)
+            nn._gru_step(zr, cand, h, np.array([Uz, Ur]), Uh, rh, out, mask)
+        assert not r[..., 0].any()
+        for got, want in ((zr[0], z), (zr[1], r), (cand, c), (rh, r * h), (out, h + z * (c - h))):
+            assert got.dtype == dtype and np.array_equal(got, want), (lead, masked)
+
+
+def test_gru_kernels_forward_ignores_the_tape():
+    # bigru_scan (plain and padded), gru_cell and ggnn give the same bits
+    # under no_grad as on the tape
+    p = _gru_store(60, {"x": (6, 3, 4), "h": (3, 3), "xs": (3, 4)}, BI + ("g",))
+    gg, edges = _ggnn_store(61)
+    runs = [lambda: nn.bigru_scan(p["x"], p, "g"),
+            lambda: nn.bigru_scan(p["x"], p, "g", [6, 1, 4]),
+            lambda: gru_cell(p["xs"], p["h"], p, "g"),
+            lambda: gru_cell(p["xs"].data[0], p["h"].data[0], p, "g"),
+            lambda: nn.ggnn(gg["h"], edges, gg, list(_GG_EDGES), "gg", 3)]
+    for i, run in enumerate(runs):
+        taped = run()
+        with nn.no_grad():
+            free = run()
+        assert taped._parents and not free._parents, i
+        assert np.array_equal(taped.data, free.data), i
 
 
 def test_embedding_gradients():
