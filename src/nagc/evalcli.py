@@ -59,17 +59,16 @@ def perplexity(model: mo.Model, fold) -> tuple:
     return mo.fold_perplexity(model, fold)
 
 
-def _decode_fold(model: mo.Model, fold, width: int):
-    """Beam results per sample; every hypothesis is asserted to round-trip
-    through the grammar before any metric may count it."""
-    results = []
-    for s in fold:
-        res = mo.decode_beam(model, s.before, s.after, s.scope, width=width)
+def _decode_fold(model: mo.Model, fold, width: int, decoded=None):
+    """Beam results per sample, decoded here unless given; every hypothesis
+    is asserted to round-trip through the grammar before any metric may
+    count it."""
+    if decoded is None:
+        decoded = [mo.decode_beam(model, s.before, s.after, s.scope, width=width) for s in fold]
+    for res in decoded:
         for tree, _ in res.hypotheses:
-            seq = serialize_decisions(tree)
-            deserialize_decisions(seq, model.grammar)  # syntactic validity
-        results.append(res)
-    return results
+            deserialize_decisions(serialize_decisions(tree), model.grammar)  # syntactic validity
+    return decoded
 
 
 def well_typed_rate(model: mo.Model, fold, width: int = 5, decoded=None) -> tuple:
@@ -125,8 +124,9 @@ def accuracy_at_k(model: mo.Model, fold, k: int, width: int = 5, decoded=None) -
 def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport:
     if not fold:
         raise DataError("empty fold")
-    sums = mo.fold_nll(model, fold)
-    decoded = _decode_fold(model, fold, width)
+    # one prep and one encoding per sample, shared by both metrics
+    sums, decoded = mo.walk_fold(model, fold, width)
+    decoded = _decode_fold(model, fold, width, decoded)
     wt, wt_no_unk = well_typed_rate(model, fold, width, decoded=decoded)
     return EvalReport(
         ppl_decision=math.exp(sums["nll"] / sums["decisions"]),
@@ -334,6 +334,8 @@ def _dispatch(args) -> int:
     if args.cmd == "complete":
         m = mo.load_model(args.ckpt)
         fold = pl.read_jsonl(args.sample, m.grammar)
+        if not fold:
+            raise DataError("no samples in file")
         for s in fold:
             print(f"hole in {s.file or '<sample>'} ({s.hole_type}):")
             res = mo.decode_beam(m, s.before, s.after, s.scope, width=args.beam)

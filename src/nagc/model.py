@@ -688,10 +688,12 @@ def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
     return nn.tsum(nll), StepLoss(per_decision, kinds)
 
 
-def batch_loss(model: Model, preppeds):
+def batch_loss(model: Model, preppeds, encodings: BatchEncoding = None):
     """Summed teacher-forcing loss over a batch as one disconnected graph,
-    and the batch's StepLoss."""
-    encodings = encode_many(model, preppeds)
+    and the batch's StepLoss; `encodings` is the batch's encode_many, run
+    here when not given."""
+    if encodings is None:
+        encodings = encode_many(model, preppeds)
     batched = ag.batch_graphs([pr.graph for pr in preppeds])
     label_idx = np.concatenate([pr.label_idx for pr in preppeds])
     states = propagate(model, batched, label_idx, preppeds, encodings)
@@ -699,11 +701,12 @@ def batch_loss(model: Model, preppeds):
     return tree_log_prob(model, preppeds, offsets, states, encodings)
 
 
-def sample_loss(model: Model, sample):
-    """(nll, StepLoss) for one sample; gradient-free convenience wrapper."""
+def sample_loss(model: Model, sample, encodings: BatchEncoding = None):
+    """(nll, StepLoss) for one sample, given its encode_many or not;
+    gradient-free convenience wrapper."""
     pr = sample if isinstance(sample, Prepped) else prep_sample(model, sample)
     with nn.no_grad():
-        loss, steps = batch_loss(model, [pr])
+        loss, steps = batch_loss(model, [pr], encodings)
     return float(loss.data), steps
 
 
@@ -798,26 +801,42 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
 
 def fold_nll(model: Model, samples) -> dict:
     """The summed NLL of a fold under teacher forcing, its decision and token
-    counts, and per decision kind k nll_k and decisions_k (StepLoss.by_kind).
+    counts, and per decision kind k nll_k and decisions_k (StepLoss.by_kind):
+    walk_fold without the beam search."""
+    return walk_fold(model, samples)[0]
 
-    Graph contexts are scored in batches of 20 samples, which share one GGNN
-    batch. The seq encoder runs one sample at a time, so a batch saves it
-    nothing; its samples are scored one by one, each a short call."""
+
+def walk_fold(model: Model, samples, width: int = None) -> tuple:
+    """(fold_nll's sums, beams) in one pass over a fold. Each chunk of
+    samples is prepped once and encoded once, under no_grad; its
+    teacher-forced NLL is scored from that encoding and, given a beam
+    `width`, each sample is beam-searched from its row of the same encoding.
+    `beams` holds a BeamResult per sample, or nothing without a width.
+
+    Graph contexts go 20 to a chunk, which share one GGNN batch. Seq contexts
+    go one to a chunk, so that a decode reads, bit for bit, the encoding
+    decode_beam computes for the same context, and each sample is scored by
+    a short sample_loss call of its own."""
     size = 20 if model.encoder == "graph" else 1
     sums = dict.fromkeys(("nll", "decisions", "tokens"), 0)
+    beams = []
     for lo in range(0, len(samples), size):
         preppeds = [prep_sample(model, s) for s in samples[lo : lo + size]]
-        if size == 1:
-            _, steps = sample_loss(model, preppeds[0])
-        else:
-            with nn.no_grad():
-                _, steps = batch_loss(model, preppeds)
+        with nn.no_grad():
+            encodings = encode_many(model, preppeds)
+            if size == 1:
+                _, steps = sample_loss(model, preppeds[0], encodings)
+            else:
+                _, steps = batch_loss(model, preppeds, encodings)
+            if width is not None:
+                beams += [_decode(model, pr, encodings[i], width)
+                          for i, pr in enumerate(preppeds)]
         sums["nll"] += steps.total()
         sums["decisions"] += len(steps)
         sums["tokens"] += sum(pr.n_tokens for pr in preppeds)
         for name, v in steps.by_kind().items():
             sums[name] = sums.get(name, 0) + v
-    return sums
+    return sums, beams
 
 
 def fold_perplexity(model: Model, samples) -> tuple:
@@ -854,10 +873,9 @@ def decode_beam(model: Model, before, after, scope, width: int = 5,
                 max_steps: int = 50) -> BeamResult:
     """Frontier-ordered beam search; hypotheses carry incremental attribute
     states so no full propagation is ever run during decoding."""
-    if width < 1 or max_steps < 1:
-        raise ModelError("width and max-steps must be >= 1")
     with nn.no_grad():
-        return _decode(model, prep_context(model, before, after, scope), width, max_steps)
+        pr = prep_context(model, before, after, scope)
+        return _decode(model, pr, encode(model, pr), width, max_steps)
 
 
 def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
@@ -872,8 +890,11 @@ def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
     return _Hyp(builder, states, 0.0)
 
 
-def _decode(model: Model, pr: Prepped, width, max_steps) -> BeamResult:
-    enc = encode(model, pr)
+def _decode(model: Model, pr: Prepped, enc: ContextEncoding, width, max_steps=50) -> BeamResult:
+    """Beam search of the prepped context `pr` from its encoding `enc`;
+    the caller holds no_grad."""
+    if width < 1 or max_steps < 1:
+        raise ModelError("width and max-steps must be >= 1")
     beam = [_root_hyp(model, pr, enc)]
     finished: list[_Hyp] = []
     expanded = pruned = dead_end = 0

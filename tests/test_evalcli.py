@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nagc import evalcli as E
+from nagc import lang
 from nagc import model as M
 from nagc import pipeline as P
 from nagc.evalcli import DataError, EvalReport, run_cli
@@ -46,6 +47,14 @@ def trained(fitted_grammar, folds, token_vocab):
     m = M.Model(fitted_grammar, config="NAG", encoder="seq", hidden=32, emb_dim=16,
                 seed=0, token_vocab=token_vocab)
     M.train(m, folds["train"][:20], epochs=8, seed=0, log=lambda rec: None)
+    return m
+
+
+@pytest.fixture(scope="module")
+def trained_graph(fitted_grammar, folds, token_vocab):
+    m = M.Model(fitted_grammar, config="NAG", encoder="graph", hidden=32, emb_dim=16,
+                edge_emb=8, seed=0, token_vocab=token_vocab)
+    M.train(m, folds["train"][:20], epochs=4, seed=0, log=lambda rec: None)
     return m
 
 
@@ -94,6 +103,64 @@ def test_report_json_round_trip(trained, folds):
     rep = E.evaluate(trained, folds["test"][:4], width=2)
     back = EvalReport(**json.loads(json.dumps(asdict(rep))))
     assert back == rep
+
+
+@pytest.mark.parametrize("which", ["trained", "trained_graph"])
+def test_evaluate_preps_and_encodes_each_sample_once(which, request, folds, monkeypatch):
+    model = request.getfixturevalue(which)
+    fold = folds["test"][:25]  # graph: two chunks, the second short
+    prepped, graphs, chunks = [], [], []
+    real_prep, real_graph, real_many = M.prep_sample, lang.program_graph, M.encode_many
+
+    def prep_sample(model_, sample):
+        prepped.append((sample, real_prep(model_, sample)))
+        return prepped[-1][1]
+
+    def program_graph(tokens):
+        graphs.append(tokens)
+        return real_graph(tokens)
+
+    def encode_many(model_, preppeds):
+        chunks.append(list(preppeds))
+        return real_many(model_, preppeds)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a context prepped or encoded outside walk_fold's chunks")
+
+    monkeypatch.setattr(M, "prep_sample", prep_sample)
+    monkeypatch.setattr(lang, "program_graph", program_graph)
+    monkeypatch.setattr(M, "encode_many", encode_many)
+    for name in ("encode", "decode_beam"):
+        monkeypatch.setattr(M, name, forbidden)
+    rep = E.evaluate(model, fold, width=5)
+    assert rep.n == len(fold)
+    assert [s for s, _ in prepped] == fold
+    assert len(graphs) == (len(fold) if model.encoder == "graph" else 0)
+    sizes = [20, 5] if model.encoder == "graph" else [1] * len(fold)
+    assert [len(c) for c in chunks] == sizes
+    assert [id(pr) for c in chunks for pr in c] == [id(pr) for _, pr in prepped]
+
+
+@pytest.mark.parametrize("which", ["trained", "trained_graph"])
+def test_evaluate_matches_fold_nll_and_decode_beam(which, request, folds, monkeypatch):
+    # the report built the two-pass way: fold_nll's teacher forcing, then a
+    # decode_beam per sample, each preparing and encoding its context again
+    model = request.getfixturevalue(which)
+    fold = folds["test"][:25]
+    new = E.evaluate(model, fold, width=5)
+    sums = M.fold_nll(model, fold)
+    beams = [M.decode_beam(model, s.before, s.after, s.scope, width=5) for s in fold]
+    monkeypatch.setattr(M, "walk_fold", lambda *args, **kwargs: (sums, beams))
+    old = E.evaluate(model, fold, width=5)
+    if model.encoder == "seq":
+        assert new == old  # one sample a chunk: the very same encodings
+        return
+    # a graph chunk is one GGNN batch, whose rows differ from a lone
+    # context's encoding by rounding
+    assert abs(new.ppl_decision - old.ppl_decision) <= 1e-6 * old.ppl_decision
+    for k in ("acc1", "acc5", "well_typed", "well_typed_no_unk",
+              "expanded", "pruned", "dead_end", "discarded"):
+        assert getattr(new, k) == getattr(old, k), k
 
 
 def test_perplexity_is_one_when_forced():
@@ -194,6 +261,18 @@ def test_cli_data_errors_exit_2(tmp_path, capsys):
     empty.mkdir()
     assert run_cli(["extract", "--in", str(empty), "--out", str(tmp_path / "o.jsonl")]) == 2
     assert "nagc:" in capsys.readouterr().err
+
+
+def test_cli_empty_sample_file_exits_2(fitted_grammar, token_vocab, tmp_path, capsys):
+    ckpt, empty = str(tmp_path / "m.nagc"), tmp_path / "empty.jsonl"
+    M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4,
+                         token_vocab=token_vocab), ckpt)
+    empty.write_text("", encoding="utf-8")
+    for argv in (["complete", "--ckpt", ckpt, "--sample", str(empty)],
+                 ["graph-dot", "--sample", str(empty), "--out", str(tmp_path / "g.dot")]):
+        assert run_cli(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["nagc: no samples in file"], argv
 
 
 def test_cli_non_utf8_corpus_file_exits_2(tmp_path, capsys):
