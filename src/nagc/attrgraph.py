@@ -9,6 +9,10 @@ incrementally during decoding or built in one shot from a complete tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .grammar import Kind
 from .syntax import PartialAst, apply_production, bind_terminal
@@ -23,6 +27,7 @@ NEXT_EXP = "NextExp"
 
 PAPER_EDGE_TYPES = (CHILD, PARENT, NEXT_SIBLING, NEXT_USE, NEXT_TOKEN, INH_TO_SYN)
 ALL_EDGE_TYPES = PAPER_EDGE_TYPES + (NEXT_EXP,)
+_ETYPE_CODE = {t: k for k, t in enumerate(ALL_EDGE_TYPES)}
 
 
 class GraphError(Exception):
@@ -37,8 +42,7 @@ class AttrNode:
     label: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     etype: str
     tgt: int
@@ -47,17 +51,27 @@ class Edge:
 
 @dataclass
 class AttributeGraph:
-    nodes: list[AttrNode]
-    edges: list[Edge]
+    """The edges are four index arrays in target order, as the builder emits
+    them: every edge points forward (src < tgt) and tgt never decreases."""
+
+    nodes: list[AttrNode]  # a batch lists each component's own records in turn
+    src: np.ndarray  # (E,) int64
+    tgt: np.ndarray  # (E,) int64
+    etype: np.ndarray  # (E,) int64 index into ALL_EDGE_TYPES
+    label: np.ndarray  # (E, 2) int64 production id and child index, -1 without
     schedule: list[list[int]]
     components: list[dict]  # offset, n, root_inh, ctx{name: aid}
 
-    def in_edges(self, aid: int) -> list[Edge]:
-        return [e for e in self.edges if e.tgt == aid]
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as records: a read-only view of the arrays."""
+        labels = [None if pid < 0 else (pid, i) for pid, i in self.label.tolist()]
+        etypes = [ALL_EDGE_TYPES[k] for k in self.etype.tolist()]
+        return tuple(map(Edge, self.src.tolist(), etypes, self.tgt.tolist(), labels))
 
     def sources(self) -> list[int]:
-        with_in = {e.tgt for e in self.edges}
-        return [n.aid for n in self.nodes if n.aid not in with_in]
+        with_in = set(self.tgt.tolist())
+        return [a for a in range(len(self.nodes)) if a not in with_in]
 
 
 # phases of an AST node on the builder's walk stack: not yet visited; its
@@ -214,7 +228,10 @@ class GraphBuilder:
     def graph(self) -> AttributeGraph:
         ctx = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
         comp = {"offset": 0, "n": len(self.nodes), "root_inh": 0, "ctx": ctx}
-        gr = AttributeGraph(list(self.nodes), list(self.edges), [], [comp])
+        src, etype, tgt, label = zip(*self.edges) if self.edges else ((),) * 4
+        pid, child = zip(*(lab or (-1, -1) for lab in label)) if label else ((), ())
+        cols = np.array([src, tgt, [_ETYPE_CODE[t] for t in etype], pid, child], np.int64)
+        gr = AttributeGraph(list(self.nodes), cols[0], cols[1], cols[2], cols[3:].T, [], [comp])
         gr.schedule = propagation_schedule(gr)
         return gr
 
@@ -232,59 +249,41 @@ def augment_full_tree(t: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
 # Schedules and batching
 
 def propagation_schedule(gr: AttributeGraph) -> list[list[int]]:
-    """Kahn layering: round r holds nodes whose predecessors all lie in
-    rounds < r. Ties broken by ascending node id."""
-    n = len(gr.nodes)
-    indeg = [0] * n
-    out: dict[int, list[int]] = {}
-    for e in gr.edges:
-        indeg[e.tgt] += 1
-        out.setdefault(e.src, []).append(e.tgt)
-    current = sorted(a for a in range(n) if indeg[a] == 0)
-    rounds = []
-    seen = 0
-    while current:
-        rounds.append(current)
-        seen += len(current)
-        nxt = set()
-        for a in current:
-            for b in out.get(a, ()):
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    nxt.add(b)
-        current = sorted(nxt)
-    if seen != n:
-        raise GraphError("cycle detected in attribute graph")
-    return rounds
+    """Longest-path layering in one forward pass over the edges in target
+    order: a node's round is one more than its latest predecessor's, 0
+    without any; each round lists its nodes by ascending id."""
+    rounds = [0] * len(gr.nodes)
+    last = 0
+    for s, t in zip(gr.src.tolist(), gr.tgt.tolist()):
+        if not s < t >= last:
+            raise GraphError(f"edge {s} -> {t} does not point forward in target order")
+        last = t
+        if rounds[s] >= rounds[t]:
+            rounds[t] = rounds[s] + 1
+    schedule = [[] for _ in range(max(rounds, default=-1) + 1)]
+    for a, r in enumerate(rounds):
+        schedule[r].append(a)
+    return schedule
 
 
 def batch_graphs(graphs: list[AttributeGraph]) -> AttributeGraph:
-    """Merge graphs into one disconnected graph; rounds merged index-wise."""
-    nodes: list[AttrNode] = []
-    edges: list[Edge] = []
+    """Merge graphs into one disconnected graph: the edge arrays concatenated
+    with node offsets, the rounds merged index-wise."""
+    offsets = [0, *accumulate(len(gr.nodes) for gr in graphs)]
+    schedule = [[] for _ in range(max(len(gr.schedule) for gr in graphs))]
     components = []
-    schedule: list[list[int]] = []
-    offset = 0
-    for gr in graphs:
-        for nd in gr.nodes:
-            nodes.append(AttrNode(nd.aid + offset, nd.flavor, nd.origin, nd.label))
-        for e in gr.edges:
-            edges.append(Edge(e.src + offset, e.etype, e.tgt + offset, e.label))
+    for gr, off in zip(graphs, offsets):
         for r, rnd in enumerate(gr.schedule):
-            if r >= len(schedule):
-                schedule.append([])
-            schedule[r].extend(a + offset for a in rnd)
-        for comp in gr.components:
-            components.append(
-                {
-                    "offset": comp["offset"] + offset,
-                    "n": comp["n"],
-                    "root_inh": comp["root_inh"] + offset,
-                    "ctx": {k: v + offset for k, v in comp["ctx"].items()},
-                }
-            )
-        offset += len(gr.nodes)
-    return AttributeGraph(nodes, edges, schedule, components)
+            schedule[r] += [a + off for a in rnd]
+        components += [{"offset": c["offset"] + off, "n": c["n"], "root_inh": c["root_inh"] + off,
+                        "ctx": {k: v + off for k, v in c["ctx"].items()}} for c in gr.components]
+    shift = np.repeat(offsets[:-1], [len(gr.src) for gr in graphs])
+    return AttributeGraph(
+        list(chain.from_iterable(gr.nodes for gr in graphs)),
+        np.concatenate([gr.src for gr in graphs]) + shift,
+        np.concatenate([gr.tgt for gr in graphs]) + shift,
+        np.concatenate([gr.etype for gr in graphs]),
+        np.concatenate([gr.label for gr in graphs]), schedule, components)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +300,18 @@ _DOT_STYLE = {
 }
 
 
+def _dot_string(text: str) -> str:
+    """`text` as one DOT quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(gr: AttributeGraph) -> str:
     lines = ["digraph attrgraph {"]
     for nd in gr.nodes:
-        lines.append(f'  n{nd.aid} [label="{nd.aid}:{nd.flavor}:{nd.label}"];')
-    for etype in ALL_EDGE_TYPES:
-        group = [e for e in gr.edges if e.etype == etype]
-        for e in group:
-            attrs = _DOT_STYLE[etype] + f' label="{etype}"'
-            if e.label is not None:
-                attrs = _DOT_STYLE[etype] + f' label="{etype}{e.label}"'
-            lines.append(f"  n{e.src} -> n{e.tgt} [{attrs}];")
+        lines.append(f"  n{nd.aid} [label={_dot_string(f'{nd.aid}:{nd.flavor}:{nd.label}')}];")
+    for e in sorted(gr.edges, key=lambda e: _ETYPE_CODE[e.etype]):
+        label = e.etype if e.label is None else f"{e.etype}{e.label}"
+        lines.append(f"  n{e.src} -> n{e.tgt} [{_DOT_STYLE[e.etype]} label={_dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

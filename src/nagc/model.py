@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,10 +161,8 @@ class Model:
         self.label_vocab = list(dict.fromkeys(labels))
         self.label2id = {l: i for i, l in enumerate(self.label_vocab)}
 
-        self.edge_label2id = {}
-        for p in grammar.productions:
-            for i in range(len(p.rhs)):
-                self.edge_label2id[(p.pid, i)] = len(self.edge_label2id)
+        # child label (pid, i) has id edge_label_base[pid] + i
+        self.edge_label_base = [0, *accumulate(len(p.rhs) for p in grammar.productions)]
 
         self.graph_labels = list(dict.fromkeys(self.token_vocab + list(lang.INTERNAL_LABELS)))
         self.glab2id = {l: i for i, l in enumerate(self.graph_labels)}
@@ -186,7 +185,7 @@ class Model:
             shapes[f"dec_f_{etype}_W"] = (in_dim, H)
             shapes[f"dec_f_{etype}_b"] = (H,)
         if cfg.child_labels:
-            shapes["dec_emb_edge"] = (len(self.edge_label2id), Ee)
+            shapes["dec_emb_edge"] = (self.edge_label_base[-1], Ee)
         score_in = H * (1 + cfg.attention + cfg.variable_pooling)
         shapes["dec_score_W"] = (score_in, len(g.productions))
         shapes["dec_score_b"] = (len(g.productions),)
@@ -488,7 +487,8 @@ def node_representation(model: Model, label_id: int, in_edges, state_of):
     for e in in_edges:
         src = state_of(e.src)
         if e.etype == ag.CHILD and cfg.child_labels:
-            src = nn.concat([src, nn.rows(p["dec_emb_edge"], model.edge_label2id[e.label])])
+            pid, i = e.label
+            src = nn.concat([src, nn.rows(p["dec_emb_edge"], model.edge_label_base[pid] + i)])
         m = nn.linear(src, p, f"dec_f_{e.etype}")
         msgs = m if msgs is None else nn.add(msgs, m)
     if msgs is None:
@@ -522,35 +522,28 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
     table = nn.rows(nn.concat([encodings.roots, encodings.var_table]), [seed[a] for a in schedule[0]])
 
     # edges sorted by the round of their target, then by type
-    etypes = list(cfg.edge_set)
-    code = {t: k for k, t in enumerate(etypes)}
-    edges = batched.edges
-    src = row[np.fromiter((e.src for e in edges), np.int64, len(edges))]
-    tgt = row[np.fromiter((e.tgt for e in edges), np.int64, len(edges))]
-    typ = np.fromiter((code[e.etype] for e in edges), np.int64, len(edges))
-    labelled = cfg.child_labels and ag.CHILD in code
-    if labelled:
-        lab = np.fromiter((model.edge_label2id[e.label] if e.label is not None else -1
-                           for e in edges), np.int64, len(edges))
+    src, tgt, typ = row[batched.src], row[batched.tgt], batched.etype
     starts = np.cumsum([0] + [len(rnd) for rnd in schedule])  # table rows per round
     rnd = np.searchsorted(starts, tgt, side="right") - 1
     order = np.lexsort((typ, rnd))
     src, tgt, typ = src[order], tgt[order], typ[order]
-    if labelled:
-        lab = lab[order]
+    if cfg.child_labels:
+        pid, child = batched.label[order].T
+        lab = np.asarray(model.edge_label_base)[pid] + child  # read on Child edges only
     cut = np.searchsorted(rnd[order], np.arange(len(starts)))
     buf = np.empty((N, table.data.shape[1]), table.data.dtype)
     for r in range(1, len(schedule)):
         a, z = cut[r], cut[r + 1]
         kinds, firsts = np.unique(typ[a:z], return_index=True)
         bounds = list(a + firsts) + [z]
+        names = [ag.ALL_EDGE_TYPES[k] for k in kinds]
         groups = []
-        for k, lo, hi in zip(kinds, bounds, bounds[1:]):
+        for name, lo, hi in zip(names, bounds, bounds[1:]):
             group = (src[lo:hi], tgt[lo:hi] - starts[r])
-            groups.append(group + (lab[lo:hi],) if labelled and etypes[k] == ag.CHILD else group)
+            groups.append(group + (lab[lo:hi],) if cfg.child_labels and name == ag.CHILD else group)
         index = nn.EdgeIndex(starts[r], buf.shape[1], groups, n_tgt=len(schedule[r]))
-        msgs = nn.edge_messages(table, index, p, [f"dec_f_{etypes[k]}" for k in kinds],
-                                p["dec_emb_edge"] if labelled else None)
+        msgs = nn.edge_messages(table, index, p, [f"dec_f_{name}" for name in names],
+                                p["dec_emb_edge"] if cfg.child_labels else None)
         x = nn.rows(p["dec_emb_label"], label_idx[schedule[r]])
         table = nn.append_rows(table, nn.gru_cell(x, msgs, p, "dec_g"), buf)
     return nn.rows(table, row)

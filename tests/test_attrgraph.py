@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -125,7 +126,17 @@ def test_builder_settled_per_decision_matches_one_shot(g):
             assert trees_equal(t, full)
             one = GraphBuilder(full, ctx, edge_set=edge_set, labels=labels)
             assert list(b.aid_of.items()) == list(one.aid_of.items())
-            assert b.graph() == augment_full_tree(full, ctx, edge_set=edge_set, labels=labels)
+            _assert_graphs_equal(b.graph(), augment_full_tree(full, ctx, edge_set=edge_set,
+                                                              labels=labels))
+
+
+def _assert_graphs_equal(a, b):
+    assert a.nodes == b.nodes
+    for field in ("src", "tgt", "etype", "label"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), field
+    assert a.schedule == b.schedule
+    assert a.components == b.components
 
 
 def test_edges_are_pure_function_of_tree(g):
@@ -192,12 +203,46 @@ def test_schedule_layering_property(g):
             assert round_of[e.src] < round_of[e.tgt]
 
 
+def _longest_path_rounds(gr):
+    # each node's round by recursion over its predecessors in the edge
+    # records, independent of the edges' order
+    preds = {}
+    for e in gr.edges:
+        preds.setdefault(e.tgt, []).append(e.src)
+    memo = {}
+
+    def depth(a):
+        if a not in memo:
+            memo[a] = 1 + max(map(depth, preds[a])) if a in preds else 0
+        return memo[a]
+
+    return [depth(a) for a in range(len(gr.nodes))]
+
+
+def test_schedule_matches_longest_path_oracle(g):
+    rng = np.random.default_rng(5)
+    scopes = (["i"], ["i", "j"], ["i", "j", "s", "b", "arr"])
+    for k in range(300):
+        ctx = scopes[k % len(scopes)]
+        tree = random_tree(g, rng, ctx)
+        for edge_set, labels in DECODER_EDGES:
+            gr = augment_full_tree(tree, ctx, edge_set=edge_set, labels=labels)
+            rounds = _longest_path_rounds(gr)
+            want = [[a for a, ra in enumerate(rounds) if ra == r] for r in range(max(rounds) + 1)]
+            assert gr.schedule == want
+
+
 def test_schedule_detects_cycles(g):
+    # a cycle needs an edge that does not point forward: a self-loop and a
+    # back edge, each in target order; and a forward edge out of target order
     tree, ctx = _sub_fixture(g)
     gr = augment_full_tree(tree, ctx)
-    gr.edges.append(A.Edge(10, PARENT, 0))  # force a cycle
-    with pytest.raises(GraphError):
-        propagation_schedule(gr)
+    for src, tgt, at in ((10, 10, len(gr.src)), (8, 5, int(np.searchsorted(gr.tgt, 5))), (0, 10, 0)):
+        bad = A.AttributeGraph(gr.nodes, np.insert(gr.src, at, src), np.insert(gr.tgt, at, tgt),
+                               np.insert(gr.etype, at, 0), np.insert(gr.label, at, -1, axis=0),
+                               [], gr.components)
+        with pytest.raises(GraphError):
+            propagation_schedule(bad)
 
 
 def test_batch_unbatch_round_trip(g):
@@ -206,19 +251,29 @@ def test_batch_unbatch_round_trip(g):
     graphs = [augment_full_tree(t, c) for t, c in zip(trees, ctxs)]
     batched = batch_graphs(graphs)
     assert len(batched.nodes) == sum(len(gr.nodes) for gr in graphs)
+    assert len(batched.src) == sum(len(gr.src) for gr in graphs)
     # rounds are merged index-wise
     assert len(batched.schedule) == max(len(gr.schedule) for gr in graphs)
-    # each component's offset maps its slice back onto the original graph
+    for r, rnd in enumerate(batched.schedule):
+        assert rnd == [a + comp["offset"] for gr, comp in zip(graphs, batched.components)
+                       for a in (gr.schedule[r] if r < len(gr.schedule) else [])]
+    # each component's slice of the arrays, minus its offset, is its own graph
+    lo_edge = 0
     for orig, comp in zip(graphs, batched.components):
         lo, hi = comp["offset"], comp["offset"] + comp["n"]
-        assert [A.AttrNode(n.aid - lo, n.flavor, n.origin, n.label)
-                for n in batched.nodes[lo:hi]] == orig.nodes
-        assert [A.Edge(e.src - lo, e.etype, e.tgt - lo, e.label)
-                for e in batched.edges if lo <= e.tgt < hi] == orig.edges
+        assert batched.nodes[lo:hi] == orig.nodes
+        edges = slice(lo_edge, lo_edge + len(orig.src))
+        assert np.array_equal(batched.src[edges] - lo, orig.src)
+        assert np.array_equal(batched.tgt[edges] - lo, orig.tgt)
+        assert np.array_equal(batched.etype[edges], orig.etype)
+        assert np.array_equal(batched.label[edges], orig.label)
+        assert all(lo <= a < hi for a in batched.tgt[edges])
         rounds = [[a - lo for a in rnd if lo <= a < hi] for rnd in batched.schedule]
         assert rounds[: len(orig.schedule)] == orig.schedule
         assert comp["root_inh"] - lo == orig.components[0]["root_inh"]
         assert {k: v - lo for k, v in comp["ctx"].items()} == orig.components[0]["ctx"]
+        lo_edge = edges.stop
+    assert lo_edge == len(batched.src)
 
 
 def test_export_dot_colors(g):
@@ -228,3 +283,20 @@ def test_export_dot_colors(g):
                    'color="orange"', 'color="blue"'):
         assert needle in dot
     assert dot.startswith("digraph")
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_export_dot_quotes_labels(g):
+    # a string literal's spelling holds quotes, and here a backslash too
+    tree = _tree(g, '"a\\b" + s')
+    dot = export_dot(augment_full_tree(tree, ["s"]))
+    line = re.compile(rf"  n\d+( -> n\d+)? \[\w+={_DOT_STRING}( \w+={_DOT_STRING})*\];")
+    body = dot.splitlines()
+    assert body[0] == "digraph attrgraph {" and body[-1] == "}"
+    for text in body[1:-1]:
+        assert line.fullmatch(text), text
+    labels = [re.sub(r"\\(.)", r"\1", m[1:-1])
+              for m in re.findall(rf"label=({_DOT_STRING})", dot)]
+    assert '3:joint:"a\\b"' in labels

@@ -346,8 +346,9 @@ def test_node_representation_permutation_invariant(small, folds):
     with nn.no_grad():
         states = M.propagate(small, pr.graph, pr.label_idx, [pr], M.encode_many(small, [pr]))
         state_of = lambda aid: nn.rows(states, aid)
+        all_edges = pr.graph.edges
         for node in pr.graph.nodes:
-            edges = pr.graph.in_edges(node.aid)
+            edges = [e for e in all_edges if e.tgt == node.aid]
             if not edges:
                 continue
             h1 = M.node_representation(small, pr.label_idx[node.aid], edges, state_of)
@@ -514,6 +515,11 @@ def test_total_probability_sums_to_one():
 
 def _oracle_propagate(model, batched, label_idx, encs):
     p, cfg = model.params, model.config
+    # child labels numbered in production order, then child order
+    label_id = {}
+    for prod in model.grammar.productions:
+        for i in range(len(prod.rhs)):
+            label_id[(prod.pid, i)] = len(label_id)
     N = len(batched.nodes)
     src_ids, src_rows = [], []
     for comp, enc in zip(batched.components, encs):
@@ -533,7 +539,7 @@ def _oracle_propagate(model, batched, label_idx, encs):
         for etype, es in per_round[r].items():
             inp = nn.rows(states, [e.src for e in es])
             if etype == A.CHILD and cfg.child_labels:
-                lab = [model.edge_label2id[e.label] for e in es]
+                lab = [label_id[e.label] for e in es]
                 inp = nn.concat([inp, nn.rows(p["dec_emb_edge"], lab)], axis=1)
             m = nn.scatter_rows(len(rnd), [pos_in_round[e.tgt] for e in es],
                                 nn.linear(inp, p, f"dec_f_{etype}"))
