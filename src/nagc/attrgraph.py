@@ -27,7 +27,7 @@ NEXT_EXP = "NextExp"
 
 PAPER_EDGE_TYPES = (CHILD, PARENT, NEXT_SIBLING, NEXT_USE, NEXT_TOKEN, INH_TO_SYN)
 ALL_EDGE_TYPES = PAPER_EDGE_TYPES + (NEXT_EXP,)
-_ETYPE_CODE = {t: k for k, t in enumerate(ALL_EDGE_TYPES)}
+ETYPE_CODE = {t: k for k, t in enumerate(ALL_EDGE_TYPES)}
 
 
 class GraphError(Exception):
@@ -230,7 +230,7 @@ class GraphBuilder:
         comp = {"offset": 0, "n": len(self.nodes), "root_inh": 0, "ctx": ctx}
         src, etype, tgt, label = zip(*self.edges) if self.edges else ((),) * 4
         pid, child = zip(*(lab or (-1, -1) for lab in label)) if label else ((), ())
-        cols = np.array([src, tgt, [_ETYPE_CODE[t] for t in etype], pid, child], np.int64)
+        cols = np.array([src, tgt, [ETYPE_CODE[t] for t in etype], pid, child], np.int64)
         gr = AttributeGraph(list(self.nodes), cols[0], cols[1], cols[2], cols[3:].T, [], [comp])
         gr.schedule = propagation_schedule(gr)
         return gr
@@ -309,7 +309,7 @@ def export_dot(gr: AttributeGraph) -> str:
     lines = ["digraph attrgraph {"]
     for nd in gr.nodes:
         lines.append(f"  n{nd.aid} [label={_dot_string(f'{nd.aid}:{nd.flavor}:{nd.label}')}];")
-    for e in sorted(gr.edges, key=lambda e: _ETYPE_CODE[e.etype]):
+    for e in sorted(gr.edges, key=lambda e: ETYPE_CODE[e.etype]):
         label = e.etype if e.label is None else f"{e.etype}{e.label}"
         lines.append(f"  n{e.src} -> n{e.tgt} [{_DOT_STYLE[e.etype]} label={_dot_string(label)}];")
     lines.append("}")

@@ -336,9 +336,9 @@ def _dispatch(args) -> int:
         fold = pl.read_jsonl(args.sample, m.grammar)
         if not fold:
             raise DataError("no samples in file")
-        for s in fold:
+        results = mo.decode_many(m, [(s.before, s.after, s.scope) for s in fold], width=args.beam)
+        for s, res in zip(fold, results):
             print(f"hole in {s.file or '<sample>'} ({s.hole_type}):")
-            res = mo.decode_beam(m, s.before, s.after, s.scope, width=args.beam)
             for tree, lp in res.hypotheses:
                 pct = 100.0 * math.exp(lp)
                 print(f"  {pct:5.1f}%  {' '.join(render_tree_tokens(tree))}")

@@ -2,10 +2,10 @@
 the decision scorers, teacher-forced training and beam-search decoding.
 
 All decision math lives in three batched scorers, one per decision kind
-(production, variable, literal): teacher forcing scores every decision of a
-batch at once through them, and the pick_* functions that decoding calls are
-their one-key case, on incrementally computed states under no_grad. Training
-and decoding thus share one scoring implementation.
+(production, variable, literal), and every attribute state comes from one
+message-passing kernel, node_representation: teacher forcing scores every
+decision of a batch at once, and beam search every site of a chunk of holes
+per step. Training and decoding thus share one implementation.
 """
 
 from __future__ import annotations
@@ -475,26 +475,29 @@ def encode_many(model: Model, preppeds) -> BatchEncoding:
 
 
 # ---------------------------------------------------------------------------
-# Node representations
+# Attribute-node message passing
 
-def node_representation(model: Model, label_id: int, in_edges, state_of):
-    """h_v for one attribute node: GRU of the label embedding against the
-    summed edge-type-transformed predecessor messages."""
+def node_representation(model: Model, table, index: nn.EdgeIndex, etypes, label_ids):
+    """The states of one round of attribute nodes, (index.n_tgt, H): the GRU
+    of each node's label embedding against the sum of its in-edge messages.
+    The edges of `index` come from rows of `table`, one group per edge type
+    name in `etypes`. This is the one message-passing kernel: propagate
+    (training) and the beam search compute every attribute state with it."""
     p, cfg = model.params, model.config
-    msgs = None
-    # canonical order: the sum must not depend on how in-edges were listed
-    in_edges = sorted(in_edges, key=lambda e: (e.etype, e.src, e.label or (-1, -1)))
-    for e in in_edges:
-        src = state_of(e.src)
-        if e.etype == ag.CHILD and cfg.child_labels:
-            pid, i = e.label
-            src = nn.concat([src, nn.rows(p["dec_emb_edge"], model.edge_label_base[pid] + i)])
-        m = nn.linear(src, p, f"dec_f_{e.etype}")
-        msgs = m if msgs is None else nn.add(msgs, m)
-    if msgs is None:
-        raise ModelError("attribute node has no in-edges; schedule violation")
-    x = nn.rows(p["dec_emb_label"], label_id)
-    return nn.gru_cell(x, msgs, p, "dec_g")
+    msgs = nn.edge_messages(table, index, p, [f"dec_f_{t}" for t in etypes],
+                            p["dec_emb_edge"] if cfg.child_labels else None)
+    return nn.gru_cell(nn.rows(p["dec_emb_label"], label_ids), msgs, p, "dec_g")
+
+
+def _round_index(n: int, d: int, n_tgt: int, etype, src, tgt, label, child_labels: bool):
+    """(EdgeIndex, edge type names) of one round's edges, index arrays sorted
+    by type code, from rows of a table (n, d) into n_tgt targets; label is
+    read on Child edges only, and only under child_labels."""
+    cuts = [0, *(np.flatnonzero(np.diff(etype)) + 1).tolist(), len(etype)]
+    names = [ag.ALL_EDGE_TYPES[k] for k in etype[cuts[:-1]]]
+    groups = [(src[a:z], tgt[a:z]) + ((label[a:z],) if child_labels and name == ag.CHILD else ())
+              for name, a, z in zip(names, cuts, cuts[1:])]
+    return nn.EdgeIndex(n, d, groups, n_tgt), names
 
 
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
@@ -503,12 +506,12 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
     (N, H) attribute states in node order, seeded from the BatchEncoding
     `encodings` of `preppeds`.
 
-    Round 0 holds the encoder-seeded nodes. Every later round is one message
-    step over the in-edges of its nodes plus one GRU step, and its states are
-    appended to one table in schedule order, so that a round reads all
+    Round 0 holds the encoder-seeded nodes. Every later round is one
+    node_representation call over the in-edges of its nodes, and its states
+    are appended to one table in schedule order, so that a round reads all
     earlier states without copying the table.
     """
-    p, cfg = model.params, model.config
+    cfg = model.config
     schedule, N = batched.schedule, len(batched.nodes)
     row = np.empty(N, dtype=np.int64)  # each node's row in the table
     row[np.concatenate(schedule)] = np.arange(N)
@@ -527,25 +530,16 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
     rnd = np.searchsorted(starts, tgt, side="right") - 1
     order = np.lexsort((typ, rnd))
     src, tgt, typ = src[order], tgt[order], typ[order]
-    if cfg.child_labels:
-        pid, child = batched.label[order].T
-        lab = np.asarray(model.edge_label_base)[pid] + child  # read on Child edges only
+    pid, child = batched.label[order].T
+    lab = np.asarray(model.edge_label_base)[pid] + child  # read on labelled Child edges only
     cut = np.searchsorted(rnd[order], np.arange(len(starts)))
     buf = np.empty((N, table.data.shape[1]), table.data.dtype)
     for r in range(1, len(schedule)):
         a, z = cut[r], cut[r + 1]
-        kinds, firsts = np.unique(typ[a:z], return_index=True)
-        bounds = list(a + firsts) + [z]
-        names = [ag.ALL_EDGE_TYPES[k] for k in kinds]
-        groups = []
-        for name, lo, hi in zip(names, bounds, bounds[1:]):
-            group = (src[lo:hi], tgt[lo:hi] - starts[r])
-            groups.append(group + (lab[lo:hi],) if cfg.child_labels and name == ag.CHILD else group)
-        index = nn.EdgeIndex(starts[r], buf.shape[1], groups, n_tgt=len(schedule[r]))
-        msgs = nn.edge_messages(table, index, p, [f"dec_f_{name}" for name in names],
-                                p["dec_emb_edge"] if cfg.child_labels else None)
-        x = nn.rows(p["dec_emb_label"], label_idx[schedule[r]])
-        table = nn.append_rows(table, nn.gru_cell(x, msgs, p, "dec_g"), buf)
+        index, names = _round_index(starts[r], buf.shape[1], len(schedule[r]), typ[a:z], src[a:z],
+                                    tgt[a:z] - starts[r], lab[a:z], cfg.child_labels)
+        new = node_representation(model, table, index, names, label_idx[schedule[r]])
+        table = nn.append_rows(table, new, buf)
     return nn.rows(table, row)
 
 
@@ -555,15 +549,15 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
 # use, over every row of the table.
 
 def _production_logits(model: Model, keys, tokens=None, tok_idx=None, owner=None,
-                       var_table=None, var_idx=None):
+                       var_table=None, var_idx=None, tok_proj=None):
     """dec_score of each key concatenated, as the config asks, with its
     attention over its sample's context tokens (rows tok_idx[owner] of
-    tokens) and the max-pool of its in-scope variable rows (zeros without
-    any)."""
+    tokens; tok_proj is tokens @ dec_att_Wm, when known) and the max-pool of
+    its in-scope variable rows (zeros without any)."""
     p, cfg = model.params, model.config
     parts = [keys]
     if cfg.attention:
-        parts.append(nn.attention(keys, tokens, p, "dec_att", tok_idx, owner))
+        parts.append(nn.attention(keys, tokens, p, "dec_att", tok_idx, owner, tok_proj))
     if cfg.variable_pooling:
         if var_table is None:
             parts.append(nn.Tensor(np.zeros(keys.data.shape, keys.data.dtype)))
@@ -586,6 +580,38 @@ def _literal_scores(model: Model, keys, cls: str, mem=None, mem_idx=None):
     if mem is None:
         return scores
     return nn.concat([scores, nn.pointer_scores(keys, mem, p["dec_copy_B"], idx=mem_idx)], axis=-1)
+
+
+def _score_sites(model: Model, kind: str, states, keys, owners, var_idx, nts, enc: BatchEncoding,
+                 preppeds, tok_proj=None):
+    """(scores, support) of sites of one kind, "P", "V" or a literal class,
+    one scorer call for all: keys (D,) rows of states, of samples owners (D,)
+    of enc and preppeds, with variable rows var_idx (D, V) and, at production
+    sites, nonterminals nts. A literal site's slots are the class vocab, then
+    the copy slots of its sample's lexable tokens."""
+    keys = nn.rows(states, keys)
+    if kind == "P":
+        used = sorted(set(owners))  # the samples attended over
+        own = np.searchsorted(used, owners)
+        toks = _padded([np.arange(enc.tok_start[o], enc.tok_start[o + 1]) for o in used])
+        return (_production_logits(model, keys, enc.tokens, toks, own, states, var_idx, tok_proj),
+                np.isfinite([model.mask(nt) for nt in nts]))
+    if kind == "V":
+        return _variable_scores(model, keys, states, var_idx), var_idx >= 0
+    copy_idx = _padded([enc.tok_start[o] + np.asarray(preppeds[o].lex[kind][0], dtype=np.int64)
+                        for o in owners])
+    scores = _literal_scores(model, keys, kind, enc.tokens if copy_idx.shape[1] else None, copy_idx)
+    vocab = np.ones((len(owners), len(model.grammar.literal_vocab[kind])), dtype=bool)
+    return scores, np.concatenate([vocab, copy_idx >= 0], axis=1)
+
+
+def _slot_args(model: Model, pr: Prepped, kind: str, n: int):
+    """The decision argument of each of the n slots of a `kind` site of the
+    context pr: every production id, its scope in ctx_order, or the class
+    vocab and then the context's copy candidates."""
+    if kind == "P":
+        return range(n)
+    return pr.ctx_order if kind == "V" else [*model.grammar.literal_vocab[kind], *pr.lex[kind][1]]
 
 
 def pick_production_dist(model: Model, key, nt: str, enc: ContextEncoding = None,
@@ -614,10 +640,10 @@ def pick_literal_dist(model: Model, key, cls: str, enc: ContextEncoding, lex):
 
 def literal_spelling_probs(probs, entries) -> dict:
     """Merged distribution over distinct entries: a literal spelling's vocab
-    and copy slots summed."""
+    and copy slots summed. probs is a tensor or an array."""
     out = {}
-    for sp, pr in zip(entries, probs.data):
-        out[sp] = out.get(sp, 0.0) + float(pr)
+    for sp, pr in zip(entries, nn.as_tensor(probs).data.tolist()):
+        out[sp] = out.get(sp, 0.0) + pr
     return out
 
 
@@ -635,43 +661,23 @@ def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
     owner = np.repeat(np.arange(len(preppeds)), [len(pr.plan) for pr in preppeds])
     decs = [dec for pr in preppeds for dec in pr.plan]
     keys = np.array([dec[1] for dec in decs], dtype=np.int64) + np.asarray(offsets)[owner]
-    var_idx = np.full((len(decs), max(len(pr.ctx_order) for pr in preppeds)), -1, dtype=np.int64)
-    for pr, off, d in zip(preppeds, offsets, np.cumsum([0] + [len(pr.plan) for pr in preppeds])):
-        var_idx[d : d + len(pr.plan), : len(pr.ctx_order)] = pr.var_rows + off
-    toks = _padded([np.arange(a, z) for a, z in zip(enc.tok_start, enc.tok_start[1:])])
-
+    var_idx = _padded([rows + off for pr, off in zip(preppeds, offsets) for rows in pr.var_rows])
     groups = []  # (positions in plan order, scores, support, target)
-    sel = np.flatnonzero(kinds == "P")
-    if sel.size:
-        logits = _production_logits(model, nn.rows(states, keys[sel]), enc.tokens, toks, owner[sel],
-                                    states, var_idx[sel])
-        support = np.isfinite(np.stack([model.mask(decs[i][3]) for i in sel]))
-        target = np.zeros(support.shape, dtype=bool)
-        target[np.arange(sel.size), [decs[i][2] for i in sel]] = True
-        groups.append((sel, logits, support, target))
-    sel = np.flatnonzero(kinds == "V")
-    if sel.size:
-        vidx = var_idx[sel]
-        target = np.zeros(vidx.shape, dtype=bool)
-        target[np.arange(sel.size), [preppeds[owner[i]].ctx_order.index(decs[i][2]) for i in sel]] = True
-        groups.append((sel, _variable_scores(model, nn.rows(states, keys[sel]), states, vidx),
-                       vidx >= 0, target))
-    for cls in sorted(g.literal_vocab):
-        sel = np.flatnonzero([dec[0] == "L" and dec[2] == cls for dec in decs])
+    for kind in ("P", "V", *sorted(g.literal_vocab)):
+        sel = np.flatnonzero([(dec[0] if dec[0] != "L" else dec[2]) == kind for dec in decs])
         if not sel.size:
             continue
-        vocab = list(g.literal_vocab[cls])
-        lex = [preppeds[owner[i]].lex[cls] for i in sel]
-        copy_idx = _padded([enc.tok_start[owner[i]] + np.asarray(pos, dtype=np.int64)
-                            for i, (pos, _) in zip(sel, lex)])
-        scores = _literal_scores(model, nn.rows(states, keys[sel]), cls,
-                                 enc.tokens if copy_idx.shape[1] else None, copy_idx)
-        support = np.concatenate([np.ones((sel.size, len(vocab)), dtype=bool), copy_idx >= 0], axis=1)
+        scores, support = _score_sites(model, kind, states, keys[sel], owner[sel], var_idx[sel],
+                                       [decs[i][3] for i in sel], enc, preppeds)
         target = np.zeros(support.shape, dtype=bool)
-        for row, (i, (_, spellings)) in enumerate(zip(sel, lex)):
-            spelling = decs[i][3]
-            hits = [k for k, sp in enumerate(vocab + spellings) if sp == spelling]
-            target[row, hits or [vocab.index(UNK_LITERAL[cls])]] = True
+        for row, i in enumerate(sel):
+            if kind == "P":
+                target[row, decs[i][2]] = True
+                continue
+            # every slot of the gold variable or spelling; out of vocab and context, its UNK
+            args = _slot_args(model, preppeds[owner[i]], kind, 0)
+            hits = [k for k, a in enumerate(args) if a == decs[i][2 if kind == "V" else 3]]
+            target[row, hits or args.index(UNK_LITERAL[kind])] = True
         groups.append((sel, scores, support, target))
 
     nlls = [nn.masked_nll(scores, support, target) for _, scores, support, target in groups]
@@ -792,6 +798,9 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
     return history
 
 
+CHUNK = 20  # contexts encoded and beam-searched together
+
+
 def fold_nll(model: Model, samples) -> dict:
     """The summed NLL of a fold under teacher forcing, its decision and token
     counts, and per decision kind k nll_k and decisions_k (StepLoss.by_kind):
@@ -803,14 +812,12 @@ def walk_fold(model: Model, samples, width: int = None) -> tuple:
     """(fold_nll's sums, beams) in one pass over a fold. Each chunk of
     samples is prepped once and encoded once, under no_grad; its
     teacher-forced NLL is scored from that encoding and, given a beam
-    `width`, each sample is beam-searched from its row of the same encoding.
-    `beams` holds a BeamResult per sample, or nothing without a width.
-
-    Graph contexts go 20 to a chunk, which share one GGNN batch. Seq contexts
-    go one to a chunk, so that a decode reads, bit for bit, the encoding
-    decode_beam computes for the same context, and each sample is scored by
-    a short sample_loss call of its own."""
-    size = 20 if model.encoder == "graph" else 1
+    `width`, the chunk is beam-searched (_decode) from it: `beams` holds a
+    BeamResult per sample, or nothing without a width. Graph contexts go
+    CHUNK to a chunk, one GGNN batch. Seq contexts go one to a chunk, so that
+    a decode reads, bit for bit, the encoding decode_beam computes, and each
+    sample is scored by a short sample_loss call of its own."""
+    size = CHUNK if model.encoder == "graph" else 1
     sums = dict.fromkeys(("nll", "decisions", "tokens"), 0)
     beams = []
     for lo in range(0, len(samples), size):
@@ -822,8 +829,7 @@ def walk_fold(model: Model, samples, width: int = None) -> tuple:
             else:
                 _, steps = batch_loss(model, preppeds, encodings)
             if width is not None:
-                beams += [_decode(model, pr, encodings[i], width)
-                          for i, pr in enumerate(preppeds)]
+                beams += _decode(model, preppeds, encodings, width)
         sums["nll"] += steps.total()
         sums["decisions"] += len(steps)
         sums["tokens"] += sum(pr.n_tokens for pr in preppeds)
@@ -850,141 +856,193 @@ class BeamResult:
     dead_end: int  # hypotheses whose site had no actions (empty scope)
 
 
+@dataclass
 class _Hyp:
-    __slots__ = ("builder", "states", "logp")
-
-    def __init__(self, builder, states, logp):
-        self.builder = builder
-        self.states = states  # aid -> (H,) tensor
-        self.logp = logp
-
-    def clone(self):
-        return _Hyp(self.builder.copy(), dict(self.states), self.logp)
+    hole: int  # its context's position in the chunk
+    builder: ag.GraphBuilder
+    rows: list  # the state-table row of each attribute node, by aid
+    logp: float
 
 
 def decode_beam(model: Model, before, after, scope, width: int = 5,
                 max_steps: int = 50) -> BeamResult:
-    """Frontier-ordered beam search; hypotheses carry incremental attribute
-    states so no full propagation is ever run during decoding."""
+    """Frontier-ordered beam search of one context: decode_many's chunk of
+    one."""
+    return decode_many(model, [(before, after, scope)], width, max_steps)[0]
+
+
+def decode_many(model: Model, contexts, width: int = 5, max_steps: int = 50) -> list:
+    """The BeamResult of each (before, after, scope) context, CHUNK contexts
+    to a chunk: each chunk is prepped once, encoded once and decoded in
+    lockstep."""
+    results = []
     with nn.no_grad():
-        pr = prep_context(model, before, after, scope)
-        return _decode(model, pr, encode(model, pr), width, max_steps)
+        for lo in range(0, len(contexts), CHUNK):
+            preppeds = [prep_context(model, *c) for c in contexts[lo : lo + CHUNK]]
+            results += _decode(model, preppeds, encode_many(model, preppeds), width, max_steps)
+    return results
 
 
-def _root_hyp(model: Model, pr: Prepped, enc: ContextEncoding) -> _Hyp:
-    """The empty tree, its root and context attribute nodes seeded from the
-    context encoding."""
-    cfg = model.config
-    builder = ag.GraphBuilder(new_partial_ast(model.grammar), pr.ctx_order,
-                              edge_set=cfg.edge_set, labels=cfg.child_labels)
-    states = {builder.key: enc.root}
-    for name in pr.ctx_order:
-        states[builder.last_use[name]] = enc.var_reps[name]
-    return _Hyp(builder, states, 0.0)
-
-
-def _decode(model: Model, pr: Prepped, enc: ContextEncoding, width, max_steps=50) -> BeamResult:
-    """Beam search of the prepped context `pr` from its encoding `enc`;
-    the caller holds no_grad."""
+def _decode(model: Model, preppeds, encodings: BatchEncoding, width, max_steps=50) -> list:
+    """Beam search of a chunk of prepped contexts from their encode_many, one
+    BeamResult each. Every hole's beam takes one decision per step, all holes
+    together; counters and max_steps are per hole. The caller holds no_grad."""
     if width < 1 or max_steps < 1:
         raise ModelError("width and max-steps must be >= 1")
-    beam = [_root_hyp(model, pr, enc)]
-    finished: list[_Hyp] = []
-    expanded = pruned = dead_end = 0
+    run = _Lockstep(model, preppeds, encodings)
     for _ in range(max_steps):
-        if not beam:
+        if not any(run.beams):
             break
-        pool = [(h.logp, None, h) for h in finished]
-        for hyp in beam:
-            conts = _continuations(model, hyp, enc, pr)
-            if conts is None:
-                dead_end += 1
-                continue
-            expanded += len(conts)
-            pruned += max(0, len(conts) - width)
-            pool.extend(conts[:width])
-        pool.sort(key=lambda x: -x[0])
-        pruned += sum(action is not None for _, action, _ in pool[width:])
-        beam, finished = [], []
-        for logp, action, hyp in pool[:width]:
-            if action is None:
-                finished.append(hyp)
-                continue
-            child = hyp.clone()
-            child.logp = logp
-            _apply_action(model, child, *action)
-            if child.builder.site is None:
-                finished.append(child)
-            else:
-                beam.append(child)
-
-    finished.sort(key=lambda h: -h.logp)
-    return BeamResult(
-        hypotheses=[(h.builder.tree, h.logp) for h in finished],
-        discarded=len(beam),
-        expanded=expanded,
-        pruned=pruned,
-        dead_end=dead_end,
-    )
-
-
-def _score_site(model: Model, hyp: _Hyp, enc: ContextEncoding, pr: Prepped):
-    """(probs, actions) at the next expansion site, one (kind, arg) action
-    per softmax slot. A variable slot with an empty scope is a dead end: no
-    actions."""
-    b = hyp.builder
-    node = b.tree.nodes[b.site]
-    key = hyp.states[b.key]
-    rows = [hyp.states[b.last_use[n]] for n in pr.ctx_order]
-    sym = model.grammar.symbols[node.label]
-    if sym.kind is Kind.NONTERMINAL:
-        probs = pick_production_dist(model, key, node.label, enc, rows)
-        return probs, [("P", pid) for pid in range(len(probs.data))]
-    if sym.kind is Kind.VARIABLE:
-        if not rows:
-            return nn.Tensor(np.zeros(0)), []
-        return pick_variable_dist(model, key, rows), [("V", n) for n in pr.ctx_order]
-    probs, spellings = pick_literal_dist(model, key, sym.lit_class, enc, pr.lex[sym.lit_class])
-    return probs, [("L", sp) for sp in spellings]
-
-
-def _continuations(model: Model, hyp: _Hyp, enc, pr: Prepped):
-    """The one-action extensions of `hyp` with nonzero probability, best
-    first, or None at a dead end. Equal actions (a literal spelled in the
-    vocab and copied from the context) merge first."""
-    probs, actions = _score_site(model, hyp, enc, pr)
-    if not actions:
-        return None
-    merged = literal_spelling_probs(probs, actions)
-    out = [(hyp.logp + math.log(p), action, hyp) for action, p in merged.items() if p > 0]
-    out.sort(key=lambda x: -x[0])
-    return out
-
-
-def _apply_action(model: Model, hyp: _Hyp, kind: str, arg):
-    """Make one decision and compute the states of the nodes it settles."""
-    tree = hyp.builder.tree
-    for node, in_edges in hyp.builder.decide(kind, arg):
-        label_id = _attr_label_id(model, tree, node)
-        hyp.states[node.aid] = node_representation(model, label_id, in_edges, hyp.states.__getitem__)
+        run.step(width)
+    return [BeamResult([(h.builder.tree, h.logp) for h in sorted(done, key=lambda h: -h.logp)],
+                       len(beam), *stats)
+            for beam, done, stats in zip(run.beams, run.finished, run.stats)]
 
 
 def forced_decode(model: Model, sample):
-    """The decoder's step forced along the sample's ground-truth history.
+    """The decoder forced along the sample's ground-truth history: a width-1
+    lockstep run whose only continuation is the gold decision.
 
     Returns (states, dists): the final aid -> vector map and one probability
     array per decision, for comparison against the teacher-forcing path.
     """
     pr = sample if isinstance(sample, Prepped) else prep_sample(model, sample)
     with nn.no_grad():
-        enc = encode(model, pr)
-        hyp = _root_hyp(model, pr, enc)
-        dists = []
-        for dec in pr.tree.history:
-            probs, _ = _score_site(model, hyp, enc, pr)
-            dists.append(probs.data.copy())
-            _apply_action(model, hyp, dec[0], dec[-1])
-    return {aid: t.data for aid, t in hyp.states.items()}, dists
+        run = _Lockstep(model, [pr], encode_many(model, [pr]))
+        dists = [run.step(1, gold=[(dec[0], dec[-1])])[0][0].copy() for dec in pr.tree.history]
+    (hyp,) = run.finished[0]
+    return dict(enumerate(run.buf[hyp.rows])), dists
+
+
+class _Lockstep:
+    """The beam search of one chunk: each hole's beam, finished hypotheses
+    and counters (expanded, pruned, dead-end), and one table of attribute
+    states, a preallocated buffer (rows past n are free) seeded with the
+    encoding's roots and var_table, in which each hypothesis holds the rows
+    of its nodes."""
+
+    def __init__(self, model: Model, preppeds, enc: BatchEncoding):
+        self.model, self.preppeds, self.enc, cfg = model, preppeds, enc, model.config
+        seed = np.concatenate([enc.roots.data, enc.var_table.data])
+        self.buf = np.empty((2 * len(seed) + 256, seed.shape[1]), seed.dtype)
+        self.buf[: len(seed)], self.n = seed, len(seed)
+        # the attention's memory side, once per chunk, not once per pick
+        self.tok_proj = enc.tokens.data @ model.params["dec_att_Wm"].data if cfg.attention else None
+        var0 = len(preppeds) + enc.var_start  # aid 0 is the root, then the context nodes
+        self.beams = [[_Hyp(i, ag.GraphBuilder(new_partial_ast(model.grammar), pr.ctx_order,
+                                               edge_set=cfg.edge_set, labels=cfg.child_labels),
+                            [i, *range(var0[i], var0[i + 1])], 0.0)]
+                      for i, pr in enumerate(preppeds)]
+        self.finished, self.stats = [[] for _ in preppeds], [[0, 0, 0] for _ in preppeds]
+
+    def step(self, width: int, gold=None) -> list:
+        """Advance every hole's beam by one decision: score the sites of all
+        live hypotheses, keep each hole's `width` best continuations and
+        finished hypotheses, and settle the new nodes of the kept children.
+        Given gold, one (kind, arg) action per hole, that action is each
+        hypothesis's only continuation and finished children are settled
+        too. Returns the (probs, kind, args) of each live hypothesis."""
+        scored = self.dists([h for beam in self.beams for h in beam])
+        dists, settle = iter(scored), []
+        for i, beam in enumerate(self.beams):
+            if not beam:
+                continue
+            stats, pool = self.stats[i], [(h.logp, None, h) for h in self.finished[i]]
+            for hyp in beam:
+                dist = next(dists)
+                if dist is None:
+                    stats[2] += 1
+                    continue
+                conts = [(hyp.logp, gold[i], hyp)] if gold else _continuations(hyp, *dist)
+                stats[0] += len(conts)
+                stats[1] += max(0, len(conts) - width)
+                pool.extend(conts[:width])
+            pool.sort(key=lambda x: -x[0])
+            stats[1] += sum(action is not None for _, action, _ in pool[width:])
+            self.beams[i], self.finished[i] = [], []
+            for logp, action, hyp in pool[:width]:
+                child = hyp if action is None else _Hyp(i, hyp.builder.copy(), list(hyp.rows), logp)
+                created = [] if action is None else child.builder.decide(*action)
+                done = child.builder.site is None
+                (self.finished if done else self.beams)[i].append(child)
+                if created and (gold or not done):  # a finished tree is not scored again
+                    settle.append((child, created))
+        self.settle(settle)
+        return scored
+
+    def dists(self, hyps) -> list:
+        """(probs, kind, args) at the next site of each hypothesis: its
+        softmax row as the one-key picker of its kind ("P", "V" or "L")
+        computes it and one action argument per slot, or None at a dead end
+        (a variable slot with an empty scope). Each site kind and literal
+        class is scored by one _score_sites call."""
+        g, pps, groups = self.model.grammar, self.preppeds, {}
+        for k, h in enumerate(hyps):
+            sym = g.symbols[h.builder.tree.nodes[h.builder.site].label]
+            if sym.kind is not Kind.VARIABLE or pps[h.hole].ctx_order:
+                kind = {Kind.NONTERMINAL: "P", Kind.VARIABLE: "V"}.get(sym.kind, sym.lit_class)
+                groups.setdefault(kind, []).append(h)
+        states, out = nn.Tensor(self.buf[: self.n]), {}
+        for kind, hs in groups.items():
+            var_idx = _padded([[h.rows[h.builder.last_use[v]] for v in pps[h.hole].ctx_order]
+                               for h in hs])
+            scores, support = _score_sites(
+                self.model, kind, states, [h.rows[h.builder.key] for h in hs], [h.hole for h in hs],
+                var_idx, [h.builder.tree.nodes[h.builder.site].label for h in hs], self.enc, pps,
+                self.tok_proj)
+            for h, row in zip(hs, nn.masked_softmax(scores, np.where(support, 0.0, -np.inf)).data):
+                args = _slot_args(self.model, pps[h.hole], kind, len(row))
+                out[id(h)] = (row[: len(args)], kind if kind in ("P", "V") else "L", args)
+        return [out.get(id(h)) for h in hyps]
+
+    def settle(self, children):
+        """Compute the states of the nodes that each (child, created) pair's
+        last decision created, all children at once, in rounds: a node's
+        round is one more than the latest among its in-edge sources created
+        in the same step. Each round is one node_representation call. Rows
+        are handed out in creation order, so a hypothesis's rows ascend with
+        its aids."""
+        model, base = self.model, self.model.edge_label_base
+        rounds = []  # per round: its edges, its nodes' rows and their label ids
+        for hyp, created in children:
+            depth, rows = {}, hyp.rows
+            rows += range(self.n, self.n + len(created))
+            self.n += len(created)
+            for node, in_edges in created:
+                if not in_edges:
+                    raise ModelError("attribute node has no in-edges; schedule violation")
+                r = depth[node.aid] = 1 + max(depth.get(e.src, 0) for e in in_edges)
+                if r > len(rounds):
+                    rounds.append(([], [], []))
+                edges, tgts, labels = rounds[r - 1]
+                edges += [(ag.ETYPE_CODE[e.etype], rows[e.src],
+                           -1 if e.label is None else base[e.label[0]] + e.label[1], len(tgts))
+                          for e in in_edges]
+                tgts.append(rows[node.aid])
+                labels.append(_attr_label_id(model, hyp.builder.tree, node))
+        if self.n > len(self.buf):
+            self.buf = np.resize(self.buf, (2 * self.n, self.buf.shape[1]))
+        table = nn.Tensor(self.buf[: self.n])
+        for edges, tgts, labels in rounds:
+            # each target sums its messages in (type, source, label) order
+            etype, src, lab, tgt = np.array(sorted(edges), dtype=np.int64).T
+            index, names = _round_index(self.n, self.buf.shape[1], len(tgts), etype, src, tgt, lab,
+                                        model.config.child_labels)
+            self.buf[tgts] = node_representation(model, table, index, names, labels).data
+
+
+def _continuations(hyp: _Hyp, probs, kind: str, args) -> list:
+    """The one-action extensions of `hyp` with nonzero probability, best
+    first. A literal spelled in the vocab and copied from the context merges
+    its slots first; production and variable slots are distinct actions."""
+    if kind == "L":
+        merged = literal_spelling_probs(probs, args).items()
+    else:
+        nz = np.flatnonzero(probs).tolist()
+        merged = zip([args[k] for k in nz], probs[nz].tolist())
+    out = [(hyp.logp + math.log(p), (kind, arg), hyp) for arg, p in merged if p > 0]
+    out.sort(key=lambda x: -x[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -124,26 +124,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), bw)
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "mul")
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), bw)
-
-
-def scale(a, s: float):
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, g * s)
-
-    return _make(a.data * s, (a,), bw)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[0]:
@@ -167,15 +147,6 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), bw)
 
 
-def transpose(a):
-    a = as_tensor(a)
-
-    def bw(g):
-        _accum(a, g.T)
-
-    return _make(a.data.T, (a,), bw)
-
-
 def concat(parts, axis=0):
     parts = [as_tensor(p) for p in parts]
     if not parts:
@@ -191,16 +162,6 @@ def concat(parts, axis=0):
             off += s
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), bw)
 
 
 def tsum(a):
@@ -274,16 +235,6 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), bw)
 
 
-def mean_rows(a):
-    a = as_tensor(a)
-    n = a.data.shape[0]
-
-    def bw(g):
-        _accum(a, np.repeat(g[None, :], n, axis=0) / n)
-
-    return _make(a.data.mean(axis=0), (a,), bw)
-
-
 def _segment_sum(out, idx, src):
     """Add each row src[k] into out[idx[k]] and return out; idx has any shape
     and src is idx.shape + out's row shape. This is np.add.at(out, idx, src)
@@ -331,18 +282,6 @@ def rows(a, idx):
         _accum_rows(a, idx, g)
 
     return _make(a.data[idx], (a,), bw)
-
-
-def scatter_rows(n, idx, src):
-    """(n, d) tensor with src rows summed into positions idx."""
-    src = as_tensor(src)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _segment_sum(np.zeros((n, src.data.shape[1]), src.data.dtype), idx, src.data)
-
-    def bw(g):
-        _accum(src, g[idx])
-
-    return _make(out, (src,), bw)
 
 
 def stack_rows(parts):
@@ -405,27 +344,6 @@ def masked_log_softmax(logits, mask):
         _accum(logits, g - p * gsum)
 
     return _make(out, (logits,), bw)
-
-
-def log_softmax(a):
-    return masked_log_softmax(a, np.zeros(as_tensor(a).data.shape))
-
-
-def logsumexp(a):
-    """Stable scalar log-sum-exp of a 1D tensor; tolerates -inf entries."""
-    a = as_tensor(a)
-    hi = float(np.max(a.data))
-    if not np.isfinite(hi):
-        out = hi  # all -inf
-        w = np.zeros_like(a.data)
-    else:
-        out = hi + np.log(np.sum(np.exp(a.data - hi)))
-        w = np.exp(a.data - out)
-
-    def bw(g):
-        _accum(a, g * w)
-
-    return _make(np.asarray(out, dtype=a.data.dtype), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -851,13 +769,15 @@ def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:
     return shapes
 
 
-def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owner=None):
+def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owner=None,
+              proj=None):
     """Additive attention, one tape node: score_t = w . tanh(Wk key + Wm
     mem_t), softmax over t, the weighted sum of the memories. A key (H,)
     reads every row of memories (T, H). Keys (D, H) read groups of rows of
     memories (R, H): idx (S, T) names the rows of S groups, with -1 for
     padding, which is masked out, and owner (D,) the group of each key.
-    memories @ Wm is computed once per group row however many keys read it."""
+    memories @ Wm is computed once per group row however many keys read it,
+    or read from proj, an array of its rows, when the caller has it."""
     keys, memories = as_tensor(keys), as_tensor(memories)
     if memories.data.ndim != 2 or memories.data.shape[0] == 0:
         raise NeuralError("attention requires at least one memory row")
@@ -865,7 +785,7 @@ def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owne
     k = keys.data.reshape(-1, keys.data.shape[-1])
     own = np.zeros(len(k), dtype=np.int64) if owner is None else np.asarray(owner, dtype=np.int64)
     mem, valid = _padded_rows(memories.data, idx)  # (S, T, H)
-    mproj = mem @ Wm.data
+    mproj = mem @ Wm.data if proj is None else _padded_rows(proj, idx)[0]
     proj = mproj[own]  # (D, T, H), a new array: updated in place
     proj += (k @ Wk.data)[:, None, :]
     np.tanh(proj, out=proj)

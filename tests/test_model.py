@@ -32,6 +32,7 @@ from nagc.model import (
 )
 from nagc.syntax import apply_production, bind_terminal, new_partial_ast, serialize_decisions
 
+import autodiff_ops as ops
 import test_neural
 
 
@@ -120,7 +121,7 @@ def _loop_encode(m, pr):
             x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], ids), p, "enc_use1")
             _, wf, wb = _loop_bigru(x, p, "enc_use2")
             finals.append(nn.concat([wf, wb]))
-        reps[name] = nn.mean_rows(nn.stack_rows(finals)) if finals else p["enc_var_dflt"]
+        reps[name] = ops.mean_rows(nn.stack_rows(finals)) if finals else p["enc_var_dflt"]
     return states, nn.linear(final, p, "enc_root"), reps, final
 
 
@@ -170,7 +171,7 @@ def test_encode_seq_matches_per_token_loop(small, folds, fitted_grammar, token_v
     for outs in ([_flat(batch[i].token_states, batch[i].root, batch[i].var_reps) for i in range(4)],
                  [_flat(*_loop_encode(m, pr)) for pr in prs]):
         m.params.zero_grad()
-        terms = [nn.tsum(nn.mul(o, nn.Tensor(w))) for os_, ws in zip(outs, weights)
+        terms = [nn.tsum(ops.mul(o, nn.Tensor(w))) for os_, ws in zip(outs, weights)
                  for o, w in zip(os_, ws)]
         nn.backward(nn.tsum(nn.stack_rows(terms)))
         grads.append({n: t.grad.copy() for n, t in m.params.items() if t.grad is not None})
@@ -225,7 +226,7 @@ def test_batched_windows_match_per_window_loop(small):
 
     def grads_of(reps):
         p.zero_grad()
-        nn.backward(nn.tsum(nn.concat([nn.mul(reps[n], weights[n]) for n in "abcd"])))
+        nn.backward(nn.tsum(nn.concat([ops.mul(reps[n], weights[n]) for n in "abcd"])))
         return {n: t.grad.copy() for n, t in p.items() if t.grad is not None}
 
     pr = M.prep_context(small, before, after, scope)
@@ -244,7 +245,7 @@ def test_batched_windows_match_per_window_loop(small):
                 x, _, _ = _loop_bigru(nn.rows(p["enc_tok_emb"], ids), p, "enc_use1")
                 _, ff, bf = _loop_bigru(x, p, "enc_use2")
                 finals.append(nn.concat([ff, bf]))
-        want[name] = nn.mean_rows(nn.stack_rows(finals))
+        want[name] = ops.mean_rows(nn.stack_rows(finals))
         assert np.max(np.abs(enc.var_reps[name].data - want[name].data)) < 1e-6, name
     ref = grads_of(want)
     p.zero_grad()
@@ -339,29 +340,43 @@ def test_graph_encoder_loss_gradients():
 
 # -- node representation ----------------------------------------------------
 
-def test_node_representation_permutation_invariant(small, folds):
+def test_node_representation_permutation_invariant(small, folds, monkeypatch):
+    # the decoder's states do not depend on how a node's in-edges are
+    # listed: each round sorts a step's edges before the kernel sums their
+    # messages. Shuffle every settled node's in-edges, decode again, compare.
     import random
 
     pr = prep_sample(small, folds["train"][1])
-    with nn.no_grad():
-        states = M.propagate(small, pr.graph, pr.label_idx, [pr], M.encode_many(small, [pr]))
-        state_of = lambda aid: nn.rows(states, aid)
-        all_edges = pr.graph.edges
-        for node in pr.graph.nodes:
-            edges = [e for e in all_edges if e.tgt == node.aid]
-            if not edges:
-                continue
-            h1 = M.node_representation(small, pr.label_idx[node.aid], edges, state_of)
-            shuffled = list(edges)
-            random.Random(0).shuffle(shuffled)
-            h2 = M.node_representation(small, pr.label_idx[node.aid], shuffled, state_of)
-            assert np.array_equal(h1.data, h2.data)
+    states, _ = forced_decode(small, pr)
+    settle, rng, shuffled = A.GraphBuilder.settle, random.Random(0), []
+
+    def shuffling_settle(self):
+        created = settle(self)
+        for _, edges in created:
+            rng.shuffle(edges)
+            shuffled.append(len(edges))
+        return created
+
+    monkeypatch.setattr(A.GraphBuilder, "settle", shuffling_settle)
+    again, _ = forced_decode(small, pr)
+    assert max(shuffled) >= 3
+    assert states.keys() == again.keys()
+    assert all(np.array_equal(states[aid], again[aid]) for aid in states)
 
 
 def test_propagate_rejects_missing_predecessor(small, folds):
+    # a node stripped of its in-edges lands in round 0, which only the
+    # encoder seeds
+    import dataclasses
+
     pr = prep_sample(small, folds["train"][0])
-    with pytest.raises(ModelError):
-        M.node_representation(small, 0, [], lambda a: None)
+    gr = pr.graph
+    keep = gr.tgt != gr.tgt[-1]
+    cut = dataclasses.replace(gr, src=gr.src[keep], tgt=gr.tgt[keep], etype=gr.etype[keep],
+                              label=gr.label[keep])
+    cut.schedule = A.propagation_schedule(cut)
+    with nn.no_grad(), pytest.raises(ModelError):
+        M.propagate(small, cut, pr.label_idx, [pr], M.encode_many(small, [pr]))
 
 
 # -- pickers ----------------------------------------------------------------
@@ -528,7 +543,7 @@ def _oracle_propagate(model, batched, label_idx, encs):
         for name, aid in comp["ctx"].items():
             src_ids.append(aid)
             src_rows.append(enc.var_reps[name])
-    states = nn.scatter_rows(N, src_ids, nn.stack_rows(src_rows))
+    states = ops.scatter_rows(N, src_ids, nn.stack_rows(src_rows))
     round_of = {a: r for r, rnd in enumerate(batched.schedule) for a in rnd}
     pos_in_round = {a: i for rnd in batched.schedule for i, a in enumerate(rnd)}
     per_round = [dict() for _ in batched.schedule]
@@ -541,11 +556,11 @@ def _oracle_propagate(model, batched, label_idx, encs):
             if etype == A.CHILD and cfg.child_labels:
                 lab = [label_id[e.label] for e in es]
                 inp = nn.concat([inp, nn.rows(p["dec_emb_edge"], lab)], axis=1)
-            m = nn.scatter_rows(len(rnd), [pos_in_round[e.tgt] for e in es],
+            m = ops.scatter_rows(len(rnd), [pos_in_round[e.tgt] for e in es],
                                 nn.linear(inp, p, f"dec_f_{etype}"))
             msgs = m if msgs is None else nn.add(msgs, m)
         new = nn.gru_cell(nn.rows(p["dec_emb_label"], label_idx[rnd]), msgs, p, "dec_g")
-        states = nn.add(states, nn.scatter_rows(N, rnd, new))
+        states = nn.add(states, ops.scatter_rows(N, rnd, new))
     return states
 
 
@@ -561,7 +576,7 @@ def _oracle_tree_nll(model, pr, states, offset, enc):
             inp = key
             if cfg.attention:
                 mem = enc.token_states
-                proj = nn.tanh(nn.add(nn.matmul(mem, p["dec_att_Wm"]), nn.matmul(key, p["dec_att_Wk"])))
+                proj = ops.tanh(nn.add(nn.matmul(mem, p["dec_att_Wm"]), nn.matmul(key, p["dec_att_Wk"])))
                 att = nn.matmul(nn.softmax(nn.matmul(proj, p["dec_att_w"])), mem)
                 inp = nn.concat([inp, att])
             if cfg.variable_pooling:
@@ -572,9 +587,9 @@ def _oracle_tree_nll(model, pr, states, offset, enc):
             idxs = [dec[2]]
         elif dec[0] == "V":
             V = nn.stack_rows(rows)
-            scores = nn.add(nn.matmul(nn.matmul(key, p["dec_var_B"]), nn.transpose(V)),
+            scores = nn.add(nn.matmul(nn.matmul(key, p["dec_var_B"]), ops.transpose(V)),
                             nn.matmul(V, p["dec_var_w"]))
-            logp = nn.log_softmax(scores)
+            logp = ops.log_softmax(scores)
             idxs = [pr.ctx_order.index(dec[2])]
             var_aid[dec[2]] = dec[3]
         else:
@@ -584,15 +599,15 @@ def _oracle_tree_nll(model, pr, states, offset, enc):
             entries = list(model.grammar.literal_vocab[cls])
             if positions:
                 mem = nn.rows(enc.token_states, positions)
-                copy = nn.matmul(nn.matmul(key, p["dec_copy_B"]), nn.transpose(mem))
+                copy = nn.matmul(nn.matmul(key, p["dec_copy_B"]), ops.transpose(mem))
                 scores = nn.concat([scores, copy])
                 entries += spellings
-            logp = nn.log_softmax(scores)
+            logp = ops.log_softmax(scores)
             idxs = [i for i, sp in enumerate(entries) if sp == dec[3]]
             idxs = idxs or [entries.index(UNK_LITERAL[cls])]
-        ll = nn.logsumexp(nn.rows(logp, idxs))
+        ll = ops.logsumexp(nn.rows(logp, idxs))
         total = ll if total is None else nn.add(total, ll)
-    return nn.scale(total, -1.0)
+    return ops.scale(total, -1.0)
 
 
 def _oracle_loss(model, preppeds):
@@ -847,10 +862,14 @@ def test_teacher_forcing_matches_forced_decode(small, folds):
             encs = M.encode_many(small, [pr])
             states = M.propagate(small, pr.graph, pr.label_idx, [pr], encs)
             tf_dists = _teacher_dists(small, pr, states, encs[0])
-        _, inc_dists = forced_decode(small, pr)
+        inc_states, inc_dists = forced_decode(small, pr)
         assert len(tf_dists) == len(inc_dists)
         for a, b in zip(tf_dists, inc_dists):
             assert np.max(np.abs(a - b)) < 1e-5
+        # the forced run settles every node of the tree, the last decision's too
+        assert sorted(inc_states) == list(range(len(pr.graph.nodes)))
+        inc = np.stack([inc_states[a] for a in sorted(inc_states)])
+        assert np.max(np.abs(inc - states.data)) < 1e-5
 
 
 def _teacher_dists(model, pr, states, enc):
@@ -883,9 +902,10 @@ def test_beam_respects_width_and_max_steps(small, folds):
 
 def test_beam_statistics(small, folds, monkeypatch):
     # every scored continuation is either pruned or made a hypothesis
-    children = []
-    apply = M._apply_action
-    monkeypatch.setattr(M, "_apply_action", lambda *a: children.append(1) or apply(*a))
+    children = []  # every child hypothesis makes its decision through GraphBuilder.decide
+    decide = A.GraphBuilder.decide
+    monkeypatch.setattr(A.GraphBuilder, "decide",
+                        lambda self, *a: children.append(1) or decide(self, *a))
     for s in folds["test"][:4]:
         children.clear()
         res = decode_beam(small, s.before, s.after, s.scope, width=5)
@@ -898,6 +918,77 @@ def test_beam_statistics(small, folds, monkeypatch):
     res = decode_beam(m, ["a", ";"], [], {}, width=8)
     assert res.dead_end == 1 and res.expanded == res.pruned + len(children)
     assert all(tree.nodes[1].label != "Var" for tree, _ in res.hypotheses)
+
+
+# Decoding a chunk: "a" and "e" are one-decision trees, a tree through "b"
+# takes four decisions, Var and IntLit two.
+CHUNKED = """
+@start S
+@variable Var
+@literal int IntLit
+@literals int: 0, 1
+S -> "a"
+S -> "e"
+S -> Var
+S -> IntLit
+S -> "b" T T T
+T -> "c"
+T -> "d"
+"""
+
+
+def _alone(enc, i):
+    """Sample i of a BatchEncoding as a BatchEncoding of its own."""
+    v0, v1, t0, t1 = *enc.var_start[i : i + 2], *enc.tok_start[i : i + 2]
+    return M.BatchEncoding(nn.Tensor(enc.roots.data[i : i + 1]),
+                           nn.Tensor(enc.var_table.data[v0:v1]), np.array([0, v1 - v0]),
+                           nn.Tensor(enc.tokens.data[t0:t1]), np.array([0, t1 - t0]),
+                           [enc.names[i]])
+
+
+def _beam(res):
+    return [serialize_decisions(t) for t, _ in res.hypotheses], \
+        (res.expanded, res.pruned, res.dead_end, res.discarded)
+
+
+def _assert_same_beam(a, b):
+    assert _beam(a) == _beam(b)
+    assert all(abs(x - y) < 1e-5 for (_, x), (_, y) in zip(a.hypotheses, b.hypotheses))
+
+
+@pytest.mark.parametrize("encoder", ["seq", "graph"])
+@pytest.mark.parametrize("config", ["Tree", "ASN", "Syn", "NAG"])
+def test_chunk_decodes_each_hole_as_alone(config, encoder, folds, token_vocab):
+    # a hole's beam does not depend on its chunk-mates. The root states of
+    # the first four holes are set so that their first decision favours:
+    # "a" or "e" (the hole finishes at step 1), Var with an empty scope (a
+    # dead end), "b" (cut by max_steps) and IntLit (a literal pick)
+    g = load_grammar(CHUNKED)
+    m = Model(g, config=config, encoder=encoder, hidden=16, emb_dim=8, edge_emb=4, seed=1,
+              token_vocab=token_vocab)
+    ctxs = [(s.before, s.after, s.scope) for s in folds["test"][:6]]
+    ctxs[1] = (ctxs[1][0], ctxs[1][1], {})
+    prods = [p.rhs[0] for p in g.productions if p.lhs == "S"]
+    favour = [["a", "e"], ["Var"], ["b"], ["IntLit"]]
+    W = m.params["dec_score_W"].data[: m.hidden]  # the key's rows
+    with nn.no_grad():
+        preppeds = [M.prep_context(m, *c) for c in ctxs]
+        enc = M.encode_many(m, preppeds)
+        roots = enc.roots.data.copy()
+        for i, names in enumerate(favour):
+            target = np.array([30.0 if p in names else 0.0 for p in prods] + [0.0, 0.0])
+            roots[i] = np.linalg.lstsq(W.T, target, rcond=None)[0]
+        enc.roots = nn.Tensor(roots)
+        chunk = M._decode(m, preppeds, enc, width=2, max_steps=3)
+        for i, pr in enumerate(preppeds):
+            _assert_same_beam(chunk[i], M._decode(m, [pr], _alone(enc, i), width=2, max_steps=3)[0])
+    trees, (_, _, dead_end, discarded) = _beam(chunk[0])
+    assert sorted(trees) == ["P0", "P1"] and discarded == 0
+    assert chunk[1].dead_end >= 1 and chunk[2].discarded >= 1
+    assert any(t.startswith("P3 L") for t in _beam(chunk[3])[0])
+    # and with each context's own encoding, as decode_beam computes it
+    for res, c in zip(M.decode_many(m, ctxs, width=3), ctxs):
+        _assert_same_beam(res, decode_beam(m, *c, width=3))
 
 
 # -- persistence ------------------------------------------------------------

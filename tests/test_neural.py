@@ -24,6 +24,8 @@ from nagc.neural import (
     save_checkpoint,
 )
 
+import autodiff_ops as ops
+
 EPS = 1e-5
 TOL = 1e-4
 
@@ -57,7 +59,7 @@ def _fd_check(params, loss_fn, samples_per_tensor=None, eps=EPS):
 def test_linear_gradients():
     p = init_params({"l_W": (4, 3), "l_b": (3,)}, seed=0, dtype=np.float64)
     x = np.random.default_rng(1).normal(size=(5, 4))
-    _fd_check(p, lambda: nn.tsum(nn.mul(linear(Tensor(x), p, "l"), linear(Tensor(x), p, "l"))))
+    _fd_check(p, lambda: nn.tsum(ops.mul(linear(Tensor(x), p, "l"), linear(Tensor(x), p, "l"))))
 
 
 def _gru_store(seed, inputs, prefixes=("g",)):
@@ -77,7 +79,7 @@ def _gru_store(seed, inputs, prefixes=("g",)):
 def _weighted_sum(out, seed):
     # fixed random weights, so that no gradient cancels by symmetry
     w = np.random.default_rng(seed).normal(size=out.data.shape)
-    return nn.tsum(nn.mul(nn.tanh(out), Tensor(w)))
+    return nn.tsum(ops.mul(ops.tanh(out), Tensor(w)))
 
 
 BI = ("g_f", "g_b")  # the two directions of a bidirectional layer "g"
@@ -87,7 +89,7 @@ def test_gru_gradients():
     p = init_params(gru_param_shapes("g", 4, 3), seed=0, dtype=np.float64)
     rng = np.random.default_rng(2)
     x, h = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
-    _fd_check(p, lambda: nn.tsum(nn.tanh(gru_cell(Tensor(x), Tensor(h), p, "g"))))
+    _fd_check(p, lambda: nn.tsum(ops.tanh(gru_cell(Tensor(x), Tensor(h), p, "g"))))
     # one step on an (N, d) batch, gradients into x and h included
     p = _gru_store(1, {"x": (5, 4), "h": (5, 3)})
     _fd_check(p, lambda: _weighted_sum(gru_cell(p["x"], p["h"], p, "g"), 1))
@@ -113,7 +115,7 @@ def test_gru_scan_equals_cell_loop():
         w, wf = rng.normal(size=shape[:-1] + (6,)), rng.normal(size=shape[1:-1] + (6,))
         scan = nn.bigru_scan(a["x"], a, "g")
         final = nn.bigru_final(scan)
-        backward(nn.add(nn.tsum(nn.mul(scan, Tensor(w))), nn.tsum(nn.mul(final, Tensor(wf)))))
+        backward(nn.add(nn.tsum(ops.mul(scan, Tensor(w))), nn.tsum(ops.mul(final, Tensor(wf)))))
         steps = {}
         for d, order in (("f", range(shape[0])), ("b", reversed(range(shape[0])))):
             h = Tensor(np.zeros(shape[1:-1] + (3,)))
@@ -122,7 +124,7 @@ def test_gru_scan_equals_cell_loop():
         loop = nn.concat([nn.stack_rows([steps[d, t] for t in range(shape[0])]) for d in "fb"],
                          axis=-1)
         loop_final = nn.concat([steps["f", shape[0] - 1], steps["b", 0]], axis=-1)
-        backward(nn.add(nn.tsum(nn.mul(loop, Tensor(w))), nn.tsum(nn.mul(loop_final, Tensor(wf)))))
+        backward(nn.add(nn.tsum(ops.mul(loop, Tensor(w))), nn.tsum(ops.mul(loop_final, Tensor(wf)))))
         assert np.max(np.abs(scan.data - loop.data)) < 1e-10
         assert np.max(np.abs(final.data - loop_final.data)) < 1e-10
         for (name, ta), (_, tb) in zip(a.items(), b.items()):
@@ -141,15 +143,15 @@ def test_gru_scan_equals_cell_loop():
     w[np.arange(6)[:, None] >= lengths] = 0.0  # each column's own steps
     scan = nn.bigru_scan(a["x"], a, "g", lengths)
     final = nn.bigru_final(scan)
-    backward(nn.add(nn.tsum(nn.mul(scan, Tensor(w))), nn.tsum(nn.mul(final, Tensor(wf)))))
+    backward(nn.add(nn.tsum(ops.mul(scan, Tensor(w))), nn.tsum(ops.mul(final, Tensor(wf)))))
     for j, n in enumerate(lengths):
         alone = nn.bigru_scan(b[f"x{j}"], b, "g")
         alone_final = nn.bigru_final(alone)
         assert np.max(np.abs(scan.data[:n, j] - alone.data)) < 1e-10
         assert np.max(np.abs(final.data[j] - alone_final.data)) < 1e-10
         assert np.array_equal(scan.data[n:, j, 3:], np.zeros((6 - n, 3)))
-        backward(nn.add(nn.tsum(nn.mul(alone, Tensor(w[:n, j]))),
-                        nn.tsum(nn.mul(alone_final, Tensor(wf[j])))))
+        backward(nn.add(nn.tsum(ops.mul(alone, Tensor(w[:n, j]))),
+                        nn.tsum(ops.mul(alone_final, Tensor(wf[j])))))
         assert np.max(np.abs(a["x"].grad[:n, j] - b[f"x{j}"].grad)) < 1e-8
         assert not a["x"].grad[n:, j].any()
     for name, t in a.items():
@@ -206,7 +208,7 @@ def test_gru_kernels_forward_ignores_the_tape():
 def test_embedding_gradients():
     p = init_params({"emb": (6, 4)}, seed=0, dtype=np.float64)
     idx = [0, 3, 3, 5]  # repeated row exercises gradient accumulation
-    _fd_check(p, lambda: nn.tsum(nn.mul(nn.rows(p["emb"], idx), nn.rows(p["emb"], idx))))
+    _fd_check(p, lambda: nn.tsum(ops.mul(nn.rows(p["emb"], idx), nn.rows(p["emb"], idx))))
 
 
 def _add_at(shape, idx, src):
@@ -240,25 +242,25 @@ def test_gather_and_scatter_match_add_at(dtype):
     a = Tensor(rng.normal(size=(6, 5)).astype(dtype), requires_grad=True)
     idx = rng.integers(0, 6, (7, 3))
     g = rng.normal(size=(7, 3, 5)).astype(dtype)
-    backward(nn.tsum(nn.mul(nn.rows(a, idx), Tensor(g))))
+    backward(nn.tsum(ops.mul(nn.rows(a, idx), Tensor(g))))
     assert np.array_equal(a.grad, _add_at(a.data.shape, idx, g))
 
     src = Tensor(rng.normal(size=(40, 5)).astype(dtype), requires_grad=True)
     tgt = rng.integers(0, 4, 40)
-    out = nn.scatter_rows(4, tgt, src)
+    out = ops.scatter_rows(4, tgt, src)
     assert np.array_equal(out.data, _add_at((4, 5), tgt, src.data))
 
     v = Tensor(rng.normal(size=8).astype(dtype), requires_grad=True)
     idx = rng.integers(0, 8, 30)
     g = rng.normal(size=30).astype(dtype)
-    backward(nn.tsum(nn.mul(nn.rows(v, idx), Tensor(g))))
+    backward(nn.tsum(ops.mul(nn.rows(v, idx), Tensor(g))))
     assert np.array_equal(v.grad, _add_at((8,), idx, g))
 
 
 def test_scatter_rows_gradients():
     p = init_params({"src": (6, 3)}, seed=0, dtype=np.float64)
     p["src"].data[:] = np.random.default_rng(22).normal(size=(6, 3))
-    _fd_check(p, lambda: _weighted_sum(nn.scatter_rows(4, [0, 2, 2, 0, 3, 2], p["src"]), 22))
+    _fd_check(p, lambda: _weighted_sum(ops.scatter_rows(4, [0, 2, 2, 0, 3, 2], p["src"]), 22))
 
 
 # two edge types over five nodes; sources and targets repeat within and
@@ -290,12 +292,12 @@ def test_edge_messages_matches_per_type_loop():
     b, _ = _message_store(24)
     w = Tensor(np.random.default_rng(25).normal(size=(5, 3)))
     fused = nn.edge_messages(a["h"], edges, a, list(_EDGES))
-    backward(nn.tsum(nn.mul(fused, w)))
+    backward(nn.tsum(ops.mul(fused, w)))
     loop = None
     for name, (src, tgt) in _EDGES.items():
-        m = nn.scatter_rows(5, tgt, linear(nn.rows(b["h"], src), b, name))
+        m = ops.scatter_rows(5, tgt, linear(nn.rows(b["h"], src), b, name))
         loop = m if loop is None else nn.add(loop, m)
-    backward(nn.tsum(nn.mul(loop, w)))
+    backward(nn.tsum(ops.mul(loop, w)))
     assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
@@ -365,12 +367,12 @@ def test_ggnn_matches_step_loop():
     w = Tensor(np.random.default_rng(41).normal(size=(6, 3)))
     fused = nn.ggnn(a["h"], edges, a, list(_GG_EDGES), "gg", 3)
     assert "tgt_layout" in vars(edges) and "src_layout" not in vars(edges)
-    backward(nn.tsum(nn.mul(fused, w)))
+    backward(nn.tsum(ops.mul(fused, w)))
     assert "src_layout" in vars(edges)
     h = b["h"]
     for _ in range(3):
         h = gru_cell(nn.edge_messages(h, loop_edges, b, list(_GG_EDGES)), h, b, "gg")
-    backward(nn.tsum(nn.mul(h, w)))
+    backward(nn.tsum(ops.mul(h, w)))
     assert not {"tgt_layout", "src_layout"} & set(vars(loop_edges))
     assert np.allclose(fused.data, h.data, rtol=1e-12, atol=1e-14)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
@@ -388,7 +390,7 @@ def test_attention_gradients():
 
     def loss():
         out = attention(nn.rows(p["key"], 0), p["mem"], p, "att")
-        return nn.tsum(nn.mul(out, out))
+        return nn.tsum(ops.mul(out, out))
 
     _fd_check(p, loss)
 
@@ -425,6 +427,13 @@ def test_batched_attention_matches_single_keys():
         assert np.allclose(out.data[d], one.data, rtol=1e-12, atol=1e-15)
     with pytest.raises(NeuralError):  # a key with no memory row
         attention(nn.rows(p["keys"], [0, 1]), p["mem"], p, "att", np.array([[0], [-1]]), [0, 1])
+    # the memories' projection, given precomputed, reads the same rows
+    proj = p["mem"].data @ p["att_Wm"].data
+    given = attention(p["keys"], p["mem"], p, "att", _PADDED, _OWNER, proj)
+    assert np.allclose(given.data, out.data, rtol=1e-12, atol=1e-15)
+    one = attention(nn.rows(p["keys"], 0), p["mem"], p, "att", proj=proj)
+    assert np.allclose(one.data, attention(nn.rows(p["keys"], 0), p["mem"], p, "att").data,
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_padded_max_pool_gradients():
@@ -460,7 +469,7 @@ _TARGET = np.array([[0, 1, 0, 1, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=bo
 def test_masked_nll_gradients():
     p = _batch_store(35, {"s": (3, 5)})
     weights = Tensor(np.array([1.0, 2.0, -0.5]))
-    _fd_check(p, lambda: nn.tsum(nn.mul(nn.masked_nll(p["s"], _SUPPORT, _TARGET), weights)))
+    _fd_check(p, lambda: nn.tsum(ops.mul(nn.masked_nll(p["s"], _SUPPORT, _TARGET), weights)))
 
 
 def test_masked_nll_matches_log_softmax():
@@ -468,7 +477,7 @@ def test_masked_nll_matches_log_softmax():
     got = nn.masked_nll(Tensor(s), _SUPPORT, _TARGET).data
     for d in range(3):
         lp = nn.masked_log_softmax(Tensor(s[d]), np.where(_SUPPORT[d], 0.0, -np.inf))
-        want = -float(nn.logsumexp(nn.rows(lp, np.flatnonzero(_TARGET[d]))).data)
+        want = -float(ops.logsumexp(nn.rows(lp, np.flatnonzero(_TARGET[d]))).data)
         assert abs(got[d] - want) <= 1e-12 * max(abs(want), 1.0)
 
 
@@ -494,12 +503,12 @@ def test_labelled_edge_messages_gradients_and_loop():
     b = _batch_store(37, shapes)
     w = Tensor(np.random.default_rng(38).normal(size=(3, 3)))
     fused = nn.edge_messages(a["h"], index, a, ["la", "lb"], a["emb"])
-    backward(nn.tsum(nn.mul(fused, w)))
+    backward(nn.tsum(ops.mul(fused, w)))
     (s0, t0, lab), (s1, t1) = edges
     inp = nn.concat([nn.rows(b["h"], s0), nn.rows(b["emb"], lab)], axis=1)
-    loop = nn.add(nn.scatter_rows(3, t0, linear(inp, b, "la")),
-                  nn.scatter_rows(3, t1, linear(nn.rows(b["h"], s1), b, "lb")))
-    backward(nn.tsum(nn.mul(loop, w)))
+    loop = nn.add(ops.scatter_rows(3, t0, linear(inp, b, "la")),
+                  ops.scatter_rows(3, t1, linear(nn.rows(b["h"], s1), b, "lb")))
+    backward(nn.tsum(ops.mul(loop, w)))
     assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
@@ -518,7 +527,7 @@ def test_append_rows_gradients_and_buffer():
             reads.append(nn.rows(t, [1, 0, 1]))
             t = nn.concat([t, part]) if concat else nn.append_rows(t, part, buf)
         reads.append(t)
-        return nn.concat([nn.tanh(r) for r in reads]), t, buf
+        return nn.concat([ops.tanh(r) for r in reads]), t, buf
 
     _fd_check(p, lambda: _weighted_sum(chain(False)[0], 39))
     got, table, buf = chain(False)
@@ -534,7 +543,7 @@ def test_masked_softmax_gradients():
 
     def loss():
         sm = masked_softmax(p["x"], mask)
-        return nn.tsum(nn.mul(sm, sm))
+        return nn.tsum(ops.mul(sm, sm))
 
     _fd_check(p, loss)
 
@@ -542,10 +551,10 @@ def test_masked_softmax_gradients():
 def test_pooling_gradients():
     p = init_params({"x": (4, 3)}, seed=9, dtype=np.float64)
     p["x"].data[:] = np.random.default_rng(10).normal(size=(4, 3))
-    _fd_check(p, lambda: nn.tsum(nn.mul(nn.max_pool_rows(p["x"]), nn.max_pool_rows(p["x"]))))
+    _fd_check(p, lambda: nn.tsum(ops.mul(nn.max_pool_rows(p["x"]), nn.max_pool_rows(p["x"]))))
     p2 = init_params({"x": (4, 3)}, seed=9, dtype=np.float64)
     p2["x"].data[:] = np.random.default_rng(10).normal(size=(4, 3))
-    _fd_check(p2, lambda: nn.tsum(nn.mean_rows(nn.mul(p2["x"], p2["x"]))))
+    _fd_check(p2, lambda: nn.tsum(ops.mean_rows(ops.mul(p2["x"], p2["x"]))))
 
 
 def test_masked_log_softmax_gradients():
@@ -563,21 +572,21 @@ def test_masked_log_softmax_gradients():
 def test_logsumexp_gradients_and_stability():
     p = init_params({"x": (6,)}, seed=13, dtype=np.float64)
     p["x"].data[:] = np.random.default_rng(14).normal(size=6)
-    _fd_check(p, lambda: nn.logsumexp(p["x"]))
+    _fd_check(p, lambda: ops.logsumexp(p["x"]))
     # extreme spread must not overflow
-    big = nn.logsumexp(Tensor(np.array([1000.0, -1000.0, 999.0])))
+    big = ops.logsumexp(Tensor(np.array([1000.0, -1000.0, 999.0])))
     assert np.isfinite(big.data)
     assert abs(float(big.data) - (1000.0 + np.log(1 + np.exp(-1.0)))) < 1e-9
 
 
 def test_log_softmax_matches_log_of_softmax():
     x = np.random.default_rng(15).normal(size=7)
-    a = nn.log_softmax(Tensor(x.copy())).data
+    a = ops.log_softmax(Tensor(x.copy())).data
     b = np.log(nn.softmax(Tensor(x.copy())).data)
     assert np.max(np.abs(a - b)) < 1e-12
     # spread logits: log-domain stays finite where plain log underflows
     wide = np.array([0.0, -200.0, 50.0], dtype=np.float32)
-    lp = nn.log_softmax(Tensor(wide)).data
+    lp = ops.log_softmax(Tensor(wide)).data
     assert np.all(np.isfinite(lp))
 
 
@@ -615,7 +624,7 @@ def test_adam_minimizes_quadratic():
     for _ in range(300):
         p.zero_grad()
         w = p["w"]
-        loss = nn.tsum(nn.mul(w, w))
+        loss = nn.tsum(ops.mul(w, w))
         backward(loss)
         adam_step(p, st)
     assert np.all(np.abs(p["w"].data) < 1e-2)
