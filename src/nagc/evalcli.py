@@ -64,7 +64,7 @@ def _decode_fold(model: mo.Model, fold, width: int, decoded=None):
     is asserted to round-trip through the grammar before any metric may
     count it."""
     if decoded is None:
-        decoded = [mo.decode_beam(model, s.before, s.after, s.scope, width=width) for s in fold]
+        decoded = mo.decode_many(model, [(s.before, s.after, s.scope) for s in fold], width=width)
     for res in decoded:
         for tree, _ in res.hypotheses:
             deserialize_decisions(serialize_decisions(tree), model.grammar)  # syntactic validity

@@ -605,12 +605,12 @@ def _score_sites(model: Model, kind: str, states, keys, owners, var_idx, nts, en
     return scores, np.concatenate([vocab, copy_idx >= 0], axis=1)
 
 
-def _slot_args(model: Model, pr: Prepped, kind: str, n: int):
-    """The decision argument of each of the n slots of a `kind` site of the
-    context pr: every production id, its scope in ctx_order, or the class
-    vocab and then the context's copy candidates."""
+def _slot_args(model: Model, pr: Prepped, kind: str):
+    """The decision argument of each slot of a `kind` site of the context pr:
+    every production id, its scope in ctx_order, or the class vocab and then
+    the context's copy candidates."""
     if kind == "P":
-        return range(n)
+        return range(len(model.grammar.productions))
     return pr.ctx_order if kind == "V" else [*model.grammar.literal_vocab[kind], *pr.lex[kind][1]]
 
 
@@ -675,7 +675,7 @@ def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
                 target[row, decs[i][2]] = True
                 continue
             # every slot of the gold variable or spelling; out of vocab and context, its UNK
-            args = _slot_args(model, preppeds[owner[i]], kind, 0)
+            args = _slot_args(model, preppeds[owner[i]], kind)
             hits = [k for k, a in enumerate(args) if a == decs[i][2 if kind == "V" else 3]]
             target[row, hits or args.index(UNK_LITERAL[kind])] = True
         groups.append((sel, scores, support, target))
@@ -953,7 +953,13 @@ class _Lockstep:
                 if dist is None:
                     stats[2] += 1
                     continue
-                conts = [(hyp.logp, gold[i], hyp)] if gold else _continuations(hyp, *dist)
+                # the one-action extensions with nonzero probability, best
+                # first; a literal's vocab and copy slots merge before the log
+                probs, kind, args = dist
+                conts = [(hyp.logp, gold[i], hyp)] if gold else sorted(
+                    ((hyp.logp + math.log(p), (kind, arg), hyp)
+                     for arg, p in literal_spelling_probs(probs, args).items() if p > 0),
+                    key=lambda x: -x[0])
                 stats[0] += len(conts)
                 stats[1] += max(0, len(conts) - width)
                 pool.extend(conts[:width])
@@ -977,7 +983,7 @@ class _Lockstep:
         (a variable slot with an empty scope). Each site kind and literal
         class is scored by one _score_sites call."""
         g, pps, groups = self.model.grammar, self.preppeds, {}
-        for k, h in enumerate(hyps):
+        for h in hyps:
             sym = g.symbols[h.builder.tree.nodes[h.builder.site].label]
             if sym.kind is not Kind.VARIABLE or pps[h.hole].ctx_order:
                 kind = {Kind.NONTERMINAL: "P", Kind.VARIABLE: "V"}.get(sym.kind, sym.lit_class)
@@ -985,13 +991,13 @@ class _Lockstep:
         states, out = nn.Tensor(self.buf[: self.n]), {}
         for kind, hs in groups.items():
             var_idx = _padded([[h.rows[h.builder.last_use[v]] for v in pps[h.hole].ctx_order]
-                               for h in hs])
+                               for h in hs]) if kind in ("P", "V") else None
             scores, support = _score_sites(
                 self.model, kind, states, [h.rows[h.builder.key] for h in hs], [h.hole for h in hs],
                 var_idx, [h.builder.tree.nodes[h.builder.site].label for h in hs], self.enc, pps,
                 self.tok_proj)
             for h, row in zip(hs, nn.masked_softmax(scores, np.where(support, 0.0, -np.inf)).data):
-                args = _slot_args(self.model, pps[h.hole], kind, len(row))
+                args = _slot_args(self.model, pps[h.hole], kind)
                 out[id(h)] = (row[: len(args)], kind if kind in ("P", "V") else "L", args)
         return [out.get(id(h)) for h in hyps]
 
@@ -1029,20 +1035,6 @@ class _Lockstep:
             index, names = _round_index(self.n, self.buf.shape[1], len(tgts), etype, src, tgt, lab,
                                         model.config.child_labels)
             self.buf[tgts] = node_representation(model, table, index, names, labels).data
-
-
-def _continuations(hyp: _Hyp, probs, kind: str, args) -> list:
-    """The one-action extensions of `hyp` with nonzero probability, best
-    first. A literal spelled in the vocab and copied from the context merges
-    its slots first; production and variable slots are distinct actions."""
-    if kind == "L":
-        merged = literal_spelling_probs(probs, args).items()
-    else:
-        nz = np.flatnonzero(probs).tolist()
-        merged = zip([args[k] for k in nz], probs[nz].tolist())
-    out = [(hyp.logp + math.log(p), (kind, arg), hyp) for arg, p in merged if p > 0]
-    out.sort(key=lambda x: -x[0])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,20 @@ def test_propagate_rejects_missing_predecessor(small, folds):
         M.propagate(small, cut, pr.label_idx, [pr], M.encode_many(small, [pr]))
 
 
+def test_decoder_rejects_missing_predecessor(small, folds, monkeypatch):
+    # the beam search settles a created node from its in-edges; one without
+    # any has no state to compute
+    pr, settle = prep_sample(small, folds["train"][0]), A.GraphBuilder.settle
+
+    def stripping_settle(self):
+        created = settle(self)
+        return [(node, []) for node, _ in created]
+
+    monkeypatch.setattr(A.GraphBuilder, "settle", stripping_settle)
+    with pytest.raises(ModelError, match="no in-edges"):
+        forced_decode(small, pr)
+
+
 # -- pickers ----------------------------------------------------------------
 
 FORCED = """
