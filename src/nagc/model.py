@@ -96,10 +96,6 @@ class StepLoss:
     nll: np.ndarray  # (D,)
     kind: np.ndarray  # (D,) "P", "V" or "L"
 
-    @property
-    def entries(self):
-        return list(zip(self.kind.tolist(), self.nll.tolist()))
-
     def total(self):
         return float(self.nll.sum())
 
@@ -136,6 +132,12 @@ class Model:
                 raise ModelError(f"unknown decoder config {config!r}") from None
         if encoder not in ("seq", "graph"):
             raise ModelError(f"unknown encoder {encoder!r}")
+        if token_vocab is None:
+            token_vocab = [UNK_TOKEN, lang.HOLE_TOKEN, SELF_TOKEN, OTHER_VAR_TOKEN]
+        # prep maps a token outside the vocab to row 0, so <UNK> must come first
+        if not (isinstance(token_vocab, list) and token_vocab[:1] == [UNK_TOKEN]
+                and all(isinstance(t, str) for t in token_vocab)):
+            raise ModelError(f"token vocab must be a list of strings starting with {UNK_TOKEN}")
         self.grammar = grammar
         self.config = config
         self.encoder = encoder
@@ -143,11 +145,7 @@ class Model:
         self.emb_dim = emb_dim
         self.edge_emb = edge_emb
         self.seed = seed
-        self.token_vocab = (
-            list(token_vocab)
-            if token_vocab
-            else [UNK_TOKEN, lang.HOLE_TOKEN, SELF_TOKEN, OTHER_VAR_TOKEN]
-        )
+        self.token_vocab = list(token_vocab)
         self.tok2id = {t: i for i, t in enumerate(self.token_vocab)}
 
         # attribute-node label vocabulary
@@ -466,7 +464,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
 
 
 def encode(model: Model, pr: Prepped) -> ContextEncoding:
-    return encode_seq(model, pr) if model.encoder == "seq" else encode_graph(model, pr)
+    return encode_many(model, [pr])[0]
 
 
 def encode_many(model: Model, preppeds) -> BatchEncoding:
@@ -700,12 +698,11 @@ def batch_loss(model: Model, preppeds, encodings: BatchEncoding = None):
     return tree_log_prob(model, preppeds, offsets, states, encodings)
 
 
-def sample_loss(model: Model, sample, encodings: BatchEncoding = None):
-    """(nll, StepLoss) for one sample, given its encode_many or not;
-    gradient-free convenience wrapper."""
+def sample_loss(model: Model, sample):
+    """(nll, StepLoss) for one sample; gradient-free convenience wrapper."""
     pr = sample if isinstance(sample, Prepped) else prep_sample(model, sample)
     with nn.no_grad():
-        loss, steps = batch_loss(model, [pr], encodings)
+        loss, steps = batch_loss(model, [pr])
     return float(loss.data), steps
 
 
@@ -798,7 +795,7 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
     return history
 
 
-CHUNK = 20  # contexts encoded and beam-searched together
+CHUNK = 20  # contexts encoded and beam-searched together (scored too, in walk_fold), either encoder
 
 
 def fold_nll(model: Model, samples) -> dict:
@@ -813,21 +810,16 @@ def walk_fold(model: Model, samples, width: int = None) -> tuple:
     samples is prepped once and encoded once, under no_grad; its
     teacher-forced NLL is scored from that encoding and, given a beam
     `width`, the chunk is beam-searched (_decode) from it: `beams` holds a
-    BeamResult per sample, or nothing without a width. Graph contexts go
-    CHUNK to a chunk, one GGNN batch. Seq contexts go one to a chunk, so that
-    a decode reads, bit for bit, the encoding decode_beam computes, and each
-    sample is scored by a short sample_loss call of its own."""
-    size = CHUNK if model.encoder == "graph" else 1
+    BeamResult per sample, or nothing without a width. Samples go CHUNK to a
+    chunk under either encoder, as decode_many's contexts do, so the beams
+    are decode_many's."""
     sums = dict.fromkeys(("nll", "decisions", "tokens"), 0)
     beams = []
-    for lo in range(0, len(samples), size):
-        preppeds = [prep_sample(model, s) for s in samples[lo : lo + size]]
+    for lo in range(0, len(samples), CHUNK):
+        preppeds = [prep_sample(model, s) for s in samples[lo : lo + CHUNK]]
         with nn.no_grad():
             encodings = encode_many(model, preppeds)
-            if size == 1:
-                _, steps = sample_loss(model, preppeds[0], encodings)
-            else:
-                _, steps = batch_loss(model, preppeds, encodings)
+            _, steps = batch_loss(model, preppeds, encodings)
             if width is not None:
                 beams += _decode(model, preppeds, encodings, width)
         sums["nll"] += steps.total()
@@ -1071,7 +1063,7 @@ def load_model(path: str) -> Model:
             edge_emb=manifest["edge_emb"], seed=manifest["seed"],
             token_vocab=manifest["token_vocab"],
         )
-    except (ValueError, KeyError, TypeError, AttributeError, GrammarError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, GrammarError, ModelError) as e:
         raise ModelError(f"bad model manifest {path}.json: {type(e).__name__}: {e}") from None
     loaded = nn.load_checkpoint(path)
     want = {n: t.data.shape for n, t in model.params.items()}

@@ -11,7 +11,9 @@ from nagc import model as M
 from nagc import pipeline as P
 from nagc.evalcli import DataError, EvalReport, run_cli
 from nagc.grammar import load_grammar
-from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
+from nagc.syntax import (
+    apply_production, bind_terminal, new_partial_ast, next_expansion_site, serialize_decisions,
+)
 
 from conftest import make_sample
 
@@ -108,7 +110,7 @@ def test_report_json_round_trip(trained, folds):
 @pytest.mark.parametrize("which", ["trained", "trained_graph"])
 def test_evaluate_preps_and_encodes_each_sample_once(which, request, folds, monkeypatch):
     model = request.getfixturevalue(which)
-    fold = folds["test"][:25]  # graph: two chunks, the second short
+    fold = folds["test"][:25]  # two chunks, the second short
     prepped, graphs, chunks = [], [], []
     real_prep, real_graph, real_many = M.prep_sample, lang.program_graph, M.encode_many
 
@@ -136,9 +138,24 @@ def test_evaluate_preps_and_encodes_each_sample_once(which, request, folds, monk
     assert rep.n == len(fold)
     assert [s for s, _ in prepped] == fold
     assert len(graphs) == (len(fold) if model.encoder == "graph" else 0)
-    sizes = [20, 5] if model.encoder == "graph" else [1] * len(fold)
-    assert [len(c) for c in chunks] == sizes
+    assert [len(c) for c in chunks] == [20, 5]
     assert [id(pr) for c in chunks for pr in c] == [id(pr) for _, pr in prepped]
+
+
+def _exact_beam(res):
+    return ([(serialize_decisions(t), lp) for t, lp in res.hypotheses],
+            res.expanded, res.pruned, res.dead_end, res.discarded)
+
+
+@pytest.mark.parametrize("which", ["trained", "trained_graph"])
+def test_walk_fold_beams_are_decode_many_beams(which, request, folds):
+    # evaluate (walk_fold) and complete (decode_many) decode a chunk from
+    # the same encoding: the same trees, log-probs and counters, exactly
+    model = request.getfixturevalue(which)
+    fold = folds["test"][:25]
+    _, walked = M.walk_fold(model, fold, 5)
+    many = M.decode_many(model, [(s.before, s.after, s.scope) for s in fold], 5)
+    assert [_exact_beam(r) for r in walked] == [_exact_beam(r) for r in many]
 
 
 @pytest.mark.parametrize("which", ["trained", "trained_graph"])
@@ -153,7 +170,9 @@ def test_evaluate_matches_fold_nll_and_decode_beam(which, request, folds, monkey
     monkeypatch.setattr(M, "walk_fold", lambda *args, **kwargs: (sums, beams))
     old = E.evaluate(model, fold, width=5)
     if model.encoder == "seq":
-        assert new == old  # one sample a chunk: the very same encodings
+        # the same fold_nll sums; the beams of a chunk's encoding and of
+        # each context's own rank and count alike on this fold
+        assert new == old
         return
     # a graph chunk is one GGNN batch, whose rows differ from a lone
     # context's encoding by rounding
@@ -363,7 +382,8 @@ def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, c
 # checkpoint cut to the first n bytes (a float: that share of the file; -1:
 # one byte short), or a manifest fault
 @pytest.mark.parametrize("fault", [0, 3, 10, 100, 0.5, -1, "trailing", "manifest-json",
-                                   "manifest-field", "manifest-utf8"])
+                                   "manifest-field", "manifest-utf8", "manifest-vocab",
+                                   "manifest-vocab-order"])
 def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corpus_samples,
                                         tmp_path, capsys):
     ckpt = str(tmp_path / "m.nagc")
@@ -385,6 +405,14 @@ def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corp
         manifest = json.dumps(man).encode()
     elif fault == "manifest-utf8":
         manifest = b"\xff" + manifest
+    elif fault in ("manifest-vocab", "manifest-vocab-order"):  # <UNK> renamed, or not first
+        man = json.loads(manifest)
+        vocab = man["token_vocab"]
+        if fault == "manifest-vocab":
+            vocab[0] = "<unk>"
+        else:
+            vocab[0], vocab[1] = vocab[1], vocab[0]
+        manifest = json.dumps(man).encode()
     else:
         data = data[: int(len(data) * fault) if isinstance(fault, float) else fault]
     with open(ckpt, "wb") as f:
