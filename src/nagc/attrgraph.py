@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grammar import Kind
-from .syntax import PartialAst, apply_production, bind_terminal
+from .syntax import PartialAst, Walk
 
 CHILD = "Child"
 PARENT = "Parent"
@@ -74,31 +74,22 @@ class AttributeGraph:
         return [a for a in range(len(self.nodes)) if a not in with_in]
 
 
-# phases of an AST node on the builder's walk stack: not yet visited; its
-# inherited node exists and its children come once it is expanded; its
-# children are done and its synthesized node comes next
-_ENTER, _EXPAND, _EXIT = range(3)
-
-
-class GraphBuilder:
+class GraphBuilder(Walk):
     """Grows the attribute graph of a (partial) tree under a decoder edge set.
 
-    The builder walks the tree depth-first in generation order and keeps its
-    stack of pending AST nodes between calls, so `settle` resumes the walk
-    where it stopped, at the next open site. Edge sources come from state kept
+    The builder is the tree's generation-order walk: each step `settle`
+    passes becomes one attribute node with its in-edges, the synthesized
+    ones only when an edge type needs them. Edge sources come from state kept
     along the walk: the last joint node (NextToken), `last_use` (NextUse) and
     the last decision node (NextExp). Child, NextSibling, Parent and InhToSyn
     edges come from the parent's list of children. NextExp edges are built
-    exactly when NEXT_EXP is in the edge set. Every walk over decisions reads
-    its rules here: `site` is the next open AST node, None once the tree is
-    complete; `key` is the node that scores its decision; `last_use` maps each
-    variable to its context node (if any) until its first use, then to the
-    joint node of its latest use. `decide` makes one decision and settles.
+    exactly when NEXT_EXP is in the edge set. `key` is the node that scores
+    the decision at `site`; `last_use` maps each variable to its context node
+    (if any) until its first use, then to the joint node of its latest use.
     """
 
     def __init__(self, tree: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
                  labels: bool = True):
-        self.tree = tree
         self.ctx_vars = list(ctx_vars)
         self.edge_set = frozenset(edge_set)
         self.labels = labels
@@ -106,75 +97,40 @@ class GraphBuilder:
         self.nodes: list[AttrNode] = []
         self.edges: list[Edge] = []
         self.aid_of: dict[tuple, int] = {}
-        self._add_node("inh", tree.root, tree.grammar.start)
+        self._add_node("inh", tree.root, tree.grammar.start)  # the walk starts in the root
         for name in self.ctx_vars:
             self._add_node("ctx", name, name)
         self.last_use = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
         self._last_token = None
         self._last_decision = self.aid_of[("inh", tree.root)]
-        self._stack = [(tree.root, _EXPAND)]  # the root inh node already exists
-        self.settle()
+        super().__init__(tree)
 
     def copy(self) -> "GraphBuilder":
-        """Independent builder over an independent tree copy (beam branching)."""
-        b = GraphBuilder.__new__(GraphBuilder)
-        b.__dict__.update(self.__dict__)
-        b.tree = self.tree.copy()
+        b = super().copy()
         b.nodes = list(self.nodes)
         b.edges = list(self.edges)
         b.aid_of = dict(self.aid_of)
         b.last_use = dict(self.last_use)
-        b._stack = list(self._stack)
         return b
 
     def settle(self):
         """Resume the walk up to the next open site, adding every attribute
-        node that became computable, in generation order, and set `site`.
+        node it passed, in generation order.
 
         Returns one (AttrNode, in-edges) pair per node created by this call.
         """
-        tree, stack, created = self.tree, self._stack, []
-        while stack:
-            nid, phase = stack[-1]
-            node = tree.nodes[nid]
-            kind = tree.grammar.symbols[node.label].kind
-            if phase == _ENTER and kind is Kind.NONTERMINAL:
-                stack[-1] = (nid, _EXPAND)
-                created.append(self._emit("inh", node, kind))
-            elif phase == _EXPAND:
-                if node.prod_id is None:
-                    break
-                stack[-1] = (nid, _EXIT)
-                stack.extend((c, _ENTER) for c in reversed(node.children))
-            elif phase == _EXIT:
-                stack.pop()
-                if self.include_syn:
-                    created.append(self._emit("syn", node, kind))
-            elif kind is Kind.FIXED or node.binding is not None:
-                stack.pop()
-                created.append(self._emit("joint", node, kind))
-            else:
-                break
-        self.site = stack[-1][0] if stack else None
-        return created
+        return [self._emit(flavor, node, kind) for flavor, node, kind in super().settle()
+                if flavor != "syn" or self.include_syn]
 
     @property
     def key(self):
         """The node that scores the decision at `site`: the site's inherited
         node, or for a terminal slot its parent's; None once complete."""
-        if not self._stack:
+        if self.site is None:
             return None
-        nid, phase = self._stack[-1]  # _EXPAND at a nonterminal, _ENTER at a slot
-        return self.aid_of[("inh", nid if phase == _EXPAND else self.tree.nodes[nid].parent)]
-
-    def decide(self, kind: str, arg):
-        """Make decision `kind` ("P" production id, "V" variable, "L" literal
-        spelling) at `site` and settle; returns what `settle` returns."""
-        if kind == "P":
-            apply_production(self.tree, self.site, self.tree.grammar.productions[arg])
-        else:
-            bind_terminal(self.tree, self.site, arg)
-        return self.settle()
+        node = self.tree.nodes[self.site]
+        slot = self.tree.grammar.symbols[node.label].kind is not Kind.NONTERMINAL
+        return self.aid_of[("inh", node.parent if slot else node.nid)]
 
     # -- node/edge creation ------------------------------------------------
 

@@ -349,7 +349,7 @@ def _dispatch(args) -> int:
         if not samples:
             raise DataError("no samples in file")
         s = samples[0]
-        tree = s.target_tree(g)
+        tree = deserialize_decisions(s.target, g)
         gr = augment_full_tree(tree, sorted(s.scope))
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(export_dot(gr))

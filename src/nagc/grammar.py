@@ -57,6 +57,8 @@ class Grammar:
 
     def __post_init__(self):
         lhss = {p.lhs for p in self.productions}
+        if self.start not in lhss:
+            raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
         for name, sym in self.symbols.items():
             if sym.kind is Kind.NONTERMINAL and name not in lhss:
                 raise GrammarError(f"nonterminal {name!r} has no production")
@@ -309,7 +311,7 @@ class TypeEnv:
 
 
 class TypeCheckError(Exception):
-    """kind is one of: unbound-variable, operand-mismatch, unk-literal, no-rule."""
+    """kind: unbound-variable, operand-mismatch, unk-literal, no-rule or too-deep."""
 
     def __init__(self, kind, msg):
         self.kind = kind
@@ -343,10 +345,14 @@ _TYPING = {
 def type_check(expr, env: TypeEnv, *, allow_unk: bool = False) -> str:
     """Type of a complete expression tree under the MiniExpr rules.
 
-    Raises TypeCheckError on ill-typed trees; an UNK literal is flagged with
-    its own error kind so callers can report it separately.
+    Raises TypeCheckError on ill-typed trees and on trees too deep to check;
+    an UNK literal is flagged with its own error kind so callers can report
+    it separately.
     """
-    return _check(expr.grammar, expr, expr.nodes[expr.root], env, allow_unk)
+    try:
+        return _check(expr.grammar, expr, expr.nodes[expr.root], env, allow_unk)
+    except RecursionError:
+        raise TypeCheckError("too-deep", "expression nested too deeply") from None
 
 
 def _check(g, tree, node, env, allow_unk):

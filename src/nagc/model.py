@@ -25,7 +25,7 @@ from . import neural as nn
 from .grammar import (
     Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
 )
-from .syntax import new_partial_ast, serialize_tokens
+from .syntax import new_partial_ast, read_decisions
 
 
 class ModelError(Exception):
@@ -121,10 +121,11 @@ def token_vocab_from_samples(samples, top_k: int = 500) -> list:
 
 
 class Model:
-    """Parameters plus every fixed vocabulary derived from the grammar."""
+    """Parameters plus every fixed vocabulary derived from the grammar;
+    given `params` (a loaded checkpoint), they must have the model's shapes."""
 
     def __init__(self, grammar: Grammar, config="NAG", encoder="seq",
-                 hidden=64, emb_dim=32, edge_emb=16, seed=0, token_vocab=None):
+                 hidden=64, emb_dim=32, edge_emb=16, seed=0, token_vocab=None, params=None):
         if isinstance(config, str):
             try:
                 config = CONFIGS[config]
@@ -166,7 +167,12 @@ class Model:
         self.glab2id = {l: i for i, l in enumerate(self.graph_labels)}
 
         self._masks = {}
-        self.params = nn.init_params(self._shapes(), seed)
+        shapes = self._shapes()  # checked before any allocation from a corrupt size
+        if params is None:
+            params = nn.init_params(shapes, seed)
+        elif {n: t.data.shape for n, t in params.items()} != shapes:
+            raise ModelError("checkpoint parameters do not match the manifest model")
+        self.params = params
 
     def mask(self, nt: str) -> np.ndarray:
         if nt not in self._masks:
@@ -284,7 +290,7 @@ def prep_context(model: Model, before, after, scope) -> Prepped:
 
 def prep_sample(model: Model, sample) -> Prepped:
     """prep_context plus the target tree's attribute graph and decision plan,
-    read off a GraphBuilder that replays the target's decisions as decoding
+    read off a GraphBuilder that makes the target's decisions as decoding
     makes them: each decision's key, and its var_rows from `last_use`."""
     g, cfg = model.grammar, model.config
     pr = prep_context(model, sample.before, sample.after, sample.scope)
@@ -292,29 +298,29 @@ def prep_sample(model: Model, sample) -> Prepped:
                               labels=cfg.child_labels)
     label_idx = [-1] * len(builder.nodes)  # the encoder seeds the root and context nodes
     plan, var_rows = [], []
-    for dec in sample.target_tree(g).history:
+    for kind, arg in read_decisions(sample.target, builder):
         var_rows.append([builder.last_use[name] for name in pr.ctx_order])
-        key = builder.key
-        created = builder.decide(dec[0], dec[-1])
+        key, label = builder.key, builder.tree.nodes[builder.site].label
+        created = builder.decide(kind, arg)
         label_idx += [_attr_label_id(model, builder.tree, node) for node, _ in created]
-        if dec[0] == "P":
-            plan.append(("P", key, dec[2], builder.tree.nodes[dec[1]].label))
-        elif dec[0] == "V":
-            plan.append(("V", key, dec[2], builder.last_use[dec[2]]))
+        if kind == "P":
+            plan.append(("P", key, arg, label))
+        elif kind == "V":
+            plan.append(("V", key, arg, builder.last_use[arg]))
         else:
-            plan.append(("L", key, dec[2], dec[3]))
+            plan.append(("L", key, g.symbols[label].lit_class, arg))
 
     pr.tree, pr.graph, pr.plan = builder.tree, builder.graph(), plan
     pr.label_idx = np.array(label_idx, dtype=np.int64)
     pr.var_rows = np.array(var_rows, dtype=np.int64)
-    pr.n_tokens = len(serialize_tokens(builder.tree))
+    pr.n_tokens = sum(node.flavor == "joint" for node in builder.nodes)  # one per token
     return pr
 
 
 def _prep_program_graph(model: Model, pr: Prepped):
     try:
         pg = lang.program_graph(pr.tokens)
-    except lang.LangError as e:
+    except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
         raise ModelError(f"context not parseable for graph encoder: {e}") from None
     pr.pgraph = pg
     pr.pg_idx = np.array(
@@ -1057,17 +1063,12 @@ def load_model(path: str) -> Model:
         if hashlib.sha256(manifest["grammar"].encode()).hexdigest() != manifest["grammar_sha256"]:
             raise ModelError("grammar hash mismatch in manifest")
         grammar = load_grammar(manifest["grammar"])
-        model = Model(
+        loaded = nn.load_checkpoint(path)  # every shape bounded by the file size
+        return Model(
             grammar, config=manifest["config"], encoder=manifest["encoder"],
             hidden=manifest["hidden"], emb_dim=manifest["emb_dim"],
             edge_emb=manifest["edge_emb"], seed=manifest["seed"],
-            token_vocab=manifest["token_vocab"],
+            token_vocab=manifest["token_vocab"], params=loaded,
         )
     except (ValueError, KeyError, TypeError, AttributeError, GrammarError, ModelError) as e:
         raise ModelError(f"bad model manifest {path}.json: {type(e).__name__}: {e}") from None
-    loaded = nn.load_checkpoint(path)
-    want = {n: t.data.shape for n, t in model.params.items()}
-    if {n: t.data.shape for n, t in loaded.items()} != want:
-        raise ModelError("checkpoint parameters do not match the manifest model")
-    model.params = loaded
-    return model

@@ -4,7 +4,7 @@ file-respecting splits and JSONL persistence."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,6 @@ class Sample:
     hole_type: str
     scope: dict  # name -> type
     target: str  # decision sequence
-
-    _tree: object = field(default=None, repr=False, compare=False)
-
-    def target_tree(self, g: Grammar):
-        if self._tree is None or self._tree.grammar is not g:
-            self._tree = deserialize_decisions(self.target, g)
-        return self._tree
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +247,13 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
         try:
             tokens = lang.tokenize(text)
             _, sites = lang.parse_program(tokens)
-        except lang.LangError as e:
+            trees = [lang.expr_to_tree(site.expr, g) for site in sites]
+        except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
             import sys
 
             print(f"nagc: skipping {fname}: {e}", file=sys.stderr)
             continue
-        for site in sites:
-            tree = lang.expr_to_tree(site.expr, g)
+        for site, tree in zip(sites, trees):
             samples.append(
                 Sample(
                     file=fname,
@@ -415,7 +408,7 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
 
 def _validate(s: Sample, g: Grammar, path, lineno):
     try:
-        tree = s.target_tree(g)
+        tree = deserialize_decisions(s.target, g)
     except Exception as e:
         raise PipelineError(f"{path}:{lineno}: target does not deserialize: {e}") from None
     used = {rec[1:] for rec in s.target.split() if rec.startswith("V")}

@@ -1,4 +1,5 @@
-"""Partial ASTs: grammar-driven expansion, frontier order and decision sequences.
+"""Partial ASTs: grammar-driven expansion, the generation-order walk and
+decision sequences.
 
 A PartialAst is updated in place by apply_production/bind_terminal; beam search
 branches by copying first, so no tree is ever shared between hypotheses.
@@ -50,18 +51,6 @@ class PartialAst:
             raise SyntaxError_(f"unknown node {nid}")
         return self.nodes[nid]
 
-    def is_unexpanded_nonterminal(self, nid: int) -> bool:
-        n = self.nodes[nid]
-        return self.grammar.symbols[n.label].kind is Kind.NONTERMINAL and n.prod_id is None
-
-    def is_unbound_terminal(self, nid: int) -> bool:
-        n = self.nodes[nid]
-        kind = self.grammar.symbols[n.label].kind
-        return kind in (Kind.VARIABLE, Kind.LITERAL) and n.binding is None
-
-    def is_complete(self) -> bool:
-        return next_expansion_site(self) is None
-
     # -- traversal ---------------------------------------------------------
 
     def preorder(self):
@@ -78,15 +67,6 @@ class PartialAst:
 
 def new_partial_ast(g: Grammar) -> PartialAst:
     return PartialAst(g)
-
-
-def next_expansion_site(a: PartialAst):
-    """Left-most, bottom-most open site: an unexpanded nonterminal or an
-    unbound variable/literal slot; None when the tree is complete."""
-    for nid in a.preorder():
-        if a.is_unexpanded_nonterminal(nid) or a.is_unbound_terminal(nid):
-            return nid
-    return None
 
 
 def apply_production(a: PartialAst, v: int, p: Production) -> PartialAst:
@@ -132,6 +112,72 @@ def trees_equal(a: PartialAst, b: PartialAst) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Generation order
+
+# phases of an AST node on the walk stack: not yet visited; entered, its
+# children come once it is expanded; its children are done
+_ENTER, _EXPAND, _EXIT = range(3)
+
+
+class Walk:
+    """The generation order of a partial AST: a depth-first walk, started
+    inside the root, that keeps its stack between calls and stops at each
+    open site. `site` is the left-most, bottom-most open node (an unexpanded
+    nonterminal or an unbound variable/literal slot), None once complete.
+    """
+
+    def __init__(self, tree: PartialAst):
+        self.tree = tree
+        self._stack = [(tree.root, _EXPAND)]
+        self.settle()
+
+    def copy(self) -> "Walk":
+        """An independent walk over an independent tree copy (beam branching)."""
+        w = object.__new__(type(self))
+        w.__dict__.update(self.__dict__)
+        w.tree = self.tree.copy()
+        w._stack = list(self._stack)
+        return w
+
+    def settle(self) -> list:
+        """Resume the walk up to the next open site and set `site`. Returns
+        the (flavor, node, kind) of each step passed, in order: "inh" entering
+        a nonterminal, "syn" leaving one, "joint" passing a filled terminal."""
+        tree, stack, passed = self.tree, self._stack, []
+        while stack:
+            nid, phase = stack[-1]
+            node = tree.nodes[nid]
+            kind = tree.grammar.symbols[node.label].kind
+            if phase == _ENTER and kind is Kind.NONTERMINAL:
+                stack[-1] = (nid, _EXPAND)
+                passed.append(("inh", node, kind))
+            elif phase == _EXPAND:
+                if node.prod_id is None:
+                    break
+                stack[-1] = (nid, _EXIT)
+                stack.extend((c, _ENTER) for c in reversed(node.children))
+            elif phase == _EXIT:
+                stack.pop()
+                passed.append(("syn", node, kind))
+            elif kind is Kind.FIXED or node.binding is not None:
+                stack.pop()
+                passed.append(("joint", node, kind))
+            else:
+                break
+        self.site = stack[-1][0] if stack else None
+        return passed
+
+    def decide(self, kind: str, arg):
+        """Make decision `kind` ("P" production id, "V" variable, "L" literal
+        spelling) at `site` and settle; returns what `settle` returns."""
+        if kind == "P":
+            apply_production(self.tree, self.site, self.tree.grammar.productions[arg])
+        else:
+            bind_terminal(self.tree, self.site, arg)
+        return self.settle()
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 
 class MalformedSequenceError(Exception):
@@ -140,7 +186,7 @@ class MalformedSequenceError(Exception):
 
 def serialize_tokens(t: PartialAst) -> list[str]:
     """Left-to-right terminal spellings of a complete tree."""
-    if not t.is_complete():
+    if Walk(t).site is not None:
         raise SyntaxError_("tree is not complete")
     out = []
     for nid in t.leaves():
@@ -163,46 +209,40 @@ def serialize_decisions(t: PartialAst) -> str:
     return " ".join(parts)
 
 
-def deserialize_decisions(seq: str, g: Grammar) -> PartialAst:
+def read_decisions(seq: str, walk: Walk):
+    """Each record of a decision string as the (kind, arg) that `walk.decide`
+    takes, checked against the walk's site (a production of its nonterminal,
+    a variable slot, a literal slot of the record's class); the caller makes
+    each decision before the next is read. Raises MalformedSequenceError."""
     records = seq.split()
     if not records:
         raise MalformedSequenceError("empty decision sequence")
-    a = new_partial_ast(g)
+    g = walk.tree.grammar
     for i, rec in enumerate(records):
-        site = next_expansion_site(a)
-        if site is None:
+        if walk.site is None:
             raise MalformedSequenceError(f"record {i}: tree already complete")
-        if rec.startswith("P"):
+        label = walk.tree.nodes[walk.site].label
+        sym, kind, text = g.symbols[label], rec[0], rec[1:]
+        if kind == "P":
             try:
-                pid = int(rec[1:])
+                arg = int(text)
             except ValueError:
-                raise MalformedSequenceError(f"record {i}: bad production id {rec!r}") from None
-            if not 0 <= pid < len(g.productions):
-                raise MalformedSequenceError(f"record {i}: production {pid} out of range")
-            if not a.is_unexpanded_nonterminal(site):
-                raise MalformedSequenceError(f"record {i}: site is not a nonterminal")
-            try:
-                apply_production(a, site, g.productions[pid])
-            except SyntaxError_ as e:
-                raise MalformedSequenceError(f"record {i}: {e}") from None
-        elif rec.startswith("V"):
-            if not a.is_unbound_terminal(site):
-                raise MalformedSequenceError(f"record {i}: site is not bindable")
-            if g.symbols[a.nodes[site].label].kind is not Kind.VARIABLE:
-                raise MalformedSequenceError(f"record {i}: site is not a variable slot")
-            bind_terminal(a, site, rec[1:])
-        elif rec.startswith("L"):
-            cls, sep, spelling = rec[1:].partition(":")
-            if not sep:
-                raise MalformedSequenceError(f"record {i}: bad literal record {rec!r}")
-            if not a.is_unbound_terminal(site):
-                raise MalformedSequenceError(f"record {i}: site is not bindable")
-            sym = g.symbols[a.nodes[site].label]
-            if sym.kind is not Kind.LITERAL or sym.lit_class != cls:
-                raise MalformedSequenceError(f"record {i}: literal class mismatch")
-            bind_terminal(a, site, spelling)
+                arg = -1
+            fits = 0 <= arg < len(g.productions) and g.productions[arg].lhs == label
+        elif kind == "V":
+            arg, fits = text, sym.kind is Kind.VARIABLE
         else:
-            raise MalformedSequenceError(f"record {i}: unknown record {rec!r}")
-    if not a.is_complete():
+            cls, sep, arg = text.partition(":")
+            fits = kind == "L" and sep and sym.kind is Kind.LITERAL and sym.lit_class == cls
+        if not fits:
+            raise MalformedSequenceError(f"record {i}: {rec!r} is no decision at a {label} site")
+        yield kind, arg
+    if walk.site is not None:
         raise MalformedSequenceError("decision sequence leaves the tree incomplete")
-    return a
+
+
+def deserialize_decisions(seq: str, g: Grammar) -> PartialAst:
+    walk = Walk(new_partial_ast(g))
+    for kind, arg in read_decisions(seq, walk):
+        walk.decide(kind, arg)
+    return walk.tree

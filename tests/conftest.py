@@ -33,13 +33,28 @@ def token_vocab(folds):
     return M.token_vocab_from_samples(folds["train"])
 
 
+def frontier_site(t):
+    """The generation order's rule, kept apart from the walk in nagc.syntax
+    as its oracle: the first node in preorder that is an unexpanded
+    nonterminal or an unbound variable/literal slot; None once complete."""
+    for nid in t.preorder():
+        node = t.nodes[nid]
+        kind = t.grammar.symbols[node.label].kind
+        open_nonterminal = kind is Kind.NONTERMINAL and node.prod_id is None
+        open_slot = kind in (Kind.VARIABLE, Kind.LITERAL) and node.binding is None
+        if open_nonterminal or open_slot:
+            return nid
+    return None
+
+
 def random_tree(g, rng, scope_vars, max_depth=4):
-    """Random complete derivation tree; terminal-weighted beyond max_depth."""
-    from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
+    """Random complete derivation tree, built in frontier_site order;
+    terminal-weighted beyond max_depth."""
+    from nagc.syntax import apply_production, bind_terminal, new_partial_ast
 
     t = new_partial_ast(g)
     while True:
-        site = next_expansion_site(t)
+        site = frontier_site(t)
         if site is None:
             return t
         node = t.nodes[site]
@@ -71,12 +86,12 @@ def enumerate_trees(g, scope_vars, lit_support):
     """Every complete derivation tree, branching over productions, scope
     variables and the given literal spelling supports. Only usable on
     non-recursive grammars."""
-    from nagc.syntax import apply_production, bind_terminal, new_partial_ast, next_expansion_site
+    from nagc.syntax import apply_production, bind_terminal, new_partial_ast
 
     results = []
 
     def rec(t):
-        site = next_expansion_site(t)
+        site = frontier_site(t)
         if site is None:
             results.append(t)
             return

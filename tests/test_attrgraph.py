@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import frontier_site, random_tree
 from nagc import attrgraph as A
 from nagc import lang as L
 from nagc.attrgraph import (
@@ -25,7 +25,7 @@ from nagc.attrgraph import (
     propagation_schedule,
 )
 from nagc.grammar import Kind
-from nagc.syntax import new_partial_ast, next_expansion_site, trees_equal
+from nagc.syntax import new_partial_ast, trees_equal
 
 
 def _tree(g, text):
@@ -87,11 +87,11 @@ def _brute_key_and_last_use(t, b, ctx):
     # its context node until its first use, then the joint node of its latest
     # use in generation (pre)order
     aid = {(n.flavor, n.origin): n.aid for n in b.nodes}
-    site = next_expansion_site(t)
+    site = frontier_site(t)
     key = None
     if site is not None:
-        owner = site if t.is_unexpanded_nonterminal(site) else t.nodes[site].parent
-        key = aid[("inh", owner)]
+        slot = t.grammar.symbols[t.nodes[site].label].kind is not Kind.NONTERMINAL
+        key = aid[("inh", t.nodes[site].parent if slot else site)]
     last_use = {name: aid[("ctx", name)] for name in ctx}
     for nid in t.preorder():
         node = t.nodes[nid]
@@ -102,7 +102,7 @@ def _brute_key_and_last_use(t, b, ctx):
 
 def test_builder_settled_per_decision_matches_one_shot(g):
     # the walk resumed after every decision ends where one-shot augmentation
-    # does; its site is always the tree's next expansion site, and its key and
+    # does; its site is always the preorder oracle's, and its key and
     # last_use always follow the rules recomputed from the partial tree
     rng = np.random.default_rng(1)
     scopes = (["i"], ["i", "j"], ["i", "j", "s", "b", "arr"])
@@ -114,7 +114,7 @@ def test_builder_settled_per_decision_matches_one_shot(g):
             t = new_partial_ast(g)
             b = GraphBuilder(t, ctx, edge_set=edge_set, labels=labels)
             for dec in full.history:
-                assert b.site == next_expansion_site(t) == dec[1]
+                assert b.site == frontier_site(t) == dec[1]
                 assert (b.key, b.last_use) == _brute_key_and_last_use(t, b, ctx)
                 n_nodes, n_edges = len(b.nodes), len(b.edges)
                 created = b.decide(dec[0], dec[-1])

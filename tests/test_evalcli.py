@@ -12,7 +12,7 @@ from nagc import pipeline as P
 from nagc.evalcli import DataError, EvalReport, run_cli
 from nagc.grammar import load_grammar
 from nagc.syntax import (
-    apply_production, bind_terminal, new_partial_ast, next_expansion_site, serialize_decisions,
+    Walk, apply_production, bind_terminal, new_partial_ast, serialize_decisions,
 )
 
 from conftest import make_sample
@@ -33,14 +33,14 @@ S -> "c"
 
 def _forced_sample(g):
     t = new_partial_ast(g)
-    apply_production(t, next_expansion_site(t), g.by_lhs("S")[0])
-    apply_production(t, next_expansion_site(t), g.by_lhs("T")[0])
+    apply_production(t, Walk(t).site, g.by_lhs("S")[0])
+    apply_production(t, Walk(t).site, g.by_lhs("T")[0])
     return make_sample(t, {})
 
 
 def _three_way_sample(g, which):
     t = new_partial_ast(g)
-    apply_production(t, next_expansion_site(t), g.by_lhs("S")[which])
+    apply_production(t, Walk(t).site, g.by_lhs("S")[which])
     return make_sample(t, {})
 
 
@@ -362,6 +362,52 @@ def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"nagc: {path}:2: "), err
 
 
+_DEEP = 3000  # nesting levels, far past the interpreter's recursion limit
+
+
+# nested parentheses fail in the parser; a flat sum parses in a loop but
+# builds a left-deep tree
+@pytest.mark.parametrize("deep", ["( " * _DEEP + "1" + " )" * _DEEP, " + ".join(["1"] * _DEEP)],
+                         ids=["parens", "sum"])
+def test_cli_extract_skips_deeply_nested_file(deep, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mexp").write_text("var x : int = 1 ;\n", encoding="utf-8")
+    (corpus / "b.mexp").write_text(f"var y : int = {deep} ;\n", encoding="utf-8")
+    out = str(tmp_path / "o.jsonl")
+    assert run_cli(["extract", "--in", str(corpus), "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: skipping b.mexp: "), err
+    assert [s.file for s in P.read_jsonl(out)] == ["a.mexp"]
+
+
+def test_cli_split_rejects_deeply_nested_target(tmp_path, capsys):
+    path = str(tmp_path / "s.jsonl")
+    P.write_jsonl([P.Sample("f", ["var", "b", ":", "bool", ";"], [";"], "bool", {"b": "bool"},
+                            "P16 " * _DEEP + "P0 Vb")], path)
+    assert run_cli(["split", "--in", path, "--out-dir", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"nagc: {path}:1: "), err
+
+
+@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
+def test_cli_graph_encoder_rejects_deeply_nested_context(cmd, fitted_grammar, token_vocab,
+                                                         corpus_samples, tmp_path, capsys):
+    # the program graph of the context cannot be built: one line, exit 2
+    ckpt, path = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
+    M.save_model(M.Model(fitted_grammar, encoder="graph", hidden=8, emb_dim=4, edge_emb=4,
+                         token_vocab=token_vocab), ckpt)
+    s = corpus_samples[0]
+    deep = ["var", "y", ":", "int", "="] + ["("] * _DEEP + ["1"] + [")"] * _DEEP + [";"]
+    P.write_jsonl([P.Sample(s.file, deep + s.before, s.after, s.hole_type, s.scope, s.target)],
+                  path)
+    argv = (["complete", "--ckpt", ckpt, "--sample", path] if cmd == "complete"
+            else ["evaluate", "--data", path, "--ckpt", ckpt])
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("nagc: "), (out, err)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, corpus_samples,
                                            tmp_path, capsys):
@@ -382,8 +428,8 @@ def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, c
 # checkpoint cut to the first n bytes (a float: that share of the file; -1:
 # one byte short), or a manifest fault
 @pytest.mark.parametrize("fault", [0, 3, 10, 100, 0.5, -1, "trailing", "manifest-json",
-                                   "manifest-field", "manifest-utf8", "manifest-vocab",
-                                   "manifest-vocab-order"])
+                                   "manifest-field", "manifest-hidden", "manifest-utf8",
+                                   "manifest-vocab", "manifest-vocab-order"])
 def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corpus_samples,
                                         tmp_path, capsys):
     ckpt = str(tmp_path / "m.nagc")
@@ -399,9 +445,14 @@ def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corp
         data += b"\0"
     elif fault == "manifest-json":
         manifest = manifest[: len(manifest) // 2]
-    elif fault == "manifest-field":
+    elif fault in ("manifest-field", "manifest-hidden"):
+        # hidden missing, or far larger than the checkpoint's: terabytes of
+        # parameters, refused before anything is allocated from it
         man = json.loads(manifest)
-        del man["hidden"]
+        if fault == "manifest-field":
+            del man["hidden"]
+        else:
+            man["hidden"] = 1000000
         manifest = json.dumps(man).encode()
     elif fault == "manifest-utf8":
         manifest = b"\xff" + manifest

@@ -10,6 +10,7 @@ from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import TypeEnv, type_check
 from nagc.pipeline import PipelineError, Sample
+from nagc.syntax import deserialize_decisions
 
 
 def test_generate_corpus_deterministic():
@@ -38,7 +39,7 @@ def test_generated_files_parse_and_type_check(g):
 def test_extract_samples_fields(g, corpus_samples):
     assert len(corpus_samples) > 50
     for s in corpus_samples[:40]:
-        tree = s.target_tree(g)
+        tree = deserialize_decisions(s.target, g)
         assert type_check(tree, TypeEnv(s.scope)) == s.hole_type
         used = {rec[1:] for rec in s.target.split() if rec.startswith("V")}
         assert used <= set(s.scope)

@@ -3,9 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import frontier_site, make_sample, random_tree
 from test_attrgraph import DECODER_EDGES
 from nagc import lang as L
+from nagc import model as M
 from nagc import syntax as S
 from nagc.attrgraph import (
     CHILD, INH_TO_SYN, NEXT_EXP, NEXT_SIBLING, NEXT_TOKEN, NEXT_USE, PAPER_EDGE_TYPES, PARENT,
@@ -15,11 +16,11 @@ from nagc.grammar import Kind
 from nagc.syntax import (
     MalformedSequenceError,
     SyntaxError_,
+    Walk,
     apply_production,
     bind_terminal,
     deserialize_decisions,
     new_partial_ast,
-    next_expansion_site,
     serialize_decisions,
     serialize_tokens,
     trees_equal,
@@ -32,12 +33,42 @@ def _tree(g, text):
 
 def test_frontier_order_is_leftmost(g):
     t = new_partial_ast(g)
-    assert next_expansion_site(t) == 0
+    assert Walk(t).site == 0
     apply_production(t, 0, g.productions[5])  # Expr - Expr
     # left Expr child first, not the right one
-    site = next_expansion_site(t)
+    site = Walk(t).site
     assert t.nodes[site].label == "Expr"
     assert site == t.nodes[0].children[0]
+
+
+def test_walk_site_matches_preorder_oracle(g):
+    # on every prefix of random derivations, a fresh walk's site is the
+    # oracle's; deserialization applies each record at the oracle's site
+    # (random_tree builds in oracle order, so the histories must agree)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        full = random_tree(g, rng, ["i", "s"])
+        t = new_partial_ast(g)
+        for dec in full.history:
+            assert Walk(t).site == frontier_site(t) == dec[1]
+            if dec[0] == "P":
+                apply_production(t, dec[1], g.productions[dec[2]])
+            else:
+                bind_terminal(t, dec[1], dec[-1])
+        assert Walk(t).site is frontier_site(t) is None
+        assert deserialize_decisions(serialize_decisions(full), g).history == full.history
+
+
+def test_deep_chain_round_trips_without_recursion(g):
+    # 4998 nested `!` over one variable: 5000 decisions, far deeper than
+    # the interpreter's recursion limit
+    seq = "P16 " * 4998 + "P0 Vb"
+    t = deserialize_decisions(seq, g)
+    assert len(t.history) == 5000 and serialize_decisions(t) == seq
+    assert serialize_tokens(t) == ["!"] * 4998 + ["b"]
+    m = M.Model(g, hidden=8, emb_dim=4, edge_emb=4)
+    pr = M.prep_sample(m, make_sample(t, {"b": "bool"}, ["var", "b", ":", "bool", ";"], []))
+    assert trees_equal(pr.tree, t) and len(pr.plan) == 5000 and pr.n_tokens == 4999
 
 
 def test_apply_production_errors(g):
@@ -91,6 +122,9 @@ def test_serialize_tokens(g):
         "P5 P0 Vi P0",  # incomplete
         "P0 Vi P0 Vj",  # continues past completion
         "P0 Lint:3",  # literal record at a variable slot
+        "P0 P0",  # production record at a variable slot
+        "P1 Lint",  # literal record without a class separator
+        "P1 Lstring:x",  # literal of another class
         "Q1",
     ],
 )
@@ -208,6 +242,6 @@ def test_copy_isolates_mutation(g):
     t = new_partial_ast(g)
     apply_production(t, 0, g.productions[5])
     c = t.copy()
-    apply_production(c, next_expansion_site(c), g.productions[0])
+    apply_production(c, Walk(c).site, g.productions[0])
     assert len(c.nodes) == len(t.nodes) + 1
     assert len(c.history) == len(t.history) + 1
