@@ -271,6 +271,16 @@ def run_cli(argv=None) -> int:
         return 2
 
 
+def _check_output(path: str):
+    """Refuse an output path whose directory is missing or which is itself a
+    directory. Commands check their outputs before they read any data, so a
+    path that cannot be written fails before the work, not after it."""
+    if os.path.isdir(path):
+        raise DataError(f"{path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise DataError(f"no directory for {path}")
+
+
 def _dispatch(args) -> int:
     g = builtin_grammar()
 
@@ -281,6 +291,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "extract":
+        _check_output(args.out)
         files = pl.read_corpus(args.indir)
         if not files:
             raise DataError(f"no .mexp files in {args.indir}")
@@ -302,6 +313,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "train":
+        _check_output(args.ckpt)
+        _check_output(args.ckpt + ".json")  # its manifest
         train_path = os.path.join(args.data, "train.jsonl")
         samples = pl.read_jsonl(train_path, g)
         gv = pl.literal_vocab_from_samples(samples, g)
@@ -318,9 +331,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "evaluate":
-        # a report that cannot be written fails before the evaluation runs
-        if args.report and not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
-            raise DataError(f"no directory for the report {args.report}")
+        if args.report:
+            _check_output(args.report)
         m = mo.load_model(args.ckpt)
         fold = pl.read_jsonl(args.data, m.grammar)
         report = evaluate(m, fold, width=args.beam, seed=args.seed)
@@ -345,6 +357,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "graph-dot":
+        _check_output(args.out)
         samples = pl.read_jsonl(args.sample, g)
         if not samples:
             raise DataError("no samples in file")

@@ -30,6 +30,9 @@ class LangError(Exception):
     pass
 
 
+MAX_NESTING = 100  # levels of sub-expressions and blocks the parser enters
+
+
 def tokenize(text: str) -> list[str]:
     tokens = []
     pos = 0
@@ -164,6 +167,7 @@ class Parser:
         self.pos = 0
         self.sites: list[ExprSite] = []
         self.scopes: list[dict] = [{}]
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -182,6 +186,18 @@ class Parser:
         if t != tok:
             raise LangError(f"expected {tok!r}, got {t!r} at token {self.pos - 1}")
         return t
+
+    def nested(self, parse, *args):
+        """parse(*args) one nesting level deeper. Parentheses, `!`, index and
+        call arguments, the right operand of a binary operator and if/while
+        blocks each open a level; past MAX_NESTING levels the input is
+        refused, long before the interpreter's recursion limit."""
+        if self.depth == MAX_NESTING:
+            raise LangError(f"nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        out = parse(*args)
+        self.depth -= 1
+        return out
 
     def scope_snapshot(self):
         out = {}
@@ -236,18 +252,18 @@ class Parser:
             self.expect("(")
             cond = self.record_site("bool")
             self.expect(")")
-            then = self.parse_block()
+            then = self.nested(self.parse_block)
             els = None
             if self.peek() == "else":
                 self.next()
-                els = self.parse_block()
+                els = self.nested(self.parse_block)
             return SIf(cond, then, els, (start, self.pos))
         if t == "while":
             self.next()
             self.expect("(")
             cond = self.record_site("bool")
             self.expect(")")
-            body = self.parse_block()
+            body = self.nested(self.parse_block)
             return SWhile(cond, body, (start, self.pos))
         # assignment
         name_index = self.pos
@@ -279,14 +295,14 @@ class Parser:
             if prec is None or prec < min_prec:
                 return left
             self.next()
-            right = self.parse_expr(prec + 1)
+            right = self.nested(self.parse_expr, prec + 1)
             left = EBin(op, left, right, (start, self.pos))
 
     def parse_unary(self):
         start = self.pos
         if self.peek() == "!":
             self.next()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             return EUn("!", operand, (start, self.pos))
         return self.parse_postfix()
 
@@ -302,17 +318,17 @@ class Parser:
                     e = ELength(e, (start, self.pos))
                 elif name in _METHODS:
                     self.expect("(")
-                    args = [self.parse_expr()]
+                    args = [self.nested(self.parse_expr)]
                     for _ in range(_METHODS[name] - 1):
                         self.expect(",")
-                        args.append(self.parse_expr())
+                        args.append(self.nested(self.parse_expr))
                     self.expect(")")
                     e = ECall(e, name, args, (start, self.pos))
                 else:
                     raise LangError(f"unknown method {name!r}")
             elif t == "[":
                 self.next()
-                idx = self.parse_expr()
+                idx = self.nested(self.parse_expr)
                 self.expect("]")
                 e = EIndex(e, idx, (start, self.pos))
             else:
@@ -322,7 +338,7 @@ class Parser:
         start = self.pos
         t = self.next()
         if t == "(":
-            e = self.parse_expr()
+            e = self.nested(self.parse_expr)
             self.expect(")")
             return e
         if t == HOLE_TOKEN:

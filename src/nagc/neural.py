@@ -536,31 +536,36 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
                       axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
     bias = counts @ np.stack([b.data for b in bs])
     parents = [h] + Ws + gru + bs
-    saved = [] if _track(*parents) else None  # per step: input, state, h[src], z, r, r * h, c
-    H = h.data
+    saved = [] if _track(*parents) else None  # per step, node-sized only: input, state, [z, r], c
+    H, RH = h.data, np.empty_like(h.data)
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
         for _ in range(steps):
-            hs = H[edges.src]
-            X = _layout_sum(bias.copy(), edges.tgt_layout, _message_rows(hs, edges, Ws))
+            X = _layout_sum(bias.copy(), edges.tgt_layout, _message_rows(H[edges.src], edges, Ws))
             C = X @ Wh + bh
             ZR = np.empty((2,) + C.shape, C.dtype)
             np.negative(X @ Wz + bz, out=ZR[0])
             np.negative(X @ Wr + br, out=ZR[1])
-            RH, H_next = np.empty_like(C), np.empty_like(C)
+            H_next = np.empty_like(C)
             _gru_step(ZR, C, H, U, Uh, RH, H_next)
             if saved is not None:
-                saved.append((X, H, hs, *ZR, RH, C))
+                saved.append((X, H, ZR, C))
             H = H_next
 
     def bw(g):
+        if not saved:
+            raise NeuralError("ggnn: a backward already read and released this node's steps")
         grads = [np.zeros_like(t.data) for t in Ws + gru]
-        dX_sum, dh, UT = np.zeros_like(H), g, (Uz.T, Ur.T, Uh.T)
-        for X, HP, hs, Z, R, RH, C in reversed(saved):
-            *da, dh = _gru_step_bw(dh, R, _gru_local(HP, Z, R, C), UT)
-            dX = da[0] @ Wz.T + da[1] @ Wr.T + da[2] @ Wh.T
+        dX_sum, dh, UT = np.zeros_like(H), g.copy(), (Uz.T, Ur.T, Uh.T)
+        local, da, (drh, dX, RH) = [[np.empty_like(H) for _ in range(n)] for n in (4, 3, 3)]
+        while saved:  # each step's state is released once read
+            X, HP, ZR, C = saved.pop()
+            _gru_step_bw(dh, ZR[1], _gru_local(HP, *ZR, C, local), UT, da + [drh])
+            np.matmul(da[0], Wz.T, out=dX)
+            dX += np.matmul(da[1], Wr.T, out=drh)
+            dX += np.matmul(da[2], Wh.T, out=drh)
             dX_sum += dX
-            dhs, dWs = _message_rows_bw(dX[edges.tgt], hs, edges, Ws)
-            for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, RH, da)):
+            dhs, dWs = _message_rows_bw(dX[edges.tgt], HP[edges.src], edges, Ws)
+            for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, np.multiply(ZR[1], HP, out=RH), da)):
                 acc += gt
             _layout_sum(dh, edges.src_layout, dhs)
         for t, gt in zip(Ws + gru + bs, grads + list(counts.T @ dX_sum)):
@@ -658,20 +663,30 @@ def _gru_step(zr, c, h, U, Uh, rh, out, mask=None):
     out += h
 
 
-def _gru_local(HP, Z, R, C):
-    """Local derivatives of one or many GRU steps: dh/dh_prev through 1 - z,
-    and those of c, z and r by their pre-activations times their factors."""
-    return 1.0 - Z, Z * (1.0 - C * C), (C - HP) * Z * (1.0 - Z), HP * R * (1.0 - R)
+def _gru_local(HP, Z, R, C, out=None):
+    """Local derivatives of one or many GRU steps into out (four arrays like C,
+    new by default): dh/dh_prev through 1 - z, and those of c, z and r by their
+    pre-activations times their factors, left to right; dz_da holds 1 - r first."""
+    keep, dc_da, dz_da, dr_da = out or [np.empty_like(C) for _ in range(4)]
+    np.subtract(1.0, Z, out=keep)
+    np.multiply(Z, np.subtract(1.0, np.multiply(C, C, out=dc_da), out=dc_da), out=dc_da)
+    np.multiply(np.multiply(HP, R, out=dr_da), np.subtract(1.0, R, out=dz_da), out=dr_da)
+    np.multiply(np.multiply(np.subtract(C, HP, out=dz_da), Z, out=dz_da), keep, out=dz_da)
+    return keep, dc_da, dz_da, dr_da
 
 
-def _gru_step_bw(dh, R, local, UT):
-    """Back through one GRU step from dh, the gradient of the state after it:
-    those of the pre-activations of z, r and c and of the state before it."""
-    keep, dc_da, dz_da, dr_da = local
-    dah = dh * dc_da
-    drh = dah @ UT[2]
-    daz, dar = dh * dz_da, drh * dr_da
-    return daz, dar, dah, dh * keep + drh * R + daz @ UT[0] + dar @ UT[1]
+def _gru_step_bw(dh, R, local, UT, out):
+    """Back through one GRU step in place, from dh, the gradient of the state
+    after it: into out = (daz, dar, dah, drh) those of the pre-activations of
+    z, r and c (drh is scratch), into dh that of the state before it."""
+    (keep, dc_da, dz_da, dr_da), (daz, dar, dah, drh) = local, out
+    np.matmul(np.multiply(dh, dc_da, out=dah), UT[2], out=drh)
+    np.multiply(dh, dz_da, out=daz)
+    np.multiply(drh, dr_da, out=dar)
+    dh *= keep
+    dh += np.multiply(drh, R, out=drh)
+    dh += np.matmul(daz, UT[0], out=drh)
+    dh += np.matmul(dar, UT[1], out=drh)
 
 
 def _gru_grads(X, dx, HP, RH, ds):
@@ -730,14 +745,14 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
 
     def bw(g):
         g = g[None] if step else g if k == 1 else _flip_back(g, H)
-        HP, Z, R = S[:-1], ZR[:, 0], ZR[:, 1]
-        local = _gru_local(HP, Z, R, C)  # of every step at once
-        UT = (Uz.T, Ur.T, Uh.T)
+        HP, R, UT = S[:-1], ZR[:, 1], (Uz.T, Ur.T, Uh.T)
+        local = _gru_local(HP, ZR[:, 0], R, C)  # of every step at once
         # gate pre-activation gradients per scan step, (T, ..., k * H) each
         daz, dar, dah = (np.empty_like(C) for _ in range(3))
-        dh = np.zeros_like(S[0])
+        dh, drh = np.zeros_like(S[0]), np.empty_like(S[0])
         for s in reversed(range(T)):
-            daz[s], dar[s], dah[s], dh = _gru_step_bw(dh + g[s], R[s], [a[s] for a in local], UT)
+            dh += g[s]
+            _gru_step_bw(dh, R[s], [a[s] for a in local], UT, (daz[s], dar[s], dah[s], drh))
 
         def flat(*arrays):
             return [a.reshape(-1, a.shape[-1]) for a in arrays]

@@ -305,19 +305,40 @@ def test_cli_non_utf8_corpus_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.jsonl").exists()
 
 
-def test_cli_report_in_missing_directory_exits_2(fitted_grammar, token_vocab, corpus_samples,
-                                                 tmp_path, capsys):
-    # refused before the checkpoint is loaded: nothing is evaluated or printed
-    ckpt, data = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
+# an output path in a missing directory, or one that is a directory, named by
+# each command that writes a file; "manifest" makes the checkpoint's .json
+# manifest a directory
+@pytest.mark.parametrize("cmd", ["train", "manifest", "evaluate", "extract", "graph-dot"])
+@pytest.mark.parametrize("bad", ["missing-dir", "is-dir"])
+def test_cli_unwritable_output_exits_2_before_any_work(cmd, bad, fitted_grammar, token_vocab,
+                                                       corpus_samples, tmp_path, monkeypatch,
+                                                       capsys):
+    data, corpus = tmp_path / "data", tmp_path / "corpus"
+    data.mkdir()
+    corpus.mkdir()
+    P.write_jsonl(corpus_samples[:4], str(data / "train.jsonl"))
+    (corpus / "a.mexp").write_text("var x : int = 1 ;\n", encoding="utf-8")
+    ckpt = str(tmp_path / "m.nagc")
     M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4,
                          token_vocab=token_vocab), ckpt)
-    P.write_jsonl(corpus_samples[:2], data)
-    report = str(tmp_path / "missing" / "report.json")
-    assert run_cli(["evaluate", "--data", data, "--ckpt", ckpt, "--report", report]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    out = str(tmp_path / ("missing/out" if bad == "missing-dir" else "taken"))
+    if bad == "is-dir":
+        (tmp_path / ("taken.json" if cmd == "manifest" else "taken")).mkdir()
+    argv = {"train": ["train", "--data", str(data), "--epochs", "1", "--ckpt", out],
+            "evaluate": ["evaluate", "--data", str(data / "train.jsonl"), "--ckpt", ckpt,
+                         "--report", out],
+            "extract": ["extract", "--in", str(corpus), "--out", out],
+            "graph-dot": ["graph-dot", "--sample", str(data / "train.jsonl"), "--out", out]}
+    argv["manifest"] = argv["train"]
+    calls = []
+    for mod, name in ((M, "train"), (M, "walk_fold"), (P, "extract_samples"), (P, "read_jsonl"),
+                      (P, "read_corpus")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: calls.append(name))
+    assert run_cli(argv[cmd]) == 2
+    out_text, err = capsys.readouterr()
     err = err.splitlines()
-    assert len(err) == 1 and err[0].startswith("nagc: ") and report in err[0], err
+    assert out_text == "" and calls == []
+    assert len(err) == 1 and err[0].startswith("nagc: ") and out in err[0], err
 
 
 def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):

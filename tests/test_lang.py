@@ -48,6 +48,23 @@ def test_parse_render_round_trip(text):
     assert render_expr(e) == toks
 
 
+# a program with one form nested n levels deep
+_NESTED = {
+    "parens": lambda n: "var x : int = " + "( " * n + "1" + " )" * n + " ;",
+    "not": lambda n: "var b : bool = " + "! " * n + "true ;",
+    "index": lambda n: "var a : int [ ] ; var x : int = " + "a [ " * n + "1" + " ]" * n + " ;",
+    "if": lambda n: "var b : bool = true ; " + "if ( b ) { " * n + "b = false ; " + "} " * n,
+    "while": lambda n: "var b : bool = true ; " + "while ( b ) { " * n + "b = false ; " + "} " * n,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_NESTED))
+def test_nesting_bound_is_the_same_for_every_form(form):
+    parse_program(tokenize(_NESTED[form](L.MAX_NESTING)))
+    with pytest.raises(LangError, match=f"^nested deeper than {L.MAX_NESTING}$"):
+        parse_program(tokenize(_NESTED[form](L.MAX_NESTING + 1)))
+
+
 def test_precedence_shapes():
     e = parse_expression(tokenize("i - j - k"))
     assert isinstance(e.left, L.EBin) and e.left.op == "-"  # (i - j) - k

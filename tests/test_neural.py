@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ def test_gru_step_equals_per_gate_formulas(dtype):
         assert not r[..., 0].any()
         for got, want in ((zr[0], z), (zr[1], r), (cand, c), (rh, r * h), (out, h + z * (c - h))):
             assert got.dtype == dtype and np.array_equal(got, want), (lead, masked)
+        # the in-place backward step, into reused buffers, against its
+        # derivatives written out, each product formed left to right
+        dh = rng.normal(size=h.shape).astype(dtype)
+        dah = dh * (z * (1.0 - c * c))
+        drh = dah @ Uh.T
+        daz, dar = dh * ((c - h) * z * (1.0 - z)), drh * (h * r * (1.0 - r))
+        want = (daz, dar, dah, dh * (1.0 - z) + drh * r + daz @ Uz.T + dar @ Ur.T)
+        bufs = [np.full_like(h, np.nan) for _ in range(8)]
+        local = nn._gru_local(h, z, r, c, bufs[:4])
+        nn._gru_step_bw(dh, r, local, (Uz.T, Ur.T, Uh.T), bufs[4:])
+        for got, w in zip(bufs[4:7] + [dh], want):
+            assert got.dtype == dtype and np.array_equal(got, w), (lead, masked)
 
 
 def test_gru_kernels_forward_ignores_the_tape():
@@ -379,6 +392,38 @@ def test_ggnn_matches_step_loop():
         assert np.allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-12), name
     with pytest.raises(ShapeError):
         nn.ggnn(Tensor(np.zeros((5, 3))), edges, a, list(_GG_EDGES), "gg", 1)
+
+
+def test_ggnn_tape_holds_node_sized_state_and_releases_it():
+    # many more edges than nodes: the taped forward keeps per step its
+    # input, state, z/r block and candidate (5 N d floats), nothing per
+    # edge, and the backward releases each step's state once it has read it
+    N, d, steps, names = 40, 16, 8, [f"e{i}" for i in range(6)]
+    shapes = {"h": (N, d), **gru_param_shapes("gg", d, d)}
+    for name in names:
+        shapes.update({f"{name}_W": (d, d), f"{name}_b": (d,)})
+    p = init_params(shapes, seed=70, dtype=np.float64)
+    rng = np.random.default_rng(70)
+    edges = nn.EdgeIndex(N, d, [tuple(rng.integers(0, N, (2, 170))) for _ in names])
+    assert nn.ggnn(p["h"], edges, p, names, "gg", 0) is p["h"]
+    edges.tgt_layout, edges.src_layout  # the edges' own, built on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = nn.ggnn(p["h"], edges, p, names, "gg", steps)
+        taped = tracemalloc.get_traced_memory()[0] - base
+        backward(nn.tsum(out))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    state = N * d * 8  # bytes of one (N, d) array
+    assert taped <= (5 * steps + 4) * state, taped
+    # the parameter gradients, the output and its gradient, and less than
+    # one step's state besides
+    grads = sum(t.grad.nbytes for _, t in p.items())
+    assert held <= grads + 5 * state, (held, grads)
+    with pytest.raises(NeuralError, match="^ggnn: "):
+        backward(nn.tsum(out))
 
 
 def test_attention_gradients():
