@@ -3,9 +3,11 @@ the decision scorers, teacher-forced training and beam-search decoding.
 
 All decision math lives in three batched scorers, one per decision kind
 (production, variable, literal), and every attribute state comes from one
-message-passing kernel, node_representation: teacher forcing scores every
-decision of a batch at once, and beam search every site of a chunk of holes
-per step. Training and decoding thus share one implementation.
+message-passing kernel, node_representation, which runs all rounds of new
+nodes as one nn.gated_rounds call: teacher forcing propagates and scores a
+whole batch at once, and beam search settles and scores every site of a
+chunk of holes per step. Training and decoding thus share one
+implementation.
 """
 
 from __future__ import annotations
@@ -481,27 +483,17 @@ def encode_many(model: Model, preppeds) -> BatchEncoding:
 # ---------------------------------------------------------------------------
 # Attribute-node message passing
 
-def node_representation(model: Model, table, index: nn.EdgeIndex, etypes, label_ids):
-    """The states of one round of attribute nodes, (index.n_tgt, H): the GRU
-    of each node's label embedding against the sum of its in-edge messages.
-    The edges of `index` come from rows of `table`, one group per edge type
-    name in `etypes`. This is the one message-passing kernel: propagate
-    (training) and the beam search compute every attribute state with it."""
+def node_representation(model: Model, table, rounds: nn.Rounds, label_ids, out=None):
+    """The table of attribute states with the new nodes of `rounds` added,
+    all rounds one nn.gated_rounds call: each new node's state is the GRU of
+    its label embedding (label_ids, round by round) against the sum of its
+    in-edge messages, whose edge types are ag.ETYPE_CODE codes. This is the
+    one message-passing kernel: propagate (training) and the beam search
+    compute every attribute state with it."""
     p, cfg = model.params, model.config
-    msgs = nn.edge_messages(table, index, p, [f"dec_f_{t}" for t in etypes],
-                            p["dec_emb_edge"] if cfg.child_labels else None)
-    return nn.gru_cell(nn.rows(p["dec_emb_label"], label_ids), msgs, p, "dec_g")
-
-
-def _round_index(n: int, d: int, n_tgt: int, etype, src, tgt, label, child_labels: bool):
-    """(EdgeIndex, edge type names) of one round's edges, index arrays sorted
-    by type code, from rows of a table (n, d) into n_tgt targets; label is
-    read on Child edges only, and only under child_labels."""
-    cuts = [0, *(np.flatnonzero(np.diff(etype)) + 1).tolist(), len(etype)]
-    names = [ag.ALL_EDGE_TYPES[k] for k in etype[cuts[:-1]]]
-    groups = [(src[a:z], tgt[a:z]) + ((label[a:z],) if child_labels and name == ag.CHILD else ())
-              for name, a, z in zip(names, cuts, cuts[1:])]
-    return nn.EdgeIndex(n, d, groups, n_tgt), names
+    return nn.gated_rounds(table, nn.rows(p["dec_emb_label"], label_ids), rounds, p,
+                           [f"dec_f_{t}" for t in ag.ALL_EDGE_TYPES], "dec_g",
+                           p["dec_emb_edge"] if cfg.child_labels else None, out)
 
 
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
@@ -510,12 +502,10 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
     (N, H) attribute states in node order, seeded from the BatchEncoding
     `encodings` of `preppeds`.
 
-    Round 0 holds the encoder-seeded nodes. Every later round is one
-    node_representation call over the in-edges of its nodes, and its states
-    are appended to one table in schedule order, so that a round reads all
-    earlier states without copying the table.
+    Round 0 holds the encoder-seeded nodes; every later round's nodes are
+    computed from the in-edges of its nodes, all rounds one
+    node_representation call over a table in schedule order.
     """
-    cfg = model.config
     schedule, N = batched.schedule, len(batched.nodes)
     row = np.empty(N, dtype=np.int64)  # each node's row in the table
     row[np.concatenate(schedule)] = np.arange(N)
@@ -529,22 +519,17 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
     table = nn.rows(nn.concat([encodings.roots, encodings.var_table]), [seed[a] for a in schedule[0]])
 
     # edges sorted by the round of their target, then by type
-    src, tgt, typ = row[batched.src], row[batched.tgt], batched.etype
     starts = np.cumsum([0] + [len(rnd) for rnd in schedule])  # table rows per round
+    tgt = row[batched.tgt]
     rnd = np.searchsorted(starts, tgt, side="right") - 1
-    order = np.lexsort((typ, rnd))
-    src, tgt, typ = src[order], tgt[order], typ[order]
-    pid, child = batched.label[order].T
-    lab = np.asarray(model.edge_label_base)[pid] + child  # read on labelled Child edges only
-    cut = np.searchsorted(rnd[order], np.arange(len(starts)))
-    buf = np.empty((N, table.data.shape[1]), table.data.dtype)
-    for r in range(1, len(schedule)):
-        a, z = cut[r], cut[r + 1]
-        index, names = _round_index(starts[r], buf.shape[1], len(schedule[r]), typ[a:z], src[a:z],
-                                    tgt[a:z] - starts[r], lab[a:z], cfg.child_labels)
-        new = node_representation(model, table, index, names, label_idx[schedule[r]])
-        table = nn.append_rows(table, new, buf)
-    return nn.rows(table, row)
+    order = np.lexsort((batched.etype, rnd))
+    pid, child = batched.label[order].T  # a Child edge's label, read under child_labels only
+    rounds = nn.Rounds(np.arange(starts[1], N), starts[1:] - starts[1],
+                       np.searchsorted(rnd[order], np.arange(1, len(starts))),
+                       row[batched.src][order], (tgt - starts[rnd])[order], batched.etype[order],
+                       np.asarray(model.edge_label_base)[pid] + child)
+    new = label_idx[np.concatenate(schedule)[starts[1]:]]  # the nodes of rounds 1, 2, ...
+    return nn.rows(node_representation(model, table, rounds, new), row)
 
 
 # ---------------------------------------------------------------------------
@@ -756,45 +741,51 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
         kinds = {}  # nll_k and decisions_k summed over the epoch
         norms = []
         phase = dict.fromkeys(("forward_s", "backward_s", "adam_s"), 0.0)
-        for lo in range(0, len(order), batch_size):
-            batch = [preppeds[i] for i in order[lo : lo + batch_size]]
-            model.params.zero_grad()
-            t0 = time.perf_counter()
-            try:
-                loss, steps = batch_loss(model, batch)
-            except nn.DegenerateMaskError:
-                # saturated logits collapsed a softmax support
-                raise TrainingDivergedError(f"degenerate softmax at epoch {epoch}")
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            t1 = time.perf_counter()
-            nn.backward(loss)
-            norm = _clip_gradients(model.params, clip_norm)
-            if not math.isfinite(norm):
-                raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
-            norms.append(norm)
-            t2 = time.perf_counter()
-            nn.adam_step(model.params, opt)
-            phase["adam_s"] += time.perf_counter() - t2
-            phase["backward_s"] += t2 - t1
-            phase["forward_s"] += t1 - t0
-            total_nll += float(loss.data)
-            total_decisions += len(steps)
-            for name, v in steps.by_kind().items():
-                kinds[name] = kinds.get(name, 0) + v
-        rec = {
-            "epoch": epoch,
-            "train_nll": total_nll,
-            "ppl_decision": math.exp(total_nll / total_decisions),
-            "grad_norm_max": max(norms),
-            "clipped_share": sum(v > clip_norm for v in norms) / len(norms) if clip_norm else 0.0,
-            "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
-            "prep_s": prep_s if epoch == 0 else 0.0,
-            **phase,
-            **kinds,
-        }
-        if valid:
-            rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
+        # an overflow or invalid value raises where NumPy meets it, as does a huge perplexity
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for lo in range(0, len(order), batch_size):
+                    batch = [preppeds[i] for i in order[lo : lo + batch_size]]
+                    model.params.zero_grad()
+                    t0 = time.perf_counter()
+                    try:
+                        loss, steps = batch_loss(model, batch)
+                    except nn.DegenerateMaskError:
+                        # saturated logits collapsed a softmax support
+                        raise TrainingDivergedError(f"degenerate softmax at epoch {epoch}")
+                    if not np.isfinite(loss.data):
+                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                    t1 = time.perf_counter()
+                    nn.backward(loss)
+                    norm = _clip_gradients(model.params, clip_norm)
+                    if not math.isfinite(norm):
+                        raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
+                    norms.append(norm)
+                    t2 = time.perf_counter()
+                    nn.adam_step(model.params, opt)
+                    phase["adam_s"] += time.perf_counter() - t2
+                    phase["backward_s"] += t2 - t1
+                    phase["forward_s"] += t1 - t0
+                    total_nll += float(loss.data)
+                    total_decisions += len(steps)
+                    for name, v in steps.by_kind().items():
+                        kinds[name] = kinds.get(name, 0) + v
+                rec = {
+                    "epoch": epoch,
+                    "train_nll": total_nll,
+                    "ppl_decision": math.exp(total_nll / total_decisions),
+                    "grad_norm_max": max(norms),
+                    "clipped_share": (sum(v > clip_norm for v in norms) / len(norms)
+                                      if clip_norm else 0.0),
+                    "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
+                    "prep_s": prep_s if epoch == 0 else 0.0,
+                    **phase,
+                    **kinds,
+                }
+                if valid:
+                    rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
+        except (FloatingPointError, OverflowError) as e:
+            raise TrainingDivergedError(f"training diverged at epoch {epoch}: {e}") from None
         history.append(rec)
         if log:
             log(rec)
@@ -1003,10 +994,10 @@ class _Lockstep:
         """Compute the states of the nodes that each (child, created) pair's
         last decision created, all children at once, in rounds: a node's
         round is one more than the latest among its in-edge sources created
-        in the same step. Each round is one node_representation call. Rows
-        are handed out in creation order, so a hypothesis's rows ascend with
-        its aids."""
-        model, base = self.model, self.model.edge_label_base
+        in the same step. All rounds are one node_representation call that
+        writes into the table. Rows are handed out in creation order, so a
+        hypothesis's rows ascend with its aids."""
+        model, base, n = self.model, self.model.edge_label_base, self.n
         rounds = []  # per round: its edges, its nodes' rows and their label ids
         for hyp, created in children:
             depth, rows = {}, hyp.rows
@@ -1024,15 +1015,18 @@ class _Lockstep:
                           for e in in_edges]
                 tgts.append(rows[node.aid])
                 labels.append(_attr_label_id(model, hyp.builder.tree, node))
+        if not rounds:
+            return
         if self.n > len(self.buf):
             self.buf = np.resize(self.buf, (2 * self.n, self.buf.shape[1]))
-        table = nn.Tensor(self.buf[: self.n])
-        for edges, tgts, labels in rounds:
-            # each target sums its messages in (type, source, label) order
-            etype, src, lab, tgt = np.array(sorted(edges), dtype=np.int64).T
-            index, names = _round_index(self.n, self.buf.shape[1], len(tgts), etype, src, tgt, lab,
-                                        model.config.child_labels)
-            self.buf[tgts] = node_representation(model, table, index, names, labels).data
+        # each target sums its messages in (type, source, label) order
+        etype, src, lab, tgt = np.concatenate([sorted(edges) for edges, _, _ in rounds]).T
+        cut = [0, *accumulate(len(tgts) for _, tgts, _ in rounds)]
+        ecut = [0, *accumulate(len(edges) for edges, _, _ in rounds)]
+        node_representation(model, nn.Tensor(self.buf[:n]),
+                            nn.Rounds([r for _, tgts, _ in rounds for r in tgts], cut, ecut,
+                                      src, tgt, etype, lab),
+                            [i for _, _, labels in rounds for i in labels], self.buf)
 
 
 # ---------------------------------------------------------------------------

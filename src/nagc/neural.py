@@ -445,20 +445,17 @@ def linear(x, p: ParamStore, prefix: str):
 
 
 class EdgeIndex:
-    """The edges of several edge types from n source rows of width d into
-    n_tgt target rows (n by default), type after type in one array, and the
-    segment layouts of their targets and sources, each built on first use.
-    edges: one (src, tgt) or (src, tgt, label) triple of index arrays per
-    type; a labelled type's messages also depend on each edge's label."""
+    """The edges of several edge types among n rows of width d, type after
+    type in one array, and the segment layouts of their targets and
+    sources, each built on first use. edges: one (src, tgt) pair of index
+    arrays per type."""
 
-    def __init__(self, n: int, d: int, edges, n_tgt: int | None = None):
+    def __init__(self, n: int, d: int, edges):
         self.n, self.d = n, d
-        self.n_tgt = n if n_tgt is None else n_tgt
         bounds = np.cumsum([0] + [len(e[0]) for e in edges]).tolist()
         self.spans = list(zip(bounds[:-1], bounds[1:]))
         self.src = np.concatenate([e[0] for e in edges]).astype(np.int64, copy=False)
         self.tgt = np.concatenate([e[1] for e in edges]).astype(np.int64, copy=False)
-        self.labels = [np.asarray(e[2], dtype=np.int64) if len(e) > 2 else None for e in edges]
 
     tgt_layout = functools.cached_property(lambda self: _segment_layout(self.tgt))
     src_layout = functools.cached_property(lambda self: _segment_layout(self.src))
@@ -480,54 +477,16 @@ def _message_rows_bw(gm, hs, edges: EdgeIndex, Ws):
     return dhs, [hs[a:z].T @ gm[a:z] for a, z in edges.spans]
 
 
-def edge_messages(h, edges: EdgeIndex, p: ParamStore, prefixes, emb=None):
-    """The message step of a gated graph network as one tape node: the sum
-    over edge types e of scatter(tgt_e, linear(h[src_e], prefix_e)), with
-    one prefix per type of `edges`, into (n_tgt, d). A labelled type's
-    weight has rows for the source state and then rows for a label
-    embedding, its message is linear(concat(h[src], emb[label])), computed
-    as h[src] @ W_top + b + (emb @ W_bottom)[label]."""
-    h = as_tensor(h)
-    if h.data.shape != (edges.n, edges.d):
-        raise ShapeError(f"edge_messages: state {h.data.shape} vs ({edges.n}, {edges.d})")
-    d = edges.d
-    Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
-    spans = list(zip(edges.spans, Ws, bs, edges.labels))
-    hs = h.data[edges.src]
-    m = _message_rows(hs, edges, Ws)
-    for (a, z), W, b, lab in spans:
-        m[a:z] += b.data
-        if lab is not None:
-            m[a:z] += (emb.data @ W.data[d:])[lab]
-    out = _segment_sum(np.zeros((edges.n_tgt, d), hs.dtype), edges.tgt, m)
-
-    def bw(g):
-        gm = g[edges.tgt]
-        dhs, dWs = _message_rows_bw(gm, hs, edges, Ws)
-        for ((a, z), W, b, lab), dW in zip(spans, dWs):
-            if lab is not None:
-                dlab = _segment_sum(np.zeros((len(emb.data), d), gm.dtype), lab, gm[a:z])
-                dW = np.concatenate([dW, emb.data.T @ dlab])
-                _accum(emb, dlab @ W.data[d:].T)
-            _accum(W, dW)
-            _accum(b, gm[a:z].sum(axis=0))
-        _accum_rows(h, edges.src, dhs)
-
-    labelled = any(lab is not None for lab in edges.labels)
-    return _make(out, [h] + Ws + bs + ([emb] if labelled else []), bw)
-
-
 def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int):
-    """`steps` steps h <- gru_cell(edge_messages(h, edges, p, prefixes), h,
-    p, gru_prefix) over unlabelled edges among h's rows, as one tape node
-    with a hand-written backward through the steps. Messages are summed
-    through the target layout onto each target's in-edge bias sum."""
+    """`steps` steps h <- gru_cell(x, h, p, gru_prefix), x the sum of the
+    messages linear(h[src], prefixes[t]) of each target's in-edges, as one
+    tape node with a hand-written backward through the steps. Messages are
+    summed through the target layout onto each target's in-edge bias sum."""
     h = as_tensor(h)
     if steps == 0:
         return h
-    labelled = any(lab is not None for lab in edges.labels)
-    if h.data.shape != (edges.n, edges.d) or edges.n_tgt != edges.n or labelled:
-        raise ShapeError(f"ggnn: state {h.data.shape} vs unlabelled ({edges.n}, {edges.d}) edges")
+    if h.data.shape != (edges.n, edges.d):
+        raise ShapeError(f"ggnn: state {h.data.shape} vs ({edges.n}, {edges.d}) edges")
     Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
     gru = [p[n] for n in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
@@ -575,27 +534,96 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     return _make(H, parents, bw)
 
 
-def append_rows(table, new, buf: np.ndarray):
-    """The rows of table and then those of new, (n + k, d), stored in
-    buf[:n + k]. Unless table's data already is buf[:n], its rows are copied
-    there first; new's rows are written after them. A chain of appends
-    (table the result of the previous one) thus writes each row once, and
-    the gradient reaching table is a view of the result's, with no copy:
-    O(k) work per append however long the table grows."""
-    table, new = as_tensor(table), as_tensor(new)
-    n, k = len(table.data), len(new.data)
-    if table.data.base is not buf:
-        buf[:n] = table.data
-    buf[n : n + k] = new.data
+class Rounds:
+    """The layout of a message passing that adds rows to a state table round
+    by round. Round r computes the rows rows[node_cut[r]:node_cut[r + 1]]
+    from the edges edge_cut[r]:edge_cut[r + 1]: each edge's source is a row
+    the table holds before the round, its target a position among the
+    round's new rows and its type an index into the kernel's prefixes (its
+    label is read on labelled types only). A round's edges come type by
+    type, ascending; each target sums its messages in that order."""
+
+    def __init__(self, rows, node_cut, edge_cut, src, tgt, etype, label):
+        self.rows, self.src, self.tgt, self.etype, self.label = (
+            np.asarray(a, dtype=np.int64) for a in (rows, src, tgt, etype, label))
+        node_cut, edge_cut = np.asarray(node_cut).tolist(), np.asarray(edge_cut).tolist()
+        cuts = np.union1d(edge_cut, np.flatnonzero(np.diff(self.etype)) + 1).tolist()
+        groups = list(zip(self.etype[cuts[:-1]].tolist(), cuts, cuts[1:]))  # (type, first, end)
+        # per round: its new rows s:e, its edges a:z and their groups
+        self.rounds = [(s, e, a, z, groups[cuts.index(a) : cuts.index(z)])
+                       for s, e, a, z in zip(node_cut, node_cut[1:], edge_cut, edge_cut[1:])]
+
+
+def gated_rounds(table, x, rounds: Rounds, p: ParamStore, prefixes, gru_prefix: str, emb=None,
+                 out=None):
+    """All rounds of a gated message passing that adds rows to a state table
+    (n, d), as one tape node with a hand-written backward through the
+    rounds. A new row's state is the GRU `gru_prefix` of its input, a row of
+    x (n_new, k), against the sum of its in-edge messages. An edge of
+    type t sends linear(table[src], prefixes[t]), or, where that weight has
+    rows beyond d, linear(concat(table[src], emb[label])), computed as
+    table[src] @ W_top + b + (emb @ W_bottom)[label]. Returns the (n +
+    n_new, d) table with the new rows at rounds.rows, written into `out`
+    when given: a buffer whose first n rows hold table's states already."""
+    table, x = as_tensor(table), as_tensor(x)
+    n, d = table.data.shape
+    types = sorted({t for *_, groups in rounds.rounds for t, _, _ in groups})
+    Ws, bs = {t: p[prefixes[t] + "_W"] for t in types}, {t: p[prefixes[t] + "_b"] for t in types}
+    lab_side = {t: emb.data @ Ws[t].data[d:] for t in types if Ws[t].data.shape[0] > d}
+    gru = [p[name] for name in _gru_names((gru_prefix,))]
+    Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
+    U, X = np.array((Uz, Ur)), x.data
+    C = X @ Wh + bh
+    ZR = np.empty((2,) + C.shape, C.dtype)
+    np.negative(X @ Wz + bz, out=ZR[0])
+    np.negative(X @ Wr + br, out=ZR[1])
+    T = np.empty((n + len(X), d), table.data.dtype) if out is None else out[: n + len(X)]
+    if out is None:
+        T[:n] = table.data
+    M, RH, S = np.zeros_like(C), np.empty_like(C), np.empty_like(C)  # messages, r * m, states
+    with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
+        for s, e, a, z, groups in rounds.rounds:
+            hs = T[rounds.src[a:z]]
+            m = np.empty_like(hs)
+            for t, ga, gz in groups:
+                np.matmul(hs[ga - a : gz - a], Ws[t].data[:d], out=m[ga - a : gz - a])
+                m[ga - a : gz - a] += bs[t].data
+                if t in lab_side:
+                    m[ga - a : gz - a] += lab_side[t][rounds.label[ga:gz]]
+            _segment_sum(M[s:e], rounds.tgt[a:z], m)
+            _gru_step(ZR[:, s:e], C[s:e], M[s:e], U, Uh, RH[s:e], S[s:e])
+            T[rounds.rows[s:e]] = S[s:e]
 
     def bw(g):
-        _accum(new, g[n:])
-        if table.grad is None:
-            table.grad = g[:n]  # the result's gradient is not read again
-        else:
-            table.grad = table.grad + g[:n]
+        dT, UT = g.copy(), (Uz.T, Ur.T, Uh.T)
+        local = _gru_local(M, ZR[0], ZR[1], C)  # of every round at once
+        da, drh = [np.empty_like(C) for _ in range(3)], np.empty_like(C)
+        gm = np.empty((len(rounds.src), d), dT.dtype)  # each edge's message gradient
+        for s, e, a, z, groups in reversed(rounds.rounds):
+            dh = dT[rounds.rows[s:e]]
+            _gru_step_bw(dh, ZR[1, s:e], [l[s:e] for l in local], UT, [q[s:e] for q in da + [drh]])
+            np.take(dh, rounds.tgt[a:z], axis=0, out=gm[a:z])
+            dhs = np.empty_like(gm[a:z])
+            for t, ga, gz in groups:
+                np.matmul(gm[ga:gz], Ws[t].data[:d].T, out=dhs[ga - a : gz - a])
+            _segment_sum(dT, rounds.src[a:z], dhs)
+        for t in types:  # every weight's gradient once, over all rounds
+            sel = np.flatnonzero(rounds.etype == t)
+            gt = gm[sel]
+            dW = T[rounds.src[sel]].T @ gt
+            if t in lab_side:
+                dlab = _segment_sum(np.zeros((len(emb.data), d), gt.dtype), rounds.label[sel], gt)
+                dW = np.concatenate([dW, emb.data.T @ dlab])
+                _accum(emb, dlab @ Ws[t].data[d:].T)
+            _accum(Ws[t], dW)
+            _accum(bs[t], gt.sum(axis=0))
+        for t, gt in zip(gru, _gru_grads(X, da, M, RH, da)):
+            _accum(t, gt)
+        _accum(x, da[0] @ Wz.T + da[1] @ Wr.T + da[2] @ Wh.T)
+        _accum(table, dT[:n])
 
-    return _make(buf[: n + k], (table, new), bw)
+    parents = [table, x] + gru + [Ws[t] for t in types] + [bs[t] for t in types]
+    return _make(T, parents + ([emb] if lab_side else []), bw)
 
 
 def gru_cell(x, h, p: ParamStore, prefix: str = "g"):
@@ -899,30 +927,38 @@ def masked_nll(scores, support, target):
 
 class OptState:
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.lr, self.beta1, self.beta2, self.eps, self.step = lr, beta1, beta2, eps, 0
+        self.m = self.v = None  # flat moments of all parameters, in ParamStore order
+        self.work = None  # two flat scratch rows, reused from step to step
 
 
 def adam_step(params: ParamStore, st: OptState):
-    """One adaptive-moment update from the gradients stored on params."""
+    """One adaptive-moment update from the gradients stored on params (zero
+    where a parameter has none), of all parameters as one flat array; each
+    p.data is rebound to its slice of the updated array."""
     st.step += 1
-    t = st.step
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
+    items = params.items()
+    for name, p in items:
+        if p.grad is not None and p.grad.shape != p.data.shape:
             raise ShapeError(f"gradient shape drift on {name!r}")
-        m = st.m.setdefault(name, np.zeros_like(p.data))
-        v = st.v.setdefault(name, np.zeros_like(p.data))
-        m[...] = st.beta1 * m + (1 - st.beta1) * g
-        v[...] = st.beta2 * v + (1 - st.beta2) * g * g
-        mhat = m / (1 - st.beta1**t)
-        vhat = v / (1 - st.beta2**t)
-        p.data = p.data - (st.lr * mhat / (np.sqrt(vhat) + st.eps)).astype(p.data.dtype)
+    data = np.concatenate([p.data.ravel() for _, p in items])
+    if st.m is None:
+        st.m, st.v, *st.work = np.zeros((4, data.size), data.dtype)  # moments, two scratch rows
+    m, v, (g, g2) = st.m, st.v, st.work
+    np.concatenate([np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.ravel()
+                    for _, p in items], out=g)
+    # the textbook update, in place: each product and quotient rounds as there
+    v *= st.beta2
+    v += np.multiply(np.multiply(g, 1 - st.beta2, out=g2), g, out=g2)  # (1 - b2) * g * g
+    m *= st.beta1
+    m += np.multiply(g, 1 - st.beta1, out=g)
+    step = np.multiply(np.divide(m, 1 - st.beta1**st.step, out=g), st.lr, out=g)
+    den = np.add(np.sqrt(np.divide(v, 1 - st.beta2**st.step, out=g2), out=g2), st.eps, out=g2)
+    data -= np.divide(step, den, out=g)
+    off = 0
+    for _, p in items:
+        p.data = data[off : off + p.data.size].reshape(p.data.shape)
+        off += p.data.size
     return params
 
 

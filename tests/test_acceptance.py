@@ -120,8 +120,11 @@ def test_acceptance_04_gradient_checks(capfd):
                                   samples_per_tensor=3, eps=1e-4)
     # and the same through the graph encoder's GGNN
     worst = max(worst, test_model.graph_encoder_loss_fd_check())
-    _verdict(capfd, 4, "finite-difference gradients, layers + seq and graph end-to-end loss",
-             worst < 1e-4, f"worst rel err {worst:.2e}")
+    # the decoder's message-passing kernel under each decoder edge set
+    for config in ("Tree", "ASN", "Syn", "NAG"):
+        worst = max(worst, test_model.decoder_kernel_fd_check(config))
+    _verdict(capfd, 4, "finite-difference gradients, layers + seq and graph end-to-end loss"
+             " + decoder kernel per edge set", worst < 1e-4, f"worst rel err {worst:.2e}")
 
 
 # -- 5: distribution soundness across random parameterizations --------------

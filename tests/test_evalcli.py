@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +273,37 @@ def test_cli_bad_lr_exits_1(lr, capsys):
     assert run_cli(["train", "--data", "x", "--ckpt", "m", f"--lr={lr}"]) == 1
     err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
     assert len(err) == 1 and "--lr" in err[0], err
+
+
+@pytest.fixture(scope="module")
+def ci_data(tmp_path_factory):
+    """The corpus of CI's CLI step (12 files of 4 statements, seed 1),
+    extracted and split as there: the data directory."""
+    d = tmp_path_factory.mktemp("ci")
+    for argv in (["gen-corpus", "--seed", "1", "--files", "12", "--stmts", "4", "--out", str(d / "corpus")],
+                 ["extract", "--in", str(d / "corpus"), "--out", str(d / "samples.jsonl")],
+                 ["split", "--in", str(d / "samples.jsonl"), "--seed", "1", "--out-dir", str(d / "data")]):
+        assert run_cli(argv) == 0
+    return d / "data"
+
+
+@pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+@pytest.mark.parametrize("lr", ["1", "10", "1e9"])
+def test_cli_diverging_train_exits_2_with_one_line(ci_data, lr, warnings, tmp_path):
+    # the first overflow or invalid value ends training with one line that
+    # names the epoch: no NumPy warning before it, and no traceback when
+    # RuntimeWarning is an error. At --lr 1 the epoch's perplexity is past
+    # the float range. A separate process, so that stderr is exactly what a
+    # user sees.
+    src = os.path.dirname(os.path.dirname(E.__file__))
+    env = dict(os.environ, PYTHONWARNINGS=warnings,
+               PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", "from nagc.evalcli import main; main()", "train",
+                           "--data", str(ci_data), "--lr", lr, "--epochs", "2",
+                           "--ckpt", str(tmp_path / "m.nagc")], capture_output=True, text=True, env=env)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2 and len(err) == 1, proc.stderr
+    assert err[0].startswith("nagc: ") and "at epoch 0" in err[0], err
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from nagc import attrgraph as A
 from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
-from nagc.grammar import UNK_LITERAL, load_grammar
+from nagc.grammar import UNK_LITERAL, builtin_grammar, load_grammar
 from nagc.lang import HOLE_TOKEN, INTERNAL_LABELS, program_graph
 from nagc.model import (
     CONFIGS,
@@ -697,6 +697,89 @@ def test_batch_loss_raises_on_all_masked_row(g):
     m._masks["Expr"] = np.full(len(m.grammar.productions), -np.inf)
     with pytest.raises(nn.DegenerateMaskError):
         M.batch_loss(m, batch)
+
+
+# -- the message-passing kernel ----------------------------------------------
+
+def decoder_kernel_fd_check(config):
+    """The worst relative finite-difference error of propagate's states (a
+    fixed weighting of them) under `config`'s decoder edge set, in float64:
+    their gradients in the label and edge embeddings, the edge-type weights
+    and biases, the GRU and the encoder's seeds, over a sample of each
+    one's entries, on the mixed batch of seven samples."""
+    import dataclasses
+
+    m, batch = _mixed_batch(builtin_grammar(), config, "seq")
+    with nn.no_grad():
+        enc = M.encode_many(m, batch)
+    seeds = {name: nn.Tensor(getattr(enc, name).data.copy(), requires_grad=True)
+             for name in ("roots", "var_table")}
+    enc = dataclasses.replace(enc, **seeds)
+    batched = A.batch_graphs([pr.graph for pr in batch])
+    label_idx = np.concatenate([pr.label_idx for pr in batch])
+    assert len(batch) >= 2 and len(batched.schedule) >= 4  # three rounds or more
+    checked = [(n, t) for n, t in m.params.items() if n.startswith(("dec_emb_", "dec_g_", "dec_f_"))]
+    store = type("Checked", (), {"items": lambda self: checked + list(seeds.items())})()
+    return test_neural._fd_check(
+        store, lambda: test_neural._weighted_sum(M.propagate(m, batched, label_idx, batch, enc), 50),
+        samples_per_tensor=5)
+
+
+@pytest.mark.parametrize("config", ["Tree", "ASN", "Syn", "NAG"])
+def test_decoder_kernel_gradients(config):
+    # gate 04 runs this check under each decoder edge set
+    decoder_kernel_fd_check(config)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", ["Tree", "Syn"])
+def test_propagate_equals_per_round_oracle_exactly(g, config, dtype):
+    # with unlabelled edges and at most one in-edge of a type per node, the
+    # kernel's messages are the oracle's per-type linear maps summed in the
+    # same order: the same bits. (Labelled edges are one product over
+    # [state, label] in the oracle, and NAG sums several Parent edges per
+    # type first: test_batch_loss_matches_per_decision_oracle covers those.)
+    # Each sample comes twice, so no round has a single new node: NumPy
+    # multiplies a single row by another BLAS routine, which may round the
+    # GRU's input side differently from the kernel's product over all rows.
+    m, batch = _mixed_batch(g, config, "seq")
+    batch += batch
+    m.params = m.params.astype(dtype)
+    batched = A.batch_graphs([pr.graph for pr in batch])
+    label_idx = np.concatenate([pr.label_idx for pr in batch])
+    with nn.no_grad():
+        encs = M.encode_many(m, batch)
+        got = M.propagate(m, batched, label_idx, batch, encs)
+        want = _oracle_propagate(m, batched, label_idx, [encs[i] for i in range(len(batch))])
+    assert len(batched.schedule) >= 4
+    assert got.data.dtype == dtype and np.array_equal(got.data, want.data)
+
+
+def _interior_nodes(loss):
+    """The tape nodes reachable from loss that an op made (not leaves)."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += bool(t._parents)
+            stack.extend(t._parents)
+    return count
+
+
+def test_tape_nodes_do_not_grow_with_rounds(g, folds):
+    # Syn's NextExp chain deepens the schedule that Tree's Child edges give
+    # the same batch; everything else of the two configs' losses is alike,
+    # so their tapes must have as many nodes
+    samples = sorted(folds["train"][:100], key=lambda s: -len(s.target))[:4]
+    counts, rounds = [], []
+    for config in ("Tree", "Syn"):
+        m = Model(g, config=config, encoder="seq", hidden=8, emb_dim=4, seed=0,
+                  token_vocab=M.token_vocab_from_samples(samples))
+        batch = [prep_sample(m, s) for s in samples]
+        counts.append(_interior_nodes(M.batch_loss(m, batch)[0]))
+        rounds.append(len(A.batch_graphs([pr.graph for pr in batch]).schedule))
+    assert rounds[1] > rounds[0] + 3 and counts[0] == counts[1], (rounds, counts)
 
 
 def test_train_records_nll_per_decision_kind(fitted_grammar, token_vocab, folds):

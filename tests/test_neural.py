@@ -201,15 +201,17 @@ def test_gru_step_equals_per_gate_formulas(dtype):
 
 
 def test_gru_kernels_forward_ignores_the_tape():
-    # bigru_scan (plain and padded), gru_cell and ggnn give the same bits
-    # under no_grad as on the tape
+    # bigru_scan (plain and padded), gru_cell, ggnn and gated_rounds give
+    # the same bits under no_grad as on the tape
     p = _gru_store(60, {"x": (6, 3, 4), "h": (3, 3), "xs": (3, 4)}, BI + ("g",))
     gg, edges = _ggnn_store(61)
+    rp, names, rounds = _rounds_store(62, labelled=True)
     runs = [lambda: nn.bigru_scan(p["x"], p, "g"),
             lambda: nn.bigru_scan(p["x"], p, "g", [6, 1, 4]),
             lambda: gru_cell(p["xs"], p["h"], p, "g"),
             lambda: gru_cell(p["xs"].data[0], p["h"].data[0], p, "g"),
-            lambda: nn.ggnn(gg["h"], edges, gg, list(_GG_EDGES), "gg", 3)]
+            lambda: nn.ggnn(gg["h"], edges, gg, list(_GG_EDGES), "gg", 3),
+            lambda: nn.gated_rounds(rp["table"], rp["x"], rounds, rp, names, "g", rp["emb"])]
     for i, run in enumerate(runs):
         taped = run()
         with nn.no_grad():
@@ -276,46 +278,83 @@ def test_scatter_rows_gradients():
     _fd_check(p, lambda: _weighted_sum(ops.scatter_rows(4, [0, 2, 2, 0, 3, 2], p["src"]), 22))
 
 
-# two edge types over five nodes; sources and targets repeat within and
-# across the types, and node 4 receives nothing
-_EDGES = {"ea": ([0, 1, 1, 3, 0], [1, 2, 2, 0, 3]), "eb": ([2, 2, 0, 1], [0, 1, 1, 3])}
+# three rounds that add five rows to a table of four, written at rows 5, 4,
+# then 7, 6, then 8: (round, type, source row, target position, label) of
+# each edge, type by type within a round. Sources repeat within and across
+# the types, and a round's targets read rows of earlier rounds.
+_ROUND_EDGES = [(0, 0, 0, 0, 1), (0, 0, 1, 1, 0), (0, 0, 3, 0, 3), (0, 1, 2, 1, -1), (0, 1, 2, 0, -1),
+                (1, 0, 5, 0, 2), (1, 0, 4, 1, 2), (1, 1, 0, 0, -1), (1, 1, 4, 0, -1), (1, 1, 5, 1, -1),
+                (2, 0, 7, 0, 0), (2, 0, 6, 0, 1), (2, 0, 1, 0, 3), (2, 1, 6, 0, -1)]
+_NEW_ROWS, _NODE_CUT, _EDGE_CUT = [5, 4, 7, 6, 8], [0, 2, 4, 5], [0, 5, 10, 14]
 
 
-def _message_store(seed):
-    shapes = {"h": (5, 3)}
-    for name in _EDGES:
-        shapes.update({f"{name}_W": (3, 3), f"{name}_b": (3,)})
-    p = init_params(shapes, seed=seed, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    for _, t in p.items():  # nonzero biases and states
-        t.data = rng.normal(size=t.data.shape)
-    edges = nn.EdgeIndex(5, 3, [(np.array(s), np.array(t)) for s, t in _EDGES.values()])
-    return p, edges
+def _rounds_store(seed, labelled=False):
+    """Float64 parameters (d = 3) of the two edge types of _ROUND_EDGES and
+    the GRU "g" (input width 4), the table and the GRU inputs x; with
+    labelled, type 0 ("la") reads a 2-wide label embedding "emb"."""
+    names = ["la" if labelled else "ea", "eb"]
+    shapes = {"table": (4, 3), "x": (5, 4), **gru_param_shapes("g", 4, 3),
+              f"{names[0]}_W": (5 if labelled else 3, 3), f"{names[0]}_b": (3,),
+              "eb_W": (3, 3), "eb_b": (3,)}
+    if labelled:
+        shapes["emb"] = (4, 2)
+    _, etype, src, tgt, label = np.array(_ROUND_EDGES).T
+    rounds = nn.Rounds(_NEW_ROWS, _NODE_CUT, _EDGE_CUT, src, tgt, etype, label)
+    return _batch_store(seed, shapes), names, rounds
 
 
-def test_edge_messages_gradients():
-    p, edges = _message_store(23)
-    _fd_check(p, lambda: _weighted_sum(nn.edge_messages(p["h"], edges, p, list(_EDGES)), 23))
+def _rounds_loop(p, names, labelled):
+    """The rounds as the per-round, per-type composition of rows, linear,
+    scatter_rows and gru_cell that the kernel replaces."""
+    states = ops.scatter_rows(9, np.arange(4), p["table"])
+    for r, (s, e) in enumerate(zip(_NODE_CUT, _NODE_CUT[1:])):
+        msgs = None
+        for t, name in enumerate(names):
+            es = [edge for edge in _ROUND_EDGES if edge[:2] == (r, t)]
+            inp = nn.rows(states, [edge[2] for edge in es])
+            if labelled and t == 0:
+                inp = nn.concat([inp, nn.rows(p["emb"], [edge[4] for edge in es])], axis=1)
+            m = ops.scatter_rows(e - s, [edge[3] for edge in es], linear(inp, p, name))
+            msgs = m if msgs is None else nn.add(msgs, m)
+        new = gru_cell(nn.rows(p["x"], np.arange(s, e)), msgs, p, "g")
+        states = nn.add(states, ops.scatter_rows(9, _NEW_ROWS[s:e], new))
+    return states
 
 
-def test_edge_messages_matches_per_type_loop():
-    # the fused step against the per-type composition of rows, linear and
-    # scatter_rows it replaces: same messages, same gradients
-    a, edges = _message_store(24)
-    b, _ = _message_store(24)
-    w = Tensor(np.random.default_rng(25).normal(size=(5, 3)))
-    fused = nn.edge_messages(a["h"], edges, a, list(_EDGES))
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+def test_gated_rounds_gradients(labelled):
+    # the table, x, both edge types' weights and biases, the nine GRU arrays
+    # and the label embedding
+    p, names, rounds = _rounds_store(23, labelled)
+    emb = p["emb"] if labelled else None
+    _fd_check(p, lambda: _weighted_sum(nn.gated_rounds(p["table"], p["x"], rounds, p, names, "g", emb), 23))
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+def test_gated_rounds_matches_per_type_loop(labelled):
+    # the fused rounds against the loop they replace: same states, same
+    # gradients
+    (a, names, rounds), (b, _, _) = _rounds_store(24, labelled), _rounds_store(24, labelled)
+    w = Tensor(np.random.default_rng(25).normal(size=(9, 3)))
+    fused = nn.gated_rounds(a["table"], a["x"], rounds, a, names, "g", a["emb"] if labelled else None)
     backward(nn.tsum(ops.mul(fused, w)))
-    loop = None
-    for name, (src, tgt) in _EDGES.items():
-        m = ops.scatter_rows(5, tgt, linear(nn.rows(b["h"], src), b, name))
-        loop = m if loop is None else nn.add(loop, m)
+    loop = _rounds_loop(b, names, labelled)
     backward(nn.tsum(ops.mul(loop, w)))
     assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
-    with pytest.raises(ShapeError):
-        nn.edge_messages(Tensor(np.zeros((4, 3))), edges, a, list(_EDGES))
+
+
+def test_gated_rounds_writes_into_buffer():
+    # given out, the new rows go into it at rounds.rows, the table's rows
+    # are read in place and the rows past the result stay as they were
+    p, names, rounds = _rounds_store(26)
+    want = nn.gated_rounds(p["table"], p["x"], rounds, p, names, "g")
+    buf = np.full((12, 3), 7.0)
+    buf[:4] = p["table"].data
+    got = nn.gated_rounds(Tensor(buf[:4]), p["x"], rounds, p, names, "g", out=buf)
+    assert got.data.base is buf and got.data.shape == (9, 3)
+    assert np.array_equal(got.data, want.data) and np.all(buf[9:] == 7.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -371,12 +410,12 @@ def test_ggnn_gradients():
 
 
 def test_ggnn_matches_step_loop():
-    # the fused steps against the edge_messages + gru_cell loop they
-    # replace: same states, same gradients. The layouts are built only where
-    # they are read: the target layout by the forward steps, the source
-    # layout by the backward.
+    # the fused steps against a loop of the primitives they replace, rows,
+    # linear and scatter_rows per edge type, then gru_cell: same states,
+    # same gradients. The layouts are built only where they are read: the
+    # target layout by the forward steps, the source layout by the backward.
     a, edges = _ggnn_store(40)
-    b, loop_edges = _ggnn_store(40)
+    b, _ = _ggnn_store(40)
     w = Tensor(np.random.default_rng(41).normal(size=(6, 3)))
     fused = nn.ggnn(a["h"], edges, a, list(_GG_EDGES), "gg", 3)
     assert "tgt_layout" in vars(edges) and "src_layout" not in vars(edges)
@@ -384,9 +423,12 @@ def test_ggnn_matches_step_loop():
     assert "src_layout" in vars(edges)
     h = b["h"]
     for _ in range(3):
-        h = gru_cell(nn.edge_messages(h, loop_edges, b, list(_GG_EDGES)), h, b, "gg")
+        msgs = None
+        for name, (src, tgt) in _GG_EDGES.items():
+            m = ops.scatter_rows(6, tgt, linear(nn.rows(h, src), b, name))
+            msgs = m if msgs is None else nn.add(msgs, m)
+        h = gru_cell(msgs, h, b, "gg")
     backward(nn.tsum(ops.mul(h, w)))
-    assert not {"tgt_layout", "src_layout"} & set(vars(loop_edges))
     assert np.allclose(fused.data, h.data, rtol=1e-12, atol=1e-14)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
         assert np.allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-12), name
@@ -535,52 +577,6 @@ def test_masked_nll_raises_on_degenerate_rows():
         nn.masked_nll(Tensor(np.array([[np.inf, 0.0, 0.0]])), support[:1], support[:1])
 
 
-def test_labelled_edge_messages_gradients_and_loop():
-    # edges from 5 source rows into 3 targets; the first type is labelled,
-    # its weight (3 + 2, 3) splits into state rows and label rows
-    shapes = {"h": (5, 3), "emb": (4, 2), "la_W": (5, 3), "la_b": (3,), "lb_W": (3, 3), "lb_b": (3,)}
-    edges = [(np.array([0, 4, 4, 2]), np.array([1, 0, 1, 2]), np.array([3, 0, 3, 1])),
-             (np.array([1, 3]), np.array([2, 2]))]
-    index = nn.EdgeIndex(5, 3, edges, n_tgt=3)
-    a = _batch_store(37, shapes)
-    _fd_check(a, lambda: _weighted_sum(nn.edge_messages(a["h"], index, a, ["la", "lb"], a["emb"]), 37))
-    a.zero_grad()
-    b = _batch_store(37, shapes)
-    w = Tensor(np.random.default_rng(38).normal(size=(3, 3)))
-    fused = nn.edge_messages(a["h"], index, a, ["la", "lb"], a["emb"])
-    backward(nn.tsum(ops.mul(fused, w)))
-    (s0, t0, lab), (s1, t1) = edges
-    inp = nn.concat([nn.rows(b["h"], s0), nn.rows(b["emb"], lab)], axis=1)
-    loop = nn.add(ops.scatter_rows(3, t0, linear(inp, b, "la")),
-                  ops.scatter_rows(3, t1, linear(nn.rows(b["h"], s1), b, "lb")))
-    backward(nn.tsum(ops.mul(loop, w)))
-    assert np.allclose(fused.data, loop.data, rtol=1e-12, atol=0)
-    for (name, ta), (_, tb) in zip(a.items(), b.items()):
-        assert np.allclose(ta.grad, tb.grad, rtol=1e-12, atol=1e-15), name
-
-
-def test_append_rows_gradients_and_buffer():
-    # a chain of appends into one buffer, read by gathers between appends,
-    # against concat
-    p = _batch_store(39, {"a": (2, 3), "b": (3, 3), "c": (1, 3)})
-
-    def chain(concat):
-        buf = np.empty((6, 3))
-        t = p["a"]
-        reads = []
-        for part in (p["b"], p["c"]):
-            reads.append(nn.rows(t, [1, 0, 1]))
-            t = nn.concat([t, part]) if concat else nn.append_rows(t, part, buf)
-        reads.append(t)
-        return nn.concat([ops.tanh(r) for r in reads]), t, buf
-
-    _fd_check(p, lambda: _weighted_sum(chain(False)[0], 39))
-    got, table, buf = chain(False)
-    want, _, _ = chain(True)
-    assert np.array_equal(got.data, want.data)
-    assert table.data.base is buf  # each row was written once, into buf
-
-
 def test_masked_softmax_gradients():
     p = init_params({"x": (2, 5)}, seed=7, dtype=np.float64)
     p["x"].data[:] = np.random.default_rng(8).normal(size=(2, 5))
@@ -673,6 +669,38 @@ def test_adam_minimizes_quadratic():
         backward(loss)
         adam_step(p, st)
     assert np.all(np.abs(p["w"].data) < 1e-2)
+
+
+def test_adam_matches_written_out_update():
+    # five steps of the flat update against the textbook one, written out
+    # per parameter in its own dtype: the same bits. "c" never has a
+    # gradient, so its moments stay zero and so does its update.
+    rng = np.random.default_rng(16)
+    p, st = ParamStore(), OptState(lr=0.01)
+    for name, shape in (("a", (30, 20)), ("b", (50,)), ("c", (8, 8))):
+        p.register(name, rng.normal(size=shape).astype(np.float32))
+    want = {n: t.data.copy() for n, t in p.items()}
+    c0 = want["c"].copy()
+    m, v = ({n: np.zeros_like(w) for n, w in want.items()} for _ in range(2))
+    for step in range(1, 6):
+        # magnitudes spread over six decades, so that any other rounding shows
+        grads = {n: (rng.normal(size=want[n].shape) * 10.0 ** rng.uniform(-3, 3, want[n].shape))
+                 .astype(np.float32) for n in ("a", "b")}
+        for n, t in p.items():
+            t.grad = grads.get(n)
+        adam_step(p, st)
+        for n, w in want.items():
+            g = grads.get(n, np.zeros_like(w))
+            m[n] = st.beta1 * m[n] + (1 - st.beta1) * g
+            v[n] = st.beta2 * v[n] + (1 - st.beta2) * g * g
+            mhat, vhat = m[n] / (1 - st.beta1**step), v[n] / (1 - st.beta2**step)
+            want[n] = w - (st.lr * mhat / (np.sqrt(vhat) + st.eps)).astype(w.dtype)
+        for n, t in p.items():
+            assert t.data.dtype == np.float32 and t.data.tobytes() == want[n].tobytes(), (step, n)
+    assert np.array_equal(p["c"].data, c0)
+    p["b"].grad = np.zeros((2, 2), np.float32)
+    with pytest.raises(ShapeError):
+        adam_step(p, st)
 
 
 def test_init_params_deterministic_and_shaped():
