@@ -9,7 +9,9 @@ used by the graph context encoder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .grammar import Grammar, Kind
 from .syntax import PartialAst, apply_production, bind_terminal, new_partial_ast
@@ -512,28 +514,33 @@ INTERNAL_LABELS = (
 )
 
 
+# The program graph's edge types; an edge's etype indexes this tuple.
+PROGRAM_EDGE_TYPES = ("Child", "NextToken", "LastUse")
+
+
 @dataclass
 class ProgramGraph:
+    """Node i < len(tokens) is token i; the internal nodes follow. The edges
+    are int64 (src, tgt, etype) arrays sorted by etype, each type's edges in
+    the order they were built."""
+
     labels: list[str]  # per node
-    child_edges: list[tuple[int, int]]
-    next_token_edges: list[tuple[int, int]]
-    last_use_edges: list[tuple[int, int]]
-    terminals: list[int]  # node ids of surface tokens, in order (hole included)
+    src: np.ndarray
+    tgt: np.ndarray
+    etype: np.ndarray
     hole_node: int | None
-    decl_nodes: dict[str, int]  # variable name -> declaration name terminal
+    decl_nodes: dict[str, int]  # variable name -> declaration name token
 
 
 def program_graph(tokens: list[str]) -> ProgramGraph:
-    """Graph over the program text: one terminal per token, internal nodes per
-    statement/expression, Child + NextToken + LastUse edges."""
+    """Graph over the program text: one node per token, internal nodes per
+    statement/expression. Child edges join each internal node to its parts
+    in span order, NextToken edges each token to the next, and LastUse edges
+    each occurrence of a declared name to the next (names in sorted order)."""
     stmts, _ = parse_program(tokens)
-    labels: list[str] = []
-    child: list[tuple[int, int]] = []
-
-    term_nodes = []
-    for tok in tokens:
-        labels.append(tok)
-        term_nodes.append(len(labels) - 1)
+    labels = list(tokens)
+    child_src: list[int] = []
+    child_tgt: list[int] = []
 
     def internal(label):
         labels.append(label)
@@ -541,89 +548,72 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
 
     def attach(parent, lo, hi, subs):
         """Wire parent to sub-structures and loose tokens in span order."""
-        subs = sorted(subs, key=lambda s: s[0].span[0])
         pos = lo
-        for struct, node in subs:
+        for struct, node in sorted(subs, key=lambda s: s[0].span[0]):
             s0, s1 = struct.span
-            for i in range(pos, s0):
-                child.append((parent, term_nodes[i]))
-            child.append((parent, node))
+            child_tgt.extend(range(pos, s0))
+            child_tgt.append(node)
             pos = s1
-        for i in range(pos, hi):
-            child.append((parent, term_nodes[i]))
+        child_tgt.extend(range(pos, hi))
+        child_src.extend([parent] * (len(child_tgt) - len(child_src)))  # the targets just added
 
     def build_expr(e):
         if isinstance(e, (EVar, ELit, EHole)):
-            # single-token structures map straight to their terminal
-            return e, term_nodes[e.span[0]]
+            # single-token structures map straight to their token
+            return e.span[0]
         form, kids = expr_form(e)
         # a method call is labelled by its name alone: ".Substring", not ".Substring(,)"
         node = internal("".join(form[:2] if form[0] == "." else form))
-        subs = [(s, build_expr(s)[1]) for s in kids]
-        attach(node, e.span[0], e.span[1], subs)
-        return e, node
+        attach(node, *e.span, [(s, build_expr(s)) for s in kids])
+        return node
 
     def build_stmt(s):
         node = internal(type(s).__name__[1:].lower())
         subs = []
         if isinstance(s, SDecl) and s.init is not None:
-            subs.append((s.init, build_expr(s.init)[1]))
+            subs.append((s.init, build_expr(s.init)))
         elif isinstance(s, SAssign):
-            subs.append((s.expr, build_expr(s.expr)[1]))
+            subs.append((s.expr, build_expr(s.expr)))
         elif isinstance(s, SIf):
-            subs.append((s.cond, build_expr(s.cond)[1]))
+            subs.append((s.cond, build_expr(s.cond)))
             for t in s.then + (s.els or []):
                 subs.append((t, build_stmt(t)))
         elif isinstance(s, SWhile):
-            subs.append((s.cond, build_expr(s.cond)[1]))
+            subs.append((s.cond, build_expr(s.cond)))
             for t in s.body:
                 subs.append((t, build_stmt(t)))
-        attach(node, s.span[0], s.span[1], subs)
+        attach(node, *s.span, subs)
         return node
 
     root = internal("program")
     for s in stmts:
-        child.append((root, build_stmt(s)))
-
-    next_tok = [(term_nodes[i], term_nodes[i + 1]) for i in range(len(tokens) - 1)]
+        child_tgt.append(build_stmt(s))
+        child_src.append(root)
 
     decl_nodes: dict[str, int] = {}
-    var_names = set()
-    _collect_decls(stmts, term_nodes, decl_nodes, var_names)
-    var_terms: dict[str, list[int]] = {name: [] for name in var_names}
+    _collect_decls(stmts, decl_nodes)
+    occurrences = {name: [] for name in sorted(decl_nodes)}
     for i, tok in enumerate(tokens):
-        if tok in var_names:
-            var_terms[tok].append(term_nodes[i])
-    last_use = []
-    for name, occ in sorted(var_terms.items()):
-        for a, b in zip(occ, occ[1:]):
-            last_use.append((a, b))
-
-    hole = None
-    for i, tok in enumerate(tokens):
-        if tok == HOLE_TOKEN:
-            hole = term_nodes[i]
-            break
-
-    return ProgramGraph(
-        labels=labels,
-        child_edges=child,
-        next_token_edges=next_tok,
-        last_use_edges=last_use,
-        terminals=term_nodes,
-        hole_node=hole,
-        decl_nodes=decl_nodes,
-    )
+        if tok in occurrences:
+            occurrences[tok].append(i)
+    n = len(tokens)
+    edges = [  # (src, tgt) of each type, in PROGRAM_EDGE_TYPES order
+        (child_src, child_tgt),
+        (np.arange(n - 1), np.arange(1, n)),
+        ([i for occ in occurrences.values() for i in occ[:-1]],
+         [i for occ in occurrences.values() for i in occ[1:]]),
+    ]
+    src, tgt = (np.concatenate([np.asarray(e[k], dtype=np.int64) for e in edges]) for k in (0, 1))
+    etype = np.repeat(np.arange(len(edges)), [len(e[0]) for e in edges])
+    hole = tokens.index(HOLE_TOKEN) if HOLE_TOKEN in tokens else None
+    return ProgramGraph(labels, src, tgt, etype, hole, decl_nodes)
 
 
-def _collect_decls(stmts, term_nodes, decl_nodes, var_names):
+def _collect_decls(stmts, decl_nodes):
     for s in stmts:
         if isinstance(s, SDecl):
-            var_names.add(s.name)
-            decl_nodes.setdefault(s.name, term_nodes[s.name_index])
+            decl_nodes.setdefault(s.name, s.name_index)
         elif isinstance(s, SIf):
-            _collect_decls(s.then, term_nodes, decl_nodes, var_names)
-            if s.els:
-                _collect_decls(s.els, term_nodes, decl_nodes, var_names)
+            _collect_decls(s.then + (s.els or []), decl_nodes)
         elif isinstance(s, SWhile):
-            _collect_decls(s.body, term_nodes, decl_nodes, var_names)
+            _collect_decls(s.body, decl_nodes)

@@ -42,6 +42,9 @@ VAR_LABEL = "<VAR>"
 UNK_TOKEN = "<UNK>"
 SELF_TOKEN = "<SELF>"  # the variable a usage window belongs to
 OTHER_VAR_TOKEN = "<OTHERVAR>"  # any other in-scope variable
+# the graph encoder's GGNN edge types: each program edge type, then its reverse
+GGNN_PREFIXES = tuple(f"enc_gg_{name}{rev}" for name in lang.PROGRAM_EDGE_TYPES
+                      for rev in ("", "Rev"))
 
 
 @dataclass(frozen=True)
@@ -217,9 +220,9 @@ class Model:
                     shapes.update(nn.gru_param_shapes(f"enc_use{layer}_{d}", in_dim, half))
         else:
             shapes["enc_gnode_emb"] = (len(self.graph_labels), H)
-            for name in ("Child", "ChildRev", "NextToken", "NextTokenRev", "LastUse", "LastUseRev"):
-                shapes[f"enc_gg_{name}_W"] = (H, H)
-                shapes[f"enc_gg_{name}_b"] = (H,)
+            for pre in GGNN_PREFIXES:
+                shapes[pre + "_W"] = (H, H)
+                shapes[pre + "_b"] = (H,)
             shapes.update(nn.gru_param_shapes("enc_gg_g", H, H))
         return shapes
 
@@ -235,7 +238,6 @@ class Prepped:
     lex: dict  # class -> (positions, spellings) of copyable context tokens
     pgraph: object = None
     pg_idx: np.ndarray = None
-    pg_edges: dict = None
     windows: list = None  # seq encoder: (variable, masked token ids) per usage window
     # tree-dependent fields, set by prep_sample only
     tree: object = None
@@ -328,18 +330,6 @@ def _prep_program_graph(model: Model, pr: Prepped):
     pr.pg_idx = np.array(
         [model.glab2id.get(l, model.glab2id[UNK_TOKEN]) for l in pg.labels], dtype=np.int64
     )
-    edges = {
-        "Child": pg.child_edges,
-        "NextToken": pg.next_token_edges,
-        "LastUse": pg.last_use_edges,
-    }
-    pr.pg_edges = {}
-    for name, pairs in edges.items():
-        if pairs:
-            src = np.array([a for a, _ in pairs], dtype=np.int64)
-            tgt = np.array([b for _, b in pairs], dtype=np.int64)
-            pr.pg_edges[name] = (src, tgt)
-            pr.pg_edges[name + "Rev"] = (tgt, src)
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +420,26 @@ def _encode_seq_many(model: Model, preppeds) -> BatchEncoding:
                          var_start, tokens, np.cumsum([0] + lens), names)
 
 
-def encode_graph(model: Model, pr: Prepped, steps: int = 8) -> ContextEncoding:
-    return encode_graph_many(model, [pr], steps)[0]
-
-
 def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
     """Encode several context graphs as one disconnected GGNN batch, all its
     steps one nn.ggnn node; the holes, tokens and declarations of all samples
-    are one gather each."""
+    are one gather each. Program edge type k is GGNN type 2k and its reverse
+    2k + 1; within a type, edges come sample after sample."""
     p = model.params
-    idx_parts, edge_arrays, offsets = [], {}, []
-    off = 0
-    for pr in preppeds:
-        offsets.append(off)
-        idx_parts.append(pr.pg_idx)
-        for name, (src, tgt) in pr.pg_edges.items():
-            s, t = edge_arrays.setdefault(name, ([], []))
-            s.append(src + off)
-            t.append(tgt + off)
-        off += len(pr.pg_idx)
-    h = nn.rows(p["enc_gnode_emb"], np.concatenate(idx_parts))
-    if edge_arrays:  # a context without edges keeps its embeddings
-        edges = nn.EdgeIndex(off, h.data.shape[1], [
-            (np.concatenate(s), np.concatenate(t)) for s, t in edge_arrays.values()
-        ])
-        h = nn.ggnn(h, edges, p, [f"enc_gg_{name}" for name in edge_arrays], "enc_gg_g", steps)
     pgs = [pr.pgraph for pr in preppeds]
+    offsets = np.cumsum([0] + [len(pg.labels) for pg in pgs])
+    off = offsets[-1]
+    h = nn.rows(p["enc_gnode_emb"], np.concatenate([pr.pg_idx for pr in preppeds]))
+    src, tgt, etype = (np.concatenate(a) for a in zip(*[
+        (pg.src + o, pg.tgt + o, 2 * pg.etype) for pg, o in zip(pgs, offsets)]))
+    etype = np.concatenate([etype, etype + 1])
+    order = np.argsort(etype, kind="stable")
+    edges = nn.EdgeIndex(off, h.data.shape[1], np.concatenate([src, tgt])[order],
+                         np.concatenate([tgt, src])[order], etype[order])
+    h = nn.ggnn(h, edges, p, GGNN_PREFIXES, "enc_gg_g", steps)
     roots = nn.linear(nn.rows(h, [pg.hole_node + o for pg, o in zip(pgs, offsets)]), p, "enc_root")
-    tokens = nn.rows(h, np.concatenate([np.asarray(pg.terminals, dtype=np.int64) + o
-                                        for pg, o in zip(pgs, offsets)]))
+    n_tokens = [len(pr.tokens) for pr in preppeds]  # token i of a context is its node i
+    tokens = nn.rows(h, np.concatenate([o + np.arange(n) for o, n in zip(offsets, n_tokens)]))
     # a variable the context does not declare reads enc_var_dflt, row `off`
     decls = [pg.decl_nodes[n] + o if n in pg.decl_nodes else off
              for pr, pg, o in zip(preppeds, pgs, offsets) for n in pr.ctx_order]
@@ -467,7 +448,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
     names = [pr.ctx_order for pr in preppeds]
     return BatchEncoding(
         roots, nn.rows(h, np.asarray(decls, dtype=np.int64)), np.cumsum([0] + [len(n) for n in names]),
-        tokens, np.cumsum([0] + [len(pg.terminals) for pg in pgs]), names,
+        tokens, np.cumsum([0] + n_tokens), names,
     )
 
 

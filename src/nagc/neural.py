@@ -445,17 +445,16 @@ def linear(x, p: ParamStore, prefix: str):
 
 
 class EdgeIndex:
-    """The edges of several edge types among n rows of width d, type after
-    type in one array, and the segment layouts of their targets and
-    sources, each built on first use. edges: one (src, tgt) pair of index
-    arrays per type."""
+    """Typed edges among n rows of width d: int64 src, tgt and etype arrays
+    sorted by etype, the (type, first, end) span of each type present, and
+    the segment layouts of the targets and sources, each built on first
+    use."""
 
-    def __init__(self, n: int, d: int, edges):
+    def __init__(self, n: int, d: int, src, tgt, etype):
         self.n, self.d = n, d
-        bounds = np.cumsum([0] + [len(e[0]) for e in edges]).tolist()
-        self.spans = list(zip(bounds[:-1], bounds[1:]))
-        self.src = np.concatenate([e[0] for e in edges]).astype(np.int64, copy=False)
-        self.tgt = np.concatenate([e[1] for e in edges]).astype(np.int64, copy=False)
+        self.src, self.tgt, etype = (np.asarray(a, dtype=np.int64) for a in (src, tgt, etype))
+        cuts = [0, *(np.flatnonzero(np.diff(etype)) + 1).tolist(), len(etype)]
+        self.spans = [(int(etype[a]), a, z) for a, z in zip(cuts, cuts[1:]) if a < z]
 
     tgt_layout = functools.cached_property(lambda self: _segment_layout(self.tgt))
     src_layout = functools.cached_property(lambda self: _segment_layout(self.src))
@@ -464,7 +463,7 @@ class EdgeIndex:
 def _message_rows(hs, edges: EdgeIndex, Ws):
     """Each edge's message before its bias: hs[e] @ W_top of its type."""
     m = np.empty(hs.shape, hs.dtype)
-    for (a, z), W in zip(edges.spans, Ws):
+    for (_, a, z), W in zip(edges.spans, Ws):
         np.matmul(hs[a:z], W.data[: edges.d], out=m[a:z])
     return m
 
@@ -472,26 +471,29 @@ def _message_rows(hs, edges: EdgeIndex, Ws):
 def _message_rows_bw(gm, hs, edges: EdgeIndex, Ws):
     """Back through _message_rows from gm: the gradients of hs and W_tops."""
     dhs = np.empty_like(hs)
-    for (a, z), W in zip(edges.spans, Ws):
+    for (_, a, z), W in zip(edges.spans, Ws):
         np.matmul(gm[a:z], W.data[: edges.d].T, out=dhs[a:z])
-    return dhs, [hs[a:z].T @ gm[a:z] for a, z in edges.spans]
+    return dhs, [hs[a:z].T @ gm[a:z] for _, a, z in edges.spans]
 
 
 def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int):
     """`steps` steps h <- gru_cell(x, h, p, gru_prefix), x the sum of the
-    messages linear(h[src], prefixes[t]) of each target's in-edges, as one
-    tape node with a hand-written backward through the steps. Messages are
-    summed through the target layout onto each target's in-edge bias sum."""
+    messages linear(h[src], prefixes[etype]) of each target's in-edges, as
+    one tape node with a hand-written backward through the steps. Messages
+    are summed through the target layout onto each target's in-edge bias
+    sum. Only the weights of the types present are read; without edges, h
+    is returned as it is."""
     h = as_tensor(h)
-    if steps == 0:
+    if steps == 0 or not edges.spans:
         return h
     if h.data.shape != (edges.n, edges.d):
         raise ShapeError(f"ggnn: state {h.data.shape} vs ({edges.n}, {edges.d}) edges")
-    Ws, bs = [p[pre + "_W"] for pre in prefixes], [p[pre + "_b"] for pre in prefixes]
+    Ws = [p[prefixes[t] + "_W"] for t, _, _ in edges.spans]
+    bs = [p[prefixes[t] + "_b"] for t, _, _ in edges.spans]
     gru = [p[n] for n in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
     U = np.array((Uz, Ur))
-    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=edges.n) for a, z in edges.spans],
+    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=edges.n) for _, a, z in edges.spans],
                       axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
     bias = counts @ np.stack([b.data for b in bs])
     parents = [h] + Ws + gru + bs

@@ -241,11 +241,13 @@ def read_corpus(dirpath):
 
 def extract_samples(files, g: Grammar) -> list[Sample]:
     """One sample per top-level expression (initializer, assignment rhs,
-    if/while condition) in each parseable file."""
+    if/while condition) in each parseable file without a hole token."""
     samples = []
     for fname, text in files:
         try:
             tokens = lang.tokenize(text)
+            if lang.HOLE_TOKEN in tokens:
+                raise lang.LangError(f"holds the hole token {lang.HOLE_TOKEN}")
             _, sites = lang.parse_program(tokens)
             trees = [lang.expr_to_tree(site.expr, g) for site in sites]
         except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
@@ -407,6 +409,8 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
 
 
 def _validate(s: Sample, g: Grammar, path, lineno):
+    if lang.HOLE_TOKEN in s.before or lang.HOLE_TOKEN in s.after:
+        raise PipelineError(f"{path}:{lineno}: context holds the hole token {lang.HOLE_TOKEN}")
     try:
         tree = deserialize_decisions(s.target, g)
     except Exception as e:

@@ -416,6 +416,33 @@ def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"nagc: {path}:2: "), err
 
 
+# a sample whose context holds the hole token before or after the hole, as a
+# corpus file with a hole would give: every command that reads samples
+# refuses it
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("cmd", ["split", "train", "evaluate", "complete"])
+def test_cli_hole_token_in_context_exits_2(cmd, side, g, fitted_grammar, token_vocab,
+                                           corpus_samples, tmp_path, capsys):
+    ok, s, _ = P.extract_samples([("f.mexp", "var i : int = 0 ; var j : int = i + 1 ; i = j ;")], g)
+    ctx, at = getattr(s, side), {"before": 5, "after": 3}[side]  # the 0, the j
+    bad = P.Sample(**{**vars(s), side: ctx[:at] + [lang.HOLE_TOKEN] + ctx[at + 1 :]})
+    data = tmp_path / "data"
+    data.mkdir()
+    path = str(data / "train.jsonl")
+    others = list({o.file: o for o in corpus_samples}.values())[:4]  # enough files for a split
+    P.write_jsonl([ok, bad] + others, path)
+    ckpt = str(tmp_path / "m.nagc")
+    M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4,
+                         token_vocab=token_vocab), ckpt)
+    argv = {"split": ["split", "--in", path, "--out-dir", str(tmp_path / "d")],
+            "train": ["train", "--data", str(data), "--epochs", "1", "--ckpt", str(tmp_path / "t")],
+            "evaluate": ["evaluate", "--data", path, "--ckpt", ckpt],
+            "complete": ["complete", "--sample", path, "--ckpt", ckpt]}
+    assert run_cli(argv[cmd]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"nagc: {path}:2: "), err
+
+
 _DEEP = 3000  # nesting levels, far past the interpreter's recursion limit
 
 

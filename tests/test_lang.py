@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nagc import lang as L
+from nagc.grammar import builtin_grammar
 from nagc.lang import (
     HOLE_TOKEN,
     LangError,
@@ -14,6 +17,7 @@ from nagc.lang import (
     tokenize,
     tree_to_expr,
 )
+from nagc.pipeline import extract_samples, generate_corpus
 from nagc.syntax import serialize_decisions, serialize_tokens, trees_equal
 
 
@@ -115,19 +119,25 @@ def test_hole_is_not_a_site():
     assert sites == []
 
 
+def _edges(pg, etype):
+    """The (src, tgt) pairs of one program edge type, in order."""
+    k = L.PROGRAM_EDGE_TYPES.index(etype)
+    return list(zip(pg.src[pg.etype == k].tolist(), pg.tgt[pg.etype == k].tolist()))
+
+
 def test_program_graph_structure():
     toks = tokenize("var i : int = 1 + 2 ; i = i + i ;")
     pg = program_graph(toks)
-    assert len(pg.terminals) == len(toks)
-    # NextToken forms a chain over all terminals
-    assert len(pg.next_token_edges) == len(toks) - 1
+    assert pg.labels[: len(toks)] == toks  # token i is node i
+    # NextToken forms a chain over all tokens
+    assert _edges(pg, "NextToken") == [(i, i + 1) for i in range(len(toks) - 1)]
     # LastUse: i occurs at decl, lhs, and twice on the rhs -> 3 links
-    assert len(pg.last_use_edges) == 3
-    assert pg.decl_nodes["i"] == pg.terminals[1]
+    assert _edges(pg, "LastUse") == [(1, 9), (9, 11), (11, 13)]
+    assert pg.decl_nodes["i"] == 1
     assert pg.hole_node is None
-    # every terminal is attached below some internal node
-    children = {c for _, c in pg.child_edges}
-    assert set(pg.terminals) <= children
+    # every token is attached below some internal node
+    children = {c for _, c in _edges(pg, "Child")}
+    assert set(range(len(toks))) <= children
 
 
 def test_program_graph_hole_node():
@@ -135,3 +145,46 @@ def test_program_graph_hole_node():
     pg = program_graph(toks)
     assert pg.hole_node is not None
     assert pg.labels[pg.hole_node] == HOLE_TOKEN
+
+
+@pytest.fixture(scope="module")
+def corpus_contexts():
+    files = generate_corpus(0, 60, 8)
+    samples = extract_samples(files, builtin_grammar())
+    return [s.before + [HOLE_TOKEN] + s.after for s in samples]
+
+
+def test_program_graph_arrays_are_typed_and_sorted(corpus_contexts):
+    assert len(corpus_contexts) > 300
+    for toks in corpus_contexts:
+        pg = program_graph(toks)
+        for a in (pg.src, pg.tgt, pg.etype):
+            assert a.dtype == np.int64 and a.shape == pg.etype.shape
+        assert np.all(np.diff(pg.etype) >= 0)
+        assert set(pg.etype.tolist()) == set(range(len(L.PROGRAM_EDGE_TYPES)))
+        assert pg.src.min() >= 0 and pg.tgt.min() >= 0
+        assert max(pg.src.max(), pg.tgt.max()) < len(pg.labels)
+        assert pg.labels[: len(toks)] == toks and pg.hole_node == toks.index(HOLE_TOKEN)
+
+
+def test_program_graph_next_token_and_last_use_edges(corpus_contexts):
+    for toks in corpus_contexts:
+        pg = program_graph(toks)
+        assert _edges(pg, "NextToken") == [(i, i + 1) for i in range(len(toks) - 1)]
+        # each declared name's occurrences chained in token order, names sorted
+        declared = sorted({toks[i + 1] for i, t in enumerate(toks) if t == "var"})
+        want = []
+        for name in declared:
+            occ = [i for i, t in enumerate(toks) if t == name]
+            want += list(zip(occ, occ[1:]))
+        assert _edges(pg, "LastUse") == want
+
+
+def test_program_graph_child_edges_form_a_tree_over_tokens(corpus_contexts):
+    for toks in corpus_contexts:
+        pg = program_graph(toks)
+        child = _edges(pg, "Child")
+        tgts = Counter(t for _, t in child)
+        # every token has exactly one parent, and every parent is internal
+        assert all(tgts[i] == 1 for i in range(len(toks)))
+        assert all(s >= len(toks) for s, _ in child)

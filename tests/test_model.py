@@ -11,13 +11,12 @@ from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import UNK_LITERAL, builtin_grammar, load_grammar
-from nagc.lang import HOLE_TOKEN, INTERNAL_LABELS, program_graph
+from nagc.lang import HOLE_TOKEN, INTERNAL_LABELS, PROGRAM_EDGE_TYPES, program_graph
 from nagc.model import (
     CONFIGS,
     Model,
     ModelError,
     decode_beam,
-    encode_graph,
     encode_seq,
     forced_decode,
     load_model,
@@ -272,7 +271,7 @@ def test_encode_graph_zero_steps_is_embedding(gmodel, folds):
     with nn.no_grad():
         enc0 = M.encode_graph_many(gmodel, [pr], steps=0)[0]
     emb = gmodel.params["enc_gnode_emb"].data
-    terms = np.asarray(pr.pgraph.terminals)
+    terms = np.arange(len(pr.tokens))  # token i is node i
     assert np.array_equal(enc0.token_states.data, emb[pr.pg_idx[terms]])
 
 
@@ -288,9 +287,8 @@ def test_graph_labels_cover_every_internal_node(gmodel, corpus_samples):
     # an internal label missing from graph_labels would silently read the UNK row
     emitted = set()
     for s in corpus_samples:
-        pg = program_graph(s.before + [HOLE_TOKEN] + s.after)
-        terminals = set(pg.terminals)
-        emitted.update(lab for i, lab in enumerate(pg.labels) if i not in terminals)
+        tokens = s.before + [HOLE_TOKEN] + s.after
+        emitted.update(program_graph(tokens).labels[len(tokens):])
     assert emitted and emitted <= set(gmodel.graph_labels), emitted - set(gmodel.graph_labels)
     # this order is the row layout of enc_gnode_emb in saved checkpoints
     assert INTERNAL_LABELS == (
@@ -302,13 +300,24 @@ def test_graph_labels_cover_every_internal_node(gmodel, corpus_samples):
     ]
 
 
+def test_graph_checkpoint_ggnn_parameter_names(gmodel):
+    # the names saved graph checkpoints hold: each program edge type, then
+    # its reverse, then the GRU
+    edge_params = [n for n in gmodel.params.names()
+                   if n.startswith("enc_gg_") and not n.startswith("enc_gg_g_")]
+    assert edge_params == sorted(f"enc_gg_{t}_{w}" for t in (
+        "Child", "ChildRev", "NextToken", "NextTokenRev", "LastUse", "LastUseRev") for w in "Wb")
+    assert M.GGNN_PREFIXES == ("enc_gg_Child", "enc_gg_ChildRev", "enc_gg_NextToken",
+                               "enc_gg_NextTokenRev", "enc_gg_LastUse", "enc_gg_LastUseRev")
+
+
 def test_encode_graph_many_matches_each_context_alone(gmodel, folds):
     # one disconnected GGNN batch of 20 contexts against each context alone
     prs = [prep_sample(gmodel, s) for s in folds["train"][:20]]
     with nn.no_grad():
         batch = M.encode_graph_many(gmodel, prs)
         for i, pr in enumerate(prs):
-            alone = encode_graph(gmodel, pr)
+            alone = M.encode(gmodel, pr)
             for got, want in zip(_flat(batch[i].token_states, batch[i].root, batch[i].var_reps),
                                  _flat(alone.token_states, alone.root, alone.var_reps)):
                 assert np.max(np.abs(got.data - want.data)) < 1e-5
@@ -328,7 +337,7 @@ def graph_encoder_loss_fd_check():
     before = ["var", "x", ":", "int", ";", "var", "y", ":", "int", ";", "y", "=", "x", "+"]
     s = make_sample(t, {"x": "int", "y": "int"}, before, [";", "x", "=", "y", ";"])
     pr = prep_sample(m, s)
-    assert len(pr.pg_edges) == 6
+    assert set(pr.pgraph.etype.tolist()) == set(range(len(PROGRAM_EDGE_TYPES)))
     return test_neural._fd_check(m.params, lambda: M.batch_loss(m, [pr])[0],
                                  samples_per_tensor=6, eps=1e-4)
 

@@ -387,6 +387,13 @@ _GG_EDGES = {"e0": ([0, 1, 1, 3], [1, 2, 2, 0]), "e1": ([2, 2, 0], [0, 1, 1]), "
              "e3": ([], []), "e4": ([5, 0, 2], [2, 4, 3]), "e5": ([1], [0])}
 
 
+def _edge_index(n, d, edges):
+    """An EdgeIndex of per-type (src, tgt) lists, type code k the k-th."""
+    etype = np.repeat(np.arange(len(edges)), [len(s) for s, _ in edges])
+    return nn.EdgeIndex(n, d, np.concatenate([s for s, _ in edges]),
+                        np.concatenate([t for _, t in edges]), etype)
+
+
 def _ggnn_store(seed):
     """Float64 GGNN parameters (d = 3) for the six types of _GG_EDGES and the
     GRU "gg", all nonzero, with the initial states h."""
@@ -397,9 +404,7 @@ def _ggnn_store(seed):
     rng = np.random.default_rng(seed)
     for _, t in p.items():
         t.data = rng.normal(size=t.data.shape)
-    edges = nn.EdgeIndex(6, 3, [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
-                                for s, t in _GG_EDGES.values()])
-    return p, edges
+    return p, _edge_index(6, 3, list(_GG_EDGES.values()))
 
 
 def test_ggnn_gradients():
@@ -417,6 +422,8 @@ def test_ggnn_matches_step_loop():
     a, edges = _ggnn_store(40)
     b, _ = _ggnn_store(40)
     w = Tensor(np.random.default_rng(41).normal(size=(6, 3)))
+    # each type's span, cut from the sorted etype; the empty e3 has none
+    assert edges.spans == [(0, 0, 4), (1, 4, 7), (2, 7, 9), (4, 9, 12), (5, 12, 13)]
     fused = nn.ggnn(a["h"], edges, a, list(_GG_EDGES), "gg", 3)
     assert "tgt_layout" in vars(edges) and "src_layout" not in vars(edges)
     backward(nn.tsum(ops.mul(fused, w)))
@@ -431,9 +438,15 @@ def test_ggnn_matches_step_loop():
     backward(nn.tsum(ops.mul(h, w)))
     assert np.allclose(fused.data, h.data, rtol=1e-12, atol=1e-14)
     for (name, ta), (_, tb) in zip(a.items(), b.items()):
+        if name.startswith("e3_"):  # a type without edges is no parent of the node
+            assert ta.grad is None and not np.any(tb.grad), name
+            continue
         assert np.allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-12), name
     with pytest.raises(ShapeError):
         nn.ggnn(Tensor(np.zeros((5, 3))), edges, a, list(_GG_EDGES), "gg", 1)
+    # without edges the states pass through as they are
+    none = _edge_index(6, 3, [([], [])] * len(_GG_EDGES))
+    assert none.spans == [] and nn.ggnn(a["h"], none, a, list(_GG_EDGES), "gg", 3) is a["h"]
 
 
 def test_ggnn_tape_holds_node_sized_state_and_releases_it():
@@ -446,7 +459,7 @@ def test_ggnn_tape_holds_node_sized_state_and_releases_it():
         shapes.update({f"{name}_W": (d, d), f"{name}_b": (d,)})
     p = init_params(shapes, seed=70, dtype=np.float64)
     rng = np.random.default_rng(70)
-    edges = nn.EdgeIndex(N, d, [tuple(rng.integers(0, N, (2, 170))) for _ in names])
+    edges = _edge_index(N, d, [rng.integers(0, N, (2, 170)) for _ in names])
     assert nn.ggnn(p["h"], edges, p, names, "gg", 0) is p["h"]
     edges.tgt_layout, edges.src_layout  # the edges' own, built on first use
     tracemalloc.start()

@@ -54,10 +54,13 @@ def test_extraction_deterministic(g):
 
 
 def test_extract_skips_unparseable(g, capsys):
-    files = [("bad.mexp", "x = 1 ;"), ("ok.mexp", "var i : int = 1 ;")]
+    # a hole token in a file would sit inside the context of its samples
+    files = [("bad.mexp", "x = 1 ;"), ("hole.mexp", "var i : int = ?HOLE? ; var j : int = i + 1 ;"),
+             ("ok.mexp", "var i : int = 1 ;")]
     samples = P.extract_samples(files, g)
     assert [s.file for s in samples] == ["ok.mexp"]
-    assert "bad.mexp" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in err] == ["skipping bad.mexp", "skipping hole.mexp"], err
 
 
 def _mk(file, before, after, scope, target):
