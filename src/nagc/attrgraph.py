@@ -59,7 +59,6 @@ class AttributeGraph:
     tgt: np.ndarray  # (E,) int64
     etype: np.ndarray  # (E,) int64 index into ALL_EDGE_TYPES
     label: np.ndarray  # (E, 2) int64 production id and child index, -1 without
-    schedule: list[list[int]]
     components: list[dict]  # offset, n, root_inh, ctx{name: aid}
 
     @property
@@ -68,6 +67,12 @@ class AttributeGraph:
         labels = [None if pid < 0 else (pid, i) for pid, i in self.label.tolist()]
         etypes = [ALL_EDGE_TYPES[k] for k in self.etype.tolist()]
         return tuple(map(Edge, self.src.tolist(), etypes, self.tgt.tolist(), labels))
+
+    @property
+    def schedule(self) -> list[list[int]]:
+        """Each propagation_schedule round's nodes by ascending id (a view)."""
+        rounds = propagation_schedule(self.src, self.tgt, len(self.nodes))
+        return [[a for a, r in enumerate(rounds) if r == k] for k in range(max(rounds, default=-1) + 1)]
 
     def sources(self) -> list[int]:
         with_in = set(self.tgt.tolist())
@@ -78,14 +83,17 @@ class GraphBuilder(Walk):
     """Grows the attribute graph of a (partial) tree under a decoder edge set.
 
     The builder is the tree's generation-order walk: each step `settle`
-    passes becomes one attribute node with its in-edges, the synthesized
-    ones only when an edge type needs them. Edge sources come from state kept
-    along the walk: the last joint node (NextToken), `last_use` (NextUse) and
-    the last decision node (NextExp). Child, NextSibling, Parent and InhToSyn
-    edges come from the parent's list of children. NextExp edges are built
-    exactly when NEXT_EXP is in the edge set. `key` is the node that scores
-    the decision at `site`; `last_use` maps each variable to its context node
-    (if any) until its first use, then to the joint node of its latest use.
+    passes becomes one attribute node, the synthesized ones only when an
+    edge type needs them, and appends its in-edges to five int `columns`:
+    source, target, ETYPE_CODE type, production id and child index (-1
+    without a label), so the edges stay in target order. Edge sources come
+    from state kept along the walk: the last joint node (NextToken),
+    `last_use` (NextUse) and the last decision node (NextExp). Child,
+    NextSibling, Parent and InhToSyn edges come from the parent's list of
+    children. NextExp edges are built exactly when NEXT_EXP is in the edge
+    set. `key` is the node that scores the decision at `site`; `last_use`
+    maps each variable to its context node (if any) until its first use,
+    then to the joint node of its latest use.
     """
 
     def __init__(self, tree: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
@@ -95,7 +103,7 @@ class GraphBuilder(Walk):
         self.labels = labels
         self.include_syn = bool(self.edge_set & {PARENT, NEXT_SIBLING, INH_TO_SYN})
         self.nodes: list[AttrNode] = []
-        self.edges: list[Edge] = []
+        self.columns: list[list[int]] = [[], [], [], [], []]
         self.aid_of: dict[tuple, int] = {}
         self._add_node("inh", tree.root, tree.grammar.start)  # the walk starts in the root
         for name in self.ctx_vars:
@@ -108,17 +116,15 @@ class GraphBuilder(Walk):
     def copy(self) -> "GraphBuilder":
         b = super().copy()
         b.nodes = list(self.nodes)
-        b.edges = list(self.edges)
+        b.columns = [list(c) for c in self.columns]
         b.aid_of = dict(self.aid_of)
         b.last_use = dict(self.last_use)
         return b
 
     def settle(self):
         """Resume the walk up to the next open site, adding every attribute
-        node it passed, in generation order.
-
-        Returns one (AttrNode, in-edges) pair per node created by this call.
-        """
+        node it passed, in generation order. Returns the AttrNodes created by
+        this call; their in-edges are the tail of the columns."""
         return [self._emit(flavor, node, kind) for flavor, node, kind in super().settle()
                 if flavor != "syn" or self.include_syn]
 
@@ -146,50 +152,49 @@ class GraphBuilder(Walk):
         kind = self.tree.grammar.symbols[self.tree.nodes[nid].label].kind
         return self.aid_of[("syn" if kind is Kind.NONTERMINAL else "joint", nid)]
 
+    def _edge(self, src, etype, tgt, pid=-1, child=-1):
+        s, t, e, p, c = self.columns
+        s.append(src), t.append(tgt), e.append(ETYPE_CODE[etype]), p.append(pid), c.append(child)
+
     def _emit(self, flavor, node, kind):
         """Add one attribute node of `node` with all its in-edges."""
         label = node.binding if flavor == "joint" and kind is not Kind.FIXED else node.label
         tgt = self._add_node(flavor, node.nid, label)
-        wanted = self.edge_set
-        edges: list[Edge] = []
+        wanted, edge = self.edge_set, self._edge
         if flavor == "syn":
             if PARENT in wanted:
-                edges += [Edge(self._src(c), PARENT, tgt) for c in node.children]
+                for c in node.children:
+                    edge(self._src(c), PARENT, tgt)
             if INH_TO_SYN in wanted:
-                edges.append(Edge(self.aid_of[("inh", node.nid)], INH_TO_SYN, tgt))
+                edge(self.aid_of[("inh", node.nid)], INH_TO_SYN, tgt)
         else:
             parent = self.tree.nodes[node.parent]
             i = parent.children.index(node.nid)
             if CHILD in wanted:
-                lab = (parent.prod_id, i) if self.labels else None
-                edges.append(Edge(self.aid_of[("inh", parent.nid)], CHILD, tgt, lab))
+                lab = (parent.prod_id, i) if self.labels else (-1, -1)
+                edge(self.aid_of[("inh", parent.nid)], CHILD, tgt, *lab)
             if flavor == "joint":
                 if NEXT_TOKEN in wanted and self._last_token is not None:
-                    edges.append(Edge(self._last_token, NEXT_TOKEN, tgt))
+                    edge(self._last_token, NEXT_TOKEN, tgt)
                 self._last_token = tgt
                 if kind is Kind.VARIABLE:
                     if NEXT_USE in wanted and node.binding in self.last_use:
-                        edges.append(Edge(self.last_use[node.binding], NEXT_USE, tgt))
+                        edge(self.last_use[node.binding], NEXT_USE, tgt)
                     self.last_use[node.binding] = tgt
             if NEXT_SIBLING in wanted and i > 0:
-                edges.append(Edge(self._src(parent.children[i - 1]), NEXT_SIBLING, tgt))
+                edge(self._src(parent.children[i - 1]), NEXT_SIBLING, tgt)
             if NEXT_EXP in wanted and kind is not Kind.FIXED:  # a decision node
-                edges.append(Edge(self._last_decision, NEXT_EXP, tgt))
+                edge(self._last_decision, NEXT_EXP, tgt)
                 self._last_decision = tgt
-        self.edges += edges
-        return self.nodes[tgt], edges
+        return self.nodes[tgt]
 
     # -- finished graph ----------------------------------------------------
 
     def graph(self) -> AttributeGraph:
         ctx = {name: self.aid_of[("ctx", name)] for name in self.ctx_vars}
         comp = {"offset": 0, "n": len(self.nodes), "root_inh": 0, "ctx": ctx}
-        src, etype, tgt, label = zip(*self.edges) if self.edges else ((),) * 4
-        pid, child = zip(*(lab or (-1, -1) for lab in label)) if label else ((), ())
-        cols = np.array([src, tgt, [ETYPE_CODE[t] for t in etype], pid, child], np.int64)
-        gr = AttributeGraph(list(self.nodes), cols[0], cols[1], cols[2], cols[3:].T, [], [comp])
-        gr.schedule = propagation_schedule(gr)
-        return gr
+        cols = np.array(self.columns, np.int64)
+        return AttributeGraph(list(self.nodes), cols[0], cols[1], cols[2], cols[3:].T, [comp])
 
 
 def augment_full_tree(t: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
@@ -204,42 +209,35 @@ def augment_full_tree(t: PartialAst, ctx_vars, edge_set=PAPER_EDGE_TYPES,
 # ---------------------------------------------------------------------------
 # Schedules and batching
 
-def propagation_schedule(gr: AttributeGraph) -> list[list[int]]:
-    """Longest-path layering in one forward pass over the edges in target
-    order: a node's round is one more than its latest predecessor's, 0
-    without any; each round lists its nodes by ascending id."""
-    rounds = [0] * len(gr.nodes)
+def propagation_schedule(src, tgt, n: int) -> list[int]:
+    """The round of each of n nodes under longest-path layering, in one
+    forward pass over the edge arrays (src, tgt) in target order: a node's
+    round is one more than its latest predecessor's, 0 without any."""
+    rounds = [0] * n
     last = 0
-    for s, t in zip(gr.src.tolist(), gr.tgt.tolist()):
+    for s, t in zip(src.tolist(), tgt.tolist()):
         if not s < t >= last:
             raise GraphError(f"edge {s} -> {t} does not point forward in target order")
         last = t
         if rounds[s] >= rounds[t]:
             rounds[t] = rounds[s] + 1
-    schedule = [[] for _ in range(max(rounds, default=-1) + 1)]
-    for a, r in enumerate(rounds):
-        schedule[r].append(a)
-    return schedule
+    return rounds
 
 
 def batch_graphs(graphs: list[AttributeGraph]) -> AttributeGraph:
     """Merge graphs into one disconnected graph: the edge arrays concatenated
-    with node offsets, the rounds merged index-wise."""
+    with node offsets."""
     offsets = [0, *accumulate(len(gr.nodes) for gr in graphs)]
-    schedule = [[] for _ in range(max(len(gr.schedule) for gr in graphs))]
-    components = []
-    for gr, off in zip(graphs, offsets):
-        for r, rnd in enumerate(gr.schedule):
-            schedule[r] += [a + off for a in rnd]
-        components += [{"offset": c["offset"] + off, "n": c["n"], "root_inh": c["root_inh"] + off,
-                        "ctx": {k: v + off for k, v in c["ctx"].items()}} for c in gr.components]
+    components = [{"offset": c["offset"] + off, "n": c["n"], "root_inh": c["root_inh"] + off,
+                   "ctx": {k: v + off for k, v in c["ctx"].items()}}
+                  for gr, off in zip(graphs, offsets) for c in gr.components]
     shift = np.repeat(offsets[:-1], [len(gr.src) for gr in graphs])
     return AttributeGraph(
         list(chain.from_iterable(gr.nodes for gr in graphs)),
         np.concatenate([gr.src for gr in graphs]) + shift,
         np.concatenate([gr.tgt for gr in graphs]) + shift,
         np.concatenate([gr.etype for gr in graphs]),
-        np.concatenate([gr.label for gr in graphs]), schedule, components)
+        np.concatenate([gr.label for gr in graphs]), components)
 
 
 # ---------------------------------------------------------------------------

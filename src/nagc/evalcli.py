@@ -296,6 +296,8 @@ def _dispatch(args) -> int:
         if not files:
             raise DataError(f"no .mexp files in {args.indir}")
         samples = pl.dedup(pl.extract_samples(files, g))
+        if not samples:
+            raise DataError(f"no samples extracted from {args.indir}")
         pl.write_jsonl(samples, args.out)
         print(f"extracted {len(samples)} samples to {args.out}")
         return 0

@@ -16,8 +16,8 @@ import hashlib
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -166,7 +166,7 @@ class Model:
         self.label2id = {l: i for i, l in enumerate(self.label_vocab)}
 
         # child label (pid, i) has id edge_label_base[pid] + i
-        self.edge_label_base = [0, *accumulate(len(p.rhs) for p in grammar.productions)]
+        self.edge_label_base = np.cumsum([0] + [len(p.rhs) for p in grammar.productions])
 
         self.graph_labels = list(dict.fromkeys(self.token_vocab + list(lang.INTERNAL_LABELS)))
         self.glab2id = {l: i for i, l in enumerate(self.graph_labels)}
@@ -194,7 +194,7 @@ class Model:
             shapes[f"dec_f_{etype}_W"] = (in_dim, H)
             shapes[f"dec_f_{etype}_b"] = (H,)
         if cfg.child_labels:
-            shapes["dec_emb_edge"] = (self.edge_label_base[-1], Ee)
+            shapes["dec_emb_edge"] = (int(self.edge_label_base[-1]), Ee)
         score_in = H * (1 + cfg.attention + cfg.variable_pooling)
         shapes["dec_score_W"] = (score_in, len(g.productions))
         shapes["dec_score_b"] = (len(g.productions),)
@@ -306,7 +306,7 @@ def prep_sample(model: Model, sample) -> Prepped:
         var_rows.append([builder.last_use[name] for name in pr.ctx_order])
         key, label = builder.key, builder.tree.nodes[builder.site].label
         created = builder.decide(kind, arg)
-        label_idx += [_attr_label_id(model, builder.tree, node) for node, _ in created]
+        label_idx += [_attr_label_id(model, builder.tree, node) for node in created]
         if kind == "P":
             plan.append(("P", key, arg, label))
         elif kind == "V":
@@ -477,40 +477,49 @@ def node_representation(model: Model, table, rounds: nn.Rounds, label_ids, out=N
                            p["dec_emb_edge"] if cfg.child_labels else None, out)
 
 
+def _rounds(model: Model, n: int, N: int, cols) -> nn.Rounds:
+    """The layout of the message passing that adds rows n..N-1 to a table of
+    n rows: cols is a (5, E) int array of GraphBuilder columns whose sources
+    and targets are table rows, in target order. A new row's round is its
+    propagation_schedule round, the table's rows all round 0; rows ascend
+    within a round, and a round's edges come by type, target and source, so
+    no message sum depends on the order in which the edges are listed."""
+    src, tgt = cols[:2]
+    ends = np.maximum(src - n + 1, 0), tgt - n + 1  # table rows are node 0, row n + k node k + 1
+    rnd = np.array(ag.propagation_schedule(*ends, N - n + 1)[1:], dtype=np.int64)
+    if not rnd.all():
+        raise ModelError("attribute node has no in-edges; schedule violation")
+    order = np.argsort(rnd, kind="stable")
+    cut = np.searchsorted(rnd[order], np.arange(1, rnd.max(initial=0) + 2))
+    pos = np.argsort(order) - cut[rnd - 1]  # each new row's position in its round
+    src, tgt, etype, pid, child = cols[:, np.lexsort((src, tgt, cols[2], rnd[tgt - n]))]
+    return nn.Rounds(n + order, cut, np.searchsorted(rnd[tgt - n], np.arange(1, len(cut) + 1)),
+                     src, pos[tgt - n], etype, model.edge_label_base[pid] + child)
+
+
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
               preppeds, encodings):
     """Full-graph propagation over a (possibly batched) attribute graph: the
     (N, H) attribute states in node order, seeded from the BatchEncoding
     `encodings` of `preppeds`.
 
-    Round 0 holds the encoder-seeded nodes; every later round's nodes are
-    computed from the in-edges of its nodes, all rounds one
-    node_representation call over a table in schedule order.
+    The table holds the encoder-seeded nodes first, then every other node in
+    id order, all computed from their in-edges by one node_representation
+    call over the _rounds layout.
     """
-    schedule, N = batched.schedule, len(batched.nodes)
-    row = np.empty(N, dtype=np.int64)  # each node's row in the table
-    row[np.concatenate(schedule)] = np.arange(N)
-    seed = {}  # node -> its row of [roots; var_table]
+    seed = {}  # node -> its row of [roots; var_table], in id order
     for i, comp in enumerate(batched.components):
         seed[comp["root_inh"]] = i
         for j, name in enumerate(encodings.names[i]):
             seed[comp["ctx"][name]] = len(encodings) + encodings.var_start[i] + j
-    if len(seed) != len(schedule[0]):
-        raise ModelError("attribute node has no in-edges; schedule violation")
-    table = nn.rows(nn.concat([encodings.roots, encodings.var_table]), [seed[a] for a in schedule[0]])
-
-    # edges sorted by the round of their target, then by type
-    starts = np.cumsum([0] + [len(rnd) for rnd in schedule])  # table rows per round
-    tgt = row[batched.tgt]
-    rnd = np.searchsorted(starts, tgt, side="right") - 1
-    order = np.lexsort((batched.etype, rnd))
-    pid, child = batched.label[order].T  # a Child edge's label, read under child_labels only
-    rounds = nn.Rounds(np.arange(starts[1], N), starts[1:] - starts[1],
-                       np.searchsorted(rnd[order], np.arange(1, len(starts))),
-                       row[batched.src][order], (tgt - starts[rnd])[order], batched.etype[order],
-                       np.asarray(model.edge_label_base)[pid] + child)
-    new = label_idx[np.concatenate(schedule)[starts[1]:]]  # the nodes of rounds 1, 2, ...
-    return nn.rows(node_representation(model, table, rounds, new), row)
+    n, N = len(seed), len(batched.nodes)
+    node = np.concatenate([list(seed), np.setdiff1d(np.arange(N), list(seed))])  # of each row
+    row = np.empty(N, dtype=np.int64)
+    row[node] = np.arange(N)
+    table = nn.rows(nn.concat([encodings.roots, encodings.var_table]), list(seed.values()))
+    rounds = _rounds(model, n, N, np.stack([row[batched.src], row[batched.tgt], batched.etype,
+                                            *batched.label.T]))
+    return nn.rows(node_representation(model, table, rounds, label_idx[node[rounds.rows]]), row)
 
 
 # ---------------------------------------------------------------------------
@@ -973,41 +982,27 @@ class _Lockstep:
 
     def settle(self, children):
         """Compute the states of the nodes that each (child, created) pair's
-        last decision created, all children at once, in rounds: a node's
-        round is one more than the latest among its in-edge sources created
-        in the same step. All rounds are one node_representation call that
-        writes into the table. Rows are handed out in creation order, so a
-        hypothesis's rows ascend with its aids."""
-        model, base, n = self.model, self.model.edge_label_base, self.n
-        rounds = []  # per round: its edges, its nodes' rows and their label ids
+        last decision created, all children at once: they take the next free
+        rows in creation order, so a hypothesis's rows ascend with its aids,
+        and _rounds lays out their in-edges (the tail of the child's builder
+        columns, mapped through its rows) for one node_representation call."""
+        if not children:
+            return
+        model, n, cols, labels = self.model, self.n, [[], [], [], [], []], []
         for hyp, created in children:
-            depth, rows = {}, hyp.rows
+            rows, b = hyp.rows, hyp.builder
             rows += range(self.n, self.n + len(created))
             self.n += len(created)
-            for node, in_edges in created:
-                if not in_edges:
-                    raise ModelError("attribute node has no in-edges; schedule violation")
-                r = depth[node.aid] = 1 + max(depth.get(e.src, 0) for e in in_edges)
-                if r > len(rounds):
-                    rounds.append(([], [], []))
-                edges, tgts, labels = rounds[r - 1]
-                edges += [(ag.ETYPE_CODE[e.etype], rows[e.src],
-                           -1 if e.label is None else base[e.label[0]] + e.label[1], len(tgts))
-                          for e in in_edges]
-                tgts.append(rows[node.aid])
-                labels.append(_attr_label_id(model, hyp.builder.tree, node))
-        if not rounds:
-            return
+            e0 = bisect_left(b.columns[1], created[0].aid)  # the created nodes' first in-edge
+            src, tgt, *rest = (c[e0:] for c in b.columns)
+            for col, part in zip(cols, ([rows[a] for a in src], [rows[a] for a in tgt], *rest)):
+                col += part
+            labels += [_attr_label_id(model, b.tree, node) for node in created]
         if self.n > len(self.buf):
             self.buf = np.resize(self.buf, (2 * self.n, self.buf.shape[1]))
-        # each target sums its messages in (type, source, label) order
-        etype, src, lab, tgt = np.concatenate([sorted(edges) for edges, _, _ in rounds]).T
-        cut = [0, *accumulate(len(tgts) for _, tgts, _ in rounds)]
-        ecut = [0, *accumulate(len(edges) for edges, _, _ in rounds)]
-        node_representation(model, nn.Tensor(self.buf[:n]),
-                            nn.Rounds([r for _, tgts, _ in rounds for r in tgts], cut, ecut,
-                                      src, tgt, etype, lab),
-                            [i for _, _, labels in rounds for i in labels], self.buf)
+        rounds = _rounds(model, n, self.n, np.array(cols, dtype=np.int64))
+        node_representation(model, nn.Tensor(self.buf[:n]), rounds,
+                            np.asarray(labels)[rounds.rows - n], self.buf)
 
 
 # ---------------------------------------------------------------------------

@@ -116,11 +116,15 @@ def test_builder_settled_per_decision_matches_one_shot(g):
             for dec in full.history:
                 assert b.site == frontier_site(t) == dec[1]
                 assert (b.key, b.last_use) == _brute_key_and_last_use(t, b, ctx)
-                n_nodes, n_edges = len(b.nodes), len(b.edges)
+                n_nodes, n_edges = len(b.nodes), len(b.columns[1])
                 created = b.decide(dec[0], dec[-1])
-                assert [n for n, _ in created] == b.nodes[n_nodes:]
-                assert [e for _, es in created for e in es] == b.edges[n_edges:]
-                assert all(e.tgt == n.aid for n, es in created for e in es)
+                assert created == b.nodes[n_nodes:]
+                # the columns' tail holds the created nodes' in-edges: its
+                # targets are exactly their aids, in creation order
+                assert len({len(c) for c in b.columns}) == 1
+                tail = b.columns[1][n_edges:]
+                assert list(dict.fromkeys(tail)) == [n.aid for n in created]
+                assert tail == sorted(tail)
             assert b.site is None
             assert (b.key, b.last_use) == _brute_key_and_last_use(t, b, ctx)
             assert trees_equal(t, full)
@@ -145,7 +149,7 @@ def test_edges_are_pure_function_of_tree(g):
     b1.settle()
     b2 = GraphBuilder(tree, ctx)
     b2.settle()
-    assert b1.edges == b2.edges
+    assert b1.graph().edges == b2.graph().edges
     assert [n.label for n in b1.nodes] == [n.label for n in b2.nodes]
 
 
@@ -238,11 +242,9 @@ def test_schedule_detects_cycles(g):
     tree, ctx = _sub_fixture(g)
     gr = augment_full_tree(tree, ctx)
     for src, tgt, at in ((10, 10, len(gr.src)), (8, 5, int(np.searchsorted(gr.tgt, 5))), (0, 10, 0)):
-        bad = A.AttributeGraph(gr.nodes, np.insert(gr.src, at, src), np.insert(gr.tgt, at, tgt),
-                               np.insert(gr.etype, at, 0), np.insert(gr.label, at, -1, axis=0),
-                               [], gr.components)
         with pytest.raises(GraphError):
-            propagation_schedule(bad)
+            propagation_schedule(np.insert(gr.src, at, src), np.insert(gr.tgt, at, tgt),
+                                 len(gr.nodes))
 
 
 def test_batch_unbatch_round_trip(g):

@@ -338,6 +338,24 @@ def test_cli_non_utf8_corpus_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.jsonl").exists()
 
 
+@pytest.mark.parametrize("files", [{"holed.mexp": "var i : int = ?HOLE? ;\n"},
+                                   {"bad.mexp": "var i : int = ;\n", "none.mexp": "var b : bool ;\n"}],
+                         ids=["all-skipped", "no-site"])
+def test_cli_extract_without_samples_exits_2(files, tmp_path, capsys):
+    # every file skipped, or no expression site in any: a data error, and
+    # no output file
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in files.items():
+        (corpus / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["extract", "--in", str(corpus), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()  # one skip line, then the error
+    assert len(err) == 2 and err[-1] == f"nagc: no samples extracted from {corpus}", err
+    assert captured.out == "" and not out.exists()
+
+
 # an output path in a missing directory, or one that is a directory, named by
 # each command that writes a file; "manifest" makes the checkpoint's .json
 # manifest a directory

@@ -349,28 +349,76 @@ def test_graph_encoder_loss_gradients():
 
 # -- node representation ----------------------------------------------------
 
-def test_node_representation_permutation_invariant(small, folds, monkeypatch):
-    # the decoder's states do not depend on how a node's in-edges are
-    # listed: each round sorts a step's edges before the kernel sums their
-    # messages. Shuffle every settled node's in-edges, decode again, compare.
+def _shuffle_in_edges(monkeypatch, seed: int) -> list:
+    """Make every GraphBuilder settle shuffle each created node's block of
+    in-edges in the builder's columns; returns the block sizes it shuffled."""
     import random
+    from bisect import bisect_left, bisect_right
 
-    pr = prep_sample(small, folds["train"][1])
-    states, _ = forced_decode(small, pr)
-    settle, rng, shuffled = A.GraphBuilder.settle, random.Random(0), []
+    settle, rng, sizes = A.GraphBuilder.settle, random.Random(seed), []
 
     def shuffling_settle(self):
         created = settle(self)
-        for _, edges in created:
-            rng.shuffle(edges)
-            shuffled.append(len(edges))
+        tgt = self.columns[1]
+        for node in created:
+            lo, hi = bisect_left(tgt, node.aid), bisect_right(tgt, node.aid)
+            perm = rng.sample(range(lo, hi), hi - lo)
+            for col in self.columns:
+                col[lo:hi] = [col[k] for k in perm]
+            sizes.append(hi - lo)
         return created
 
     monkeypatch.setattr(A.GraphBuilder, "settle", shuffling_settle)
+    return sizes
+
+
+def test_node_representation_permutation_invariant(small, folds, monkeypatch):
+    # the decoder's states, the teacher-forced loss and its gradients do not
+    # depend on how a node's in-edges are listed: _rounds orders each
+    # round's edges by type, target and source before the kernel sums their
+    # messages. Shuffle every created node's in-edges, decode and score
+    # again, compare bits.
+    def parents_in(pr):  # the most Parent edges into one node: 3 reorder a float sum
+        return np.bincount(pr.graph.tgt[pr.graph.etype == A.ETYPE_CODE[A.PARENT]]).max()
+
+    samples = [s for s in folds["train"][:40] if parents_in(prep_sample(small, s)) >= 3][:6]
+    assert len(samples) == 6
+    pr = prep_sample(small, samples[0])
+    states, _ = forced_decode(small, pr)
+    batch = [prep_sample(small, s) for s in samples]
+    loss, _ = M.batch_loss(small, batch)
+    grads = _grads(small, loss)
+
+    shuffled = _shuffle_in_edges(monkeypatch, 0)
     again, _ = forced_decode(small, pr)
     assert max(shuffled) >= 3
     assert states.keys() == again.keys()
     assert all(np.array_equal(states[aid], again[aid]) for aid in states)
+
+    batch_again = [prep_sample(small, s) for s in samples]
+    assert any(not np.array_equal(a.graph.src, b.graph.src) for a, b in zip(batch, batch_again))
+    loss_again, _ = M.batch_loss(small, batch_again)
+    assert np.array_equal(loss.data, loss_again.data)
+    grads_again = _grads(small, loss_again)
+    assert all(np.array_equal(grads[name], grads_again[name]) for name in grads)
+
+
+@pytest.mark.parametrize("encoder", ["seq", "graph"])
+@pytest.mark.parametrize("config", ["Tree", "ASN", "Syn", "NAG"])
+def test_forced_decode_equals_propagate_exactly(fitted_grammar, token_vocab, folds, config,
+                                                encoder):
+    # teacher forcing and the beam search lay out their rounds with one
+    # function, so the decoder settling a tree step by step computes every
+    # attribute state with the bits of one propagate over the whole tree
+    m = Model(fitted_grammar, config=config, encoder=encoder, hidden=16, emb_dim=8, edge_emb=4,
+              seed=1, token_vocab=token_vocab)
+    for s in folds["train"][:30]:
+        pr = prep_sample(m, s)
+        with nn.no_grad():
+            full = M.propagate(m, pr.graph, pr.label_idx, [pr], M.encode_many(m, [pr])).data
+        states, _ = forced_decode(m, pr)
+        assert sorted(states) == list(range(len(full)))
+        assert np.array_equal(np.stack([states[aid] for aid in sorted(states)]), full)
 
 
 def test_propagate_rejects_missing_predecessor(small, folds):
@@ -383,19 +431,25 @@ def test_propagate_rejects_missing_predecessor(small, folds):
     keep = gr.tgt != gr.tgt[-1]
     cut = dataclasses.replace(gr, src=gr.src[keep], tgt=gr.tgt[keep], etype=gr.etype[keep],
                               label=gr.label[keep])
-    cut.schedule = A.propagation_schedule(cut)
-    with nn.no_grad(), pytest.raises(ModelError):
+    assert A.propagation_schedule(cut.src, cut.tgt, len(cut.nodes))[gr.tgt[-1]] == 0
+    with nn.no_grad(), pytest.raises(ModelError, match="no in-edges"):
         M.propagate(small, cut, pr.label_idx, [pr], M.encode_many(small, [pr]))
 
 
 def test_decoder_rejects_missing_predecessor(small, folds, monkeypatch):
     # the beam search settles a created node from its in-edges; one without
     # any has no state to compute
+    from bisect import bisect_left
+
     pr, settle = prep_sample(small, folds["train"][0]), A.GraphBuilder.settle
 
     def stripping_settle(self):
         created = settle(self)
-        return [(node, []) for node, _ in created]
+        if created:
+            tail = bisect_left(self.columns[1], created[0].aid)
+            for col in self.columns:
+                del col[tail:]
+        return created
 
     monkeypatch.setattr(A.GraphBuilder, "settle", stripping_settle)
     with pytest.raises(ModelError, match="no in-edges"):

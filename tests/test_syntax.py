@@ -194,7 +194,7 @@ def _builder_edges(t, ctx, etype, edge_set=PAPER_EDGE_TYPES, labels=True):
     b = GraphBuilder(t, ctx, edge_set=edge_set, labels=labels)
     ref = {aid: key for key, aid in b.aid_of.items()}
     return Counter((ref[e.src], ref[e.tgt]) + ((e.label,) if etype == CHILD else ())
-                   for e in b.edges if e.etype == etype)
+                   for e in b.graph().edges if e.etype == etype)
 
 
 def _check_random_trees(g, etype, seed, edge_sets=((PAPER_EDGE_TYPES, True),)):
