@@ -2,8 +2,8 @@
 
 Covers tokenizing, parsing the small statement language (declarations,
 assignments, if/while), converting parsed expressions to grammar derivation
-trees and back, precedence-aware rendering, and building the program graph
-used by the graph context encoder.
+trees, precedence-aware rendering production by production, and building the
+program graph used by the graph context encoder.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ class LangError(Exception):
 
 
 MAX_NESTING = 100  # levels of sub-expressions and blocks the parser enters
+
+_KEYWORDS = frozenset(("var", "if", "else", "while", "true", "false"))
+
+
+def is_identifier(name: str) -> bool:
+    r"""Whether name can name a variable: `[A-Za-z_]\w*` and not a keyword."""
+    return re.fullmatch(r"[A-Za-z_]\w*", name) is not None and name not in _KEYWORDS
 
 
 def tokenize(text: str) -> list[str]:
@@ -232,6 +239,8 @@ class Parser:
             self.next()
             name_index = self.pos
             name = self.next()
+            if not is_identifier(name):
+                raise LangError(f"declared name {name!r} is not an identifier")
             self.expect(":")
             ty = self.next()
             if ty not in ("int", "bool", "string"):
@@ -351,7 +360,7 @@ class Parser:
             return ELit("int", t, (start, self.pos))
         if t.startswith('"'):
             return ELit("string", t, (start, self.pos))
-        if re.fullmatch(r"[A-Za-z_]\w*", t):
+        if is_identifier(t):
             return EVar(t, (start, self.pos))
         raise LangError(f"unexpected token {t!r} at {self.pos - 1}")
 
@@ -372,7 +381,7 @@ def parse_expression(tokens: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# Expression structs <-> derivation trees
+# Expression structs -> derivation trees
 
 def expr_form(e):
     """The grammar form an expression struct builds (see `Grammar.form`) and
@@ -417,90 +426,48 @@ def _expand(tree, site, e, g):
         _expand(tree, k, s, g)
 
 
-def tree_to_expr(tree: PartialAst, nid=None):
-    g = tree.grammar
-    nid = tree.root if nid is None else nid
-    node = tree.nodes[nid]
-    sym = g.symbols[node.label]
-    if sym.kind is Kind.VARIABLE:
-        return EVar(node.binding)
-    if sym.kind is Kind.LITERAL:
-        return ELit(sym.lit_class, node.binding)
-    prod = g.productions[node.prod_id]
-    fixed = g.fixed_tokens[prod.pid]
-    sub = [
-        tree_to_expr(tree, c)
-        for c in node.children
-        if g.symbols[tree.nodes[c].label].kind is not Kind.FIXED
-    ]
-    if len(prod.rhs) == 1:
-        return sub[0]
-    if fixed == (".", "Length"):
-        return ELength(sub[0])
-    if fixed == ("[", "]"):
-        return EIndex(sub[0], sub[1])
-    if fixed == ("!",):
-        return EUn("!", sub[0])
-    if len(fixed) == 1:
-        return EBin(fixed[0], sub[0], sub[1])
-    if len(fixed) >= 4 and fixed[0] == ".":
-        return ECall(sub[0], fixed[1], sub[1:])
-    raise LangError(f"cannot reconstruct production {prod.pid}")
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
-def render_expr(e) -> list[str]:
-    toks, _ = _render(e)
-    return toks
-
-
-def _render(e):
-    if isinstance(e, EVar):
-        return [e.name], _ATOM_PREC
-    if isinstance(e, ELit):
-        return [e.spelling], _ATOM_PREC
-    if isinstance(e, EHole):
-        return [HOLE_TOKEN], _ATOM_PREC
-    if isinstance(e, EUn):
-        toks, prec = _render(e.operand)
-        if prec < _UNARY_PREC:
-            toks = ["("] + toks + [")"]
-        return ["!"] + toks, _UNARY_PREC
-    if isinstance(e, EBin):
-        op_prec = _PREC[e.op]
-        lt, lp = _render(e.left)
-        rt, rp = _render(e.right)
-        if lp < op_prec:
-            lt = ["("] + lt + [")"]
-        if rp <= op_prec:
-            rt = ["("] + rt + [")"]
-        return lt + [e.op] + rt, op_prec
-    if isinstance(e, (ELength, EIndex, ECall)):
-        obj = e.obj if not isinstance(e, EIndex) else e.arr
-        ot, op = _render(obj)
-        if op < _POSTFIX_PREC:
-            ot = ["("] + ot + [")"]
-        if isinstance(e, ELength):
-            return ot + [".", "Length"], _POSTFIX_PREC
-        if isinstance(e, EIndex):
-            it, _ = _render(e.idx)
-            return ot + ["["] + it + ["]"], _POSTFIX_PREC
-        toks = ot + [".", e.method, "("]
-        for i, a in enumerate(e.args):
-            if i:
-                toks.append(",")
-            at, _ = _render(a)
-            toks.extend(at)
-        toks.append(")")
-        return toks, _POSTFIX_PREC
-    raise LangError(f"cannot render {type(e).__name__}")
+def render_production(g: Grammar, pid: int, slots: list) -> tuple[list[str], int]:
+    """Surface tokens and precedence of production pid over its slots, in rhs
+    order: each a rendered sub-expression (tokens, precedence), or the
+    spelling of the variable or literal that is a production's whole rhs. The
+    fixed tokens come from the rhs. A slot at either end of the form is
+    parenthesised when it binds more loosely than the form, the right operand
+    of a binary form also when it binds as tightly; slots enclosed by fixed
+    tokens never are."""
+    rhs, fixed = g.productions[pid].rhs, g.fixed_tokens[pid]
+    if not fixed:  # a lone slot, as in Expr -> Var
+        (slot,) = slots
+        return ([slot], _ATOM_PREC) if isinstance(slot, str) else slot
+    binary = len(rhs) == 3 and fixed == (rhs[1],)
+    prec = _PREC[fixed[0]] if binary else _UNARY_PREC if rhs[0] == fixed[0] else _POSTFIX_PREC
+    toks, k = [], 0
+    for i, s in enumerate(rhs):
+        if s in fixed:
+            toks.append(s)
+            continue
+        sub, sub_prec = slots[k]
+        k += 1
+        last = i == len(rhs) - 1
+        if (i == 0 or last) and (sub_prec < prec or binary and last and sub_prec == prec):
+            sub = ["(", *sub, ")"]
+        toks += sub
+    return toks, prec
 
 
 def render_tree_tokens(tree: PartialAst) -> list[str]:
     """Surface tokens (with disambiguating parentheses) of a complete tree."""
-    return render_expr(tree_to_expr(tree))
+    g = tree.grammar
+
+    def walk(node):
+        kids = [tree.nodes[c] for c in node.children]
+        slots = [walk(k) if g.symbols[k.label].kind is Kind.NONTERMINAL else k.binding
+                 for k in kids if g.symbols[k.label].kind is not Kind.FIXED]
+        return render_production(g, node.prod_id, slots)
+
+    return walk(tree.nodes[tree.root])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lang
-from .grammar import Grammar, GrammarError, TypeCheckError, TypeEnv, type_check
+from .grammar import Grammar, GrammarError, Kind, TypeCheckError, TypeEnv, builtin_grammar, type_check
 from .syntax import deserialize_decisions, serialize_decisions
 
 
@@ -36,9 +36,39 @@ _NAME_POOL = {
     "bool": ["b", "flag", "ok", "done"],
     "int[]": ["arr", "xs", "data", "buf"],
 }
-_INT_LITS = [str(v) for v in (0, 1, 2, 3, 5, 7, 10, 42, 100)]
-_STR_LITS = ['"a"', '"b"', '"c"', '"foo"', '"bar"', '"file:"', '""']
-_BOOL_LITS = ["true", "false"]
+_LITERALS = {
+    "int": [str(v) for v in (0, 1, 2, 3, 5, 7, 10, 42, 100)],
+    "string": ['"a"', '"b"', '"c"', '"foo"', '"bar"', '"file:"', '""'],
+    "bool": ["true", "false"],
+}
+
+_GRAMMAR = builtin_grammar()  # whose productions the generator draws
+_VARIABLE_PID = _GRAMMAR.by_form[(Kind.VARIABLE, None)].pid
+_LITERAL_PIDS = {ty: _GRAMMAR.by_form[(Kind.LITERAL, ty)].pid for ty in _LITERALS}
+
+# Each result type's compound expressions, in draw order: (grammar form,
+# operand types in rhs order, the variable type the option needs in scope).
+# `==` and `!=` (operand types None) draw one operand type for both sides.
+_OPTIONS = {
+    "int": [
+        *[((op,), ("int", "int"), None) for op in ("+", "-", "*", "%")],
+        (("[", "]"), ("int[]", "int"), "int[]"),
+        ((".", "Length"), ("int[]",), "int[]"),
+        ((".", "Length"), ("string",), "string"),
+        ((".", "IndexOf", "(", ")"), ("string", "string"), "string"),
+    ],
+    "bool": [
+        *[((op,), ("int", "int"), None) for op in ("<", ">", "<=", ">=")],
+        *[((op,), None, None) for op in ("==", "!=")],
+        *[((op,), ("bool", "bool"), "bool") for op in ("&&", "||")],
+        (("!",), ("bool",), "bool"),
+        *[((".", m, "(", ")"), ("string", "string"), "string") for m in ("StartsWith", "Contains")],
+    ],
+    "string": [
+        (("+",), ("string", "string"), None),
+        ((".", "Substring", "(", ",", ")"), ("string", "int", "int"), "string"),
+    ],
+}
 
 
 class _ExprSampler:
@@ -53,80 +83,25 @@ class _ExprSampler:
         for name, ty in scope.items():
             self.by_type.setdefault(ty, []).append(name)
 
-    def vars_of(self, ty):
-        return self.by_type.get(ty, [])
-
-    def gen(self, ty: str, depth: int = 2):
+    def gen(self, ty: str, depth: int = 2) -> tuple[list[str], int]:
+        """A random expression of type ty, rendered: (tokens, precedence)."""
         rng = self.rng
-        if ty == "int[]":
-            names = self.vars_of("int[]")
-            if not names:
-                raise PipelineError("no int[] variable in scope")
-            return lang.EVar(names[rng.integers(len(names))])
-        if depth <= 0 or rng.random() < 0.52:
-            return self._leaf(ty)
-        return self._compound(ty, depth)
-
-    def _leaf(self, ty):
-        rng = self.rng
-        names = self.vars_of(ty)
-        if names and rng.random() < 0.7:
-            return lang.EVar(names[rng.integers(len(names))])
-        pool = {"int": _INT_LITS, "string": _STR_LITS, "bool": _BOOL_LITS}[ty]
-        return lang.ELit(ty, pool[rng.integers(len(pool))])
-
-    def _compound(self, ty, depth):
-        rng = self.rng
-        opts = []
-        if ty == "int":
-            opts += [("bin", op, "int") for op in ("+", "-", "*", "%")]
-            if self.vars_of("int[]"):
-                opts.append(("index",))
-                opts.append(("length", "int[]"))
-            if self.vars_of("string"):
-                opts.append(("length", "string"))
-                opts.append(("indexof",))
-        elif ty == "bool":
-            opts += [("bin", op, "int") for op in ("<", ">", "<=", ">=")]
-            opts += [("eq", op) for op in ("==", "!=")]
-            if self.vars_of("bool"):
-                opts += [("bin", op, "bool") for op in ("&&", "||")]
-                opts.append(("not",))
-            if self.vars_of("string"):
-                opts.append(("method", "StartsWith"))
-                opts.append(("method", "Contains"))
-        elif ty == "string":
-            opts.append(("bin", "+", "string"))
-            if self.vars_of("string"):
-                opts.append(("substring",))
-        if not opts:
-            return self._leaf(ty)
-        choice = opts[rng.integers(len(opts))]
-        kind = choice[0]
-        if kind == "bin":
-            _, op, operand_ty = choice
-            return lang.EBin(op, self.gen(operand_ty, depth - 1), self.gen(operand_ty, depth - 1))
-        if kind == "eq":
-            candidates = [t for t in ("int", "string", "bool") if self.vars_of(t)] or ["int"]
-            operand_ty = candidates[rng.integers(len(candidates))]
-            return lang.EBin(choice[1], self.gen(operand_ty, depth - 1), self.gen(operand_ty, depth - 1))
-        if kind == "not":
-            return lang.EUn("!", self.gen("bool", depth - 1))
-        if kind == "index":
-            return lang.EIndex(self.gen("int[]", depth - 1), self.gen("int", depth - 1))
-        if kind == "length":
-            return lang.ELength(self.gen(choice[1], depth - 1))
-        if kind == "indexof":
-            return lang.ECall(self.gen("string", depth - 1), "IndexOf", [self.gen("string", depth - 1)])
-        if kind == "method":
-            return lang.ECall(self.gen("string", depth - 1), choice[1], [self.gen("string", depth - 1)])
-        if kind == "substring":
-            return lang.ECall(
-                self.gen("string", depth - 1),
-                "Substring",
-                [self.gen("int", depth - 1), self.gen("int", depth - 1)],
-            )
-        raise PipelineError(f"unknown option {choice!r}")
+        names = self.by_type.get(ty, [])
+        if ty == "int[]" and not names:
+            raise PipelineError("no int[] variable in scope")
+        if ty != "int[]" and depth > 0 and rng.random() >= 0.52:
+            opts = [o for o in _OPTIONS[ty] if o[2] is None or o[2] in self.by_type]
+            form, operands, _ = opts[rng.integers(len(opts))]
+            pid = _GRAMMAR.by_form[form].pid
+            if operands is None:
+                candidates = [t for t in ("int", "string", "bool") if t in self.by_type] or ["int"]
+                operands = (candidates[rng.integers(len(candidates))],) * 2
+            slots = [self.gen(t, depth - 1) for t in operands]
+        elif names and (ty == "int[]" or rng.random() < 0.7):
+            pid, slots = _VARIABLE_PID, [names[rng.integers(len(names))]]
+        else:
+            pid, slots = _LITERAL_PIDS[ty], [_LITERALS[ty][rng.integers(len(_LITERALS[ty]))]]
+        return lang.render_production(_GRAMMAR, pid, slots)
 
 
 def _gen_file(rng, stmts_per_file: int) -> str:
@@ -150,8 +125,7 @@ def _gen_file(rng, stmts_per_file: int) -> str:
         stmt_toks = ["var", name, ":"]
         stmt_toks += ["int", "[", "]"] if ty == "int[]" else [ty]
         if with_init and ty != "int[]":
-            sampler = _ExprSampler(rng, scope)
-            stmt_toks += ["="] + lang.render_expr(sampler.gen(ty, depth=2))
+            stmt_toks += ["="] + _ExprSampler(rng, scope).gen(ty, depth=2)[0]
         stmt_toks.append(";")
         scope[name] = ty
         return stmt_toks
@@ -177,10 +151,10 @@ def _gen_file(rng, stmts_per_file: int) -> str:
                 if not assignable:
                     continue
                 name = assignable[rng.integers(len(assignable))]
-                out.append([name, "="] + lang.render_expr(sampler.gen(scope[name], 2)) + [";"])
+                out.append([name, "="] + sampler.gen(scope[name], 2)[0] + [";"])
             elif depth > 0:
                 kw = "if" if roll < 0.85 else "while"
-                cond = lang.render_expr(sampler.gen("bool", 2))
+                cond = sampler.gen("bool", 2)[0]
                 # declarations inside a block are block-scoped; restore
                 outer = dict(scope)
                 body = gen_stmts(int(rng.integers(1, 3)), depth - 1)
@@ -409,6 +383,9 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
 
 
 def _validate(s: Sample, g: Grammar, path, lineno):
+    for name in s.scope:
+        if not lang.is_identifier(name):
+            raise PipelineError(f"{path}:{lineno}: scope name {name!r} is not an identifier")
     if lang.HOLE_TOKEN in s.before or lang.HOLE_TOKEN in s.after:
         raise PipelineError(f"{path}:{lineno}: context holds the hole token {lang.HOLE_TOKEN}")
     try:

@@ -404,9 +404,10 @@ def test_cli_bad_ratio_exits_2(tmp_path, corpus_samples, capsys):
 
 # the second line of a sample file: a scope variable of an unknown type, an
 # ill-typed target, a context token that is not a string, a byte that is not
-# UTF-8, a context given as one string, or a scope given as a list of pairs
+# UTF-8, a context given as one string, a scope given as a list of pairs, or
+# a scope name that is not an identifier
 @pytest.mark.parametrize("fault", ["scope-type", "ill-typed", "token-type", "not-utf8",
-                                   "before-string", "scope-pairs"])
+                                   "before-string", "scope-pairs", "scope-name"])
 def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples[:2], path)
@@ -424,6 +425,8 @@ def test_cli_bad_jsonl_exits_2(fault, corpus_samples, tmp_path, capsys):
             obj["before"] = " ".join(obj["before"])
         elif fault == "scope-pairs":
             obj["scope"] = sorted(obj["scope"].items())
+        elif fault == "scope-name":
+            obj["scope"]["a b"] = "int"
         else:
             obj["target"] = 'P4 P1 Lint:1 P2 Lstring:"a"'  # int + string
         second = json.dumps(obj).encode()

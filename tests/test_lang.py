@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import random_tree
 
 from nagc import lang as L
 from nagc.grammar import builtin_grammar
@@ -12,10 +13,8 @@ from nagc.lang import (
     parse_expression,
     parse_program,
     program_graph,
-    render_expr,
     render_tree_tokens,
     tokenize,
-    tree_to_expr,
 )
 from nagc.pipeline import extract_samples, generate_corpus
 from nagc.syntax import serialize_decisions, serialize_tokens, trees_equal
@@ -46,10 +45,22 @@ def test_tokenize_rejects_garbage():
         's . IndexOf ( "x" ) < 3',
     ],
 )
-def test_parse_render_round_trip(text):
+def test_parse_render_round_trip(text, g):
     toks = tokenize(text)
-    e = parse_expression(toks)
-    assert render_expr(e) == toks
+    assert render_tree_tokens(expr_to_tree(parse_expression(toks), g)) == toks
+
+
+def test_render_parse_round_trip_random_trees(g):
+    # every production, at every depth and beside every other, renders to
+    # tokens that parse back to the same derivation tree
+    rng = np.random.default_rng(0)
+    used = set()
+    for _ in range(2000):
+        t = random_tree(g, rng, ["i", "s", "b", "arr"], max_depth=int(rng.integers(1, 6)))
+        back = expr_to_tree(parse_expression(render_tree_tokens(t)), g)
+        assert trees_equal(t, back), render_tree_tokens(t)
+        used |= {n.prod_id for n in t.nodes if n.prod_id is not None}
+    assert used == set(range(len(g.productions)))
 
 
 # a program with one form nested n levels deep
@@ -80,7 +91,7 @@ def test_expr_tree_round_trip(g):
     for text in ("i - j", "arr [ i ] + s . Length", "s . Contains ( t ) || ! b"):
         tree = expr_to_tree(parse_expression(tokenize(text)), g)
         assert serialize_tokens(tree) == tokenize(text)
-        back = expr_to_tree(tree_to_expr(tree), g)
+        back = expr_to_tree(parse_expression(render_tree_tokens(tree)), g)
         assert trees_equal(tree, back)
 
 
@@ -112,6 +123,13 @@ def test_parse_program_sites_and_scope():
 def test_parse_program_rejects_undeclared_assignment():
     with pytest.raises(LangError):
         parse_program(tokenize("x = 1 ;"))
+
+
+@pytest.mark.parametrize("text", ["var ( : int = 1 ;", "var 5 : int ;", "var true : bool ;",
+                                  "var while : int ;", "var x : int = var ;"])
+def test_only_identifiers_name_variables(text):
+    with pytest.raises(LangError, match="is not an identifier|unexpected token"):
+        parse_program(tokenize(text))
 
 
 def test_hole_is_not_a_site():

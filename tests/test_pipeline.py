@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -19,6 +20,18 @@ def test_generate_corpus_deterministic():
     assert a == b
     c = P.generate_corpus(seed=4, n_files=5)
     assert a != c
+
+
+# sha256 of the JSON list of (name, text) pairs: a change to the generator
+# that moves a single byte of a corpus fails here
+@pytest.mark.parametrize("seed, n_files, stmts, digest", [
+    (0, 160, 8, "b5619c1813edbd4adb726461ffe185459bff53c0e75b81a3ef06f515a3fb3f44"),
+    (0, 300, 2, "7d28dfadb32f39b30f3453fa73f1a11a642d83b08794a6cdf4f0e17a91047ec1"),
+    (1, 12, 4, "f8cbc0ac971f4aed5473f6c04d9af10864b7cb675e40e2ebd51ffb97a7903422"),
+])
+def test_generate_corpus_bytes_are_pinned(seed, n_files, stmts, digest):
+    files = P.generate_corpus(seed, n_files, stmts)
+    assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n_files, stmts", [(0, 8), (3, 0), (3, -1)])
@@ -55,12 +68,14 @@ def test_extraction_deterministic(g):
 
 def test_extract_skips_unparseable(g, capsys):
     # a hole token in a file would sit inside the context of its samples
+    # and a declared name that is not an identifier would enter the scope
     files = [("bad.mexp", "x = 1 ;"), ("hole.mexp", "var i : int = ?HOLE? ; var j : int = i + 1 ;"),
-             ("ok.mexp", "var i : int = 1 ;")]
+             ("ok.mexp", "var i : int = 1 ;"), ("paren.mexp", "var ( : int = 1 ;")]
     samples = P.extract_samples(files, g)
     assert [s.file for s in samples] == ["ok.mexp"]
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(": ")[1] for line in err] == ["skipping bad.mexp", "skipping hole.mexp"], err
+    assert [line.split(": ")[1] for line in err] == [
+        "skipping bad.mexp", "skipping hole.mexp", "skipping paren.mexp"], err
 
 
 def _mk(file, before, after, scope, target):
@@ -210,6 +225,16 @@ def test_read_validates_invariants(tmp_path, g):
     P.write_jsonl([bad], path)
     with pytest.raises(PipelineError):
         P.read_jsonl(path, g)
+
+
+@pytest.mark.parametrize("name", ["a b", "(", "5", "true", "var", ""])
+def test_read_refuses_scope_name_that_is_not_an_identifier(name, tmp_path, g):
+    # a beam may pick any scope name, and "a b" would split its V record in two
+    path = str(tmp_path / "s.jsonl")
+    P.write_jsonl([_mk("f", ["t"], [], {"i": "int", name: "int"}, "P0 Vi")], path)
+    with pytest.raises(PipelineError) as err:
+        P.read_jsonl(path, g)
+    assert str(err.value) == f"{path}:1: scope name {name!r} is not an identifier"
 
 
 def test_corpus_dir_round_trip(tmp_path):
