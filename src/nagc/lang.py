@@ -1,9 +1,9 @@
 """Surface syntax for MiniExpr program files.
 
 Covers tokenizing, parsing the small statement language (declarations,
-assignments, if/while), converting parsed expressions to grammar derivation
-trees, precedence-aware rendering production by production, and building the
-program graph used by the graph context encoder.
+assignments, if/while) into parse nodes, converting expression nodes to
+grammar derivation trees, precedence-aware rendering production by
+production, and building the program graph used by the graph context encoder.
 """
 
 from __future__ import annotations
@@ -57,94 +57,23 @@ def tokenize(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Expression structures
+# Parse nodes
 
-@dataclass
-class EVar:
-    name: str
-    span: tuple = None
+@dataclass(slots=True)
+class Node:
+    """One parse node. An expression's form is the grammar form it builds (a
+    key of `Grammar.by_form`), a statement's its label: ("decl",),
+    ("assign",), ("if",) or ("while",). parts are its sub-nodes in source
+    order, span its (start, end) token range, and spelling the one token of a
+    variable, literal or hole leaf."""
 
-
-@dataclass
-class ELit:
-    cls: str  # int | string | bool
-    spelling: str
-    span: tuple = None
-
-
-@dataclass
-class EBin:
-    op: str
-    left: object
-    right: object
-    span: tuple = None
+    form: tuple
+    parts: list
+    span: tuple
+    spelling: str | None = None
 
 
-@dataclass
-class EUn:
-    op: str
-    operand: object
-    span: tuple = None
-
-
-@dataclass
-class ELength:
-    obj: object
-    span: tuple = None
-
-
-@dataclass
-class EIndex:
-    arr: object
-    idx: object
-    span: tuple = None
-
-
-@dataclass
-class ECall:
-    obj: object
-    method: str
-    args: list
-    span: tuple = None
-
-
-@dataclass
-class EHole:
-    span: tuple = None
-
-
-# Statement structures
-
-@dataclass
-class SDecl:
-    name: str
-    ty: str
-    init: object | None
-    name_index: int
-    span: tuple = None
-
-
-@dataclass
-class SAssign:
-    name: str
-    expr: object
-    name_index: int
-    span: tuple = None
-
-
-@dataclass
-class SIf:
-    cond: object
-    then: list
-    els: list | None
-    span: tuple = None
-
-
-@dataclass
-class SWhile:
-    cond: object
-    body: list
-    span: tuple = None
+_HOLE_FORM = (HOLE_TOKEN,)  # no grammar production builds a hole
 
 
 @dataclass
@@ -177,6 +106,8 @@ class Parser:
         self.sites: list[ExprSite] = []
         self.scopes: list[dict] = [{}]
         self.depth = 0
+        self.decls: dict[str, int] = {}  # declared name -> its first name token
+        self.var_tokens: list[int] = []  # tokens that name a variable, in order
 
     # -- token helpers -----------------------------------------------------
 
@@ -241,6 +172,8 @@ class Parser:
             name = self.next()
             if not is_identifier(name):
                 raise LangError(f"declared name {name!r} is not an identifier")
+            self.decls.setdefault(name, name_index)
+            self.var_tokens.append(name_index)
             self.expect(":")
             ty = self.next()
             if ty not in ("int", "bool", "string"):
@@ -251,47 +184,39 @@ class Parser:
                 if ty != "int":
                     raise LangError("only int arrays are supported")
                 ty = "int[]"
-            init = None
+            parts = []
             if self.peek() == "=":
                 self.next()
-                init = self.record_site(ty)
+                parts.append(self.record_site(ty))
             self.expect(";")
             self.scopes[-1][name] = ty
-            return SDecl(name, ty, init, name_index, (start, self.pos))
-        if t == "if":
+            return Node(("decl",), parts, (start, self.pos))
+        if t in ("if", "while"):
             self.next()
             self.expect("(")
-            cond = self.record_site("bool")
+            parts = [self.record_site("bool")]
             self.expect(")")
-            then = self.nested(self.parse_block)
-            els = None
-            if self.peek() == "else":
+            parts += self.nested(self.parse_block)
+            if t == "if" and self.peek() == "else":
                 self.next()
-                els = self.nested(self.parse_block)
-            return SIf(cond, then, els, (start, self.pos))
-        if t == "while":
-            self.next()
-            self.expect("(")
-            cond = self.record_site("bool")
-            self.expect(")")
-            body = self.nested(self.parse_block)
-            return SWhile(cond, body, (start, self.pos))
+                parts += self.nested(self.parse_block)
+            return Node((t,), parts, (start, self.pos))
         # assignment
-        name_index = self.pos
         name = self.next()
         ty = self.scope_snapshot().get(name)
         if ty is None:
             raise LangError(f"assignment to undeclared variable {name!r}")
+        self.var_tokens.append(start)
         self.expect("=")
         expr = self.record_site(ty)
         self.expect(";")
-        return SAssign(name, expr, name_index, (start, self.pos))
+        return Node(("assign",), [expr], (start, self.pos))
 
     def record_site(self, hole_type):
         scope = self.scope_snapshot()
         start = self.pos
         expr = self.parse_expr()
-        if not isinstance(expr, EHole):
+        if expr.form != _HOLE_FORM:
             self.sites.append(ExprSite(expr, start, self.pos, hole_type, scope))
         return expr
 
@@ -307,14 +232,14 @@ class Parser:
                 return left
             self.next()
             right = self.nested(self.parse_expr, prec + 1)
-            left = EBin(op, left, right, (start, self.pos))
+            left = Node((op,), [left, right], (start, self.pos))
 
     def parse_unary(self):
         start = self.pos
         if self.peek() == "!":
             self.next()
             operand = self.nested(self.parse_unary)
-            return EUn("!", operand, (start, self.pos))
+            return Node(("!",), [operand], (start, self.pos))
         return self.parse_postfix()
 
     def parse_postfix(self):
@@ -326,7 +251,7 @@ class Parser:
                 self.next()
                 name = self.next()
                 if name == "Length":
-                    e = ELength(e, (start, self.pos))
+                    e = Node((".", "Length"), [e], (start, self.pos))
                 elif name in _METHODS:
                     self.expect("(")
                     args = [self.nested(self.parse_expr)]
@@ -334,14 +259,15 @@ class Parser:
                         self.expect(",")
                         args.append(self.nested(self.parse_expr))
                     self.expect(")")
-                    e = ECall(e, name, args, (start, self.pos))
+                    form = (".", name, "(", *[","] * (len(args) - 1), ")")
+                    e = Node(form, [e, *args], (start, self.pos))
                 else:
                     raise LangError(f"unknown method {name!r}")
             elif t == "[":
                 self.next()
                 idx = self.nested(self.parse_expr)
                 self.expect("]")
-                e = EIndex(e, idx, (start, self.pos))
+                e = Node(("[", "]"), [e, idx], (start, self.pos))
             else:
                 return e
 
@@ -353,20 +279,21 @@ class Parser:
             self.expect(")")
             return e
         if t == HOLE_TOKEN:
-            return EHole((start, self.pos))
+            return Node(_HOLE_FORM, [], (start, self.pos), t)
         if t in ("true", "false"):
-            return ELit("bool", t, (start, self.pos))
+            return Node((Kind.LITERAL, "bool"), [], (start, self.pos), t)
         if t.isdigit():
-            return ELit("int", t, (start, self.pos))
+            return Node((Kind.LITERAL, "int"), [], (start, self.pos), t)
         if t.startswith('"'):
-            return ELit("string", t, (start, self.pos))
+            return Node((Kind.LITERAL, "string"), [], (start, self.pos), t)
         if is_identifier(t):
-            return EVar(t, (start, self.pos))
+            self.var_tokens.append(start)
+            return Node((Kind.VARIABLE, None), [], (start, self.pos), t)
         raise LangError(f"unexpected token {t!r} at {self.pos - 1}")
 
 
 def parse_program(tokens: list[str]):
-    """Returns (statements, expression sites)."""
+    """Returns (statement nodes, expression sites)."""
     p = Parser(tokens)
     stmts = p.parse_program()
     return stmts, p.sites
@@ -381,48 +308,27 @@ def parse_expression(tokens: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# Expression structs -> derivation trees
+# Parse nodes -> derivation trees
 
-def expr_form(e):
-    """The grammar form an expression struct builds (see `Grammar.form`) and
-    its sub-expressions, in rhs order."""
-    if isinstance(e, EVar):
-        return (Kind.VARIABLE, None), []
-    if isinstance(e, ELit):
-        return (Kind.LITERAL, e.cls), []
-    if isinstance(e, EBin):
-        return (e.op,), [e.left, e.right]
-    if isinstance(e, EUn):
-        return (e.op,), [e.operand]
-    if isinstance(e, ELength):
-        return (".", "Length"), [e.obj]
-    if isinstance(e, EIndex):
-        return ("[", "]"), [e.arr, e.idx]
-    if isinstance(e, ECall):
-        return (".", e.method, "(", *[","] * (len(e.args) - 1), ")"), [e.obj, *e.args]
-    raise LangError(f"no grammar form for {type(e).__name__}")
-
-
-def expr_to_tree(e, g: Grammar) -> PartialAst:
-    """Derivation tree of an expression struct, built in frontier order."""
+def expr_to_tree(e: Node, g: Grammar) -> PartialAst:
+    """Derivation tree of an expression node, built in frontier order."""
     tree = new_partial_ast(g)
     _expand(tree, tree.root, e, g)
     return tree
 
 
 def _expand(tree, site, e, g):
-    form, subs = expr_form(e)
     try:
-        p = g.by_form[form]
+        p = g.by_form[e.form]
     except KeyError:
-        raise LangError(f"grammar has no production for {form!r}") from None
+        raise LangError(f"grammar has no production for {e.form!r}") from None
     apply_production(tree, site, p)
     kids = tree.nodes[site].children
-    if not subs:
-        bind_terminal(tree, kids[0], e.name if isinstance(e, EVar) else e.spelling)
+    if e.spelling is not None:
+        bind_terminal(tree, kids[0], e.spelling)
         return
     slots = [c for c in kids if g.symbols[tree.nodes[c].label].kind is Kind.NONTERMINAL]
-    for k, s in zip(slots, subs):
+    for k, s in zip(slots, e.parts):
         _expand(tree, k, s, g)
 
 
@@ -489,80 +395,57 @@ PROGRAM_EDGE_TYPES = ("Child", "NextToken", "LastUse")
 class ProgramGraph:
     """Node i < len(tokens) is token i; the internal nodes follow. The edges
     are int64 (src, tgt, etype) arrays sorted by etype, each type's edges in
-    the order they were built."""
+    the order they were built. LastUse edges join only tokens that name a
+    variable."""
 
     labels: list[str]  # per node
     src: np.ndarray
     tgt: np.ndarray
     etype: np.ndarray
     hole_node: int | None
-    decl_nodes: dict[str, int]  # variable name -> declaration name token
+    decl_nodes: dict[str, int]  # variable name -> its first declaration's name token
 
 
 def program_graph(tokens: list[str]) -> ProgramGraph:
-    """Graph over the program text: one node per token, internal nodes per
-    statement/expression. Child edges join each internal node to its parts
-    in span order, NextToken edges each token to the next, and LastUse edges
-    each occurrence of a declared name to the next (names in sorted order)."""
-    stmts, _ = parse_program(tokens)
+    """Graph over the program text: one node per token, one internal node per
+    statement and per expression that is not a single token. Child edges join
+    each internal node to its parts and loose tokens in span order, NextToken
+    edges each token to the next, and LastUse edges each token that names a
+    declared variable (a declared name, an assignment target or a variable
+    operand, never a member or type name) to the next naming the same
+    variable (names in sorted order)."""
+    p = Parser(tokens)
+    stmts = p.parse_program()
     labels = list(tokens)
     child_src: list[int] = []
     child_tgt: list[int] = []
 
-    def internal(label):
-        labels.append(label)
-        return len(labels) - 1
-
-    def attach(parent, lo, hi, subs):
-        """Wire parent to sub-structures and loose tokens in span order."""
-        pos = lo
-        for struct, node in sorted(subs, key=lambda s: s[0].span[0]):
-            s0, s1 = struct.span
-            child_tgt.extend(range(pos, s0))
-            child_tgt.append(node)
-            pos = s1
-        child_tgt.extend(range(pos, hi))
-        child_src.extend([parent] * (len(child_tgt) - len(child_src)))  # the targets just added
-
-    def build_expr(e):
-        if isinstance(e, (EVar, ELit, EHole)):
-            # single-token structures map straight to their token
-            return e.span[0]
-        form, kids = expr_form(e)
+    def build(node):
+        if node.spelling is not None:  # a leaf is its own token
+            return node.span[0]
         # a method call is labelled by its name alone: ".Substring", not ".Substring(,)"
-        node = internal("".join(form[:2] if form[0] == "." else form))
-        attach(node, *e.span, [(s, build_expr(s)) for s in kids])
-        return node
+        labels.append("".join(node.form[:2] if node.form[0] == "." else node.form))
+        me = len(labels) - 1
+        kids = [build(part) for part in node.parts]
+        pos, hi = node.span
+        for part, kid in zip(node.parts, kids):
+            child_tgt.extend(range(pos, part.span[0]))
+            child_tgt.append(kid)
+            pos = part.span[1]
+        child_tgt.extend(range(pos, hi))
+        child_src.extend([me] * (len(child_tgt) - len(child_src)))  # the targets just added
+        return me
 
-    def build_stmt(s):
-        node = internal(type(s).__name__[1:].lower())
-        subs = []
-        if isinstance(s, SDecl) and s.init is not None:
-            subs.append((s.init, build_expr(s.init)))
-        elif isinstance(s, SAssign):
-            subs.append((s.expr, build_expr(s.expr)))
-        elif isinstance(s, SIf):
-            subs.append((s.cond, build_expr(s.cond)))
-            for t in s.then + (s.els or []):
-                subs.append((t, build_stmt(t)))
-        elif isinstance(s, SWhile):
-            subs.append((s.cond, build_expr(s.cond)))
-            for t in s.body:
-                subs.append((t, build_stmt(t)))
-        attach(node, *s.span, subs)
-        return node
-
-    root = internal("program")
+    labels.append("program")
+    root = len(labels) - 1
     for s in stmts:
-        child_tgt.append(build_stmt(s))
+        child_tgt.append(build(s))
         child_src.append(root)
 
-    decl_nodes: dict[str, int] = {}
-    _collect_decls(stmts, decl_nodes)
-    occurrences = {name: [] for name in sorted(decl_nodes)}
-    for i, tok in enumerate(tokens):
-        if tok in occurrences:
-            occurrences[tok].append(i)
+    occurrences = {name: [] for name in sorted(p.decls)}
+    for i in p.var_tokens:
+        if tokens[i] in occurrences:
+            occurrences[tokens[i]].append(i)
     n = len(tokens)
     edges = [  # (src, tgt) of each type, in PROGRAM_EDGE_TYPES order
         (child_src, child_tgt),
@@ -573,14 +456,4 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
     src, tgt = (np.concatenate([np.asarray(e[k], dtype=np.int64) for e in edges]) for k in (0, 1))
     etype = np.repeat(np.arange(len(edges)), [len(e[0]) for e in edges])
     hole = tokens.index(HOLE_TOKEN) if HOLE_TOKEN in tokens else None
-    return ProgramGraph(labels, src, tgt, etype, hole, decl_nodes)
-
-
-def _collect_decls(stmts, decl_nodes):
-    for s in stmts:
-        if isinstance(s, SDecl):
-            decl_nodes.setdefault(s.name, s.name_index)
-        elif isinstance(s, SIf):
-            _collect_decls(s.then + (s.els or []), decl_nodes)
-        elif isinstance(s, SWhile):
-            _collect_decls(s.body, decl_nodes)
+    return ProgramGraph(labels, src, tgt, etype, hole, p.decls)

@@ -492,22 +492,39 @@ def test_cli_split_rejects_deeply_nested_target(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"nagc: {path}:1: "), err
 
 
-@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
-def test_cli_graph_encoder_rejects_deeply_nested_context(cmd, fitted_grammar, token_vocab,
-                                                         corpus_samples, tmp_path, capsys):
-    # the program graph of the context cannot be built: one line, exit 2
+def _graph_cli_on_context(cmd, prefix, fitted_grammar, token_vocab, corpus_samples, tmp_path,
+                          capsys):
+    """Exit code, stdout and stderr of `nagc complete` or `nagc evaluate` with a
+    graph-encoder checkpoint, on a sample whose context starts with prefix."""
     ckpt, path = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
     M.save_model(M.Model(fitted_grammar, encoder="graph", hidden=8, emb_dim=4, edge_emb=4,
                          token_vocab=token_vocab), ckpt)
     s = corpus_samples[0]
-    deep = ["var", "y", ":", "int", "="] + ["("] * _DEEP + ["1"] + [")"] * _DEEP + [";"]
-    P.write_jsonl([P.Sample(s.file, deep + s.before, s.after, s.hole_type, s.scope, s.target)],
+    P.write_jsonl([P.Sample(s.file, prefix + s.before, s.after, s.hole_type, s.scope, s.target)],
                   path)
     argv = (["complete", "--ckpt", ckpt, "--sample", path] if cmd == "complete"
             else ["evaluate", "--data", path, "--ckpt", ckpt])
-    assert run_cli(argv) == 2
-    out, err = capsys.readouterr()
+    return (run_cli(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
+def test_cli_graph_encoder_rejects_deeply_nested_context(cmd, fitted_grammar, token_vocab,
+                                                         corpus_samples, tmp_path, capsys):
+    # the program graph of the context cannot be built: one line, exit 2
+    deep = ["var", "y", ":", "int", "="] + ["("] * _DEEP + ["1"] + [")"] * _DEEP + [";"]
+    code, out, err = _graph_cli_on_context(cmd, deep, fitted_grammar, token_vocab,
+                                           corpus_samples, tmp_path, capsys)
+    assert code == 2
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("nagc: "), (out, err)
+
+
+@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
+def test_cli_graph_encoder_rejects_unknown_method_in_context(cmd, fitted_grammar, token_vocab,
+                                                             corpus_samples, tmp_path, capsys):
+    bad = "var s : string ; var q : int = s . Foo ( ) ;".split()
+    assert _graph_cli_on_context(cmd, bad, fitted_grammar, token_vocab, corpus_samples,
+                                 tmp_path, capsys) == (
+        2, "", "nagc: context not parseable for graph encoder: unknown method 'Foo'\n")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

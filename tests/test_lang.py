@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -82,9 +84,9 @@ def test_nesting_bound_is_the_same_for_every_form(form):
 
 def test_precedence_shapes():
     e = parse_expression(tokenize("i - j - k"))
-    assert isinstance(e.left, L.EBin) and e.left.op == "-"  # (i - j) - k
+    assert e.form == ("-",) and e.parts[0].form == ("-",)  # (i - j) - k
     e = parse_expression(tokenize("i + j * k"))
-    assert e.op == "+" and e.right.op == "*"
+    assert e.form == ("+",) and e.parts[1].form == ("*",)
 
 
 def test_expr_tree_round_trip(g):
@@ -158,6 +160,16 @@ def test_program_graph_structure():
     assert set(range(len(toks))) <= children
 
 
+@pytest.mark.parametrize("text, want", [
+    ('var Length : int = 1 ; var s : string = "a" ; var i : int = s . Length + Length ;',
+     [(1, 23), (8, 19)]),
+    ("var int : int = 1 ; var j : int = int ;", [(1, 12)]),
+], ids=["member", "type"])
+def test_last_use_links_variable_tokens_only(text, want):
+    # a member or type name spelled like a declared variable is no use of it
+    assert _edges(program_graph(tokenize(text)), "LastUse") == want
+
+
 def test_program_graph_hole_node():
     toks = tokenize("var i : int ; i = ?HOLE? ;")
     pg = program_graph(toks)
@@ -170,6 +182,18 @@ def corpus_contexts():
     files = generate_corpus(0, 60, 8)
     samples = extract_samples(files, builtin_grammar())
     return [s.before + [HOLE_TOKEN] + s.after for s in samples]
+
+
+def test_program_graphs_are_pinned(corpus_contexts):
+    # sha256 over every context graph's labels, hole node, declaration nodes
+    # and edge arrays: a change that moves one node or edge fails here
+    h = hashlib.sha256()
+    for toks in corpus_contexts:
+        pg = program_graph(toks)
+        h.update(json.dumps([pg.labels, pg.hole_node, pg.decl_nodes], sort_keys=True).encode())
+        for a in (pg.src, pg.tgt, pg.etype):
+            h.update(a.tobytes())
+    assert h.hexdigest() == "933a8ad2198855dd766e288417b245d385ff6c620aa06ce56a18592f6c463a70"
 
 
 def test_program_graph_arrays_are_typed_and_sorted(corpus_contexts):

@@ -34,6 +34,15 @@ def test_generate_corpus_bytes_are_pinned(seed, n_files, stmts, digest):
     assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == digest
 
 
+def test_extracted_sample_bytes_are_pinned(g, tmp_path):
+    # sha256 of the JSONL that the (0, 160, 8) corpus extracts to: a change
+    # to parsing or extraction that moves a single byte fails here
+    path = tmp_path / "samples.jsonl"
+    P.write_jsonl(P.extract_samples(P.generate_corpus(0, 160, 8), g), path)
+    digest = "cbabe29c6df4704741633c18130bbaaf92304fc9901fdea60620b08d56262794"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n_files, stmts", [(0, 8), (3, 0), (3, -1)])
 def test_generate_corpus_rejects_empty_files(n_files, stmts):
     with pytest.raises(PipelineError):
