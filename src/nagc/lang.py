@@ -1,9 +1,9 @@
 """Surface syntax for MiniExpr program files.
 
 Covers tokenizing, parsing the small statement language (declarations,
-assignments, if/while) into parse nodes, converting expression nodes to
-grammar derivation trees, precedence-aware rendering production by
-production, and building the program graph used by the graph context encoder.
+assignments, if/while) into parse nodes, reading an expression node's grammar
+decisions, precedence-aware rendering production by production, and building
+the program graph used by the graph context encoder.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grammar import Grammar, Kind
-from .syntax import PartialAst, apply_production, bind_terminal, new_partial_ast
+from .syntax import PartialAst, record, recordable
 
 HOLE_TOKEN = "?HOLE?"
 
@@ -35,24 +35,23 @@ class LangError(Exception):
 MAX_NESTING = 100  # levels of sub-expressions and blocks the parser enters
 
 _KEYWORDS = frozenset(("var", "if", "else", "while", "true", "false"))
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def is_identifier(name: str) -> bool:
     r"""Whether name can name a variable: `[A-Za-z_]\w*` and not a keyword."""
-    return re.fullmatch(r"[A-Za-z_]\w*", name) is not None and name not in _KEYWORDS
+    return _IDENTIFIER_RE.fullmatch(name) is not None and name not in _KEYWORDS
 
 
 def tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        gap = text[pos : m.start()]
-        if gap.strip():
-            raise LangError(f"cannot tokenize {gap.strip()!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
-    if text[pos:].strip():
-        raise LangError(f"cannot tokenize {text[pos:].strip()!r}")
+    tokens = _TOKEN_RE.findall(text)
+    # the tokens spell the text without its whitespace unless a gap between
+    # them holds more than whitespace or a token (a spaced string literal)
+    # holds some; then the first gap that is not whitespace words the error
+    if "".join(tokens) != "".join(text.split()):
+        for gap in _TOKEN_RE.split(text):
+            if gap.strip():
+                raise LangError(f"cannot tokenize {gap.strip()!r}")
     return tokens
 
 
@@ -308,28 +307,30 @@ def parse_expression(tokens: list[str]):
 
 
 # ---------------------------------------------------------------------------
-# Parse nodes -> derivation trees
+# Parse nodes -> decisions
 
-def expr_to_tree(e: Node, g: Grammar) -> PartialAst:
-    """Derivation tree of an expression node, built in frontier order."""
-    tree = new_partial_ast(g)
-    _expand(tree, tree.root, e, g)
-    return tree
+def expr_decisions(e: Node, g: Grammar) -> str:
+    """The decision records that derive expression node e, in generation
+    order: each node's production, then a leaf's variable or literal, then
+    its parts in source order. Raises LangError for a form the grammar has no
+    production for and for a spelling no record can hold."""
+    out, by_form = [], g.by_form
 
+    def walk(n):
+        p = by_form.get(n.form)
+        if p is None:
+            raise LangError(f"grammar has no production for {n.form!r}")
+        out.append(record("P", str(p.pid)))
+        if n.spelling is not None:
+            if not recordable(n.spelling):
+                raise LangError(f"spelling {n.spelling!r} holds whitespace")
+            kind, cls = n.form  # a variable or literal leaf's form
+            out.append(record("V", n.spelling) if kind is Kind.VARIABLE else record("L", cls, n.spelling))
+        for part in n.parts:
+            walk(part)
 
-def _expand(tree, site, e, g):
-    try:
-        p = g.by_form[e.form]
-    except KeyError:
-        raise LangError(f"grammar has no production for {e.form!r}") from None
-    apply_production(tree, site, p)
-    kids = tree.nodes[site].children
-    if e.spelling is not None:
-        bind_terminal(tree, kids[0], e.spelling)
-        return
-    slots = [c for c in kids if g.symbols[tree.nodes[c].label].kind is Kind.NONTERMINAL]
-    for k, s in zip(slots, e.parts):
-        _expand(tree, k, s, g)
+    walk(e)
+    return " ".join(out)
 
 
 # ---------------------------------------------------------------------------

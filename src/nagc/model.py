@@ -27,7 +27,7 @@ from . import neural as nn
 from .grammar import (
     Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
 )
-from .syntax import new_partial_ast, read_decisions
+from .syntax import new_partial_ast, read_decisions, recordable
 
 
 class ModelError(Exception):
@@ -266,8 +266,8 @@ def _attr_label_id(model: Model, tree, node: ag.AttrNode) -> int:
 def _lexable(cls: str, tok: str) -> bool:
     if cls == "int":
         return tok.isdigit()
-    if cls == "string":
-        return tok.startswith('"')
+    if cls == "string":  # a spaced literal is no copy candidate: no record can hold it
+        return tok.startswith('"') and recordable(tok)
     return tok in ("true", "false")
 
 

@@ -4,13 +4,15 @@ file-respecting splits and JSONL persistence."""
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lang
 from .grammar import Grammar, GrammarError, Kind, TypeCheckError, TypeEnv, builtin_grammar, type_check
-from .syntax import deserialize_decisions, serialize_decisions
+from .syntax import deserialize_decisions
 
 
 class PipelineError(Exception):
@@ -119,15 +121,19 @@ def _gen_file(rng, stmts_per_file: int) -> str:
             k += 1
         return f"{pool[0]}{k}"
 
+    sampler = _ExprSampler(rng, scope)  # over `scope`, replaced whenever it changes
+
     def declare(ty, with_init):
+        nonlocal sampler
         name = fresh_name(ty)
         used_names.add(name)
         stmt_toks = ["var", name, ":"]
         stmt_toks += ["int", "[", "]"] if ty == "int[]" else [ty]
         if with_init and ty != "int[]":
-            stmt_toks += ["="] + _ExprSampler(rng, scope).gen(ty, depth=2)[0]
+            stmt_toks += ["="] + sampler.gen(ty, depth=2)[0]
         stmt_toks.append(";")
         scope[name] = ty
+        sampler = _ExprSampler(rng, scope)
         return stmt_toks
 
     # seed declarations so every type is reachable
@@ -139,10 +145,10 @@ def _gen_file(rng, stmts_per_file: int) -> str:
         lines.append(declare("bool", with_init=True))
 
     def gen_stmts(count, depth):
+        nonlocal sampler
         out = []
         for _ in range(count):
             roll = rng.random()
-            sampler = _ExprSampler(rng, scope)
             if roll < 0.3:
                 ty = ("int", "string", "bool")[rng.integers(3)]
                 out.append(declare(ty, with_init=True))
@@ -156,10 +162,11 @@ def _gen_file(rng, stmts_per_file: int) -> str:
                 kw = "if" if roll < 0.85 else "while"
                 cond = sampler.gen("bool", 2)[0]
                 # declarations inside a block are block-scoped; restore
-                outer = dict(scope)
+                outer, outer_sampler = dict(scope), sampler
                 body = gen_stmts(int(rng.integers(1, 3)), depth - 1)
                 scope.clear()
                 scope.update(outer)
+                sampler = outer_sampler
                 block = [kw, "("] + cond + [")", "{"]
                 for b in body:
                     block += b
@@ -223,30 +230,18 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
             if lang.HOLE_TOKEN in tokens:
                 raise lang.LangError(f"holds the hole token {lang.HOLE_TOKEN}")
             _, sites = lang.parse_program(tokens)
-            trees = [lang.expr_to_tree(site.expr, g) for site in sites]
+            targets = [lang.expr_decisions(site.expr, g) for site in sites]
         except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
-            import sys
-
             print(f"nagc: skipping {fname}: {e}", file=sys.stderr)
             continue
-        for site, tree in zip(sites, trees):
-            samples.append(
-                Sample(
-                    file=fname,
-                    before=tokens[: site.start],
-                    after=tokens[site.end :],
-                    hole_type=site.hole_type,
-                    scope=dict(site.scope),
-                    target=serialize_decisions(tree),
-                )
-            )
+        samples += [Sample(file=fname, before=tokens[: site.start], after=tokens[site.end :],
+                           hole_type=site.hole_type, scope=site.scope, target=target)
+                    for site, target in zip(sites, targets)]
     return samples
 
 
 def literal_vocab_from_samples(samples, g: Grammar, top_k: int = 20) -> Grammar:
     """Grammar with per-class literal vocab = top-k training spellings + UNK."""
-    from collections import Counter
-
     counts = {cls: Counter() for cls in ("int", "string", "bool")}
     for s in samples:
         for rec in s.target.split():
@@ -264,23 +259,20 @@ def literal_vocab_from_samples(samples, g: Grammar, top_k: int = 20) -> Grammar:
 # Deduplication
 
 def _canonical_key(s: Sample):
-    order: dict[str, str] = {}
-
-    def canon(tok):
-        if tok in s.scope:
-            if tok not in order:
-                order[tok] = f"v{len(order)}"
-            return order[tok]
-        return tok
-
-    ctx = [canon(t) for t in s.before + s.after]
-    target = []
-    for rec in s.target.split():
-        if rec.startswith("V"):
-            target.append("V" + canon(rec[1:]))
-        else:
-            target.append(rec)
-    return (tuple(sorted(ctx)), " ".join(target))
+    """Equal for two samples exactly when their contexts hold the same tokens
+    the same number of times and their targets are the same, once each scope
+    variable is renamed v0, v1, ... in order of its first occurrence in the
+    context, then in the target."""
+    scope = s.scope
+    counts = Counter(s.before + s.after)  # keys in order of first occurrence
+    order = {tok: f"v{i}" for i, tok in enumerate([t for t in counts if t in scope])}
+    counts.update({v: counts.pop(tok) for tok, v in order.items()})  # every pop before any add
+    target = [
+        "V" + order.setdefault(rec[1:], f"v{len(order)}") if rec[0] == "V" and rec[1:] in scope else rec
+        for rec in s.target.split()
+    ]
+    toks = sorted(counts)
+    return (tuple(toks), tuple(map(counts.__getitem__, toks)), " ".join(target))
 
 
 def dedup(samples) -> list[Sample]:

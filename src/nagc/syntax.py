@@ -7,6 +7,7 @@ branches by copying first, so no tree is ever shared between hypotheses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .grammar import Grammar, Kind, Production
@@ -196,17 +197,23 @@ def serialize_tokens(t: PartialAst) -> list[str]:
     return out
 
 
+_SPACE_RE = re.compile(r"\s")
+
+
+def record(kind: str, *args: str) -> str:
+    """One decision record: P<id>, V<name> or L<class>:<spelling>."""
+    return kind + ":".join(args)
+
+
+def recordable(spelling: str) -> bool:
+    """Whether a variable or literal spelling fits in a record: records are
+    whitespace-separated, so a spelling that holds whitespace does not."""
+    return _SPACE_RE.search(spelling) is None
+
+
 def serialize_decisions(t: PartialAst) -> str:
-    """Whitespace-separated decision records: P<id>, V<name>, L<class>:<spelling>."""
-    parts = []
-    for dec in t.history:
-        if dec[0] == "P":
-            parts.append(f"P{dec[2]}")
-        elif dec[0] == "V":
-            parts.append(f"V{dec[2]}")
-        else:
-            parts.append(f"L{dec[2]}:{dec[3]}")
-    return " ".join(parts)
+    """Whitespace-separated decision records of t's history."""
+    return " ".join(record(dec[0], *map(str, dec[2:])) for dec in t.history)
 
 
 def read_decisions(seq: str, walk: Walk):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nagc import grammar as G
+from nagc import lang as L
 from nagc import model as M
 from nagc import pipeline as P
 from nagc.grammar import Kind
@@ -45,6 +46,13 @@ def frontier_site(t):
         if open_nonterminal or open_slot:
             return nid
     return None
+
+
+def node_tree(e, g):
+    """Derivation tree of expression node e: its decisions, read back."""
+    from nagc.syntax import deserialize_decisions
+
+    return deserialize_decisions(L.expr_decisions(e, g), g)
 
 
 def random_tree(g, rng, scope_vars, max_depth=4):

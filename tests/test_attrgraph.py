@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import frontier_site, random_tree
+from conftest import frontier_site, node_tree, random_tree
 from nagc import attrgraph as A
 from nagc import lang as L
 from nagc.attrgraph import (
@@ -29,7 +29,7 @@ from nagc.syntax import new_partial_ast, trees_equal
 
 
 def _tree(g, text):
-    return L.expr_to_tree(L.parse_expression(L.tokenize(text)), g)
+    return node_tree(L.parse_expression(L.tokenize(text)), g)
 
 
 def _sub_fixture(g):

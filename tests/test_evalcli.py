@@ -483,6 +483,19 @@ def test_cli_extract_skips_deeply_nested_file(deep, tmp_path, capsys):
     assert [s.file for s in P.read_jsonl(out)] == ["a.mexp"]
 
 
+def test_cli_extract_skips_spaced_string_literal(tmp_path, capsys):
+    # the record 'Lstring:"a b"' would split at its space, so split would
+    # refuse the sample that extract wrote
+    corpus = tmp_path / "corpus"
+    P.write_corpus(P.generate_corpus(1, 12, 4), corpus)
+    (corpus / "spaced.mexp").write_text('var s : string = "a b" ;\n', encoding="utf-8")
+    out = str(tmp_path / "o.jsonl")
+    assert run_cli(["extract", "--in", str(corpus), "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["nagc: skipping spaced.mexp: spelling '\"a b\"' holds whitespace"], err
+    assert run_cli(["split", "--in", out, "--seed", "1", "--out-dir", str(tmp_path / "d")]) == 0
+
+
 def test_cli_split_rejects_deeply_nested_target(tmp_path, capsys):
     path = str(tmp_path / "s.jsonl")
     P.write_jsonl([P.Sample("f", ["var", "b", ":", "bool", ";"], [";"], "bool", {"b": "bool"},

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import node_tree
 
 from nagc import grammar as G
 from nagc import lang as L
@@ -105,7 +106,7 @@ def test_production_mask_rejects_terminals(g):
 
 
 def _tree(g, text):
-    return L.expr_to_tree(L.parse_expression(L.tokenize(text)), g)
+    return node_tree(L.parse_expression(L.tokenize(text)), g)
 
 
 @pytest.mark.parametrize(

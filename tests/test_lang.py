@@ -4,14 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import random_tree
+from conftest import node_tree, random_tree
 
 from nagc import lang as L
 from nagc.grammar import builtin_grammar
 from nagc.lang import (
     HOLE_TOKEN,
     LangError,
-    expr_to_tree,
     parse_expression,
     parse_program,
     program_graph,
@@ -33,6 +32,29 @@ def test_tokenize_rejects_garbage():
         tokenize("a $ b")
 
 
+# a spaced string literal beside garbage, garbage at either end, a lone quote
+# and a lone `?`: each gives the tokens or the error text it always gave
+@pytest.mark.parametrize("text, want", [
+    ('"a b" $', "cannot tokenize '$'"),
+    ('x $ "a b"', "cannot tokenize '$'"),
+    ("i = 1 ;#", "cannot tokenize '#'"),
+    ('"', "cannot tokenize '\"'"),
+    ("i = j ?", "cannot tokenize '?'"),
+    ('x = "a\nb" ;', "cannot tokenize '\"'"),
+    ('"a b""c"', ['"a b"', '"c"']),
+    ('\tab"c d" ', ["ab", '"c d"']),
+    ("x=?HOLE?;", ["x", "=", HOLE_TOKEN, ";"]),
+    (" \n", []),
+])
+def test_tokenize_edge_cases(text, want):
+    if isinstance(want, list):
+        assert tokenize(text) == want
+    else:
+        with pytest.raises(LangError) as e:
+            tokenize(text)
+        assert str(e.value) == want
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -49,7 +71,7 @@ def test_tokenize_rejects_garbage():
 )
 def test_parse_render_round_trip(text, g):
     toks = tokenize(text)
-    assert render_tree_tokens(expr_to_tree(parse_expression(toks), g)) == toks
+    assert render_tree_tokens(node_tree(parse_expression(toks), g)) == toks
 
 
 def test_render_parse_round_trip_random_trees(g):
@@ -59,7 +81,7 @@ def test_render_parse_round_trip_random_trees(g):
     used = set()
     for _ in range(2000):
         t = random_tree(g, rng, ["i", "s", "b", "arr"], max_depth=int(rng.integers(1, 6)))
-        back = expr_to_tree(parse_expression(render_tree_tokens(t)), g)
+        back = node_tree(parse_expression(render_tree_tokens(t)), g)
         assert trees_equal(t, back), render_tree_tokens(t)
         used |= {n.prod_id for n in t.nodes if n.prod_id is not None}
     assert used == set(range(len(g.productions)))
@@ -91,16 +113,16 @@ def test_precedence_shapes():
 
 def test_expr_tree_round_trip(g):
     for text in ("i - j", "arr [ i ] + s . Length", "s . Contains ( t ) || ! b"):
-        tree = expr_to_tree(parse_expression(tokenize(text)), g)
+        tree = node_tree(parse_expression(tokenize(text)), g)
         assert serialize_tokens(tree) == tokenize(text)
-        back = expr_to_tree(parse_expression(render_tree_tokens(tree)), g)
+        back = node_tree(parse_expression(render_tree_tokens(tree)), g)
         assert trees_equal(tree, back)
 
 
 def test_render_tree_restores_disambiguating_parens(g):
     # "( i + j ) * k" has the same derivation whether or not the source
     # carried parens; rendering must re-insert them
-    tree = expr_to_tree(parse_expression(tokenize("( i + j ) * k")), g)
+    tree = node_tree(parse_expression(tokenize("( i + j ) * k")), g)
     assert render_tree_tokens(tree) == ["(", "i", "+", "j", ")", "*", "k"]
 
 

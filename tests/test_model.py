@@ -212,6 +212,15 @@ def test_prep_context_usage_windows(small, gmodel, folds):
             assert len(ids) <= 11 and self_id in ids and hole_id not in ids
 
 
+def test_prep_context_offers_no_spaced_literal(small):
+    # a decoded copy of '"a b"' would write the record 'Lstring:"a b"', which
+    # splits at its space and does not read back
+    before = ["var", "s", ":", "string", "=", '"a b"', ";", "var", "t", ":", "string", "=",
+              '"c"', ";", "t", "="]
+    pr = M.prep_context(small, before, [";"], {"s": "string", "t": "string"})
+    assert pr.lex["string"] == ([12], ['"c"'])
+
+
 def test_batched_windows_match_per_window_loop(small):
     # windows of several lengths, some of them equal, cut short by either
     # end of the context or by the hole; d has no uses

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import node_tree
 
 from nagc import lang as L
 from nagc import model as M
@@ -43,6 +44,24 @@ def test_extracted_sample_bytes_are_pinned(g, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the JSONL that a corpus extracts to, and of what dedup keeps of
+# it: a change to extraction or to the dedup key that moves a single byte or
+# keeps another sample fails here
+@pytest.mark.parametrize("shape, extracted, kept", [
+    ((0, 160, 8), "cbabe29c6df4704741633c18130bbaaf92304fc9901fdea60620b08d56262794",
+     "92f0ba2609d0a16fe3099abd016878cafc45ea4884ee5c1d7713e2f66d6ca815"),
+    ((0, 300, 2), "3ef436582b685942075db35ae450f0f90a769008318f04718ea21afad5248a40",
+     "a054d5ea4f0f549dee392b3405d869654b739a8450e9326b8467528624151ea6"),
+], ids=["160x8", "300x2"])
+def test_deduped_sample_bytes_are_pinned(shape, extracted, kept, g, tmp_path):
+    path = tmp_path / "samples.jsonl"
+    samples = P.extract_samples(P.generate_corpus(*shape), g)
+    P.write_jsonl(samples, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == extracted
+    P.write_jsonl(P.dedup(samples), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == kept
+
+
 @pytest.mark.parametrize("n_files, stmts", [(0, 8), (3, 0), (3, -1)])
 def test_generate_corpus_rejects_empty_files(n_files, stmts):
     with pytest.raises(PipelineError):
@@ -54,7 +73,7 @@ def test_generated_files_parse_and_type_check(g):
         tokens = L.tokenize(text)
         _, sites = L.parse_program(tokens)
         for site in sites:
-            tree = L.expr_to_tree(site.expr, g)
+            tree = node_tree(site.expr, g)
             assert type_check(tree, TypeEnv(site.scope)) == site.hole_type
 
 
@@ -97,6 +116,42 @@ def test_dedup_alpha_equivalent():
     b = _mk("f2", ["var", "y", ":", "int", ";", "y", "="], [";"], {"y": "int"}, "P4 P0 Vy P1 Lint:1")
     out = P.dedup([a, b])
     assert out == [a]  # first occurrence wins
+
+
+def _reference_key(s):
+    # the dedup key as a loop: each token renamed in turn, the context sorted
+    order = {}
+
+    def canon(tok):
+        if tok in s.scope:
+            order.setdefault(tok, f"v{len(order)}")
+            return order[tok]
+        return tok
+
+    ctx = [canon(t) for t in s.before + s.after]
+    target = ["V" + canon(rec[1:]) if rec.startswith("V") else rec for rec in s.target.split()]
+    return (tuple(sorted(ctx)), " ".join(target))
+
+
+def test_dedup_keeps_what_the_reference_key_keeps():
+    # small random samples, many of them alike, some with tokens and target
+    # variables outside the scope spelled like a renamed variable
+    rng = np.random.default_rng(0)
+    names = ["a", "b", "v0", "v1", "v2", "x"]
+    samples = []
+    for i in range(3000):
+        scope = {n: "int" for n in rng.choice(names, size=rng.integers(5), replace=False)}
+        ctx = [str(t) for t in rng.choice(names + ["=", ";"], size=rng.integers(7))]
+        cut = int(rng.integers(len(ctx) + 1))
+        target = " ".join(rng.choice(["P1", "Lint:1"] + ["V" + n for n in names], size=rng.integers(1, 4)))
+        samples.append(_mk(str(i), ctx[:cut], ctx[cut:], scope, target))
+    seen, want = set(), []
+    for s in samples:
+        if _reference_key(s) not in seen:
+            seen.add(_reference_key(s))
+            want.append(s)
+    assert 500 < len(want) < 2500
+    assert P.dedup(samples) == want
 
 
 def test_dedup_keeps_distinct_and_is_idempotent():

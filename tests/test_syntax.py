@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import frontier_site, make_sample, random_tree
+from conftest import frontier_site, make_sample, node_tree, random_tree
 from test_attrgraph import DECODER_EDGES
 from nagc import lang as L
 from nagc import model as M
@@ -28,7 +28,7 @@ from nagc.syntax import (
 
 
 def _tree(g, text):
-    return L.expr_to_tree(L.parse_expression(L.tokenize(text)), g)
+    return node_tree(L.parse_expression(L.tokenize(text)), g)
 
 
 def test_frontier_order_is_leftmost(g):
