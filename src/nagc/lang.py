@@ -100,49 +100,55 @@ _METHODS = {"StartsWith": 1, "Contains": 1, "Substring": 2, "IndexOf": 1}
 
 class Parser:
     def __init__(self, tokens: list[str]):
-        self.toks = tokens
+        self.toks = [*tokens, None]  # None past the end: a peek needs no bounds check
         self.pos = 0
         self.sites: list[ExprSite] = []
-        self.scopes: list[dict] = [{}]
+        self.scope: dict[str, str] = {}  # name -> type, visible here; a block works on a copy
         self.depth = 0
+        self.peak = 0  # the deepest level reached by the left chain being parsed
         self.decls: dict[str, int] = {}  # declared name -> its first name token
         self.var_tokens: list[int] = []  # tokens that name a variable, in order
 
     # -- token helpers -----------------------------------------------------
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def next(self):
-        if self.pos >= len(self.toks):
-            raise LangError("unexpected end of input")
         t = self.toks[self.pos]
+        if t is None:
+            raise LangError("unexpected end of input")
         self.pos += 1
         return t
 
     def expect(self, tok):
-        t = self.next()
+        t = self.toks[self.pos]
         if t != tok:
+            self.next()  # words the end of input
             raise LangError(f"expected {tok!r}, got {t!r} at token {self.pos - 1}")
-        return t
+        self.pos += 1
 
     def nested(self, parse, *args):
         """parse(*args) one nesting level deeper. Parentheses, `!`, index and
         call arguments, the right operand of a binary operator and if/while
-        blocks each open a level; past MAX_NESTING levels the input is
-        refused, long before the interpreter's recursion limit."""
+        blocks each open a level, and so does each operator or postfix that
+        extends a left chain (`chained`); past MAX_NESTING levels the input
+        is refused, long before the interpreter's recursion limit."""
         if self.depth == MAX_NESTING:
             raise LangError(f"nested deeper than {MAX_NESTING}")
         self.depth += 1
+        if self.depth > self.peak:
+            self.peak = self.depth
         out = parse(*args)
         self.depth -= 1
         return out
 
-    def scope_snapshot(self):
-        out = {}
-        for s in self.scopes:
-            out.update(s)
-        return out
+    def chained(self):
+        """An operator or postfix after a left chain's first nests the chain
+        parsed so far, down to its deepest level, one level deeper."""
+        self.peak += 1
+        if self.peak > MAX_NESTING:
+            raise LangError(f"nested deeper than {MAX_NESTING}")
 
     # -- statements --------------------------------------------------------
 
@@ -154,19 +160,19 @@ class Parser:
 
     def parse_block(self) -> list:
         self.expect("{")
-        self.scopes.append({})
+        outer, self.scope = self.scope, dict(self.scope)
         stmts = []
         while self.peek() != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
-        self.scopes.pop()
+        self.scope = outer
         return stmts
 
     def parse_stmt(self):
-        start = self.pos
-        t = self.peek()
+        start, toks = self.pos, self.toks
+        t = toks[start]
         if t == "var":
-            self.next()
+            self.pos += 1
             name_index = self.pos
             name = self.next()
             if not is_identifier(name):
@@ -177,32 +183,32 @@ class Parser:
             ty = self.next()
             if ty not in ("int", "bool", "string"):
                 raise LangError(f"unknown type {ty!r}")
-            if self.peek() == "[":
-                self.next()
+            if toks[self.pos] == "[":
+                self.pos += 1
                 self.expect("]")
                 if ty != "int":
                     raise LangError("only int arrays are supported")
                 ty = "int[]"
             parts = []
-            if self.peek() == "=":
-                self.next()
+            if toks[self.pos] == "=":
+                self.pos += 1
                 parts.append(self.record_site(ty))
             self.expect(";")
-            self.scopes[-1][name] = ty
+            self.scope[name] = ty
             return Node(("decl",), parts, (start, self.pos))
-        if t in ("if", "while"):
-            self.next()
+        if t == "if" or t == "while":
+            self.pos += 1
             self.expect("(")
             parts = [self.record_site("bool")]
             self.expect(")")
             parts += self.nested(self.parse_block)
-            if t == "if" and self.peek() == "else":
-                self.next()
+            if t == "if" and toks[self.pos] == "else":
+                self.pos += 1
                 parts += self.nested(self.parse_block)
             return Node((t,), parts, (start, self.pos))
         # assignment
         name = self.next()
-        ty = self.scope_snapshot().get(name)
+        ty = self.scope.get(name)
         if ty is None:
             raise LangError(f"assignment to undeclared variable {name!r}")
         self.var_tokens.append(start)
@@ -212,7 +218,7 @@ class Parser:
         return Node(("assign",), [expr], (start, self.pos))
 
     def record_site(self, hole_type):
-        scope = self.scope_snapshot()
+        scope = dict(self.scope)
         start = self.pos
         expr = self.parse_expr()
         if expr.form != _HOLE_FORM:
@@ -222,53 +228,59 @@ class Parser:
     # -- expressions (precedence climbing) ---------------------------------
 
     def parse_expr(self, min_prec=1):
-        start = self.pos
-        left = self.parse_unary()
+        start, toks, outer = self.pos, self.toks, self.peak
+        self.peak = self.depth  # this chain's own; the enclosing one's again on return
+        first = left = self.parse_unary()
         while True:
-            op = self.peek()
+            op = toks[self.pos]
             prec = _PREC.get(op)
             if prec is None or prec < min_prec:
+                if outer > self.peak:
+                    self.peak = outer
                 return left
-            self.next()
+            if left is not first:
+                self.chained()
+            self.pos += 1
             right = self.nested(self.parse_expr, prec + 1)
             left = Node((op,), [left, right], (start, self.pos))
 
     def parse_unary(self):
         start = self.pos
-        if self.peek() == "!":
-            self.next()
+        if self.toks[start] == "!":
+            self.pos += 1
             operand = self.nested(self.parse_unary)
             return Node(("!",), [operand], (start, self.pos))
         return self.parse_postfix()
 
     def parse_postfix(self):
-        start = self.pos
-        e = self.parse_primary()
+        start, toks = self.pos, self.toks
+        first = e = self.parse_primary()
         while True:
-            t = self.peek()
-            if t == ".":
-                self.next()
-                name = self.next()
-                if name == "Length":
-                    e = Node((".", "Length"), [e], (start, self.pos))
-                elif name in _METHODS:
-                    self.expect("(")
-                    args = [self.nested(self.parse_expr)]
-                    for _ in range(_METHODS[name] - 1):
-                        self.expect(",")
-                        args.append(self.nested(self.parse_expr))
-                    self.expect(")")
-                    form = (".", name, "(", *[","] * (len(args) - 1), ")")
-                    e = Node(form, [e, *args], (start, self.pos))
-                else:
-                    raise LangError(f"unknown method {name!r}")
-            elif t == "[":
-                self.next()
+            t = toks[self.pos]
+            if t != "." and t != "[":
+                return e
+            if e is not first:
+                self.chained()
+            self.pos += 1
+            if t == "[":
                 idx = self.nested(self.parse_expr)
                 self.expect("]")
                 e = Node(("[", "]"), [e, idx], (start, self.pos))
+                continue
+            name = self.next()
+            if name == "Length":
+                e = Node((".", "Length"), [e], (start, self.pos))
+            elif name in _METHODS:
+                self.expect("(")
+                args = [self.nested(self.parse_expr)]
+                for _ in range(_METHODS[name] - 1):
+                    self.expect(",")
+                    args.append(self.nested(self.parse_expr))
+                self.expect(")")
+                form = (".", name, "(", *[","] * (len(args) - 1), ")")
+                e = Node(form, [e, *args], (start, self.pos))
             else:
-                return e
+                raise LangError(f"unknown method {name!r}")
 
     def parse_primary(self):
         start = self.pos
@@ -309,11 +321,12 @@ def parse_expression(tokens: list[str]):
 # ---------------------------------------------------------------------------
 # Parse nodes -> decisions
 
-def expr_decisions(e: Node, g: Grammar) -> str:
+def expr_decisions(e: Node, g: Grammar, scope) -> str:
     """The decision records that derive expression node e, in generation
     order: each node's production, then a leaf's variable or literal, then
     its parts in source order. Raises LangError for a form the grammar has no
-    production for and for a spelling no record can hold."""
+    production for, for a spelling no record can hold and for a variable
+    that scope (the names visible at e's site) does not hold."""
     out, by_form = [], g.by_form
 
     def walk(n):
@@ -325,6 +338,8 @@ def expr_decisions(e: Node, g: Grammar) -> str:
             if not recordable(n.spelling):
                 raise LangError(f"spelling {n.spelling!r} holds whitespace")
             kind, cls = n.form  # a variable or literal leaf's form
+            if kind is Kind.VARIABLE and n.spelling not in scope:
+                raise LangError(f"variable {n.spelling!r} is not in scope")
             out.append(record("V", n.spelling) if kind is Kind.VARIABLE else record("L", cls, n.spelling))
         for part in n.parts:
             walk(part)

@@ -493,8 +493,13 @@ def _rounds(model: Model, n: int, N: int, cols) -> nn.Rounds:
     cut = np.searchsorted(rnd[order], np.arange(1, rnd.max(initial=0) + 2))
     pos = np.argsort(order) - cut[rnd - 1]  # each new row's position in its round
     src, tgt, etype, pid, child = cols[:, np.lexsort((src, tgt, cols[2], rnd[tgt - n]))]
-    return nn.Rounds(n + order, cut, np.searchsorted(rnd[tgt - n], np.arange(1, len(cut) + 1)),
-                     src, pos[tgt - n], etype, model.edge_label_base[pid] + child)
+    er = rnd[tgt - n]  # each edge's round, ascending
+    first = [0, *(np.flatnonzero((er[1:] != er[:-1]) | (etype[1:] != etype[:-1])) + 1).tolist()]
+    groups = [[] for _ in cut[1:]]  # per round, its (type, first, end) edge groups
+    for r, t, a, z in zip(er[first].tolist(), etype[first].tolist(), first, first[1:] + [len(er)]):
+        groups[r - 1].append((t, a, z))
+    return nn.Rounds(n + order, cut, groups, src, pos[tgt - n], etype,
+                     model.edge_label_base[pid] + child)
 
 
 def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,

@@ -539,21 +539,20 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
 class Rounds:
     """The layout of a message passing that adds rows to a state table round
     by round. Round r computes the rows rows[node_cut[r]:node_cut[r + 1]]
-    from the edges edge_cut[r]:edge_cut[r + 1]: each edge's source is a row
-    the table holds before the round, its target a position among the
-    round's new rows and its type an index into the kernel's prefixes (its
-    label is read on labelled types only). A round's edges come type by
-    type, ascending; each target sums its messages in that order."""
+    from its edges, which come as groups[r]: (type, first, end) slices of
+    the edge arrays, one per type, ascending by type, that together cover
+    the round's edges. Each edge's source is a row the table holds before
+    the round, its target a position among the round's new rows and its
+    type an index into the kernel's prefixes (its label is read on labelled
+    types only). Each target sums its messages in edge order."""
 
-    def __init__(self, rows, node_cut, edge_cut, src, tgt, etype, label):
+    def __init__(self, rows, node_cut, groups, src, tgt, etype, label):
         self.rows, self.src, self.tgt, self.etype, self.label = (
             np.asarray(a, dtype=np.int64) for a in (rows, src, tgt, etype, label))
-        node_cut, edge_cut = np.asarray(node_cut).tolist(), np.asarray(edge_cut).tolist()
-        cuts = np.union1d(edge_cut, np.flatnonzero(np.diff(self.etype)) + 1).tolist()
-        groups = list(zip(self.etype[cuts[:-1]].tolist(), cuts, cuts[1:]))  # (type, first, end)
+        node_cut = np.asarray(node_cut).tolist()
         # per round: its new rows s:e, its edges a:z and their groups
-        self.rounds = [(s, e, a, z, groups[cuts.index(a) : cuts.index(z)])
-                       for s, e, a, z in zip(node_cut, node_cut[1:], edge_cut, edge_cut[1:])]
+        self.rounds = [(s, e, gs[0][1], gs[-1][2], gs)
+                       for s, e, gs in zip(node_cut, node_cut[1:], groups)]
 
 
 def gated_rounds(table, x, rounds: Rounds, p: ParamStore, prefixes, gru_prefix: str, emb=None,

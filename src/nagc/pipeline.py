@@ -230,7 +230,7 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
             if lang.HOLE_TOKEN in tokens:
                 raise lang.LangError(f"holds the hole token {lang.HOLE_TOKEN}")
             _, sites = lang.parse_program(tokens)
-            targets = [lang.expr_decisions(site.expr, g) for site in sites]
+            targets = [lang.expr_decisions(site.expr, g, site.scope) for site in sites]
         except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
             print(f"nagc: skipping {fname}: {e}", file=sys.stderr)
             continue
@@ -275,17 +275,27 @@ def _canonical_key(s: Sample):
     return (tuple(toks), tuple(map(counts.__getitem__, toks)), " ".join(target))
 
 
+def _bucket_key(s: Sample):
+    """The context's length and the target with every variable record's name
+    masked: a function of the canonical key, so samples whose canonical keys
+    are equal share it."""
+    masked = ["V" if rec[0] == "V" else rec for rec in s.target.split()]
+    return len(s.before) + len(s.after), " ".join(masked)
+
+
 def dedup(samples) -> list[Sample]:
     """Drop samples that are exact duplicates after renaming variables to
-    occurrence-order indices; first occurrence wins."""
-    seen = set()
-    out = []
-    for s in samples:
-        key = _canonical_key(s)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    occurrence-order indices; first occurrence wins. Only samples that share
+    a bucket key can be duplicates, so only those get a canonical key."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, s in enumerate(samples):
+        buckets.setdefault(_bucket_key(s), []).append(i)
+    kept = []
+    for members in buckets.values():
+        if len(members) > 1:  # the first of each key: a dict keeps a key's last value
+            members = {_canonical_key(samples[i]): i for i in reversed(members)}.values()
+        kept += members
+    return [samples[i] for i in sorted(kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,14 @@ def frontier_site(t):
 
 
 def node_tree(e, g):
-    """Derivation tree of expression node e: its decisions, read back."""
+    """Derivation tree of expression node e: its decisions, read back, with
+    every variable e reads in scope."""
     from nagc.syntax import deserialize_decisions
 
-    return deserialize_decisions(L.expr_decisions(e, g), g)
+    def names(n):
+        return {n.spelling} if n.form == (Kind.VARIABLE, None) else set().union(*map(names, n.parts))
+
+    return deserialize_decisions(L.expr_decisions(e, g, names(e)), g)
 
 
 def random_tree(g, rng, scope_vars, max_depth=4):

@@ -532,6 +532,17 @@ def test_cli_graph_encoder_rejects_deeply_nested_context(cmd, fitted_grammar, to
 
 
 @pytest.mark.parametrize("cmd", ["complete", "evaluate"])
+def test_cli_graph_encoder_rejects_long_left_chain_in_context(cmd, fitted_grammar, token_vocab,
+                                                             corpus_samples, tmp_path, capsys):
+    # a left chain of 900 terms nests past the bound: the parser refuses it
+    # before anything recurses over its nodes
+    chain = ["var", "y", ":", "int", "=", "1"] + ["+", "1"] * 900 + [";"]
+    assert _graph_cli_on_context(cmd, chain, fitted_grammar, token_vocab, corpus_samples,
+                                 tmp_path, capsys) == (
+        2, "", f"nagc: context not parseable for graph encoder: nested deeper than {lang.MAX_NESTING}\n")
+
+
+@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
 def test_cli_graph_encoder_rejects_unknown_method_in_context(cmd, fitted_grammar, token_vocab,
                                                              corpus_samples, tmp_path, capsys):
     bad = "var s : string ; var q : int = s . Foo ( ) ;".split()

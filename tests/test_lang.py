@@ -94,6 +94,10 @@ _NESTED = {
     "index": lambda n: "var a : int [ ] ; var x : int = " + "a [ " * n + "1" + " ]" * n + " ;",
     "if": lambda n: "var b : bool = true ; " + "if ( b ) { " * n + "b = false ; " + "} " * n,
     "while": lambda n: "var b : bool = true ; " + "while ( b ) { " * n + "b = false ; " + "} " * n,
+    # left-nested: each operator or postfix after the first nests the chain
+    # so far one level deeper
+    "chain": lambda n: "var y : int = 1" + "".join(f" {'+-'[i % 2]} 1" for i in range(n)) + " ;",
+    "postfix": lambda n: "var s : string ; var t : string = s" + " . Substring ( 0 , 1 )" * n + " ;",
 }
 
 
@@ -102,6 +106,19 @@ def test_nesting_bound_is_the_same_for_every_form(form):
     parse_program(tokenize(_NESTED[form](L.MAX_NESTING)))
     with pytest.raises(LangError, match=f"^nested deeper than {L.MAX_NESTING}$"):
         parse_program(tokenize(_NESTED[form](L.MAX_NESTING + 1)))
+
+
+@pytest.mark.parametrize("tail, ok", [(48, True), (49, False)])
+def test_a_chain_nests_what_it_extends(tail, ok):
+    # the inner chain's deepest operand sits at level 2 (a right operand in
+    # parentheses) + 50 (its operators) = 52, and each outer operator after
+    # the first pushes it one level deeper
+    text = "var y : int = 1 + ( 1" + " + 1" * 50 + " )" + " + 1" * tail + " ;"
+    if ok:
+        parse_program(tokenize(text))
+    else:
+        with pytest.raises(LangError, match=f"^nested deeper than {L.MAX_NESTING}$"):
+            parse_program(tokenize(text))
 
 
 def test_precedence_shapes():
@@ -142,6 +159,38 @@ def test_parse_program_sites_and_scope():
     assert sites[3].scope == {"i": "int", "s": "string", "b": "bool"}
     # and it falls out of scope when the block closes
     assert sites[4].scope == {"i": "int", "s": "string"}
+
+
+def test_block_scopes_match_the_stacked_merge():
+    # blocks that shadow outer names and add their own: each site's scope is
+    # what merging a stack of one dict per block, outermost first, gives: the
+    # outer names in declaration order, a shadowed name keeping its place
+    # with the inner type, then the block's new names
+    text = """
+    var i : int ; var s : string ;
+    if ( true ) {
+      var s : bool = i < 1 ; var k : int = i ;
+      while ( s ) { var i : string = "a" ; var z : int = 1 ; s = false ; }
+      k = 2 ;
+    } else { var q : int = 3 ; i = q ; }
+    i = 4 ;
+    """
+    _, sites = parse_program(tokenize(text))
+    outer = [("i", "int"), ("s", "string")]
+    want = [
+        outer,  # if condition
+        outer,  # var s : bool = ...
+        [("i", "int"), ("s", "bool")],  # var k = ...
+        [("i", "int"), ("s", "bool"), ("k", "int")],  # while condition
+        [("i", "int"), ("s", "bool"), ("k", "int")],  # var i : string = ...
+        [("i", "string"), ("s", "bool"), ("k", "int")],  # var z = ...
+        [("i", "string"), ("s", "bool"), ("k", "int"), ("z", "int")],  # s = false
+        [("i", "int"), ("s", "bool"), ("k", "int")],  # k = 2
+        outer,  # var q = 3
+        outer + [("q", "int")],  # i = q
+        outer,  # i = 4
+    ]
+    assert [list(site.scope.items()) for site in sites] == want
 
 
 def test_parse_program_rejects_undeclared_assignment():

@@ -285,7 +285,9 @@ def test_scatter_rows_gradients():
 _ROUND_EDGES = [(0, 0, 0, 0, 1), (0, 0, 1, 1, 0), (0, 0, 3, 0, 3), (0, 1, 2, 1, -1), (0, 1, 2, 0, -1),
                 (1, 0, 5, 0, 2), (1, 0, 4, 1, 2), (1, 1, 0, 0, -1), (1, 1, 4, 0, -1), (1, 1, 5, 1, -1),
                 (2, 0, 7, 0, 0), (2, 0, 6, 0, 1), (2, 0, 1, 0, 3), (2, 1, 6, 0, -1)]
-_NEW_ROWS, _NODE_CUT, _EDGE_CUT = [5, 4, 7, 6, 8], [0, 2, 4, 5], [0, 5, 10, 14]
+_NEW_ROWS, _NODE_CUT = [5, 4, 7, 6, 8], [0, 2, 4, 5]
+# each round's (type, first, end) slices of _ROUND_EDGES
+_GROUPS = [[(0, 0, 3), (1, 3, 5)], [(0, 5, 7), (1, 7, 10)], [(0, 10, 13), (1, 13, 14)]]
 
 
 def _rounds_store(seed, labelled=False):
@@ -299,7 +301,7 @@ def _rounds_store(seed, labelled=False):
     if labelled:
         shapes["emb"] = (4, 2)
     _, etype, src, tgt, label = np.array(_ROUND_EDGES).T
-    rounds = nn.Rounds(_NEW_ROWS, _NODE_CUT, _EDGE_CUT, src, tgt, etype, label)
+    rounds = nn.Rounds(_NEW_ROWS, _NODE_CUT, _GROUPS, src, tgt, etype, label)
     return _batch_store(seed, shapes), names, rounds
 
 

@@ -95,15 +95,22 @@ def test_extraction_deterministic(g):
 
 
 def test_extract_skips_unparseable(g, capsys):
-    # a hole token in a file would sit inside the context of its samples
-    # and a declared name that is not an identifier would enter the scope
-    files = [("bad.mexp", "x = 1 ;"), ("hole.mexp", "var i : int = ?HOLE? ; var j : int = i + 1 ;"),
-             ("ok.mexp", "var i : int = 1 ;"), ("paren.mexp", "var ( : int = 1 ;")]
+    # a hole token in a file would sit inside the context of its samples,
+    # a declared name that is not an identifier would enter the scope, a
+    # variable read out of scope and a left chain nested past the bound
+    # would give samples that the reader refuses
+    files = [("bad.mexp", "x = 1 ;"), ("chain.mexp", "var y : int = 1" + " + 1" * 900 + " ;"),
+             ("hole.mexp", "var i : int = ?HOLE? ; var j : int = i + 1 ;"),
+             ("ok.mexp", "var i : int = 1 ;"), ("paren.mexp", "var ( : int = 1 ;"),
+             ("zz.mexp", "var i : int = 1 ; var j : int = i + zz ;")]
     samples = P.extract_samples(files, g)
     assert [s.file for s in samples] == ["ok.mexp"]
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[1] for line in err] == [
-        "skipping bad.mexp", "skipping hole.mexp", "skipping paren.mexp"], err
+        "skipping bad.mexp", "skipping chain.mexp", "skipping hole.mexp", "skipping paren.mexp",
+        "skipping zz.mexp"], err
+    assert err[1].endswith(f": nested deeper than {L.MAX_NESTING}")
+    assert err[4].endswith(": variable 'zz' is not in scope")
 
 
 def _mk(file, before, after, scope, target):
@@ -133,18 +140,23 @@ def _reference_key(s):
     return (tuple(sorted(ctx)), " ".join(target))
 
 
-def test_dedup_keeps_what_the_reference_key_keeps():
-    # small random samples, many of them alike, some with tokens and target
-    # variables outside the scope spelled like a renamed variable
-    rng = np.random.default_rng(0)
+def _random_samples(seed, n):
+    """Small random samples, many of them alike, some with tokens and target
+    variables outside the scope spelled like a renamed variable."""
+    rng = np.random.default_rng(seed)
     names = ["a", "b", "v0", "v1", "v2", "x"]
     samples = []
-    for i in range(3000):
+    for i in range(n):
         scope = {n: "int" for n in rng.choice(names, size=rng.integers(5), replace=False)}
         ctx = [str(t) for t in rng.choice(names + ["=", ";"], size=rng.integers(7))]
         cut = int(rng.integers(len(ctx) + 1))
         target = " ".join(rng.choice(["P1", "Lint:1"] + ["V" + n for n in names], size=rng.integers(1, 4)))
         samples.append(_mk(str(i), ctx[:cut], ctx[cut:], scope, target))
+    return samples
+
+
+def test_dedup_keeps_what_the_reference_key_keeps():
+    samples = _random_samples(0, 3000)
     seen, want = set(), []
     for s in samples:
         if _reference_key(s) not in seen:
@@ -152,6 +164,36 @@ def test_dedup_keeps_what_the_reference_key_keeps():
             want.append(s)
     assert 500 < len(want) < 2500
     assert P.dedup(samples) == want
+
+
+@pytest.mark.parametrize("source", ["160x8", "300x2", "random"])
+def test_bucket_key_is_a_function_of_the_canonical_key(source, g):
+    # samples with equal canonical keys share a bucket, so dedup compares
+    # keys within buckets only; the random samples also hold variable
+    # records spaced apart, which the canonical key joins with one space
+    if source == "random":
+        samples = _random_samples(1, 3000)
+        samples += [_mk(s.file, s.before, s.after, s.scope, s.target.replace(" ", "  "))
+                    for s in samples[::7]]
+    else:
+        shape = {"160x8": (0, 160, 8), "300x2": (0, 300, 2)}[source]
+        samples = P.extract_samples(P.generate_corpus(*shape), g)
+    bucket = {}
+    for s in samples:
+        assert bucket.setdefault(P._canonical_key(s), P._bucket_key(s)) == P._bucket_key(s), s
+    assert len(bucket) < len(samples)  # some keys are shared
+
+
+def test_dedup_within_a_bucket():
+    # a and b share a bucket (context length and masked target) but not a
+    # key, so both stay; c is a renamed a and d a renamed b, so they go
+    a = _mk("f1", ["var", "x", ":", "int", ";"], [";"], {"x": "int"}, "P0 Vx")
+    b = _mk("f2", ["var", "x", ":", "bool", ";"], [";"], {"x": "int"}, "P0 Vx")
+    c = _mk("f3", ["var", "y", ":", "int", ";"], [";"], {"y": "int"}, "P0 Vy")
+    d = _mk("f4", ["var", "z", ":", "bool", ";"], [";"], {"z": "int"}, "P0 Vz")
+    assert len({P._bucket_key(s) for s in (a, b, c, d)}) == 1
+    assert P.dedup([a, b, c, d]) == [a, b]
+    assert P.dedup([d, c, b, a]) == [d, c]
 
 
 def test_dedup_keeps_distinct_and_is_idempotent():
