@@ -294,20 +294,11 @@ class TypeEnv:
     def lookup(self, name):
         return self._map.get(name)
 
-    def names(self):
-        return list(self._map)
-
-    def items(self):
-        return self._map.items()
-
     def __contains__(self, name):
         return name in self._map
 
     def __len__(self):
         return len(self._map)
-
-    def __eq__(self, other):
-        return isinstance(other, TypeEnv) and self._map == other._map
 
 
 class TypeCheckError(Exception):
@@ -373,12 +364,20 @@ def _check(g, tree, node, env, allow_unk):
     sub = tuple([
         _check(g, tree, k, env, allow_unk) for k in kids if g.symbols[k.label].kind is not Kind.FIXED
     ])
-    fixed = g.fixed_tokens[node.prod_id]
-    if not fixed and len(sub) == 1:
-        return sub[0]
+    return production_type(g, node.prod_id, sub)
+
+
+def production_type(g: Grammar, pid: int, args: tuple) -> str:
+    """The type production pid builds from slots of types args, in rhs order:
+    a lone slot's own, any other production's by its typing rule. Raises
+    TypeCheckError when no rule covers the production or its arguments."""
+    fixed = g.fixed_tokens[pid]
+    if not fixed and len(args) == 1:
+        return args[0]
     rule = _TYPING.get(fixed)
     if rule is None:
-        raise TypeCheckError("no-rule", f"no type rule for production {node.prod_id}")
-    if sub not in rule:
-        raise TypeCheckError("operand-mismatch", f"{' '.join(fixed)} applied to {list(sub)}")
-    return rule[sub]
+        raise TypeCheckError("no-rule", f"no type rule for production {pid}")
+    ty = rule.get(args)
+    if ty is None:
+        raise TypeCheckError("operand-mismatch", f"{' '.join(fixed)} applied to {list(args)}")
+    return ty

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar, Kind
+from .grammar import Grammar, Kind, TypeCheckError, builtin_grammar, production_type
 from .syntax import PartialAst, record, recordable
 
 HOLE_TOKEN = "?HOLE?"
@@ -41,6 +41,15 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 def is_identifier(name: str) -> bool:
     r"""Whether name can name a variable: `[A-Za-z_]\w*` and not a keyword."""
     return _IDENTIFIER_RE.fullmatch(name) is not None and name not in _KEYWORDS
+
+
+def literal_class(tok: str) -> str | None:
+    """The literal class a token spells ("int", "string" or "bool"), or None."""
+    if tok.isdigit():
+        return "int"
+    if tok.startswith('"'):
+        return "string"
+    return "bool" if tok == "true" or tok == "false" else None
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,7 +104,22 @@ _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 _ATOM_PREC = 9
 
-_METHODS = {"StartsWith": 1, "Contains": 1, "Substring": 2, "IndexOf": 1}
+
+def _postfix_rules(g: Grammar) -> dict:
+    """The grammar's postfix productions, `Expr "[" ...` and `Expr "." Name
+    ...`, by the tokens that pick one after its operand: ("[",) or (".",
+    name). Each maps to its form and the rest of its rhs, in order: None for
+    an operand, the token itself for a fixed one."""
+    rules = {}
+    for form, p in g.by_form.items():
+        if form[0] == "." or form[0] == "[":
+            key = form[:2] if form[0] == "." else form[:1]
+            rest = p.rhs[1 + len(key):]  # after the operand and the key
+            rules[key] = form, tuple(None if g.symbols[s].kind is Kind.NONTERMINAL else s for s in rest)
+    return rules
+
+
+_POSTFIX = _postfix_rules(builtin_grammar())
 
 
 class Parser:
@@ -262,25 +286,18 @@ class Parser:
             if e is not first:
                 self.chained()
             self.pos += 1
-            if t == "[":
-                idx = self.nested(self.parse_expr)
-                self.expect("]")
-                e = Node(("[", "]"), [e, idx], (start, self.pos))
-                continue
-            name = self.next()
-            if name == "Length":
-                e = Node((".", "Length"), [e], (start, self.pos))
-            elif name in _METHODS:
-                self.expect("(")
-                args = [self.nested(self.parse_expr)]
-                for _ in range(_METHODS[name] - 1):
-                    self.expect(",")
-                    args.append(self.nested(self.parse_expr))
-                self.expect(")")
-                form = (".", name, "(", *[","] * (len(args) - 1), ")")
-                e = Node(form, [e, *args], (start, self.pos))
-            else:
-                raise LangError(f"unknown method {name!r}")
+            key = (t, self.next()) if t == "." else (t,)
+            rule = _POSTFIX.get(key)
+            if rule is None:
+                raise LangError(f"unknown method {key[1]!r}")
+            form, rest = rule
+            parts = [e]
+            for tok in rest:
+                if tok is None:
+                    parts.append(self.nested(self.parse_expr))
+                else:
+                    self.expect(tok)
+            e = Node(form, parts, (start, self.pos))
 
     def parse_primary(self):
         start = self.pos
@@ -291,12 +308,9 @@ class Parser:
             return e
         if t == HOLE_TOKEN:
             return Node(_HOLE_FORM, [], (start, self.pos), t)
-        if t in ("true", "false"):
-            return Node((Kind.LITERAL, "bool"), [], (start, self.pos), t)
-        if t.isdigit():
-            return Node((Kind.LITERAL, "int"), [], (start, self.pos), t)
-        if t.startswith('"'):
-            return Node((Kind.LITERAL, "string"), [], (start, self.pos), t)
+        cls = literal_class(t)
+        if cls is not None:
+            return Node((Kind.LITERAL, cls), [], (start, self.pos), t)
         if is_identifier(t):
             self.var_tokens.append(start)
             return Node((Kind.VARIABLE, None), [], (start, self.pos), t)
@@ -321,12 +335,14 @@ def parse_expression(tokens: list[str]):
 # ---------------------------------------------------------------------------
 # Parse nodes -> decisions
 
-def expr_decisions(e: Node, g: Grammar, scope) -> str:
+def expr_decisions(e: Node, g: Grammar, scope: dict) -> tuple[str, str]:
     """The decision records that derive expression node e, in generation
-    order: each node's production, then a leaf's variable or literal, then
-    its parts in source order. Raises LangError for a form the grammar has no
-    production for, for a spelling no record can hold and for a variable
-    that scope (the names visible at e's site) does not hold."""
+    order (each node's production, then a leaf's variable or literal, then
+    its parts in source order), and e's type: a variable's from scope (name
+    -> type, visible at e's site), a literal's its class, any other node's by
+    its production's typing rule. Raises LangError for a form the grammar has
+    no production for, for a spelling no record can hold, for a variable that
+    scope does not hold and for operands no typing rule covers."""
     out, by_form = [], g.by_form
 
     def walk(n):
@@ -334,18 +350,25 @@ def expr_decisions(e: Node, g: Grammar, scope) -> str:
         if p is None:
             raise LangError(f"grammar has no production for {n.form!r}")
         out.append(record("P", str(p.pid)))
-        if n.spelling is not None:
-            if not recordable(n.spelling):
-                raise LangError(f"spelling {n.spelling!r} holds whitespace")
-            kind, cls = n.form  # a variable or literal leaf's form
-            if kind is Kind.VARIABLE and n.spelling not in scope:
-                raise LangError(f"variable {n.spelling!r} is not in scope")
-            out.append(record("V", n.spelling) if kind is Kind.VARIABLE else record("L", cls, n.spelling))
-        for part in n.parts:
-            walk(part)
+        if n.spelling is None:
+            return production_type(g, p.pid, tuple([walk(part) for part in n.parts]))
+        if not recordable(n.spelling):
+            raise LangError(f"spelling {n.spelling!r} holds whitespace")
+        kind, cls = n.form  # a variable or literal leaf's form
+        if kind is Kind.LITERAL:
+            out.append(record("L", cls, n.spelling))
+            return cls
+        ty = scope.get(n.spelling)
+        if ty is None:
+            raise LangError(f"variable {n.spelling!r} is not in scope")
+        out.append(record("V", n.spelling))
+        return ty
 
-    walk(e)
-    return " ".join(out)
+    try:
+        ty = walk(e)
+    except TypeCheckError as err:
+        raise LangError(f"ill-typed expression: {err}") from None
+    return " ".join(out), ty
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +418,18 @@ def render_tree_tokens(tree: PartialAst) -> list[str]:
 # ---------------------------------------------------------------------------
 # Program graphs for the context encoder
 
+def _graph_label(form: tuple) -> str:
+    """A program graph's label of an internal node of this form: its tokens
+    joined, a method call's its name alone (".Substring", not ".Substring(,)")."""
+    return "".join(form[:2] if form[0] == "." else form)
+
+
 # Labels of the program graph's internal nodes that are not surface tokens, in
-# the order of their rows in a graph encoder's node embedding.
+# the order of their rows in a graph encoder's node embedding: the statements',
+# then the postfix productions' in grammar order.
 INTERNAL_LABELS = (
     "program", "decl", "assign", "if", "while",
-    ".Length", "[]", ".StartsWith", ".Contains", ".Substring", ".IndexOf",
+    *(_graph_label(form) for form, _ in _POSTFIX.values()),
 )
 
 
@@ -439,8 +469,7 @@ def program_graph(tokens: list[str]) -> ProgramGraph:
     def build(node):
         if node.spelling is not None:  # a leaf is its own token
             return node.span[0]
-        # a method call is labelled by its name alone: ".Substring", not ".Substring(,)"
-        labels.append("".join(node.form[:2] if node.form[0] == "." else node.form))
+        labels.append(_graph_label(node.form))
         me = len(labels) - 1
         kids = [build(part) for part in node.parts]
         pos, hi = node.span

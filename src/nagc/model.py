@@ -25,7 +25,8 @@ from . import attrgraph as ag
 from . import lang
 from . import neural as nn
 from .grammar import (
-    Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask, serialize_grammar,
+    LITERAL_CLASSES, Grammar, GrammarError, Kind, UNK_LITERAL, load_grammar, production_mask,
+    serialize_grammar,
 )
 from .syntax import new_partial_ast, read_decisions, recordable
 
@@ -263,23 +264,17 @@ def _attr_label_id(model: Model, tree, node: ag.AttrNode) -> int:
     return model.label2id[UNK_LITERAL[sym.lit_class]]
 
 
-def _lexable(cls: str, tok: str) -> bool:
-    if cls == "int":
-        return tok.isdigit()
-    if cls == "string":  # a spaced literal is no copy candidate: no record can hold it
-        return tok.startswith('"') and recordable(tok)
-    return tok in ("true", "false")
-
-
 def prep_context(model: Model, before, after, scope) -> Prepped:
     """Tokens, copy candidates and the encoder's structure (seq: usage
     windows; graph: program graph) of the context around the hole:
     everything encoding and decoding need."""
     tokens = list(before) + [lang.HOLE_TOKEN] + list(after)
-    lex = {}
-    for cls in ("int", "string", "bool"):
-        pos = [i for i, t in enumerate(tokens) if _lexable(cls, t)]
-        lex[cls] = (pos, [tokens[i] for i in pos])
+    lex = {cls: ([], []) for cls in LITERAL_CLASSES}
+    for i, t in enumerate(tokens):
+        cls = lang.literal_class(t)
+        if cls is not None and recordable(t):  # a spaced literal is no copy candidate
+            lex[cls][0].append(i)
+            lex[cls][1].append(t)
     pr = Prepped(
         ctx_order=sorted(scope), tokens=tokens,
         tok_idx=np.array([model.tok2id.get(t, 0) for t in tokens], dtype=np.int64),
@@ -356,20 +351,6 @@ def _encode_tokens(model: Model, idx, prefix: str, lengths=None):
     return x, nn.bigru_final(x)
 
 
-def _mask_window(toks, name: str, scope) -> list:
-    """Usage encoding is independent of variable spellings: the window's own
-    variable reads as <SELF>, any other in-scope variable as <OTHERVAR>."""
-    out = []
-    for t in toks:
-        if t == name:
-            out.append(SELF_TOKEN)
-        elif t in scope:
-            out.append(OTHER_VAR_TOKEN)
-        else:
-            out.append(t)
-    return out
-
-
 _WINDOW = 5  # tokens each side of a variable use
 
 
@@ -377,13 +358,15 @@ def _usage_windows(model: Model, before, after, scope, ctx_order) -> list:
     """(variable, masked token ids) of each usage window: a use with up to
     _WINDOW tokens each side, never across the hole. Variables come in
     ctx_order, then windows before the hole before those after it, left to
-    right."""
+    right. Usage encoding is independent of variable spellings: the window's
+    own variable reads as <SELF>, any other in-scope variable as <OTHERVAR>."""
     windows = []
     for name in ctx_order:
         for toks in (before, after):
             for i, t in enumerate(toks):
                 if t == name:
-                    masked = _mask_window(toks[max(0, i - _WINDOW) : i + _WINDOW + 1], name, scope)
+                    masked = [SELF_TOKEN if w == name else OTHER_VAR_TOKEN if w in scope else w
+                              for w in toks[max(0, i - _WINDOW) : i + _WINDOW + 1]]
                     windows.append((name, [model.tok2id.get(w, 0) for w in masked]))
     return windows
 

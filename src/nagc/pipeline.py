@@ -4,6 +4,7 @@ file-respecting splits and JSONL persistence."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -194,8 +195,6 @@ def generate_corpus(seed: int, n_files: int, stmts_per_file: int = 8):
 
 
 def write_corpus(files, outdir):
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     for name, text in files:
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as f:
@@ -203,8 +202,6 @@ def write_corpus(files, outdir):
 
 
 def read_corpus(dirpath):
-    import os
-
     files = []
     for name in sorted(os.listdir(dirpath)):
         if name.endswith(".mexp"):
@@ -222,7 +219,8 @@ def read_corpus(dirpath):
 
 def extract_samples(files, g: Grammar) -> list[Sample]:
     """One sample per top-level expression (initializer, assignment rhs,
-    if/while condition) in each parseable file without a hole token."""
+    if/while condition) in each parseable, well-typed file without a hole
+    token."""
     samples = []
     for fname, text in files:
         try:
@@ -230,7 +228,12 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
             if lang.HOLE_TOKEN in tokens:
                 raise lang.LangError(f"holds the hole token {lang.HOLE_TOKEN}")
             _, sites = lang.parse_program(tokens)
-            targets = [lang.expr_decisions(site.expr, g, site.scope) for site in sites]
+            targets = []
+            for site in sites:
+                target, ty = lang.expr_decisions(site.expr, g, site.scope)
+                if ty != site.hole_type:
+                    raise lang.LangError(f"a {site.hole_type} site holds an expression of type {ty}")
+                targets.append(target)
         except (lang.LangError, RecursionError) as e:  # the latter: nested too deeply
             print(f"nagc: skipping {fname}: {e}", file=sys.stderr)
             continue
@@ -261,18 +264,17 @@ def literal_vocab_from_samples(samples, g: Grammar, top_k: int = 20) -> Grammar:
 def _canonical_key(s: Sample):
     """Equal for two samples exactly when their contexts hold the same tokens
     the same number of times and their targets are the same, once each scope
-    variable is renamed v0, v1, ... in order of its first occurrence in the
-    context, then in the target."""
+    variable is renamed 0, 1, ... in order of its first occurrence in the
+    context, then in the target: an int, which no token or record equals."""
     scope = s.scope
     counts = Counter(s.before + s.after)  # keys in order of first occurrence
-    order = {tok: f"v{i}" for i, tok in enumerate([t for t in counts if t in scope])}
-    counts.update({v: counts.pop(tok) for tok, v in order.items()})  # every pop before any add
-    target = [
-        "V" + order.setdefault(rec[1:], f"v{len(order)}") if rec[0] == "V" and rec[1:] in scope else rec
+    order = {tok: i for i, tok in enumerate([t for t in counts if t in scope])}
+    counts.update({i: counts.pop(tok) for tok, i in order.items()})
+    target = tuple([
+        order.setdefault(rec[1:], len(order)) if rec[0] == "V" and rec[1:] in scope else rec
         for rec in s.target.split()
-    ]
-    toks = sorted(counts)
-    return (tuple(toks), tuple(map(counts.__getitem__, toks)), " ".join(target))
+    ])
+    return frozenset(counts.items()), target
 
 
 def _bucket_key(s: Sample):
@@ -336,21 +338,8 @@ def split(samples, ratio=(3, 1, 1), seed: int = 0) -> dict:
 
 def write_jsonl(samples, path):
     with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(
-                json.dumps(
-                    {
-                        "file": s.file,
-                        "before": s.before,
-                        "after": s.after,
-                        "hole_type": s.hole_type,
-                        "scope": s.scope,
-                        "target": s.target,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for s in samples:  # the fields in declaration order
+            f.write(json.dumps(vars(s), ensure_ascii=False) + "\n")
 
 
 def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
@@ -394,9 +383,6 @@ def _validate(s: Sample, g: Grammar, path, lineno):
         tree = deserialize_decisions(s.target, g)
     except Exception as e:
         raise PipelineError(f"{path}:{lineno}: target does not deserialize: {e}") from None
-    used = {rec[1:] for rec in s.target.split() if rec.startswith("V")}
-    if not used <= set(s.scope):
-        raise PipelineError(f"{path}:{lineno}: target uses out-of-scope variables {used - set(s.scope)}")
     try:
         ty = type_check(tree, TypeEnv(s.scope))
     except (GrammarError, TypeCheckError) as e:

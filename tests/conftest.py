@@ -49,14 +49,22 @@ def frontier_site(t):
 
 
 def node_tree(e, g):
-    """Derivation tree of expression node e: its decisions, read back, with
-    every variable e reads in scope."""
-    from nagc.syntax import deserialize_decisions
+    """Derivation tree of expression node e, ill-typed or not: its decision
+    records, read back. Each node's production, then a leaf's variable or
+    literal, then its parts, as `lang.expr_decisions` writes them for a
+    well-typed expression."""
+    from nagc.syntax import deserialize_decisions, record
 
-    def names(n):
-        return {n.spelling} if n.form == (Kind.VARIABLE, None) else set().union(*map(names, n.parts))
+    def records(n):
+        out = [record("P", str(g.by_form[n.form].pid))]
+        if n.spelling is not None:
+            kind, cls = n.form
+            out.append(record("V", n.spelling) if kind is Kind.VARIABLE else record("L", cls, n.spelling))
+        for part in n.parts:
+            out += records(part)
+        return out
 
-    return deserialize_decisions(L.expr_decisions(e, g, names(e)), g)
+    return deserialize_decisions(" ".join(records(e)), g)
 
 
 def random_tree(g, rng, scope_vars, max_depth=4):

@@ -301,3 +301,23 @@ def test_program_graph_child_edges_form_a_tree_over_tokens(corpus_contexts):
         # every token has exactly one parent, and every parent is internal
         assert all(tgts[i] == 1 for i in range(len(toks)))
         assert all(s >= len(toks) for s, _ in child)
+
+
+# the texts a malformed postfix expression is refused with
+@pytest.mark.parametrize("text, want", [
+    ("s . Foo ( t )", "unknown method 'Foo'"),
+    ("s . ( t )", "unknown method '('"),
+    ("s . Contains t )", "expected '(', got 't' at token 3"),
+    ("s . Substring ( i i )", "expected ',', got 'i' at token 5"),
+    ("s . Contains ( t ]", "expected ')', got ']' at token 5"),
+    ("s . Contains ( t", "unexpected end of input"),
+    ("a [ i )", "expected ']', got ')' at token 3"),
+    ("a [ i", "unexpected end of input"),
+    ("s .", "unexpected end of input"),
+    ("a [", "unexpected end of input"),
+    ("s . Substring ( i ,", "unexpected end of input"),
+])
+def test_postfix_error_texts(text, want):
+    with pytest.raises(LangError) as e:
+        parse_expression(tokenize(text))
+    assert str(e.value) == want

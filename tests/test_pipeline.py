@@ -12,7 +12,7 @@ from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.grammar import TypeEnv, type_check
 from nagc.pipeline import PipelineError, Sample
-from nagc.syntax import deserialize_decisions
+from nagc.syntax import deserialize_decisions, trees_equal
 
 
 def test_generate_corpus_deterministic():
@@ -69,12 +69,15 @@ def test_generate_corpus_rejects_empty_files(n_files, stmts):
 
 
 def test_generated_files_parse_and_type_check(g):
+    # the parse node's records and type are the derivation tree's
     for name, text in P.generate_corpus(seed=9, n_files=15):
         tokens = L.tokenize(text)
         _, sites = L.parse_program(tokens)
         for site in sites:
             tree = node_tree(site.expr, g)
-            assert type_check(tree, TypeEnv(site.scope)) == site.hole_type
+            target, ty = L.expr_decisions(site.expr, g, site.scope)
+            assert trees_equal(deserialize_decisions(target, g), tree)
+            assert type_check(tree, TypeEnv(site.scope)) == ty == site.hole_type
 
 
 def test_extract_samples_fields(g, corpus_samples):
@@ -96,21 +99,28 @@ def test_extraction_deterministic(g):
 
 def test_extract_skips_unparseable(g, capsys):
     # a hole token in a file would sit inside the context of its samples,
-    # a declared name that is not an identifier would enter the scope, a
-    # variable read out of scope and a left chain nested past the bound
+    # a declared name that is not an identifier would enter the scope, and a
+    # variable read out of scope, a left chain nested past the bound, an
+    # operand mismatch and a site holding an expression of another type
     # would give samples that the reader refuses
     files = [("bad.mexp", "x = 1 ;"), ("chain.mexp", "var y : int = 1" + " + 1" * 900 + " ;"),
              ("hole.mexp", "var i : int = ?HOLE? ; var j : int = i + 1 ;"),
              ("ok.mexp", "var i : int = 1 ;"), ("paren.mexp", "var ( : int = 1 ;"),
+             ("plus.mexp", "var s : string ; var c : int = s + 1 ;"),
+             ("site.mexp", "var b : bool = 1 ;"),
              ("zz.mexp", "var i : int = 1 ; var j : int = i + zz ;")]
     samples = P.extract_samples(files, g)
     assert [s.file for s in samples] == ["ok.mexp"]
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[1] for line in err] == [
         "skipping bad.mexp", "skipping chain.mexp", "skipping hole.mexp", "skipping paren.mexp",
-        "skipping zz.mexp"], err
+        "skipping plus.mexp", "skipping site.mexp", "skipping zz.mexp"], err
     assert err[1].endswith(f": nested deeper than {L.MAX_NESTING}")
-    assert err[4].endswith(": variable 'zz' is not in scope")
+    assert err[4:] == [
+        "nagc: skipping plus.mexp: ill-typed expression: + applied to ['string', 'int']",
+        "nagc: skipping site.mexp: a bool site holds an expression of type int",
+        "nagc: skipping zz.mexp: variable 'zz' is not in scope",
+    ]
 
 
 def _mk(file, before, after, scope, target):
@@ -125,19 +135,29 @@ def test_dedup_alpha_equivalent():
     assert out == [a]  # first occurrence wins
 
 
+def test_dedup_keeps_a_token_spelled_like_a_renamed_variable():
+    # the scope variable x, renamed, must not equal the context token v0,
+    # nor the renamed x the out-of-scope target variable v0
+    a = _mk("f1", ["x", "v0"], [], {"x": "int"}, "P0 Vx")
+    b = _mk("f2", ["y", "y"], [], {"y": "int"}, "P0 Vy")
+    c = _mk("f3", [], [], {}, "P0 Vv0")
+    d = _mk("f4", [], [], {"x": "int"}, "P0 Vx")
+    assert P.dedup([a, b]) == [a, b]
+    assert P.dedup([c, d]) == [c, d]
+    assert P._bucket_key(a) == P._bucket_key(b) and P._bucket_key(c) == P._bucket_key(d)
+
+
 def _reference_key(s):
-    # the dedup key as a loop: each token renamed in turn, the context sorted
+    # the dedup key as a loop: each scope variable renamed in turn to its
+    # index, an int, the context sorted
     order = {}
 
     def canon(tok):
-        if tok in s.scope:
-            order.setdefault(tok, f"v{len(order)}")
-            return order[tok]
-        return tok
+        return order.setdefault(tok, len(order)) if tok in s.scope else tok
 
     ctx = [canon(t) for t in s.before + s.after]
-    target = ["V" + canon(rec[1:]) if rec.startswith("V") else rec for rec in s.target.split()]
-    return (tuple(sorted(ctx)), " ".join(target))
+    target = [canon(rec[1:]) if rec[0] == "V" and rec[1:] in s.scope else rec for rec in s.target.split()]
+    return (tuple(sorted(ctx, key=repr)), tuple(target))
 
 
 def _random_samples(seed, n):
@@ -162,7 +182,7 @@ def test_dedup_keeps_what_the_reference_key_keeps():
         if _reference_key(s) not in seen:
             seen.add(_reference_key(s))
             want.append(s)
-    assert 500 < len(want) < 2500
+    assert 500 < len(want) < 2750  # some samples are duplicates, most are not
     assert P.dedup(samples) == want
 
 
@@ -347,3 +367,48 @@ def test_corpus_dir_round_trip(tmp_path):
     files = P.generate_corpus(seed=1, n_files=4)
     P.write_corpus(files, str(tmp_path / "c"))
     assert P.read_corpus(str(tmp_path / "c")) == files
+
+
+def _mutated_files(seed, files, per_file):
+    """Copies of each file with one token dropped, duplicated or swapped with
+    another, or with one word (a name, keyword or literal) renamed to
+    another word of the file."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for name, text in files:
+        toks = L.tokenize(text)
+        words = [i for i, t in enumerate(toks) if t[0].isalnum() or t[0] in '_"']
+        for k in range(per_file):
+            m, i = list(toks), int(rng.integers(len(toks)))
+            op = k % 4
+            if op == 0:
+                del m[i]
+            elif op == 1:
+                m.insert(i, m[i])
+            elif op == 2:
+                j = int(rng.integers(len(m)))
+                m[i], m[j] = m[j], m[i]
+            else:
+                i, j = rng.choice(words, size=2)
+                m[i] = toks[j]
+            out.append((f"{name}.{k}", " ".join(m)))
+    return out
+
+
+def test_extracted_samples_from_mutated_files_pass_the_reader(g, tmp_path, capsys):
+    # extraction and the reader hold one contract: whatever extract keeps of
+    # a broken file, read_jsonl accepts
+    files = _mutated_files(0, P.generate_corpus(11, 100, 2), 8)
+    samples = P.extract_samples(files, g)
+    skipped = capsys.readouterr().err.count("nagc: skipping")
+    assert len({s.file for s in samples}) > len(files) // 20 and skipped > len(files) // 2
+    refused = []
+    for i, s in enumerate(samples):
+        try:
+            P._validate(s, g, "mutated", i)
+        except PipelineError as e:
+            refused.append(str(e))
+    assert refused == []
+    path = tmp_path / "m.jsonl"
+    P.write_jsonl(samples, path)
+    assert len(P.read_jsonl(path, g)) == len(samples)
