@@ -250,8 +250,7 @@ def _build_parser():
     c.add_argument("--sample", required=True)
     c.add_argument("--out", required=True)
 
-    c = sub.add_parser("grammar")
-    c.add_argument("--dump", action="store_true")
+    sub.add_parser("grammar")
     return p
 
 

@@ -512,64 +512,51 @@ def propagate(model: Model, batched: ag.AttributeGraph, label_idx: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Decision scorers: keys (D, H) score against rows idx of a table, with -1
-# padding in idx; a key (H,) with idx None is the one-key case the pickers
-# use, over every row of the table.
+# padding in idx. The decoder draws from their softmax over each site's
+# support (_site_dists); the pickers are that distribution at one site.
 
-def _production_logits(model: Model, keys, tokens=None, tok_idx=None, owner=None,
-                       var_table=None, var_idx=None, tok_proj=None):
-    """dec_score of each key concatenated, as the config asks, with its
-    attention over its sample's context tokens (rows tok_idx[owner] of
-    tokens; tok_proj is tokens @ dec_att_Wm, when known) and the max-pool of
-    its in-scope variable rows (zeros without any)."""
-    p, cfg = model.params, model.config
-    parts = [keys]
-    if cfg.attention:
-        parts.append(nn.attention(keys, tokens, p, "dec_att", tok_idx, owner, tok_proj))
-    if cfg.variable_pooling:
-        if var_table is None:
-            parts.append(nn.Tensor(np.zeros(keys.data.shape, keys.data.dtype)))
-        else:
-            parts.append(nn.max_pool_rows(var_table, var_idx))
-    inp = parts[0] if len(parts) == 1 else nn.concat(parts, axis=-1)
-    return nn.linear(inp, p, "dec_score")
-
-
-def _variable_scores(model: Model, keys, var_table, var_idx=None):
-    p = model.params
-    return nn.pointer_scores(keys, var_table, p["dec_var_B"], p["dec_var_w"], var_idx)
-
-
-def _literal_scores(model: Model, keys, cls: str, mem=None, mem_idx=None):
-    """Class vocab scores, then copy scores against the memory rows of
-    lexable context tokens when there are any."""
-    p = model.params
-    scores = nn.linear(keys, p, f"dec_lit_{cls}")
-    if mem is None:
-        return scores
-    return nn.concat([scores, nn.pointer_scores(keys, mem, p["dec_copy_B"], idx=mem_idx)], axis=-1)
-
-
-def _score_sites(model: Model, kind: str, states, keys, owners, var_idx, nts, enc: BatchEncoding,
-                 preppeds, tok_proj=None):
+def _score_sites(model: Model, kind: str, states, keys, owners, var_idx, nts, tokens, tok_start,
+                 lexes, tok_proj=None):
     """(scores, support) of sites of one kind, "P", "V" or a literal class,
-    one scorer call for all: keys (D,) rows of states, of samples owners (D,)
-    of enc and preppeds, with variable rows var_idx (D, V) and, at production
-    sites, nonterminals nts. A literal site's slots are the class vocab, then
-    the copy slots of its sample's lexable tokens."""
+    one scorer call for all: keys (D,) rows of states, of samples owners (D,),
+    with variable rows var_idx (D, V) of states and, at production sites,
+    nonterminals nts. Sample o's context tokens are rows tok_start[o] to
+    tok_start[o + 1] of tokens (tok_proj is tokens @ dec_att_Wm, when known)
+    and lexes[o] its copy candidates, Prepped.lex. A production site's logits are dec_score
+    of its key concatenated, as the config asks, with its attention over its
+    sample's tokens and the max-pool of its variable rows (zeros without
+    any). A literal site's slots are the class vocab, then the copy slots of
+    its sample's lexable tokens."""
+    p, cfg = model.params, model.config
     keys = nn.rows(states, keys)
     if kind == "P":
-        used = sorted(set(owners))  # the samples attended over
-        own = np.searchsorted(used, owners)
-        toks = _padded([np.arange(enc.tok_start[o], enc.tok_start[o + 1]) for o in used])
-        return (_production_logits(model, keys, enc.tokens, toks, own, states, var_idx, tok_proj),
-                np.isfinite([model.mask(nt) for nt in nts]))
+        parts = [keys]
+        if cfg.attention:
+            used = sorted(set(owners))  # the samples attended over
+            toks = _padded([np.arange(tok_start[o], tok_start[o + 1]) for o in used])
+            parts.append(nn.attention(keys, tokens, p, "dec_att", toks,
+                                      np.searchsorted(used, owners), tok_proj))
+        if cfg.variable_pooling:
+            parts.append(nn.max_pool_rows(states, var_idx))
+        scores = nn.linear(parts[0] if len(parts) == 1 else nn.concat(parts, axis=-1), p, "dec_score")
+        return scores, np.isfinite([model.mask(nt) for nt in nts])
     if kind == "V":
-        return _variable_scores(model, keys, states, var_idx), var_idx >= 0
-    copy_idx = _padded([enc.tok_start[o] + np.asarray(preppeds[o].lex[kind][0], dtype=np.int64)
-                        for o in owners])
-    scores = _literal_scores(model, keys, kind, enc.tokens if copy_idx.shape[1] else None, copy_idx)
+        return nn.pointer_scores(keys, states, p["dec_var_B"], p["dec_var_w"], var_idx), var_idx >= 0
+    copy_idx = _padded([tok_start[o] + np.asarray(lexes[o][kind][0], dtype=np.int64) for o in owners])
+    scores = nn.linear(keys, p, f"dec_lit_{kind}")
+    if copy_idx.shape[1]:
+        copies = nn.pointer_scores(keys, tokens, p["dec_copy_B"], None, copy_idx)
+        scores = nn.concat([scores, copies], axis=-1)
     vocab = np.ones((len(owners), len(model.grammar.literal_vocab[kind])), dtype=bool)
     return scores, np.concatenate([vocab, copy_idx >= 0], axis=1)
+
+
+def _site_dists(model: Model, kind: str, *sites):
+    """The decoder's distribution at sites of one kind, (D, slots): the
+    softmax of _score_sites(model, kind, *sites) over each site's support,
+    exactly zero off it."""
+    scores, support = _score_sites(model, kind, *sites)
+    return nn.masked_softmax(scores, np.where(support, 0.0, -np.inf))
 
 
 def _slot_args(model: Model, pr: Prepped, kind: str):
@@ -581,28 +568,36 @@ def _slot_args(model: Model, pr: Prepped, kind: str):
     return pr.ctx_order if kind == "V" else [*model.grammar.literal_vocab[kind], *pr.lex[kind][1]]
 
 
+def _one_site(model: Model, kind: str, key, var_rows=(), nt=None, enc: ContextEncoding = None,
+              lex=None):
+    """The decoder's distribution at one site, (slots,): _site_dists of a
+    chunk of that site alone. Its state table is its key, then its
+    variables' states var_rows; its context tokens are enc's token states
+    (none without enc) and lex its copy candidates."""
+    tokens = enc.token_states if enc else nn.Tensor(np.zeros((0, key.data.shape[-1]), key.data.dtype))
+    probs = _site_dists(model, kind, nn.stack_rows([key, *var_rows]), [0], [0],
+                        np.arange(1, len(var_rows) + 1)[None], [nt], tokens,
+                        [0, len(tokens.data)], [{kind: lex}])
+    return nn.rows(probs, 0)
+
+
 def pick_production_dist(model: Model, key, nt: str, enc: ContextEncoding = None,
                          var_rows=None):
     """Masked distribution over all productions, restricted to lhs == nt."""
-    logits = _production_logits(model, key, enc.token_states if enc else None,
-                                var_table=nn.stack_rows(var_rows) if var_rows else None)
-    return nn.masked_softmax(logits, model.mask(nt))
+    return _one_site(model, "P", key, var_rows or (), nt, enc)
 
 
 def pick_variable_dist(model: Model, key, var_rows):
     """Pointer distribution over the in-scope variables, in the given order."""
     if not var_rows:
         raise ModelError("no variables in scope")
-    return nn.softmax(_variable_scores(model, key, nn.stack_rows(var_rows)))
+    return _one_site(model, "V", key, var_rows)
 
 
 def pick_literal_dist(model: Model, key, cls: str, enc: ContextEncoding, lex):
     """One softmax over class vocab scores ++ copy scores of lexable context
     tokens. Returns (probs, spellings) with one entry per softmax slot."""
-    positions, spellings = lex
-    mem = nn.rows(enc.token_states, positions) if positions else None
-    probs = nn.softmax(_literal_scores(model, key, cls, mem))
-    return probs, list(model.grammar.literal_vocab[cls]) + spellings
+    return _one_site(model, cls, key, enc=enc, lex=lex), [*model.grammar.literal_vocab[cls], *lex[1]]
 
 
 def literal_spelling_probs(probs, entries) -> dict:
@@ -635,7 +630,8 @@ def tree_log_prob(model: Model, preppeds, offsets, states, enc: BatchEncoding):
         if not sel.size:
             continue
         scores, support = _score_sites(model, kind, states, keys[sel], owner[sel], var_idx[sel],
-                                       [decs[i][3] for i in sel], enc, preppeds)
+                                       [decs[i][3] for i in sel], enc.tokens, enc.tok_start,
+                                       [pr.lex for pr in preppeds])
         target = np.zeros(support.shape, dtype=bool)
         for row, i in enumerate(sel):
             if kind == "P":
@@ -945,10 +941,9 @@ class _Lockstep:
 
     def dists(self, hyps) -> list:
         """(probs, kind, args) at the next site of each hypothesis: its
-        softmax row as the one-key picker of its kind ("P", "V" or "L")
-        computes it and one action argument per slot, or None at a dead end
-        (a variable slot with an empty scope). Each site kind and literal
-        class is scored by one _score_sites call."""
+        _site_dists row, its kind ("P", "V" or "L") and one action argument
+        per slot, or None at a dead end (a variable slot with an empty
+        scope). Each site kind and literal class is one _site_dists call."""
         g, pps, groups = self.model.grammar, self.preppeds, {}
         for h in hyps:
             sym = g.symbols[h.builder.tree.nodes[h.builder.site].label]
@@ -959,11 +954,11 @@ class _Lockstep:
         for kind, hs in groups.items():
             var_idx = _padded([[h.rows[h.builder.last_use[v]] for v in pps[h.hole].ctx_order]
                                for h in hs]) if kind in ("P", "V") else None
-            scores, support = _score_sites(
+            probs = _site_dists(
                 self.model, kind, states, [h.rows[h.builder.key] for h in hs], [h.hole for h in hs],
-                var_idx, [h.builder.tree.nodes[h.builder.site].label for h in hs], self.enc, pps,
-                self.tok_proj)
-            for h, row in zip(hs, nn.masked_softmax(scores, np.where(support, 0.0, -np.inf)).data):
+                var_idx, [h.builder.tree.nodes[h.builder.site].label for h in hs], self.enc.tokens,
+                self.enc.tok_start, [pr.lex for pr in pps], self.tok_proj)
+            for h, row in zip(hs, probs.data):
                 args = _slot_args(self.model, pps[h.hole], kind)
                 out[id(h)] = (row[: len(args)], kind if kind in ("P", "V") else "L", args)
         return [out.get(id(h)) for h in hyps]

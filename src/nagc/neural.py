@@ -175,10 +175,7 @@ def tsum(a):
 
 def _padded_rows(table: np.ndarray, idx):
     """(rows, valid): the rows idx of table, (D, V, d), and idx >= 0. Padding
-    (-1) reads row 0; callers mask it out. idx None is one key's view of
-    every row, (1, R, d), with valid None: nothing to mask."""
-    if idx is None:
-        return table[None], None
+    (-1) reads row 0; callers mask it out."""
     idx = np.asarray(idx, dtype=np.int64)
     valid = idx >= 0
     return table[np.where(valid, idx, 0)], valid
@@ -187,10 +184,7 @@ def _padded_rows(table: np.ndarray, idx):
 def _padded_grad(t: Tensor, idx, g_rows):
     """Add g_rows, laid out as _padded_rows(t.data, idx), into t's gradient;
     its padded entries must be zero."""
-    if idx is None:
-        _accum(t, g_rows[0])
-    else:
-        _accum_rows(t, np.where(np.asarray(idx) >= 0, idx, 0), g_rows)
+    _accum_rows(t, np.where(np.asarray(idx) >= 0, idx, 0), g_rows)
 
 
 def max_pool_rows(a, idx=None):
@@ -813,31 +807,27 @@ def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:
     return shapes
 
 
-def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owner=None,
-              proj=None):
+def attention(keys, memories, p: ParamStore, prefix: str, idx, owner, proj=None):
     """Additive attention, one tape node: score_t = w . tanh(Wk key + Wm
-    mem_t), softmax over t, the weighted sum of the memories. A key (H,)
-    reads every row of memories (T, H). Keys (D, H) read groups of rows of
-    memories (R, H): idx (S, T) names the rows of S groups, with -1 for
-    padding, which is masked out, and owner (D,) the group of each key.
-    memories @ Wm is computed once per group row however many keys read it,
-    or read from proj, an array of its rows, when the caller has it."""
+    mem_t), softmax over t, the weighted sum of the memories. Keys (D, H)
+    read groups of rows of memories (R, H): idx (S, T) names the rows of S
+    groups, with -1 for padding, which is masked out, and owner (D,) the
+    group of each key. memories @ Wm is computed once per group row however
+    many keys read it, or read from proj, an array of its rows, when the
+    caller has it."""
     keys, memories = as_tensor(keys), as_tensor(memories)
     if memories.data.ndim != 2 or memories.data.shape[0] == 0:
         raise NeuralError("attention requires at least one memory row")
     Wm, Wk, w = p[prefix + "_Wm"], p[prefix + "_Wk"], p[prefix + "_w"]
-    k = keys.data.reshape(-1, keys.data.shape[-1])
-    own = np.zeros(len(k), dtype=np.int64) if owner is None else np.asarray(owner, dtype=np.int64)
+    k, own = keys.data, np.asarray(owner, dtype=np.int64)
     mem, valid = _padded_rows(memories.data, idx)  # (S, T, H)
     mproj = mem @ Wm.data if proj is None else _padded_rows(proj, idx)[0]
     proj = mproj[own]  # (D, T, H), a new array: updated in place
     proj += (k @ Wk.data)[:, None, :]
     np.tanh(proj, out=proj)
-    sc = proj @ w.data
-    if valid is not None:
-        if not valid[own].any(axis=1).all():
-            raise NeuralError("attention requires at least one memory row per key")
-        sc = np.where(valid[own], sc, -np.inf)
+    if not valid[own].any(axis=1).all():
+        raise NeuralError("attention requires at least one memory row per key")
+    sc = np.where(valid[own], proj @ w.data, -np.inf)
     e = np.exp(sc - sc.max(axis=1, keepdims=True))
     a = e / e.sum(axis=1, keepdims=True)  # (D, T), zero on padding
     mem_k = mem[own]
@@ -846,7 +836,6 @@ def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owne
     def bw(g):
         # sums over the keys of each group, as one matmul
         groups = (own == np.arange(len(mem))[:, None]).astype(k.dtype)  # (S, D)
-        g = g.reshape(out.shape)
         da = (mem_k @ g[:, :, None])[:, :, 0]
         dsc = a * (da - np.sum(a * da, axis=1, keepdims=True))
         _accum(w, np.tensordot(dsc, proj, axes=2))
@@ -856,7 +845,7 @@ def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owne
         dpre *= dsc[:, :, None]
         dk = dpre.sum(axis=1)
         _accum(Wk, k.T @ dk)
-        _accum(keys, (dk @ Wk.data.T).reshape(keys.data.shape))
+        _accum(keys, dk @ Wk.data.T)
         # a memory row's gradient: through Wm, then through the weighted sum
         dmproj = (groups @ dpre.reshape(len(k), -1)).reshape(mem.shape)
         _accum(Wm, mem.reshape(-1, mem.shape[-1]).T @ dmproj.reshape(-1, mem.shape[-1]))
@@ -864,39 +853,34 @@ def attention(keys, memories, p: ParamStore, prefix: str = "att", idx=None, owne
         dmem += dmproj @ Wm.data.T
         _padded_grad(memories, idx, dmem)
 
-    return _make(out.reshape(keys.data.shape), (keys, memories, Wm, Wk, w), bw)
+    return _make(out, (keys, memories, Wm, Wk, w), bw)
 
 
-def pointer_scores(keys, table, B, w=None, idx=None):
-    """Bilinear pointer scores, one tape node: s = (key @ B) . row, plus
-    row . w when w is given. A key (H,) scores every row of table, (R,);
-    keys (D, H) score the rows idx[k] of table, (D, V), with idx (D, V) and
-    -1 for padding, which scores 0."""
+def pointer_scores(keys, table, B, w, idx):
+    """Bilinear pointer scores, one tape node: keys (D, H) score the rows
+    idx[k] of table, (D, V), with idx (D, V) and -1 for padding, which
+    scores 0. s = (key @ B) . row, plus row . w unless w is None."""
     keys, table, B = as_tensor(keys), as_tensor(table), as_tensor(B)
-    k = keys.data.reshape(-1, keys.data.shape[-1])
+    k = keys.data
     rows_, valid = _padded_rows(table.data, idx)  # (D, V, H)
     kb = k @ B.data
     s = (rows_ @ kb[:, :, None])[:, :, 0]
     if w is not None:
         s = s + rows_ @ w.data
-    if valid is not None:
-        s = np.where(valid, s, 0.0)
+    s = np.where(valid, s, 0.0)
 
     def bw(g):
-        g = g.reshape(s.shape)
-        if valid is not None:
-            g = np.where(valid, g, 0.0)
+        g = np.where(valid, g, 0.0)
         dkb = (g[:, None, :] @ rows_)[:, 0]
         _accum(B, k.T @ dkb)
-        _accum(keys, (dkb @ B.data.T).reshape(keys.data.shape))
+        _accum(keys, dkb @ B.data.T)
         drow = g[:, :, None] * kb[:, None, :]
         if w is not None:
             _accum(w, np.tensordot(g, rows_, axes=2))
             drow = drow + g[:, :, None] * w.data
         _padded_grad(table, idx, drow)
 
-    out = s[0] if keys.data.ndim == 1 else s
-    return _make(out, (keys, table, B) + ((w,) if w is not None else ()), bw)
+    return _make(s, (keys, table, B) + ((w,) if w is not None else ()), bw)
 
 
 def masked_nll(scores, support, target):

@@ -1,8 +1,12 @@
 """Partial ASTs: grammar-driven expansion, the generation-order walk and
 decision sequences.
 
-A PartialAst is updated in place by apply_production/bind_terminal; beam search
-branches by copying first, so no tree is ever shared between hypotheses.
+A decision (apply_production/bind_terminal) updates a PartialAst's node list
+in place, but never changes an AstNode: it puts a new node at the site and
+appends any new children. So a copy is a new list of the same nodes, and
+beam hypotheses share every node that their decisions left alone (path
+copying). Read nodes through `tree.nodes[nid]`; an AstNode held across a
+decision may be stale.
 """
 
 from __future__ import annotations
@@ -40,10 +44,7 @@ class PartialAst:
         t = PartialAst.__new__(PartialAst)
         t.grammar = self.grammar
         t.root = self.root
-        t.nodes = [
-            AstNode(n.nid, n.label, n.parent, list(n.children), n.binding, n.prod_id)
-            for n in self.nodes
-        ]
+        t.nodes = list(self.nodes)
         t.history = list(self.history)
         return t
 
@@ -78,11 +79,10 @@ def apply_production(a: PartialAst, v: int, p: Production) -> PartialAst:
         raise SyntaxError_(f"node {v} is not a nonterminal")
     if p.lhs != node.label:
         raise SyntaxError_(f"lhs mismatch: {p.lhs} vs node label {node.label}")
-    node.prod_id = p.pid
-    for sym in p.rhs:
-        child = AstNode(len(a.nodes), sym, v)
-        a.nodes.append(child)
-        node.children.append(child.nid)
+    first = len(a.nodes)
+    a.nodes[v] = AstNode(v, node.label, node.parent, list(range(first, first + len(p.rhs))),
+                         prod_id=p.pid)
+    a.nodes += [AstNode(first + i, sym, v) for i, sym in enumerate(p.rhs)]
     a.history.append(("P", v, p.pid))
     return a
 
@@ -94,7 +94,7 @@ def bind_terminal(a: PartialAst, v: int, spelling: str) -> PartialAst:
         raise SyntaxError_(f"node {v} ({node.label}) is not bindable")
     if node.binding is not None:
         raise SyntaxError_(f"node {v} already bound")
-    node.binding = spelling
+    a.nodes[v] = AstNode(v, node.label, node.parent, binding=spelling)
     if sym.kind is Kind.VARIABLE:
         a.history.append(("V", v, spelling))
     else:

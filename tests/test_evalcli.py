@@ -619,7 +619,7 @@ def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corp
 
 
 def test_cli_grammar_dump(capsys):
-    assert run_cli(["grammar", "--dump"]) == 0
+    assert run_cli(["grammar"]) == 0
     out = capsys.readouterr().out
     assert "@start Expr" in out
     assert "@variable" in out
@@ -661,3 +661,67 @@ def test_cli_end_to_end(tmp_path, capsys):
     with open(dot) as f:
         assert f.read().startswith("digraph")
     capsys.readouterr()
+
+
+def _exits_cleanly(argv, capsys):
+    """run_cli's exit code, asserting the contract for bad input: 0, or 2
+    with exactly one stderr line; it never raises."""
+    rc = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0 or (rc == 2 and len(err) == 1 and err[0].startswith("nagc: ")), (argv, rc, err)
+    return rc
+
+
+def _damaged(data: bytes, rng, n_cut: int, n_flip: int):
+    """data cut at n_cut offsets spread over its length, then n_flip copies
+    with one byte at a random offset set to a random value."""
+    for cut in np.linspace(0, len(data) - 1, n_cut).astype(int):
+        yield data[:cut]
+    for _ in range(n_flip):
+        at = int(rng.integers(len(data)))
+        yield data[:at] + bytes([int(rng.integers(256))]) + data[at + 1 :]
+
+
+def test_cli_fuzzed_jsonl_exits_0_or_2(fitted_grammar, token_vocab, folds, tmp_path, capsys):
+    # a sample file cut short or with one byte changed: split and a graph
+    # encoder's evaluate (whose contexts must parse) read it, decode what
+    # they accept, and refuse the rest with one line
+    ckpt, path, out = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl"), str(tmp_path / "d")
+    m = M.Model(fitted_grammar, encoder="graph", hidden=8, emb_dim=4, edge_emb=4,
+                token_vocab=token_vocab)
+    M.train(m, folds["train"][:20], epochs=2, seed=0, log=lambda rec: None)
+    M.save_model(m, ckpt)
+    one_per_file = {s.file: s for s in folds["test"]}  # split needs five source files
+    P.write_jsonl(list(one_per_file.values())[:5], path)
+    with open(path, "rb") as f:
+        data = f.read()
+    for case in _damaged(data, np.random.default_rng(0), 400, 600):
+        with open(path, "wb") as f:
+            f.write(case)
+        _exits_cleanly(["split", "--in", path, "--out-dir", out], capsys)
+        _exits_cleanly(["evaluate", "--data", path, "--ckpt", ckpt, "--beam", "1"], capsys)
+
+
+def test_cli_fuzzed_corpus_file_is_skipped_alone(tmp_path, capsys):
+    # a corpus file cut short or with one byte changed beside five intact
+    # ones (split's minimum): extract skips it with at most one line, or
+    # refuses non-UTF-8 text, and split reads back every sample extract wrote
+    corpus, path = tmp_path / "corpus", str(tmp_path / "s.jsonl")
+    (victim, text), *intact = P.generate_corpus(5, 6, 4)
+    P.write_corpus(intact, str(corpus))
+    data = text.encode()
+    for case in _damaged(data, np.random.default_rng(1), 300, 400):
+        (corpus / victim).write_bytes(case)
+        rc = run_cli(["extract", "--in", str(corpus), "--out", path])
+        err = capsys.readouterr().err.splitlines()
+        skipped = [line for line in err if line.startswith("nagc: skipping ")]
+        assert len(skipped) <= 1 and all(line.startswith(f"nagc: skipping {victim}: ")
+                                         for line in skipped), err
+        if rc == 2:
+            assert len(err) == 1 and err[0].startswith("nagc: ") and not skipped, err
+            continue
+        assert rc == 0 and err == skipped, (rc, err)
+        written = len(P.read_jsonl(path))
+        assert _exits_cleanly(["split", "--in", path, "--out-dir", str(tmp_path / "d")], capsys) == 0
+        assert sum(len(P.read_jsonl(str(tmp_path / "d" / f"{fold}.jsonl")))
+                   for fold in ("train", "valid", "test")) == written

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import time
@@ -1183,3 +1185,46 @@ def test_load_detects_manifest_tamper(small, tmp_path):
         json.dump(man, f)
     with pytest.raises(ModelError):
         load_model(path)
+
+
+# -- beam pin ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def pin_data(g):
+    samples = P.dedup(P.extract_samples(P.generate_corpus(1, 12, 4), g))
+    folds = P.split(samples, seed=1)
+    return (P.literal_vocab_from_samples(folds["train"], g),
+            M.token_vocab_from_samples(folds["train"]), folds["test"][:8])
+
+
+# sha256 of the beams of untrained seeded models on the first test holes of
+# a small seeded corpus, at widths 1 and 5: every hypothesis's decisions and
+# log-probability bits, and each hole's counters. A change to decoding that
+# moves one bit of a beam fails here
+@pytest.mark.parametrize("encoder, config, digest", [
+    ("seq", "Tree",
+     "3b9c125f8406bc265e09fef84be8be40b8569212a97c8e6d019c8a9b93ff0272"),
+    ("seq", "ASN",
+     "fb198edff5364ab1b3b503b31de74d33682469bc51911c2e210fab87df9df509"),
+    ("seq", "Syn",
+     "096a4ecdf25430ccd6006d81af37569f177d69255f28e815bd35a0e66900f942"),
+    ("seq", "NAG",
+     "b6ce80917ad2d63fae1abe223376933fe181b262182fe42f6a5d7a23660036ac"),
+    ("graph", "Tree",
+     "49740c0f26bc97a1adb8874251690f01237076405eefb700d275aeca0685b7a4"),
+    ("graph", "ASN",
+     "da57c70fb165c129ea865889a3642480a1168b4ab4b54896934cfd5267984a5d"),
+    ("graph", "Syn",
+     "0dbf6501fd432844c0a7895ebe88c5e07d264af94048f88cc8c56f56478c88fb"),
+    ("graph", "NAG",
+     "233a40849fe793e18cffcb393964c25a74539093feae29b8f080c9806ec82203"),
+])
+def test_beams_are_pinned(encoder, config, digest, pin_data):
+    grammar, vocab, holes = pin_data
+    m = Model(grammar, config=config, encoder=encoder, hidden=16, emb_dim=8, edge_emb=4,
+              seed=3, token_vocab=vocab)
+    beams = [[[(serialize_decisions(t), float.hex(lp)) for t, lp in res.hypotheses],
+              res.expanded, res.pruned, res.dead_end, res.discarded]
+             for width in (1, 5)
+             for res in M.decode_many(m, [(s.before, s.after, s.scope) for s in holes], width)]
+    assert hashlib.sha256(json.dumps(beams).encode()).hexdigest() == digest

@@ -490,8 +490,8 @@ def test_attention_gradients():
     p["key"].data[:] = np.random.default_rng(5).normal(size=(1, 4))
     p["mem"].data[:] = np.random.default_rng(6).normal(size=(3, 4))
 
-    def loss():
-        out = attention(nn.rows(p["key"], 0), p["mem"], p, "att")
+    def loss():  # one key reading every memory row
+        out = attention(p["key"], p["mem"], p, "att", [[0, 1, 2]], [0])
         return nn.tsum(ops.mul(out, out))
 
     _fd_check(p, loss)
@@ -523,18 +523,19 @@ def test_batched_attention_matches_single_keys():
     p = _batch_store(31, {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "keys": (5, 4),
                           "mem": (7, 4)})
     out = attention(p["keys"], p["mem"], p, "att", _PADDED, _OWNER)
-    for d, group in enumerate(_OWNER):
+    for d, group in enumerate(_OWNER):  # each key as an unpadded one-row batch
         row = _PADDED[group]
-        one = attention(nn.rows(p["keys"], d), nn.rows(p["mem"], row[row >= 0]), p, "att")
-        assert np.allclose(out.data[d], one.data, rtol=1e-12, atol=1e-15)
+        one = attention(nn.rows(p["keys"], [d]), p["mem"], p, "att", [row[row >= 0]], [0])
+        assert np.allclose(out.data[d], one.data[0], rtol=1e-12, atol=1e-15)
     with pytest.raises(NeuralError):  # a key with no memory row
         attention(nn.rows(p["keys"], [0, 1]), p["mem"], p, "att", np.array([[0], [-1]]), [0, 1])
     # the memories' projection, given precomputed, reads the same rows
     proj = p["mem"].data @ p["att_Wm"].data
     given = attention(p["keys"], p["mem"], p, "att", _PADDED, _OWNER, proj)
     assert np.allclose(given.data, out.data, rtol=1e-12, atol=1e-15)
-    one = attention(nn.rows(p["keys"], 0), p["mem"], p, "att", proj=proj)
-    assert np.allclose(one.data, attention(nn.rows(p["keys"], 0), p["mem"], p, "att").data,
+    every = [np.arange(7)]
+    one = attention(nn.rows(p["keys"], [0]), p["mem"], p, "att", every, [0], proj)
+    assert np.allclose(one.data, attention(nn.rows(p["keys"], [0]), p["mem"], p, "att", every, [0]).data,
                        rtol=1e-12, atol=1e-15)
 
 
@@ -556,12 +557,13 @@ def test_pointer_scores_gradients(with_w):
     w = p["w"] if with_w else None
     _fd_check(p, lambda: _weighted_sum(nn.pointer_scores(p["k"], p["t"], p["B"], w, idx), 33))
     out = nn.pointer_scores(p["k"], p["t"], p["B"], w, idx).data
-    for d, row in enumerate(idx):
-        one = nn.pointer_scores(nn.rows(p["k"], d), nn.rows(p["t"], row[row >= 0]), p["B"], w)
-        assert np.allclose(out[d, row >= 0], one.data, rtol=1e-12, atol=1e-15)
+    for d, row in enumerate(idx):  # each key as an unpadded one-row batch
+        one = nn.pointer_scores(nn.rows(p["k"], [d]), p["t"], p["B"], w, [row[row >= 0]])
+        assert np.allclose(out[d, row >= 0], one.data[0], rtol=1e-12, atol=1e-15)
         assert np.all(out[d, row < 0] == 0.0)
-    p.zero_grad()
-    _fd_check(p, lambda: _weighted_sum(nn.pointer_scores(nn.rows(p["k"], 1), p["t"], p["B"], w), 34))
+    p.zero_grad()  # one key scoring every row of the table
+    _fd_check(p, lambda: _weighted_sum(nn.pointer_scores(nn.rows(p["k"], [1]), p["t"], p["B"], w,
+                                                         [np.arange(5)]), 34))
 
 
 _SUPPORT = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 0, 0]], dtype=bool)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -245,3 +246,20 @@ def test_copy_isolates_mutation(g):
     apply_production(c, Walk(c).site, g.productions[0])
     assert len(c.nodes) == len(t.nodes) + 1
     assert len(c.history) == len(t.history) + 1
+    # path copying, along every decision of random trees: a copy holds its
+    # original's very nodes; a decision on it replaces the site's node and
+    # appends the new ones, and the original keeps its nodes and history
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        walk = Walk(new_partial_ast(g))
+        for kind, *_, arg in random_tree(g, rng, ["i", "j"]).history:
+            tree, site = walk.tree, walk.site
+            before = [astuple(n) for n in tree.nodes], serialize_decisions(tree)
+            walk = walk.copy()
+            assert len(walk.tree.nodes) == len(tree.nodes)
+            assert all(a is b for a, b in zip(walk.tree.nodes, tree.nodes))
+            walk.decide(kind, arg)
+            assert [nid for nid, n in enumerate(tree.nodes) if walk.tree.nodes[nid] is not n] == [site]
+            added = [n.nid for n in walk.tree.nodes[len(tree.nodes):]]
+            assert added == (walk.tree.nodes[site].children if kind == "P" else [])
+            assert ([astuple(n) for n in tree.nodes], serialize_decisions(tree)) == before
