@@ -121,7 +121,8 @@ def accuracy_at_k(model: mo.Model, fold, k: int, width: int = 5, decoded=None) -
     return hits / len(fold)
 
 
-def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport:
+def evaluate(model: mo.Model, fold, width: int = 5) -> EvalReport:
+    """The fold's report, under the model's own seed (`Model.seed`)."""
     if not fold:
         raise DataError("empty fold")
     # one prep and one encoding per sample, shared by both metrics
@@ -137,7 +138,7 @@ def evaluate(model: mo.Model, fold, width: int = 5, seed: int = 0) -> EvalReport
         acc5=accuracy_at_k(model, fold, min(5, width), width, decoded=decoded),
         n=len(fold),
         config=model.config.name,
-        seed=seed,
+        seed=model.seed,
         **{k: sum(getattr(res, k) for res in decoded)
            for k in ("expanded", "pruned", "dead_end", "discarded")},
         **{f"{m}_{k}": sums[f"{m}_{k}"] for m in ("nll", "decisions") for k in "PVL"},
@@ -238,7 +239,6 @@ def _build_parser():
     c.add_argument("--data", required=True)
     c.add_argument("--ckpt", required=True)
     c.add_argument("--beam", type=_positive_int, default=5)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--report")
 
     c = sub.add_parser("complete")
@@ -336,7 +336,7 @@ def _dispatch(args) -> int:
             _check_output(args.report)
         m = mo.load_model(args.ckpt)
         fold = pl.read_jsonl(args.data, m.grammar)
-        report = evaluate(m, fold, width=args.beam, seed=args.seed)
+        report = evaluate(m, fold, width=args.beam)
         text = json.dumps(asdict(report))
         print(text)
         if args.report:

@@ -179,6 +179,7 @@ class Model:
         elif {n: t.data.shape for n, t in params.items()} != shapes:
             raise ModelError("checkpoint parameters do not match the manifest model")
         self.params = params
+        self.ggnn_block = None  # an nn.StepBlock lent by train for the length of its run
 
     def mask(self, nt: str) -> np.ndarray:
         if nt not in self._masks:
@@ -419,7 +420,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
     order = np.argsort(etype, kind="stable")
     edges = nn.EdgeIndex(off, h.data.shape[1], np.concatenate([src, tgt])[order],
                          np.concatenate([tgt, src])[order], etype[order])
-    h = nn.ggnn(h, edges, p, GGNN_PREFIXES, "enc_gg_g", steps)
+    h = nn.ggnn(h, edges, p, GGNN_PREFIXES, "enc_gg_g", steps, model.ggnn_block)
     roots = nn.linear(nn.rows(h, [pg.hole_node + o for pg, o in zip(pgs, offsets)]), p, "enc_root")
     n_tokens = [len(pr.tokens) for pr in preppeds]  # token i of a context is its node i
     tokens = nn.rows(h, np.concatenate([o + np.arange(n) for o, n in zip(offsets, n_tokens)]))
@@ -707,62 +708,67 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
     prep_s = time.perf_counter() - start
     opt = nn.OptState(lr=lr)
     history = []
-    for epoch in range(epochs):
-        epoch_start = time.perf_counter()
-        order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
-        total_nll = 0.0
-        total_decisions = 0
-        kinds = {}  # nll_k and decisions_k summed over the epoch
-        norms = []
-        phase = dict.fromkeys(("forward_s", "backward_s", "adam_s"), 0.0)
-        # an overflow or invalid value raises where NumPy meets it, as does a huge perplexity
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for lo in range(0, len(order), batch_size):
-                    batch = [preppeds[i] for i in order[lo : lo + batch_size]]
-                    model.params.zero_grad()
-                    t0 = time.perf_counter()
-                    try:
-                        loss, steps = batch_loss(model, batch)
-                    except nn.DegenerateMaskError:
-                        # saturated logits collapsed a softmax support
-                        raise TrainingDivergedError(f"degenerate softmax at epoch {epoch}")
-                    if not np.isfinite(loss.data):
-                        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-                    t1 = time.perf_counter()
-                    nn.backward(loss)
-                    norm = _clip_gradients(model.params, clip_norm)
-                    if not math.isfinite(norm):
-                        raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
-                    norms.append(norm)
-                    t2 = time.perf_counter()
-                    nn.adam_step(model.params, opt)
-                    phase["adam_s"] += time.perf_counter() - t2
-                    phase["backward_s"] += t2 - t1
-                    phase["forward_s"] += t1 - t0
-                    total_nll += float(loss.data)
-                    total_decisions += len(steps)
-                    for name, v in steps.by_kind().items():
-                        kinds[name] = kinds.get(name, 0) + v
-                rec = {
-                    "epoch": epoch,
-                    "train_nll": total_nll,
-                    "ppl_decision": math.exp(total_nll / total_decisions),
-                    "grad_norm_max": max(norms),
-                    "clipped_share": (sum(v > clip_norm for v in norms) / len(norms)
-                                      if clip_norm else 0.0),
-                    "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
-                    "prep_s": prep_s if epoch == 0 else 0.0,
-                    **phase,
-                    **kinds,
-                }
-                if valid:
-                    rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
-        except (FloatingPointError, OverflowError) as e:
-            raise TrainingDivergedError(f"training diverged at epoch {epoch}: {e}") from None
-        history.append(rec)
-        if log:
-            log(rec)
+    # the taped GGNN's step state, in one block reused from batch to batch
+    model.ggnn_block = nn.StepBlock()
+    try:
+        for epoch in range(epochs):
+            epoch_start = time.perf_counter()
+            order = np.random.default_rng([seed, epoch]).permutation(len(preppeds))
+            total_nll = 0.0
+            total_decisions = 0
+            kinds = {}  # nll_k and decisions_k summed over the epoch
+            norms = []
+            phase = dict.fromkeys(("forward_s", "backward_s", "adam_s"), 0.0)
+            # an overflow or invalid value raises where NumPy meets it, as does a huge perplexity
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    for lo in range(0, len(order), batch_size):
+                        batch = [preppeds[i] for i in order[lo : lo + batch_size]]
+                        model.params.zero_grad()
+                        t0 = time.perf_counter()
+                        try:
+                            loss, steps = batch_loss(model, batch)
+                        except nn.DegenerateMaskError:
+                            # saturated logits collapsed a softmax support
+                            raise TrainingDivergedError(f"degenerate softmax at epoch {epoch}")
+                        if not np.isfinite(loss.data):
+                            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                        t1 = time.perf_counter()
+                        nn.backward(loss)
+                        norm = _clip_gradients(model.params, clip_norm)
+                        if not math.isfinite(norm):
+                            raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
+                        norms.append(norm)
+                        t2 = time.perf_counter()
+                        nn.adam_step(model.params, opt)
+                        phase["adam_s"] += time.perf_counter() - t2
+                        phase["backward_s"] += t2 - t1
+                        phase["forward_s"] += t1 - t0
+                        total_nll += float(loss.data)
+                        total_decisions += len(steps)
+                        for name, v in steps.by_kind().items():
+                            kinds[name] = kinds.get(name, 0) + v
+                    rec = {
+                        "epoch": epoch,
+                        "train_nll": total_nll,
+                        "ppl_decision": math.exp(total_nll / total_decisions),
+                        "grad_norm_max": max(norms),
+                        "clipped_share": (sum(v > clip_norm for v in norms) / len(norms)
+                                          if clip_norm else 0.0),
+                        "samples_per_s": len(order) / (time.perf_counter() - epoch_start),
+                        "prep_s": prep_s if epoch == 0 else 0.0,
+                        **phase,
+                        **kinds,
+                    }
+                    if valid:
+                        rec["valid_ppl_decision"] = fold_perplexity(model, valid)[0]
+            except (FloatingPointError, OverflowError) as e:
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}: {e}") from None
+            history.append(rec)
+            if log:
+                log(rec)
+    finally:
+        model.ggnn_block = None
     return history
 
 

@@ -5,6 +5,10 @@ binary checkpoint format.
 
 Compute is 32-bit by default; gradient checks build 64-bit parameters and the
 engine follows the dtype of its inputs.
+
+Tape nodes own what their backward reads, with one exception: a taped ggnn
+saves its steps in a StepBlock that a training run lends to every batch, so
+the largest per-batch state is written into pages the run already holds.
 """
 
 from __future__ import annotations
@@ -258,9 +262,9 @@ def _layout_sum(out, layout, src):
     """np.add.at(out, idx, src) bit for bit, and returns out, through idx's
     _segment_layout: per rank, one gather and one add into a prefix."""
     rows_, ids = layout
-    acc = out[rows_]
+    acc = np.take(out, rows_, axis=0)  # np.take gathers rows faster than indexing
     for k in ids:
-        acc[: len(k)] += src[k]
+        acc[: len(k)] += np.take(src, k, axis=0)
     out[rows_] = acc
     return out
 
@@ -470,59 +474,101 @@ def _message_rows_bw(gm, hs, edges: EdgeIndex, Ws):
     return dhs, [hs[a:z].T @ gm[a:z] for _, a, z in edges.spans]
 
 
-def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int):
+class StepBlock:
+    """The storage a taped ggnn saves its steps in, lent to one tape at a
+    time: a training run owns one and reuses it batch after batch, so its
+    forward writes pages it already holds instead of faulting fresh ones
+    in. Its buffers grow only for a larger state than any before."""
+
+    def __init__(self):
+        self.bufs, self.held = (), False
+
+    def hold(self, steps: int, n: int, d: int, dtype) -> list:
+        """Uninitialised arrays of `steps` steps of an (n, d) state, held
+        until release: inputs X, states H, z/r blocks ZR and candidates C.
+        Each kind has a buffer of its own. With one buffer for all four
+        (about 30 MB on graph-long), glibc raised its trim threshold to twice
+        that once the buffer was freed, and the heap's retained free pages
+        raised graph-long's peak RSS 12-17% over per-step arrays."""
+        if self.held:
+            raise NeuralError("ggnn: the step block is held by a tape whose backward has not run")
+        shapes = [(steps, n, d), (steps, n, d), (steps, 2, n, d), (steps, n, d)]
+        if not self.bufs or self.bufs[0].dtype != dtype or self.bufs[0].size < steps * n * d:
+            self.bufs = ()  # freed before their successors are allocated
+            self.bufs = tuple(np.empty(math.prod(shape), dtype) for shape in shapes)
+        self.held = True
+        return [buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(self.bufs, shapes)]
+
+    def release(self):
+        self.held = False
+
+
+def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int,
+         block: StepBlock = None):
     """`steps` steps h <- gru_cell(x, h, p, gru_prefix), x the sum of the
     messages linear(h[src], prefixes[etype]) of each target's in-edges, as
     one tape node with a hand-written backward through the steps. Messages
     are summed through the target layout onto each target's in-edge bias
     sum. Only the weights of the types present are read; without edges, h
-    is returned as it is."""
+    is returned as it is. A taped call keeps per step only node-sized state,
+    its input, state, z/r block and candidate, in `block` (a new one when
+    not given, dropped when the backward ends); an untaped call keeps none."""
     h = as_tensor(h)
     if steps == 0 or not edges.spans:
         return h
-    if h.data.shape != (edges.n, edges.d):
-        raise ShapeError(f"ggnn: state {h.data.shape} vs ({edges.n}, {edges.d}) edges")
+    n, d = edges.n, edges.d
+    if h.data.shape != (n, d):
+        raise ShapeError(f"ggnn: state {h.data.shape} vs ({n}, {d}) edges")
     Ws = [p[prefixes[t] + "_W"] for t, _, _ in edges.spans]
     bs = [p[prefixes[t] + "_b"] for t, _, _ in edges.spans]
-    gru = [p[n] for n in _gru_names((gru_prefix,))]
+    gru = [p[name] for name in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
     U = np.array((Uz, Ur))
-    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=edges.n) for _, a, z in edges.spans],
+    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=n) for _, a, z in edges.spans],
                       axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
     bias = counts @ np.stack([b.data for b in bs])
     parents = [h] + Ws + gru + bs
-    saved = [] if _track(*parents) else None  # per step, node-sized only: input, state, [z, r], c
+    block = (block or StepBlock()) if _track(*parents) else None
+    saved = None if block is None else block.hold(steps, n, d, h.data.dtype)
     H, RH = h.data, np.empty_like(h.data)
+    if saved is not None:  # the state before step 0 is a copy of h
+        H = saved[1][0]
+        H[...] = h.data
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
-        for _ in range(steps):
-            X = _layout_sum(bias.copy(), edges.tgt_layout, _message_rows(H[edges.src], edges, Ws))
-            C = X @ Wh + bh
-            ZR = np.empty((2,) + C.shape, C.dtype)
-            np.negative(X @ Wz + bz, out=ZR[0])
-            np.negative(X @ Wr + br, out=ZR[1])
-            H_next = np.empty_like(C)
+        for s in range(steps):
+            if saved is None:
+                X, ZR, C = np.empty_like(H), np.empty((2, n, d), H.dtype), np.empty_like(H)
+            else:
+                X, ZR, C = saved[0][s], saved[2][s], saved[3][s]
+            X[...] = bias
+            _layout_sum(X, edges.tgt_layout, _message_rows(np.take(H, edges.src, axis=0), edges, Ws))
+            for W, b, out in ((Wh, bh, C), (Wz, bz, ZR[0]), (Wr, br, ZR[1])):
+                np.add(np.matmul(X, W, out=out), b, out=out)
+            np.negative(ZR, out=ZR)
+            H_next = saved[1][s + 1] if saved is not None and s + 1 < steps else np.empty_like(H)
             _gru_step(ZR, C, H, U, Uh, RH, H_next)
-            if saved is not None:
-                saved.append((X, H, ZR, C))
             H = H_next
 
     def bw(g):
-        if not saved:
+        nonlocal saved, block
+        if saved is None:
             raise NeuralError("ggnn: a backward already read and released this node's steps")
         grads = [np.zeros_like(t.data) for t in Ws + gru]
         dX_sum, dh, UT = np.zeros_like(H), g.copy(), (Uz.T, Ur.T, Uh.T)
-        local, da, (drh, dX, RH) = [[np.empty_like(H) for _ in range(n)] for n in (4, 3, 3)]
-        while saved:  # each step's state is released once read
-            X, HP, ZR, C = saved.pop()
+        local, da, (drh, dX, RH) = [[np.empty_like(H) for _ in range(k)] for k in (4, 3, 3)]
+        for X, HP, ZR, C in zip(*(a[::-1] for a in saved)):
             _gru_step_bw(dh, ZR[1], _gru_local(HP, *ZR, C, local), UT, da + [drh])
             np.matmul(da[0], Wz.T, out=dX)
             dX += np.matmul(da[1], Wr.T, out=drh)
             dX += np.matmul(da[2], Wh.T, out=drh)
             dX_sum += dX
-            dhs, dWs = _message_rows_bw(dX[edges.tgt], HP[edges.src], edges, Ws)
+            dhs, dWs = _message_rows_bw(np.take(dX, edges.tgt, axis=0), np.take(HP, edges.src, axis=0),
+                                        edges, Ws)
             for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, np.multiply(ZR[1], HP, out=RH), da)):
                 acc += gt
             _layout_sum(dh, edges.src_layout, dhs)
+        block.release()
+        saved = block = None
         for t, gt in zip(Ws + gru + bs, grads + list(counts.T @ dX_sum)):
             _accum(t, gt)
         _accum(h, dh)

@@ -64,10 +64,10 @@ def trained_graph(fitted_grammar, folds, token_vocab):
 
 def test_report_invariants(trained, folds):
     fold = folds["test"][:12]
-    rep = E.evaluate(trained, fold, width=5, seed=0)
+    rep = E.evaluate(trained, fold, width=5)
     assert isinstance(rep, EvalReport)
     assert rep.n == len(fold)
-    assert rep.config == "NAG" and rep.seed == 0
+    assert rep.config == "NAG" and rep.seed == trained.seed
     assert rep.ppl_decision >= 1.0 and rep.ppl_token >= 1.0
     for r in (rep.well_typed, rep.well_typed_no_unk, rep.acc1, rep.acc5):
         assert 0.0 <= r <= 1.0
@@ -94,10 +94,16 @@ def test_report_nll_by_kind(trained, folds):
     assert E.evaluate(trained, fold, width=2) == rep
 
 
+def test_report_seed_is_the_models(fitted_grammar, token_vocab, folds):
+    m = M.Model(fitted_grammar, config="NAG", encoder="seq", hidden=16, emb_dim=8,
+                seed=3, token_vocab=token_vocab)
+    assert E.evaluate(m, folds["test"][:2], width=1).seed == 3
+
+
 def test_evaluate_deterministic(trained, folds):
     fold = folds["test"][:6]
-    a = E.evaluate(trained, fold, width=3, seed=1)
-    b = E.evaluate(trained, fold, width=3, seed=1)
+    a = E.evaluate(trained, fold, width=3)
+    b = E.evaluate(trained, fold, width=3)
     assert a == b
 
 
@@ -265,6 +271,10 @@ def test_cli_usage_errors_exit_1(capsys):
             assert run_cli(argv + ["--seed", seed]) == 1
             err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
             assert len(err) == 1 and "--seed" in err[0], err
+    # evaluate computes nothing from a seed: its report carries the checkpoint's
+    assert run_cli(["evaluate", "--data", "x", "--ckpt", "m", "--seed", "3"]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("nagc:")]
+    assert len(err) == 1 and "--seed" in err[0], err
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-0.001", "fast"])

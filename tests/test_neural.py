@@ -483,6 +483,59 @@ def test_ggnn_tape_holds_node_sized_state_and_releases_it():
         backward(nn.tsum(out))
 
 
+
+def test_ggnn_step_block_is_reused_and_guarded():
+    # a caller's StepBlock holds the saved steps of one tape at a time; a
+    # later taped call on a graph no larger than before writes into the
+    # buffers the first one grew, and computes the same bits as a call that
+    # makes a block of its own
+    N, d, steps, names = 40, 16, 8, [f"e{i}" for i in range(6)]
+    shapes = {"h": (N, d), "w": (N, d), **gru_param_shapes("gg", d, d)}
+    for name in names:
+        shapes.update({f"{name}_W": (d, d), f"{name}_b": (d,)})
+    p = init_params(shapes, seed=71, dtype=np.float64)
+    rng = np.random.default_rng(71)
+    p["w"].data = rng.normal(size=(N, d))
+    graphs = [(N, _edge_index(N, d, [rng.integers(0, N, (2, 170)) for _ in names]))]
+    graphs.append((30, _edge_index(30, d, [rng.integers(0, 30, (2, 120)) for _ in names])))
+
+    def run(n, edges, block=None):
+        """Output and every gradient of one taped call and its backward."""
+        p.zero_grad()
+        h = Tensor(p["h"].data[:n], requires_grad=True)
+        out = nn.ggnn(h, edges, p, names, "gg", steps, block)
+        backward(nn.tsum(ops.mul(out, nn.rows(p["w"], np.arange(n)))))
+        return [out.data, h.grad] + [t.grad for name, t in p.items() if name not in ("h", "w")]
+
+    block = nn.StepBlock()
+    for n, edges in graphs:  # the larger graph first, then a smaller one
+        edges.tgt_layout, edges.src_layout  # the edges' own, built on first use
+        own, lent = run(n, edges), run(n, edges, block)
+        assert all(np.array_equal(a, b) for a, b in zip(own, lent))
+    n, edges = graphs[1]
+    h = Tensor(p["h"].data[:n], requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = nn.ggnn(h, edges, p, names, "gg", steps, block)
+        taped = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    # without the block, 5 (n, d) arrays a step; with it, less than one
+    assert taped < n * d * 8, taped
+    # a taped call on a block whose tape has not run backward is refused,
+    # leaving the saved steps as they are; an untaped call does not use it
+    saved = [buf.copy() for buf in block.bufs]
+    with pytest.raises(NeuralError, match="^ggnn: [^\n]*$"):
+        nn.ggnn(h, edges, p, names, "gg", steps, block)
+    with nn.no_grad():
+        assert np.array_equal(nn.ggnn(h, edges, p, names, "gg", steps, block).data, out.data)
+    assert all(np.array_equal(a, b) for a, b in zip(saved, block.bufs))
+    backward(nn.tsum(out))
+    with pytest.raises(NeuralError, match="^ggnn: "):
+        backward(nn.tsum(out))
+    nn.ggnn(h, edges, p, names, "gg", steps, block)  # released by the backward
+
 def test_attention_gradients():
     shapes = {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "key": (1, 4), "mem": (3, 4)}
     p = init_params(shapes, seed=3, dtype=np.float64)
