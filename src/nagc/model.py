@@ -748,6 +748,8 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
                         total_decisions += len(steps)
                         for name, v in steps.by_kind().items():
                             kinds[name] = kinds.get(name, 0) + v
+                        # the tape dies with its batch, before the next forward builds its own
+                        del loss, steps
                     rec = {
                         "epoch": epoch,
                         "train_nll": total_nll,

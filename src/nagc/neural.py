@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -466,14 +467,6 @@ def _message_rows(hs, edges: EdgeIndex, Ws):
     return m
 
 
-def _message_rows_bw(gm, hs, edges: EdgeIndex, Ws):
-    """Back through _message_rows from gm: the gradients of hs and W_tops."""
-    dhs = np.empty_like(hs)
-    for (_, a, z), W in zip(edges.spans, Ws):
-        np.matmul(gm[a:z], W.data[: edges.d].T, out=dhs[a:z])
-    return dhs, [hs[a:z].T @ gm[a:z] for _, a, z in edges.spans]
-
-
 class StepBlock:
     """The storage a taped ggnn saves its steps in, lent to one tape at a
     time: a training run owns one and reuses it batch after batch, so its
@@ -512,7 +505,13 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     sum. Only the weights of the types present are read; without edges, h
     is returned as it is. A taped call keeps per step only node-sized state,
     its input, state, z/r block and candidate, in `block` (a new one when
-    not given, dropped when the backward ends); an untaped call keeps none."""
+    not given, dropped when the backward ends); an untaped call keeps none.
+    The backward runs the chain from step to step on the calling thread and
+    each step's parameter gradients on one worker thread of its own, which
+    overlaps the next chain step and keeps the serial order of every sum,
+    so results are bit-identical to one thread; no option turns it off. The
+    worker runs under the caller's np.geterr(), its errors are raised on the
+    calling thread, and BLAS threading per call stays as the caller set it."""
     h = as_tensor(h)
     if steps == 0 or not edges.spans:
         return h
@@ -554,19 +553,42 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
         if saved is None:
             raise NeuralError("ggnn: a backward already read and released this node's steps")
         grads = [np.zeros_like(t.data) for t in Ws + gru]
-        dX_sum, dh, UT = np.zeros_like(H), g.copy(), (Uz.T, Ur.T, Uh.T)
-        local, da, (drh, dX, RH) = [[np.empty_like(H) for _ in range(k)] for k in (4, 3, 3)]
-        for X, HP, ZR, C in zip(*(a[::-1] for a in saved)):
-            _gru_step_bw(dh, ZR[1], _gru_local(HP, *ZR, C, local), UT, da + [drh])
-            np.matmul(da[0], Wz.T, out=dX)
-            dX += np.matmul(da[1], Wr.T, out=drh)
-            dX += np.matmul(da[2], Wh.T, out=drh)
-            dX_sum += dX
-            dhs, dWs = _message_rows_bw(np.take(dX, edges.tgt, axis=0), np.take(HP, edges.src, axis=0),
-                                        edges, Ws)
-            for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, np.multiply(ZR[1], HP, out=RH), da)):
-                acc += gt
-            _layout_sum(dh, edges.src_layout, dhs)
+        dX_sum, dh, UT, err = np.zeros_like(H), g.copy(), (Uz.T, Ur.T, Uh.T), np.geterr()
+        local, (drh, RH) = [[np.empty_like(H) for _ in range(k)] for k in (4, 2)]
+        hs, dhs = (np.empty((len(edges.src), d), H.dtype) for _ in range(2))
+        sets = [([np.empty_like(H) for _ in range(3)], np.empty_like(H), np.empty_like(hs))
+                for _ in range(2)]  # (da, dX, gm): the chain writes one, the worker reads the other
+        jobs = [None, None]  # the worker's last job reading each set
+
+        def step_grads(X, HP, R, da, dX, gm):  # the worker's half of a step
+            with np.errstate(**err):
+                np.add(dX_sum, dX, out=dX_sum)
+                # mode "clip" (the indices are in range) writes into out= without a temporary
+                np.take(HP, edges.src, axis=0, out=hs, mode="clip")
+                dWs = [hs[a:z].T @ gm[a:z] for _, a, z in edges.spans]
+                for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, np.multiply(R, HP, out=RH), da)):
+                    acc += gt
+
+        pool = ThreadPoolExecutor(1)
+        try:
+            for s, (X, HP, ZR, C) in enumerate(zip(*(a[::-1] for a in saved))):
+                (da, dX, gm), job = sets[s % 2], jobs[s % 2]
+                if job is not None:
+                    job.result()
+                _gru_step_bw(dh, ZR[1], _gru_local(HP, *ZR, C, local), UT, da + [drh])
+                np.matmul(da[0], Wz.T, out=dX)
+                dX += np.matmul(da[1], Wr.T, out=drh)
+                dX += np.matmul(da[2], Wh.T, out=drh)
+                np.take(dX, edges.tgt, axis=0, out=gm, mode="clip")
+                jobs[s % 2] = pool.submit(step_grads, X, HP, ZR[1], da, dX, gm)
+                for (_, a, z), W in zip(edges.spans, Ws):
+                    np.matmul(gm[a:z], W.data[:d].T, out=dhs[a:z])
+                _layout_sum(dh, edges.src_layout, dhs)
+            for job in jobs:
+                if job is not None:
+                    job.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
         block.release()
         saved = block = None
         for t, gt in zip(Ws + gru + bs, grads + list(counts.T @ dX_sum)):

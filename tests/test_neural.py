@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -469,8 +470,9 @@ def test_ggnn_tape_holds_node_sized_state_and_releases_it():
         base = tracemalloc.get_traced_memory()[0]
         out = nn.ggnn(p["h"], edges, p, names, "gg", steps)
         taped = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
         backward(nn.tsum(out))
-        held = tracemalloc.get_traced_memory()[0] - base
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     state = N * d * 8  # bytes of one (N, d) array
@@ -479,9 +481,63 @@ def test_ggnn_tape_holds_node_sized_state_and_releases_it():
     # one step's state besides
     grads = sum(t.grad.nbytes for _, t in p.items())
     assert held <= grads + 5 * state, (held, grads)
+    # while it runs, the backward holds the saved steps, the gradients, one
+    # worker job's products of their size, and a fixed set of buffers
+    # whatever the number of steps: four edge-sized ones (the gathered
+    # sources, their messages' gradients, and the gathered targets of each
+    # of the two sets the chain and the worker alternate on) and about 30
+    # node-sized ones (the two sets of gate and input gradients, the local
+    # derivatives, the state's gradient and the sums)
+    assert peak <= taped + 2 * grads + 4 * len(edges.src) * d * 8 + 32 * state, (peak, taped)
     with pytest.raises(NeuralError, match="^ggnn: "):
         backward(nn.tsum(out))
 
+
+
+def _ggnn_worker_run(seed):
+    """A float32 ggnn over 8 nodes whose step inputs are about 1e4 (the
+    message biases) and reach the gates at about 1 (the GRU input weights
+    are scaled by 1e-4), and a loss weighting its output by 1e34: the
+    gradients the backward's chain hands from step to step stay finite, but
+    a GRU input weight's gradient, the sum over rows of input times gate
+    gradient, passes float32's largest value."""
+    N, d, names = 8, 4, ["e0", "e1"]
+    shapes = {"h": (N, d), **gru_param_shapes("gg", d, d)}
+    for name in names:
+        shapes.update({f"{name}_W": (d, d), f"{name}_b": (d,)})
+    p = init_params(shapes, seed=seed)
+    for gate in "zrh":
+        p[f"gg_W{gate}"].data *= np.float32(1e-4)
+    for name in names:
+        p[f"{name}_b"].data[:] = 1e4
+    src, tgt = np.random.default_rng(seed).integers(0, N, (2, 12))
+    edges = nn.EdgeIndex(N, d, src, tgt, np.repeat([0, 1], 6))
+    out = nn.ggnn(p["h"], edges, p, names, "gg", 3)
+    return nn.tsum(ops.mul(out, Tensor(np.full((N, d), 1e34, np.float32))))
+
+
+def test_ggnn_worker_raises_on_the_calling_thread(monkeypatch):
+    # the worker forms the parameter gradients under the caller's NumPy
+    # error state, so an overflow there raises as it would on one thread;
+    # that error, or any other the worker raises, reaches the caller after
+    # the worker thread has ended
+    threads = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="overflow") as info:
+        with np.errstate(over="raise"):
+            backward(_ggnn_worker_run(72))
+    assert any(entry.name == "step_grads" for entry in info.traceback)  # the worker's job
+    assert set(threading.enumerate()) == threads
+    with np.errstate(over="ignore"):
+        backward(_ggnn_worker_run(72))  # the same backward runs through, its overflow ignored
+    assert set(threading.enumerate()) == threads
+
+    def failing(*args):
+        raise ValueError("worker failed")
+
+    monkeypatch.setattr(nn, "_gru_grads", failing)
+    with pytest.raises(ValueError, match="^worker failed$"):
+        backward(_ggnn_worker_run(72))
+    assert set(threading.enumerate()) == threads
 
 
 def test_ggnn_step_block_is_reused_and_guarded():
