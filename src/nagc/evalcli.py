@@ -193,6 +193,7 @@ def _int_at_least(lo: int):
 
 _positive_int = _int_at_least(1)
 _seed = _int_at_least(0)  # NumPy's generators take non-negative seeds only
+_CONFIG_NAMES = {n.lower(): n for n in mo.CONFIGS}  # --config choice -> decoder config
 
 
 def _positive_float(text: str) -> float:
@@ -227,7 +228,7 @@ def _build_parser():
 
     c = sub.add_parser("train")
     c.add_argument("--data", required=True)
-    c.add_argument("--config", choices=["tree", "asn", "syn", "nag"], default="nag")
+    c.add_argument("--config", choices=list(_CONFIG_NAMES), default="nag")
     c.add_argument("--encoder", choices=["seq", "graph"], default="graph")
     c.add_argument("--epochs", type=_positive_int, default=50)
     c.add_argument("--seed", type=_seed, default=0)
@@ -252,9 +253,6 @@ def _build_parser():
 
     sub.add_parser("grammar")
     return p
-
-
-_CONFIG_NAMES = {"tree": "Tree", "asn": "ASN", "syn": "Syn", "nag": "NAG"}
 
 
 def run_cli(argv=None) -> int:

@@ -310,7 +310,8 @@ class TypeCheckError(Exception):
 
 
 # Typing rules by a production's fixed tokens: argument types -> result type.
-_TYPING = {
+# The corpus generator draws each result type's expressions in this order.
+TYPING = {
     ("+",): {("int", "int"): "int", ("string", "string"): "string"},
     ("-",): {("int", "int"): "int"},
     ("*",): {("int", "int"): "int"},
@@ -324,8 +325,8 @@ _TYPING = {
     ("&&",): {("bool", "bool"): "bool"},
     ("||",): {("bool", "bool"): "bool"},
     ("!",): {("bool",): "bool"},
-    (".", "Length"): {("string",): "int", ("int[]",): "int"},
     ("[", "]"): {("int[]", "int"): "int"},
+    (".", "Length"): {("int[]",): "int", ("string",): "int"},
     (".", "StartsWith", "(", ")"): {("string", "string"): "bool"},
     (".", "Contains", "(", ")"): {("string", "string"): "bool"},
     (".", "Substring", "(", ",", ")"): {("string", "int", "int"): "string"},
@@ -374,7 +375,7 @@ def production_type(g: Grammar, pid: int, args: tuple) -> str:
     fixed = g.fixed_tokens[pid]
     if not fixed and len(args) == 1:
         return args[0]
-    rule = _TYPING.get(fixed)
+    rule = TYPING.get(fixed)
     if rule is None:
         raise TypeCheckError("no-rule", f"no type rule for production {pid}")
     ty = rule.get(args)

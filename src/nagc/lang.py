@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import Grammar, Kind, TypeCheckError, builtin_grammar, production_type
+from .grammar import LITERAL_CLASSES, TYPES, Grammar, Kind, TypeCheckError, builtin_grammar, production_type
 from .syntax import PartialAst, record, recordable
 
 HOLE_TOKEN = "?HOLE?"
@@ -205,14 +205,14 @@ class Parser:
             self.var_tokens.append(name_index)
             self.expect(":")
             ty = self.next()
-            if ty not in ("int", "bool", "string"):
+            if ty not in LITERAL_CLASSES:
                 raise LangError(f"unknown type {ty!r}")
             if toks[self.pos] == "[":
                 self.pos += 1
                 self.expect("]")
-                if ty != "int":
-                    raise LangError("only int arrays are supported")
-                ty = "int[]"
+                ty += "[]"
+                if ty not in TYPES:
+                    raise LangError(f"unknown type {ty!r}")
             parts = []
             if toks[self.pos] == "=":
                 self.pos += 1

@@ -139,6 +139,8 @@ class Model:
                 raise ModelError(f"unknown decoder config {config!r}") from None
         if encoder not in ("seq", "graph"):
             raise ModelError(f"unknown encoder {encoder!r}")
+        if hidden < 1 or (encoder == "seq" and hidden % 2):  # each bi-GRU direction holds half
+            raise ModelError(f"hidden {hidden} must be at least 1, and even under the seq encoder")
         if token_vocab is None:
             token_vocab = [UNK_TOKEN, lang.HOLE_TOKEN, SELF_TOKEN, OTHER_VAR_TOKEN]
         # prep maps a token outside the vocab to row 0, so <UNK> must come first

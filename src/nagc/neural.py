@@ -867,12 +867,8 @@ def _gru(x, h0, p: ParamStore, prefixes, lengths=None):
 
 
 def gru_param_shapes(prefix: str, x_dim: int, h_dim: int) -> dict:
-    shapes = {}
-    for gate in ("z", "r", "h"):
-        shapes[f"{prefix}_W{gate}"] = (x_dim, h_dim)
-        shapes[f"{prefix}_U{gate}"] = (h_dim, h_dim)
-        shapes[f"{prefix}_b{gate}"] = (h_dim,)
-    return shapes
+    shapes = [(x_dim, h_dim)] * 3 + [(h_dim, h_dim)] * 3 + [(h_dim,)] * 3  # W, U, b
+    return dict(zip(_gru_names((prefix,)), shapes))
 
 
 def attention(keys, memories, p: ParamStore, prefix: str, idx, owner, proj=None):

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lang
-from .grammar import Grammar, GrammarError, Kind, TypeCheckError, TypeEnv, builtin_grammar, type_check
+from .grammar import (
+    LITERAL_CLASSES, TYPES, TYPING, Grammar, GrammarError, Kind, TypeCheckError, TypeEnv, builtin_grammar,
+    type_check,
+)
 from .syntax import deserialize_decisions
 
 
@@ -49,29 +52,23 @@ _GRAMMAR = builtin_grammar()  # whose productions the generator draws
 _VARIABLE_PID = _GRAMMAR.by_form[(Kind.VARIABLE, None)].pid
 _LITERAL_PIDS = {ty: _GRAMMAR.by_form[(Kind.LITERAL, ty)].pid for ty in _LITERALS}
 
-# Each result type's compound expressions, in draw order: (grammar form,
-# operand types in rhs order, the variable type the option needs in scope).
-# `==` and `!=` (operand types None) draw one operand type for both sides.
-_OPTIONS = {
-    "int": [
-        *[((op,), ("int", "int"), None) for op in ("+", "-", "*", "%")],
-        (("[", "]"), ("int[]", "int"), "int[]"),
-        ((".", "Length"), ("int[]",), "int[]"),
-        ((".", "Length"), ("string",), "string"),
-        ((".", "IndexOf", "(", ")"), ("string", "string"), "string"),
-    ],
-    "bool": [
-        *[((op,), ("int", "int"), None) for op in ("<", ">", "<=", ">=")],
-        *[((op,), None, None) for op in ("==", "!=")],
-        *[((op,), ("bool", "bool"), "bool") for op in ("&&", "||")],
-        (("!",), ("bool",), "bool"),
-        *[((".", m, "(", ")"), ("string", "string"), "string") for m in ("StartsWith", "Contains")],
-    ],
-    "string": [
-        (("+",), ("string", "string"), None),
-        ((".", "Substring", "(", ",", ")"), ("string", "int", "int"), "string"),
-    ],
-}
+
+def _options() -> dict:
+    """Each result type's compound expressions, in `TYPING`'s order: (grammar
+    form, operand types in rhs order), or operands None for a form typed for two
+    same-type operands over every type (`==`, `!=`), whose operand type is drawn."""
+    options = {}
+    for form, rule in TYPING.items():
+        if set(rule) == {(t, t) for t in TYPES}:
+            (ty,) = set(rule.values())
+            options.setdefault(ty, []).append((form, None))
+        else:
+            for operands, ty in rule.items():
+                options.setdefault(ty, []).append((form, operands))
+    return options
+
+
+_OPTIONS = _options()
 
 
 class _ExprSampler:
@@ -89,18 +86,19 @@ class _ExprSampler:
     def gen(self, ty: str, depth: int = 2) -> tuple[list[str], int]:
         """A random expression of type ty, rendered: (tokens, precedence)."""
         rng = self.rng
-        names = self.by_type.get(ty, [])
-        if ty == "int[]" and not names:
-            raise PipelineError("no int[] variable in scope")
-        if ty != "int[]" and depth > 0 and rng.random() >= 0.52:
-            opts = [o for o in _OPTIONS[ty] if o[2] is None or o[2] in self.by_type]
-            form, operands, _ = opts[rng.integers(len(opts))]
+        names, has_literal = self.by_type.get(ty, []), ty in _LITERALS
+        if not (has_literal or names):
+            raise PipelineError(f"no {ty} variable in scope")
+        if has_literal and depth > 0 and rng.random() >= 0.52:
+            # an option needs a variable of its first operand's type in scope
+            opts = [o for o in _OPTIONS[ty] if o[1] is None or o[1][0] in self.by_type]
+            form, operands = opts[rng.integers(len(opts))]
             pid = _GRAMMAR.by_form[form].pid
             if operands is None:
-                candidates = [t for t in ("int", "string", "bool") if t in self.by_type] or ["int"]
+                candidates = [t for t in LITERAL_CLASSES if t in self.by_type]
                 operands = (candidates[rng.integers(len(candidates))],) * 2
             slots = [self.gen(t, depth - 1) for t in operands]
-        elif names and (ty == "int[]" or rng.random() < 0.7):
+        elif names and (not has_literal or rng.random() < 0.7):
             pid, slots = _VARIABLE_PID, [names[rng.integers(len(names))]]
         else:
             pid, slots = _LITERAL_PIDS[ty], [_LITERALS[ty][rng.integers(len(_LITERALS[ty]))]]
@@ -151,7 +149,7 @@ def _gen_file(rng, stmts_per_file: int) -> str:
         for _ in range(count):
             roll = rng.random()
             if roll < 0.3:
-                ty = ("int", "string", "bool")[rng.integers(3)]
+                ty = LITERAL_CLASSES[rng.integers(len(LITERAL_CLASSES))]
                 out.append(declare(ty, with_init=True))
             elif roll < 0.65 and scope:
                 assignable = [n for n, t in scope.items() if t != "int[]"]
@@ -245,7 +243,7 @@ def extract_samples(files, g: Grammar) -> list[Sample]:
 
 def literal_vocab_from_samples(samples, g: Grammar, top_k: int = 20) -> Grammar:
     """Grammar with per-class literal vocab = top-k training spellings + UNK."""
-    counts = {cls: Counter() for cls in ("int", "string", "bool")}
+    counts = {cls: Counter() for cls in LITERAL_CLASSES}
     for s in samples:
         for rec in s.target.split():
             if rec.startswith("L"):

@@ -10,6 +10,7 @@ import pytest
 from nagc import evalcli as E
 from nagc import lang
 from nagc import model as M
+from nagc import neural as nn
 from nagc import pipeline as P
 from nagc.evalcli import DataError, EvalReport, run_cli
 from nagc.grammar import load_grammar
@@ -626,6 +627,27 @@ def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corp
     assert run_cli(["complete", "--ckpt", ckpt, "--sample", sample]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("nagc: "), err
+
+
+def test_cli_odd_seq_hidden_checkpoint_exits_2(fitted_grammar, token_vocab, corpus_samples,
+                                               tmp_path, capsys):
+    # a checkpoint whose parameters a seq model of hidden size 63 would hold
+    m = M.Model(fitted_grammar, encoder="seq", hidden=62, emb_dim=4, edge_emb=4,
+                token_vocab=token_vocab)
+    ckpt = str(tmp_path / "m.nagc")
+    M.save_model(m, ckpt)
+    m.hidden = 63
+    nn.save_checkpoint(nn.init_params(m._shapes(), seed=0), ckpt)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        man = json.load(f)
+    man["hidden"] = 63
+    with open(ckpt + ".json", "w", encoding="utf-8") as f:
+        json.dump(man, f)
+    sample = str(tmp_path / "s.jsonl")
+    P.write_jsonl(corpus_samples[:1], sample)
+    assert run_cli(["evaluate", "--ckpt", ckpt, "--data", sample]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nagc: ") and "hidden" in err[0], err
 
 
 def test_cli_grammar_dump(capsys):

@@ -205,6 +205,14 @@ def test_only_identifiers_name_variables(text):
         parse_program(tokenize(text))
 
 
+def test_declared_types_are_the_grammar_types():
+    _, sites = parse_program(tokenize("var a : int [ ] ; var b : bool ; var i : int = a . Length ;"))
+    assert sites[0].scope == {"a": "int[]", "b": "bool"}
+    for text in ["var f : float ;", "var b : bool [ ] ;", "var s : string [ ] ;"]:
+        with pytest.raises(LangError, match="^unknown type "):
+            parse_program(tokenize(text))
+
+
 def test_hole_is_not_a_site():
     _, sites = parse_program(tokenize("var i : int = ?HOLE? ;"))
     assert sites == []

@@ -60,6 +60,13 @@ def test_unknown_config_and_encoder(fitted_grammar):
         Model(fitted_grammar, encoder="cnn")
 
 
+# each bi-GRU direction of the seq encoder holds half the hidden size
+@pytest.mark.parametrize("encoder, hidden", [("seq", 63), ("seq", 1), ("seq", 0), ("graph", 0)])
+def test_hidden_size_is_refused_unless_it_splits(encoder, hidden, fitted_grammar):
+    with pytest.raises(ModelError, match="hidden"):
+        Model(fitted_grammar, encoder=encoder, hidden=hidden)
+
+
 # -- encoders ---------------------------------------------------------------
 
 def test_encode_seq_token_counts(small, folds):

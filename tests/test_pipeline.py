@@ -10,7 +10,7 @@ from nagc import lang as L
 from nagc import model as M
 from nagc import neural as nn
 from nagc import pipeline as P
-from nagc.grammar import TypeEnv, type_check
+from nagc.grammar import LITERAL_CLASSES, TYPING, TypeEnv, type_check
 from nagc.pipeline import PipelineError, Sample
 from nagc.syntax import deserialize_decisions, trees_equal
 
@@ -78,6 +78,31 @@ def test_generated_files_parse_and_type_check(g):
             target, ty = L.expr_decisions(site.expr, g, site.scope)
             assert trees_equal(deserialize_decisions(target, g), tree)
             assert type_check(tree, TypeEnv(site.scope)) == ty == site.hole_type
+
+
+@pytest.mark.parametrize("scope, n_rules", [
+    ({"i": "int", "s": "string"}, 18),
+    ({"i": "int", "s": "string", "b": "bool"}, 23),
+    ({"i": "int", "s": "string", "b": "bool", "xs": "int[]"}, 25),
+])
+def test_generator_draws_exactly_the_typing_table(scope, n_rules, g):
+    # every typing rule whose first operand has a variable in scope, but
+    # `int[] == int[]` and `int[] != int[]`
+    expected = {(form, args) for form, rule in TYPING.items() for args in rule
+                if args[0] in scope.values() and args not in {("int[]", "int[]")}}
+    assert len(expected) == n_rules
+    types = sorted(set(LITERAL_CLASSES) | set(scope.values()))
+    sampler, drawn = P._ExprSampler(np.random.default_rng(0), scope), set()
+
+    def typed(node):  # each compound node's (form, operand types); node's type
+        if node.spelling is None:
+            drawn.add((node.form, tuple([typed(part) for part in node.parts])))
+        return L.expr_decisions(node, g, scope)[1]
+
+    for k in range(6000):
+        ty = types[k % len(types)]
+        assert typed(L.parse_expression(sampler.gen(ty)[0])) == ty
+    assert drawn == expected
 
 
 def test_extract_samples_fields(g, corpus_samples):
