@@ -59,87 +59,50 @@ def perplexity(model: mo.Model, fold) -> tuple:
     return mo.fold_perplexity(model, fold)
 
 
-def _decode_fold(model: mo.Model, fold, width: int, decoded=None):
-    """Beam results per sample, decoded here unless given; every hypothesis
-    is asserted to round-trip through the grammar before any metric may
-    count it."""
-    if decoded is None:
-        decoded = mo.decode_many(model, [(s.before, s.after, s.scope) for s in fold], width=width)
-    for res in decoded:
-        for tree, _ in res.hypotheses:
-            deserialize_decisions(serialize_decisions(tree), model.grammar)  # syntactic validity
-    return decoded
-
-
-def well_typed_rate(model: mo.Model, fold, width: int = 5, decoded=None) -> tuple:
-    """(rate, UNK-filtered rate) of the top-1 decodes.
-
-    The filtered rate drops samples whose only type failure is an UNK
-    literal from the denominator.
-    """
-    if not fold:
-        raise DataError("empty fold")
-    if decoded is None:
-        decoded = _decode_fold(model, fold, width)
-    ok = 0
-    unk_only = 0
-    for s, res in zip(fold, decoded):
-        if not res.hypotheses:
-            continue
-        tree = res.hypotheses[0][0]
-        env = TypeEnv(s.scope)
-        try:
-            if type_check(tree, env) == s.hole_type:
-                ok += 1
-                continue
-        except TypeCheckError:
-            pass
-        try:
-            if type_check(tree, env, allow_unk=True) == s.hole_type:
-                unk_only += 1
-        except TypeCheckError:
-            pass
-    n = len(fold)
-    rate = ok / n
-    filtered = ok / (n - unk_only) if n > unk_only else 1.0
-    return rate, filtered
-
-
-def accuracy_at_k(model: mo.Model, fold, k: int, width: int = 5, decoded=None) -> float:
-    """Exact production-sequence match within the top-k hypotheses."""
-    if not fold:
-        raise DataError("empty fold")
-    if k > width:
-        raise DataError(f"k={k} exceeds beam width {width}")
-    if decoded is None:
-        decoded = _decode_fold(model, fold, width)
-    hits = 0
-    for s, res in zip(fold, decoded):
-        top = [serialize_decisions(t) for t, _ in res.hypotheses[:k]]
-        if s.target in top:
-            hits += 1
-    return hits / len(fold)
+def _typed_as(tree, env: TypeEnv, want: str, allow_unk: bool = False) -> bool:
+    try:
+        return type_check(tree, env, allow_unk=allow_unk) == want
+    except TypeCheckError:
+        return False
 
 
 def evaluate(model: mo.Model, fold, width: int = 5) -> EvalReport:
-    """The fold's report, under the model's own seed (`Model.seed`)."""
+    """The fold's report, under the model's own seed (`Model.seed`), from one
+    walk_fold: one prep and one encoding per sample, shared by the
+    teacher-forced NLL and the beams. Each hypothesis is serialized once and
+    must read back through the grammar before any metric counts it. acc@k is
+    an exact decision-sequence match within the top k; the UNK-filtered
+    well-typed rate drops samples whose only type failure is an UNK literal
+    from its denominator."""
     if not fold:
         raise DataError("empty fold")
-    # one prep and one encoding per sample, shared by both metrics
-    sums, decoded = mo.walk_fold(model, fold, width)
-    decoded = _decode_fold(model, fold, width, decoded)
-    wt, wt_no_unk = well_typed_rate(model, fold, width, decoded=decoded)
+    sums, beams = mo.walk_fold(model, fold, width)
+    ok = unk_only = hits1 = hits5 = 0
+    for s, res in zip(fold, beams):
+        seqs = [serialize_decisions(tree) for tree, _ in res.hypotheses]
+        for seq in seqs:
+            deserialize_decisions(seq, model.grammar)  # syntactic validity
+        hits1 += s.target in seqs[:1]
+        hits5 += s.target in seqs[: min(5, width)]
+        if not seqs:
+            continue
+        top, env = res.hypotheses[0][0], TypeEnv(s.scope)
+        if _typed_as(top, env, s.hole_type):
+            ok += 1
+        elif _typed_as(top, env, s.hole_type, allow_unk=True):
+            unk_only += 1
+    n = len(fold)
     return EvalReport(
         ppl_decision=math.exp(sums["nll"] / sums["decisions"]),
         ppl_token=math.exp(sums["nll"] / sums["tokens"]),
-        well_typed=wt,
-        well_typed_no_unk=wt_no_unk,
-        acc1=accuracy_at_k(model, fold, 1, width, decoded=decoded),
-        acc5=accuracy_at_k(model, fold, min(5, width), width, decoded=decoded),
-        n=len(fold),
+        well_typed=ok / n,
+        well_typed_no_unk=ok / (n - unk_only) if n > unk_only else 1.0,
+        acc1=hits1 / n,
+        acc5=hits5 / n,
+        n=n,
         config=model.config.name,
         seed=model.seed,
-        **{k: sum(getattr(res, k) for res in decoded)
+        **{k: sum(getattr(res, k) for res in beams)
            for k in ("expanded", "pruned", "dead_end", "discarded")},
         **{f"{m}_{k}": sums[f"{m}_{k}"] for m in ("nll", "decisions") for k in "PVL"},
     )
@@ -152,7 +115,7 @@ def ablation_comparison(train_fold, test_fold, encoder="graph", seeds=(0, 1, 2),
     g = pl.literal_vocab_from_samples(train_fold, builtin_grammar())
     vocab = mo.token_vocab_from_samples(train_fold)
     table = {}
-    for name in ("Tree", "ASN", "Syn", "NAG"):
+    for name in mo.CONFIGS:
         row = []
         for seed in seeds:
             m = mo.Model(g, config=name, encoder=encoder, seed=seed, token_vocab=vocab)
@@ -229,7 +192,7 @@ def _build_parser():
     c = sub.add_parser("train")
     c.add_argument("--data", required=True)
     c.add_argument("--config", choices=list(_CONFIG_NAMES), default="nag")
-    c.add_argument("--encoder", choices=["seq", "graph"], default="graph")
+    c.add_argument("--encoder", choices=mo.ENCODERS, default="graph")
     c.add_argument("--epochs", type=_positive_int, default=50)
     c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--batch-size", type=_positive_int, default=20)

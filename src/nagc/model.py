@@ -57,6 +57,8 @@ class DecoderConfig:
     variable_pooling: bool
 
 
+ENCODERS = ("seq", "graph")  # context encoders, by name
+
 CONFIGS = {
     "Tree": DecoderConfig("Tree", (ag.CHILD,), False, False, False),
     "ASN": DecoderConfig("ASN", (ag.CHILD,), True, False, False),
@@ -137,10 +139,13 @@ class Model:
                 config = CONFIGS[config]
             except KeyError:
                 raise ModelError(f"unknown decoder config {config!r}") from None
-        if encoder not in ("seq", "graph"):
+        if encoder not in ENCODERS:
             raise ModelError(f"unknown encoder {encoder!r}")
         if hidden < 1 or (encoder == "seq" and hidden % 2):  # each bi-GRU direction holds half
             raise ModelError(f"hidden {hidden} must be at least 1, and even under the seq encoder")
+        for field, size, lo in (("emb_dim", emb_dim, 1), ("edge_emb", edge_emb, 0)):
+            if size < lo:
+                raise ModelError(f"{field} {size} must be at least {lo}")
         if token_vocab is None:
             token_vocab = [UNK_TOKEN, lang.HOLE_TOKEN, SELF_TOKEN, OTHER_VAR_TOKEN]
         # prep maps a token outside the vocab to row 0, so <UNK> must come first
@@ -677,29 +682,13 @@ def sample_loss(model: Model, sample):
 # ---------------------------------------------------------------------------
 # Training
 
-def _clip_gradients(params, max_norm: float) -> float:
-    """Scale the gradients down to norm max_norm (when set and exceeded);
-    returns their norm before clipping."""
-    sq = 0.0
-    for _, t in params.items():
-        if t.grad is not None:
-            sq += float(np.sum(np.square(t.grad, dtype=np.float64)))
-    norm = math.sqrt(sq)
-    if max_norm and norm > max_norm:
-        scale = max_norm / norm
-        for _, t in params.items():
-            if t.grad is not None:
-                t.grad *= scale
-    return norm
-
-
 def train(model: Model, samples, epochs: int, batch_size: int = 20,
           seed: int = 0, lr: float = 1e-3, valid=None, log=None,
           clip_norm: float = 5.0):
     """Teacher-forced MLE training; returns per-epoch metric dicts. Each
     record carries its phase times in seconds: prep_s (the prep pass, in
-    epoch 0; 0.0 after), forward_s (batch_loss), backward_s (backward and
-    gradient clipping) and adam_s, and samples_per_s over the epoch's
+    epoch 0; 0.0 after), forward_s (batch_loss), backward_s and adam_s
+    (gradient clipping and the update), and samples_per_s over the epoch's
     batches."""
     if not samples:
         raise ModelError("empty training fold")
@@ -737,12 +726,11 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
                             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                         t1 = time.perf_counter()
                         nn.backward(loss)
-                        norm = _clip_gradients(model.params, clip_norm)
+                        t2 = time.perf_counter()
+                        norm = nn.adam_step(model.params, opt, clip_norm)
                         if not math.isfinite(norm):
                             raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
                         norms.append(norm)
-                        t2 = time.perf_counter()
-                        nn.adam_step(model.params, opt)
                         phase["adam_s"] += time.perf_counter() - t2
                         phase["backward_s"] += t2 - t1
                         phase["forward_s"] += t1 - t0
@@ -779,19 +767,14 @@ def train(model: Model, samples, epochs: int, batch_size: int = 20,
 CHUNK = 20  # contexts encoded and beam-searched together (scored too, in walk_fold), either encoder
 
 
-def fold_nll(model: Model, samples) -> dict:
-    """The summed NLL of a fold under teacher forcing, its decision and token
-    counts, and per decision kind k nll_k and decisions_k (StepLoss.by_kind):
-    walk_fold without the beam search."""
-    return walk_fold(model, samples)[0]
-
-
 def walk_fold(model: Model, samples, width: int = None) -> tuple:
-    """(fold_nll's sums, beams) in one pass over a fold. Each chunk of
-    samples is prepped once and encoded once, under no_grad; its
-    teacher-forced NLL is scored from that encoding and, given a beam
-    `width`, the chunk is beam-searched (_decode) from it: `beams` holds a
-    BeamResult per sample, or nothing without a width. Samples go CHUNK to a
+    """(sums, beams) in one pass over a fold. Each chunk of samples is
+    prepped once and encoded once, under no_grad; its teacher-forced NLL is
+    scored from that encoding and, given a beam `width`, the chunk is
+    beam-searched (_decode) from it. `sums` holds the fold's summed NLL, its
+    decision and token counts, and per decision kind k nll_k and decisions_k
+    (StepLoss.by_kind); `beams` holds a BeamResult per sample, or nothing
+    without a width. Samples go CHUNK to a
     chunk under either encoder, as decode_many's contexts do, so the beams
     are decode_many's."""
     sums = dict.fromkeys(("nll", "decisions", "tokens"), 0)
@@ -813,7 +796,7 @@ def walk_fold(model: Model, samples, width: int = None) -> tuple:
 
 def fold_perplexity(model: Model, samples) -> tuple:
     """(per-decision, per-token) perplexity of a fold under teacher forcing."""
-    sums = fold_nll(model, samples)
+    sums = walk_fold(model, samples)[0]
     return math.exp(sums["nll"] / sums["decisions"]), math.exp(sums["nll"] / sums["tokens"])
 
 

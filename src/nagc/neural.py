@@ -981,11 +981,13 @@ class OptState:
         self.work = None  # two flat scratch rows, reused from step to step
 
 
-def adam_step(params: ParamStore, st: OptState):
+def adam_step(params: ParamStore, st: OptState, max_norm: float = 0.0) -> float:
     """One adaptive-moment update from the gradients stored on params (zero
     where a parameter has none), of all parameters as one flat array; each
-    p.data is rebound to its slice of the updated array."""
-    st.step += 1
+    p.data is rebound to its slice of the updated array. Returns the
+    gradients' norm before clipping: above max_norm (when set), the update
+    uses them scaled down to that norm. A non-finite norm is returned before
+    any parameter, moment or step count moves."""
     items = params.items()
     for name, p in items:
         if p.grad is not None and p.grad.shape != p.data.shape:
@@ -996,6 +998,16 @@ def adam_step(params: ParamStore, st: OptState):
     m, v, (g, g2) = st.m, st.v, st.work
     np.concatenate([np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.ravel()
                     for _, p in items], out=g)
+    sq, off = 0.0, 0
+    for _, p in items:  # per-parameter float64 sums, added in parameter order
+        sq += float(np.sum(np.square(g[off : off + p.data.size], dtype=np.float64)))
+        off += p.data.size
+    norm = math.sqrt(sq)
+    if not math.isfinite(norm):
+        return norm
+    if max_norm and norm > max_norm:
+        g *= max_norm / norm
+    st.step += 1
     # the textbook update, in place: each product and quotient rounds as there
     v *= st.beta2
     v += np.multiply(np.multiply(g, 1 - st.beta2, out=g2), g, out=g2)  # (1 - b2) * g * g
@@ -1008,7 +1020,7 @@ def adam_step(params: ParamStore, st: OptState):
     for _, p in items:
         p.data = data[off : off + p.data.size].reshape(p.data.shape)
         off += p.data.size
-    return params
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_acceptance_07_overfit(fitted_grammar, token_vocab, folds, capfd):
         if ppl < 1.3:
             lr = 3e-4  # settle once close to the optimum
         if ppl <= 1.1:
-            acc = E.accuracy_at_k(m, train50, k=1, width=1)
+            acc = E.evaluate(m, train50, width=1).acc1
             if acc >= 0.95:
                 break
     elapsed = time.time() - t0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,10 +16,11 @@ from nagc import pipeline as P
 from nagc.evalcli import DataError, EvalReport, run_cli
 from nagc.grammar import load_grammar
 from nagc.syntax import (
-    Walk, apply_production, bind_terminal, new_partial_ast, serialize_decisions,
+    Walk, apply_production, bind_terminal, deserialize_decisions, new_partial_ast,
+    serialize_decisions,
 )
 
-from conftest import make_sample
+from conftest import make_sample, node_tree
 
 FORCED = """
 @start S
@@ -169,17 +171,18 @@ def test_walk_fold_beams_are_decode_many_beams(which, request, folds):
 
 @pytest.mark.parametrize("which", ["trained", "trained_graph"])
 def test_evaluate_matches_fold_nll_and_decode_beam(which, request, folds, monkeypatch):
-    # the report built the two-pass way: fold_nll's teacher forcing, then a
-    # decode_beam per sample, each preparing and encoding its context again
+    # the report built the two-pass way: walk_fold's teacher forcing without
+    # a beam, then a decode_beam per sample, each preparing and encoding its
+    # context again
     model = request.getfixturevalue(which)
     fold = folds["test"][:25]
     new = E.evaluate(model, fold, width=5)
-    sums = M.fold_nll(model, fold)
+    sums = M.walk_fold(model, fold)[0]
     beams = [M.decode_beam(model, s.before, s.after, s.scope, width=5) for s in fold]
     monkeypatch.setattr(M, "walk_fold", lambda *args, **kwargs: (sums, beams))
     old = E.evaluate(model, fold, width=5)
     if model.encoder == "seq":
-        # the same fold_nll sums; the beams of a chunk's encoding and of
+        # the same teacher-forced sums; the beams of a chunk's encoding and of
         # each context's own rank and count alike on this fold
         assert new == old
         return
@@ -219,24 +222,70 @@ def test_perplexity_empty_fold_raises(trained):
 
 
 def test_accuracy_empty_fold_raises(trained):
-    # like perplexity and well_typed_rate, and also with a precomputed decode
-    for decoded in (None, []):
-        with pytest.raises(DataError, match="empty fold"):
-            E.accuracy_at_k(trained, [], k=1, decoded=decoded)
-        with pytest.raises(DataError, match="empty fold"):
-            E.well_typed_rate(trained, [], decoded=decoded)
-
-
-def test_accuracy_k_beyond_width_raises(trained, folds):
-    with pytest.raises(DataError):
-        E.accuracy_at_k(trained, folds["test"][:2], k=6, width=5)
+    with pytest.raises(DataError, match="empty fold"):
+        E.evaluate(trained, [])
 
 
 def test_accuracy_perfect_on_forced_grammar():
     g = load_grammar(FORCED)
     m = M.Model(g, config="Tree", encoder="seq", hidden=16, emb_dim=8, seed=1)
     fold = [_forced_sample(g)]
-    assert E.accuracy_at_k(m, fold, k=1, width=1) == 1.0
+    assert E.evaluate(m, fold, width=1).acc1 == 1.0
+
+
+def _hand_beams(g, width):
+    """Five int holes and their beams, built by hand and cut to width: a
+    well-typed top-1 that is the gold, a gold found only at rank 3, a top-1
+    well-typed only with UNK literals allowed, an ill-typed top-1 and a dead
+    end."""
+    def tree(text):
+        return node_tree(lang.parse_expression(lang.tokenize(text)), g)
+
+    unk = serialize_decisions(tree("x + 1")).replace("Lint:1", "Lint:<UNK:int>")
+    holes = [  # (gold, hypotheses best first)
+        ("x + 1", [tree("x + 1"), tree("x"), tree("1")]),
+        ("x * x", [tree("x"), tree("1"), tree("x * x"), tree("x + x")]),
+        ("x - 1", [deserialize_decisions(unk, g), tree("x")]),
+        ("x", [tree("s + 1"), tree("1")]),
+        ("1", []),
+    ]
+    scope = {"x": "int", "s": "string"}
+    fold = [dataclasses.replace(make_sample(tree(gold), scope), hole_type="int")
+            for gold, _ in holes]
+    beams = [M.BeamResult([(t, -1.0 - i) for i, t in enumerate(hyps[:width])], discarded=i,
+                          expanded=10 + i, pruned=5, dead_end=int(not hyps))
+             for i, (_, hyps) in enumerate(holes)]
+    return fold, beams
+
+
+@pytest.mark.parametrize("width, acc5", [(1, 0.2), (5, 0.4)])
+def test_report_arithmetic_is_pinned(width, acc5, g, monkeypatch):
+    # every field from fixed teacher-forced sums and hand-built beams: 2 of 5
+    # top-1s well-typed, 1 more only with UNK literals (so 2 of 4 once it
+    # leaves the denominator), 1 gold at rank 1 and 1 more at rank 3
+    m = M.Model(g, config="Tree", encoder="seq", hidden=16, emb_dim=8, seed=4)
+    fold, beams = _hand_beams(g, width)
+    sums = {"nll": 12.5, "decisions": 10, "tokens": 5, "nll_P": 6.0, "nll_V": 4.0,
+            "nll_L": 2.5, "decisions_P": 5, "decisions_V": 3, "decisions_L": 2}
+    monkeypatch.setattr(M, "walk_fold", lambda model, fold_, width_: (sums, beams))
+    assert E.evaluate(m, fold, width=width) == EvalReport(
+        ppl_decision=math.exp(1.25), ppl_token=math.exp(2.5), well_typed=0.4,
+        well_typed_no_unk=0.5, acc1=0.2, acc5=acc5, n=5, config="Tree", seed=4,
+        expanded=60, pruned=25, dead_end=1, discarded=10, nll_P=6.0, nll_V=4.0, nll_L=2.5,
+        decisions_P=5, decisions_V=3, decisions_L=2)
+
+
+def test_evaluate_serializes_each_hypothesis_once(g, monkeypatch):
+    m = M.Model(g, config="Tree", encoder="seq", hidden=16, emb_dim=8, seed=0)
+    fold, beams = _hand_beams(g, 5)
+    sums = dict.fromkeys(("nll", "decisions", "tokens", "nll_P", "nll_V", "nll_L",
+                          "decisions_P", "decisions_V", "decisions_L"), 1)
+    monkeypatch.setattr(M, "walk_fold", lambda model, fold_, width_: (sums, beams))
+    serialized = []
+    real = E.serialize_decisions
+    monkeypatch.setattr(E, "serialize_decisions", lambda t: serialized.append(t) or real(t))
+    E.evaluate(m, fold, width=5)
+    assert serialized == [t for res in beams for t, _ in res.hypotheses]
 
 
 # ---------------------------------------------------------------------------

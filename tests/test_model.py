@@ -67,6 +67,14 @@ def test_hidden_size_is_refused_unless_it_splits(encoder, hidden, fitted_grammar
         Model(fitted_grammar, encoder=encoder, hidden=hidden)
 
 
+@pytest.mark.parametrize("field, size", [("emb_dim", 0), ("emb_dim", -1), ("edge_emb", -1)])
+def test_embedding_size_is_refused_below_its_floor(field, size, fitted_grammar):
+    # an empty token embedding would build, then fail in the bi-GRU backward;
+    # a negative size would fail in init_params
+    with pytest.raises(ModelError, match=field):
+        Model(fitted_grammar, encoder="seq", **{field: size})
+
+
 # -- encoders ---------------------------------------------------------------
 
 def test_encode_seq_token_counts(small, folds):

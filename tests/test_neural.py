@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 import threading
@@ -827,6 +828,49 @@ def test_adam_matches_written_out_update():
     p["b"].grad = np.zeros((2, 2), np.float32)
     with pytest.raises(ShapeError):
         adam_step(p, st)
+
+
+def test_adam_clips_the_flat_gradient_once():
+    # clipping inside the step: the same bits as scaling each parameter's
+    # gradient by max_norm / norm, then stepping unclipped; the norm returned
+    # is the one before clipping. "c" never has a gradient.
+    rng = np.random.default_rng(17)
+    init = {n: rng.normal(size=shape).astype(np.float32)
+            for n, shape in (("a", (30, 20)), ("b", (50,)), ("c", (8, 8)))}
+    clipped, scaled = ParamStore(), ParamStore()
+    for n, w in init.items():
+        clipped.register(n, w.copy())
+        scaled.register(n, w.copy())
+    st_clipped, st_scaled = OptState(lr=0.01), OptState(lr=0.01)
+    for step in range(4):
+        grads = {n: (rng.normal(size=init[n].shape) * 10.0 ** rng.uniform(-3, 3, init[n].shape))
+                 .astype(np.float32) for n in ("a", "b")}
+        norm = math.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
+        max_norm = norm / (2 + step)
+        for n, t in clipped.items():
+            t.grad = grads.get(n)
+        for n, t in scaled.items():
+            t.grad = grads[n] * (max_norm / norm) if n in grads else None
+        assert adam_step(clipped, st_clipped, max_norm) == norm
+        adam_step(scaled, st_scaled)
+        for n, t in clipped.items():
+            assert t.data.tobytes() == scaled[n].data.tobytes(), (step, n)
+
+
+def test_adam_moves_nothing_on_a_non_finite_gradient():
+    p, st = ParamStore(), OptState()
+    p.register("a", np.ones((3, 4), np.float32))
+    p.register("b", np.ones(5, np.float32))
+    p["a"].grad = np.ones((3, 4), np.float32)
+    p["b"].grad = np.ones(5, np.float32)
+    adam_step(p, st, 1.0)
+    before = {n: t.data.copy() for n, t in p.items()}
+    moments = (st.m.copy(), st.v.copy())
+    p["b"].grad[2] = np.nan
+    assert math.isnan(adam_step(p, st, 1.0))
+    assert all(np.array_equal(before[n], t.data) for n, t in p.items())
+    assert st.step == 1
+    assert np.array_equal(st.m, moments[0]) and np.array_equal(st.v, moments[1])
 
 
 def test_init_params_deterministic_and_shaped():
