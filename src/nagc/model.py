@@ -426,7 +426,7 @@ def encode_graph_many(model: Model, preppeds, steps: int = 8) -> BatchEncoding:
     etype = np.concatenate([etype, etype + 1])
     order = np.argsort(etype, kind="stable")
     edges = nn.EdgeIndex(off, h.data.shape[1], np.concatenate([src, tgt])[order],
-                         np.concatenate([tgt, src])[order], etype[order])
+                         np.concatenate([tgt, src])[order], etype[order], offsets[1:-1])
     h = nn.ggnn(h, edges, p, GGNN_PREFIXES, "enc_gg_g", steps, model.ggnn_block)
     roots = nn.linear(nn.rows(h, [pg.hole_node + o for pg, o in zip(pgs, offsets)]), p, "enc_root")
     n_tokens = [len(pr.tokens) for pr in preppeds]  # token i of a context is its node i

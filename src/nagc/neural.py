@@ -9,6 +9,12 @@ engine follows the dtype of its inputs.
 Tape nodes own what their backward reads, with one exception: a taped ggnn
 saves its steps in a StepBlock that a training run lends to every batch, so
 the largest per-batch state is written into pages the run already holds.
+
+The ggnn runs on two threads where its graph allows: its forward runs the
+two halves of a disconnected graph (a batch of contexts cut at the context
+boundary nearest half its rows) side by side, and its backward forms each
+step's parameter gradients beside the chain of steps. Both give the bits of
+one thread. Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -447,24 +453,57 @@ class EdgeIndex:
     """Typed edges among n rows of width d: int64 src, tgt and etype arrays
     sorted by etype, the (type, first, end) span of each type present, and
     the segment layouts of the targets and sources, each built on first
-    use."""
+    use. `cuts`, ascending, are rows at which the graph falls apart: no
+    edge joins a row below a cut to one at or above it (a ShapeError
+    otherwise)."""
 
-    def __init__(self, n: int, d: int, src, tgt, etype):
+    def __init__(self, n: int, d: int, src, tgt, etype, cuts=()):
         self.n, self.d = n, d
-        self.src, self.tgt, etype = (np.asarray(a, dtype=np.int64) for a in (src, tgt, etype))
-        cuts = [0, *(np.flatnonzero(np.diff(etype)) + 1).tolist(), len(etype)]
-        self.spans = [(int(etype[a]), a, z) for a, z in zip(cuts, cuts[1:]) if a < z]
+        self.src, self.tgt, self.etype = (np.asarray(a, dtype=np.int64) for a in (src, tgt, etype))
+        self.cuts = np.asarray(cuts, dtype=np.int64)
+        if len(self.cuts) and np.any(np.searchsorted(self.cuts, self.src, "right")
+                                     != np.searchsorted(self.cuts, self.tgt, "right")):
+            raise ShapeError("EdgeIndex: an edge crosses a cut")
+        bounds = [0, *(np.flatnonzero(np.diff(self.etype)) + 1).tolist(), len(self.etype)]
+        self.spans = [(int(self.etype[a]), a, z) for a, z in zip(bounds, bounds[1:]) if a < z]
 
     tgt_layout = functools.cached_property(lambda self: _segment_layout(self.tgt))
     src_layout = functools.cached_property(lambda self: _segment_layout(self.src))
 
+    def in_counts(self, dtype) -> np.ndarray:
+        """The (n, types present) counts of each row's in-edges of each type."""
+        return np.stack([np.bincount(self.tgt[a:z], minlength=self.n) for _, a, z in self.spans],
+                        axis=1).astype(dtype)
 
-def _message_rows(hs, edges: EdgeIndex, Ws):
-    """Each edge's message before its bias: hs[e] @ W_top of its type."""
-    m = np.empty(hs.shape, hs.dtype)
-    for (_, a, z), W in zip(edges.spans, Ws):
-        np.matmul(hs[a:z], W.data[: edges.d], out=m[a:z])
-    return m
+    @functools.cached_property
+    def halves(self) -> list:
+        """[(rows, edges)] of the two halves of the graph at the qualifying
+        cut nearest n / 2, each with its own edges (rows counted from its
+        first), or [] if no cut qualifies. BLAS gives the same bits for any
+        split of a matmul's rows into parts of at least 2 (1 row takes gemv,
+        which rounds otherwise), so a cut qualifies only if each half has at
+        least 2 rows and no edge type of more than one edge has exactly one
+        in a half."""
+        c = self.cuts[(self.cuts >= 2) & (self.cuts <= self.n - 2)]
+        for _, a, z in self.spans:
+            if len(c) and z - a > 1:
+                below = np.searchsorted(np.sort(self.tgt[a:z]), c)  # the type's edges below each cut
+                c = c[(below != 1) & (z - a - below != 1)]
+        if not len(c):
+            return []
+        c = int(c[np.argmin(np.abs(2 * c - self.n))])
+        low = self.tgt < c
+        return [(slice(0, c), EdgeIndex(c, self.d, self.src[low], self.tgt[low], self.etype[low])),
+                (slice(c, self.n), EdgeIndex(self.n - c, self.d, self.src[~low] - c, self.tgt[~low] - c,
+                                             self.etype[~low]))]
+
+
+def _message_rows(hs, edges: EdgeIndex, Ws: dict, out):
+    """Into out, each edge's message before its bias: hs[e] @ W_top of its
+    type, Ws by type code."""
+    for t, a, z in edges.spans:
+        np.matmul(hs[a:z], Ws[t].data[: edges.d], out=out[a:z])
+    return out
 
 
 class StepBlock:
@@ -506,12 +545,19 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     is returned as it is. A taped call keeps per step only node-sized state,
     its input, state, z/r block and candidate, in `block` (a new one when
     not given, dropped when the backward ends); an untaped call keeps none.
-    The backward runs the chain from step to step on the calling thread and
-    each step's parameter gradients on one worker thread of its own, which
-    overlaps the next chain step and keeps the serial order of every sum,
-    so results are bit-identical to one thread; no option turns it off. The
-    worker runs under the caller's np.geterr(), its errors are raised on the
-    calling thread, and BLAS threading per call stays as the caller set it."""
+
+    Two threads, bit-identical to one; no option turns them off. If the
+    edges have a qualifying cut (EdgeIndex.halves), the forward runs every
+    step of the rows below it on the calling thread and every step of the
+    rows above it on one worker thread: no edge joins the halves, so they
+    never wait for each other. A graph of one component, such as a single
+    context's, runs as one range and starts no thread. The backward runs
+    the chain from step to step on the calling thread and each step's
+    parameter gradients on one worker thread of its own, which overlaps
+    the next chain step and keeps the serial order of every sum. The
+    buffers a worker writes are made on the calling thread. A worker runs
+    under the caller's np.geterr(), its errors are raised on the calling
+    thread, and BLAS threading per call stays as the caller set it."""
     h = as_tensor(h)
     if steps == 0 or not edges.spans:
         return h
@@ -523,30 +569,48 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     gru = [p[name] for name in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
     U = np.array((Uz, Ur))
-    counts = np.stack([np.bincount(edges.tgt[a:z], minlength=n) for _, a, z in edges.spans],
-                      axis=1).astype(h.data.dtype)  # of the in-edges of each type per row
-    bias = counts @ np.stack([b.data for b in bs])
+    bias = edges.in_counts(h.data.dtype) @ np.stack([b.data for b in bs])
     parents = [h] + Ws + gru + bs
     block = (block or StepBlock()) if _track(*parents) else None
     saved = None if block is None else block.hold(steps, n, d, h.data.dtype)
-    H, RH = h.data, np.empty_like(h.data)
+    H, RH = np.empty_like(h.data), np.empty_like(h.data)  # H: the state after the last step
     if saved is not None:  # the state before step 0 is a copy of h
-        H = saved[1][0]
-        H[...] = h.data
+        saved[1][0] = h.data
+        X, states, ZR, C = saved
+    else:  # one input, z/r block and candidate for every step, and two states in turn
+        X, ZR, C = ([a] * steps for a in (np.empty_like(H), np.empty((2, n, d), H.dtype), np.empty_like(H)))
+        spare = np.empty_like(H)
+        states = [h.data] + [spare if (steps - s) % 2 else H for s in range(1, steps)]
+    Wt = {t: W for (t, _, _), W in zip(edges.spans, Ws)}
+
+    def run(r, part, layout, hs, m):  # every step of the rows r, whose in-edges are part's
+        with np.errstate(**err):
+            for s in range(steps):
+                x, zr, c, hp = X[s][r], ZR[s][:, r], C[s][r], states[s][r]
+                x[...] = bias[r]
+                # mode "clip" (the indices are in range) writes into out= without a temporary
+                np.take(hp, part.src, axis=0, out=hs, mode="clip")
+                _layout_sum(x, layout, _message_rows(hs, part, Wt, m))
+                for W, b, out in ((Wh, bh, c), (Wz, bz, zr[0]), (Wr, br, zr[1])):
+                    np.add(np.matmul(x, W, out=out), b, out=out)
+                np.negative(zr, out=zr)
+                _gru_step(zr, c, hp, U, Uh, RH[r], (H if s + 1 == steps else states[s + 1])[r])
+
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
-        for s in range(steps):
-            if saved is None:
-                X, ZR, C = np.empty_like(H), np.empty((2, n, d), H.dtype), np.empty_like(H)
-            else:
-                X, ZR, C = saved[0][s], saved[2][s], saved[3][s]
-            X[...] = bias
-            _layout_sum(X, edges.tgt_layout, _message_rows(np.take(H, edges.src, axis=0), edges, Ws))
-            for W, b, out in ((Wh, bh, C), (Wz, bz, ZR[0]), (Wr, br, ZR[1])):
-                np.add(np.matmul(X, W, out=out), b, out=out)
-            np.negative(ZR, out=ZR)
-            H_next = saved[1][s + 1] if saved is not None and s + 1 < steps else np.empty_like(H)
-            _gru_step(ZR, C, H, U, Uh, RH, H_next)
-            H = H_next
+        err = np.geterr()
+        # what the worker reads or writes is made here, on the calling thread
+        runs = [(r, part, part.tgt_layout, *(np.empty((len(part.src), d), H.dtype) for _ in range(2)))
+                for r, part in edges.halves or [(slice(0, n), edges)]]
+        if len(runs) == 1:
+            run(*runs[0])
+        else:  # the halves share no edge: the second runs all its steps on a worker thread
+            pool = ThreadPoolExecutor(1)
+            try:
+                job = pool.submit(run, *runs[1])
+                run(*runs[0])
+                job.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     def bw(g):
         nonlocal saved, block
@@ -591,7 +655,7 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
             pool.shutdown(cancel_futures=True)
         block.release()
         saved = block = None
-        for t, gt in zip(Ws + gru + bs, grads + list(counts.T @ dX_sum)):
+        for t, gt in zip(Ws + gru + bs, grads + list(edges.in_counts(H.dtype).T @ dX_sum)):
             _accum(t, gt)
         _accum(h, dh)
 

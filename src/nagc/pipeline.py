@@ -349,6 +349,8 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError("a sample must be a JSON object")
                 if not (isinstance(obj["before"], list) and isinstance(obj["after"], list)
                         and isinstance(obj["scope"], dict)):
                     raise TypeError("before and after must be lists, scope an object")
@@ -363,7 +365,9 @@ def read_jsonl(path, g: Grammar | None = None) -> list[Sample]:
                 texts = [s.file, s.hole_type, s.target, *s.before, *s.after, *s.scope.values()]
                 if not all(isinstance(x, str) for x in texts):
                     raise TypeError("names, types and tokens must be strings")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except KeyError as e:
+                raise PipelineError(f"{path}:{lineno}: malformed sample: missing field {e}") from None
+            except (json.JSONDecodeError, TypeError, ValueError) as e:
                 raise PipelineError(f"{path}:{lineno}: malformed sample: {e}") from None
             if g is not None:
                 _validate(s, g, path, lineno)

@@ -1106,6 +1106,27 @@ def test_beam_statistics(small, folds, monkeypatch):
     assert all(tree.nodes[1].label != "Var" for tree, _ in res.hypotheses)
 
 
+@pytest.mark.parametrize("which", ["small", "gmodel"])
+def test_one_context_decode_starts_no_thread(which, request, folds, monkeypatch):
+    # a decode_beam encodes one context, which the GGNN forward runs as one
+    # range, so no call constructs a worker pool; a chunk of several graph
+    # contexts is run as two halves, one on a worker thread
+    model = request.getfixturevalue(which)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a worker pool was constructed")
+
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", refused)
+    for s in folds["test"][:3]:
+        decode_beam(model, s.before, s.after, s.scope, width=5)
+    contexts = [(s.before, s.after, s.scope) for s in folds["test"][:6]]
+    if which == "gmodel":
+        with pytest.raises(AssertionError, match="^a worker pool was constructed$"):
+            M.decode_many(model, contexts, width=1)
+    else:
+        M.decode_many(model, contexts, width=1)
+
+
 # Decoding a chunk: "a" and "e" are one-decision trees, a tree through "b"
 # takes four decisions, Var and IntLit two.
 CHUNKED = """

@@ -539,6 +539,35 @@ def test_ggnn_worker_raises_on_the_calling_thread(monkeypatch):
     with pytest.raises(ValueError, match="^worker failed$"):
         backward(_ggnn_worker_run(72))
     assert set(threading.enumerate()) == threads
+    # the forward's second half runs on a worker thread of its own: under
+    # the caller's error state, and an error there reaches the caller
+    monkeypatch.undo()
+    rng = np.random.default_rng(73)
+    _, edges = _components(rng, [4, 4], 4, [[3, 3], [3, 3]])
+    p, names = _ggnn_f32(73, 4, 2)
+    h = rng.normal(size=(8, 4)).astype(np.float32)
+    assert [r.stop for r, _ in edges.halves] == [4, 8]
+    h[6] = np.inf  # the state's update meets inf - inf there
+    with pytest.raises(FloatingPointError, match="invalid") as info:
+        with np.errstate(invalid="raise"):
+            nn.ggnn(Tensor(h), edges, p, names, "gg", 2)
+    assert any(entry.name == "run" for entry in info.traceback)
+    assert set(threading.enumerate()) == threads
+    with np.errstate(invalid="ignore"):
+        out = nn.ggnn(Tensor(h), edges, p, names, "gg", 2)
+    assert np.isfinite(out.data[:4]).all() and not np.isfinite(out.data[6]).all()
+    caller, step = threading.current_thread(), nn._gru_step
+
+    def failing_off_caller(*args):
+        if threading.current_thread() is not caller:
+            raise ValueError("worker failed")
+        return step(*args)
+
+    monkeypatch.setattr(nn, "_gru_step", failing_off_caller)
+    for grad in (True, False):
+        with pytest.raises(ValueError, match="^worker failed$"):
+            nn.ggnn(Tensor(np.ones_like(h), requires_grad=grad), edges, p, names, "gg", 2)
+        assert set(threading.enumerate()) == threads
 
 
 def test_ggnn_step_block_is_reused_and_guarded():
@@ -592,6 +621,105 @@ def test_ggnn_step_block_is_reused_and_guarded():
     with pytest.raises(NeuralError, match="^ggnn: "):
         backward(nn.tsum(out))
     nn.ggnn(h, edges, p, names, "gg", steps, block)  # released by the backward
+
+
+def _components(rng, sizes, d, counts):
+    """Edges within disconnected components of the given sizes, whose rows
+    come one component after another, sorted by type as the graph encoder
+    sorts them: an EdgeIndex without cuts, and one cut at every boundary
+    between components. counts[i][t] type-t edges join random rows of
+    component i."""
+    src, tgt, etype, first = [], [], [], 0
+    for size, row in zip(sizes, counts):
+        for t, k in enumerate(row):
+            src.append(first + rng.integers(0, size, k))
+            tgt.append(first + rng.integers(0, size, k))
+            etype.append(np.full(k, t))
+        first += size
+    src, tgt, etype = (np.concatenate(a) for a in (src, tgt, etype))
+    order = np.argsort(etype, kind="stable")
+    whole = (first, d, src[order], tgt[order], etype[order])
+    return nn.EdgeIndex(*whole), nn.EdgeIndex(*whole, np.cumsum(sizes)[:-1])
+
+
+def _ggnn_f32(seed, d, types):
+    """Float32 GGNN parameters for `types` edge types and the GRU "gg", all
+    drawn from a normal distribution, biases included."""
+    names = [f"e{t}" for t in range(types)]
+    shapes = gru_param_shapes("gg", d, d)
+    for name in names:
+        shapes.update({f"{name}_W": (d, d), f"{name}_b": (d,)})
+    p = init_params(shapes, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in p.items():
+        t.data = (0.5 * rng.normal(size=t.data.shape)).astype(np.float32)
+    return p, names
+
+
+def _ggnn_results(edges, p, names, h, w, steps=3):
+    """The output and every gradient of a taped call and its backward, then
+    the output of an untaped call."""
+    p.zero_grad()
+    x = Tensor(h.copy(), requires_grad=True)
+    out = nn.ggnn(x, edges, p, names, "gg", steps)
+    backward(nn.tsum(ops.mul(out, Tensor(w))))
+    with nn.no_grad():
+        plain = nn.ggnn(Tensor(h), edges, p, names, "gg", steps).data
+    return [out.data, plain, x.grad] + [t.grad for _, t in p.items()]
+
+
+def _assert_same_bits(a, b):
+    assert len(a) == len(b)
+    for i, (x, y) in enumerate(zip(a, b)):
+        assert (x is None and y is None) or (x.dtype == y.dtype and np.array_equal(x, y)), i
+
+
+def test_ggnn_halves_equal_one_range_bit_for_bit():
+    # a float32 batch of 2 to 6 disconnected components, cut at the boundary
+    # nearest half its rows and run as two halves, one on a worker thread,
+    # gives the output and every gradient of the same call over one range
+    # (at d = 64, a 1-row matmul rounds otherwise than a row of a larger one)
+    d, types, split = 64, 4, 0
+    p, names = _ggnn_f32(80, d, types)
+    rng = np.random.default_rng(81)
+    for trial in range(12):
+        sizes = rng.integers(2, 12, rng.integers(2, 7))
+        counts = [rng.integers(0, 2 * size + 1, types) for size in sizes]
+        whole, cut = _components(rng, sizes, d, counts)
+        n = whole.n
+        h, w = (rng.normal(size=(n, d)).astype(np.float32) for _ in range(2))
+        _assert_same_bits(_ggnn_results(whole, p, names, h, w), _ggnn_results(cut, p, names, h, w))
+        assert whole.halves == []
+        if cut.halves:
+            split += 1
+            (lo, a), (hi, b) = cut.halves
+            assert lo.stop == hi.start and min(lo.stop, n - lo.stop) >= 2
+            assert a.n + b.n == n and len(a.src) + len(b.src) == len(cut.src)
+    assert split >= 8, split
+
+
+def test_ggnn_cut_skips_a_boundary_that_leaves_a_half_one_edge_of_a_type():
+    # three components of 4 rows: the cuts at rows 4 and 8 are equally near
+    # half, and the first is taken unless a half would hold exactly one edge
+    # of a type with more in the batch (its matmul would round as gemv)
+    d, types = 64, 2
+    p, names = _ggnn_f32(82, d, types)
+    rng = np.random.default_rng(83)
+    for counts, at in (([[3, 2], [2, 3], [2, 2]], 4), ([[1, 2], [2, 3], [2, 2]], 8),
+                       ([[1, 2], [2, 3], [1, 2]], None), ([[1, 0], [0, 3], [0, 2]], 4)):
+        whole, cut = _components(rng, [4, 4, 4], d, counts)
+        assert [r.stop for r, _ in cut.halves] == ([at, 12] if at else [])
+        h, w = (rng.normal(size=(12, d)).astype(np.float32) for _ in range(2))
+        _assert_same_bits(_ggnn_results(whole, p, names, h, w), _ggnn_results(cut, p, names, h, w))
+    # a half of fewer than 2 rows is never cut off
+    whole, cut = _components(rng, [1, 6, 1], d, [[0, 0], [4, 4], [0, 0]])
+    assert cut.halves == []
+    # a cut crossed by an edge is refused
+    with pytest.raises(ShapeError, match="^EdgeIndex: "):
+        nn.EdgeIndex(6, d, [0, 4], [1, 2], [0, 0], [3])
+    with pytest.raises(ShapeError, match="^EdgeIndex: "):
+        nn.EdgeIndex(6, d, [5, 0], [3, 2], [0, 1], [2, 4])
+
 
 def test_attention_gradients():
     shapes = {"att_Wm": (4, 4), "att_Wk": (4, 4), "att_w": (4,), "key": (1, 4), "mem": (3, 4)}

@@ -370,6 +370,23 @@ def test_jsonl_rejects_mistyped_containers(field, tmp_path, g, corpus_samples):
     assert ":2: malformed sample" in str(err.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "file"}, "missing field 'file'"),
+    (lambda obj: list(obj.values()), "a sample must be a JSON object"),
+])
+def test_jsonl_malformed_sample_message_names_the_fault(line, message, tmp_path, g, corpus_samples):
+    # a line without a field, or one that is not an object, is named as such
+    # rather than by the Python error it raises
+    s = corpus_samples[0]
+    path = str(tmp_path / "m.jsonl")
+    P.write_jsonl([s], path)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(line(vars(s))) + "\n")
+    with pytest.raises(PipelineError) as err:
+        P.read_jsonl(path, g)
+    assert str(err.value) == f"{path}:2: malformed sample: {message}"
+
+
 def test_read_validates_invariants(tmp_path, g):
     bad = _mk("f", ["t"], [], {}, "P4 P0 Vzz P1 Lint:1")  # zz out of scope
     path = str(tmp_path / "bad.jsonl")
