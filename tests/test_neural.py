@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tempfile
@@ -719,6 +720,39 @@ def test_ggnn_cut_skips_a_boundary_that_leaves_a_half_one_edge_of_a_type():
         nn.EdgeIndex(6, d, [0, 4], [1, 2], [0, 0], [3])
     with pytest.raises(ShapeError, match="^EdgeIndex: "):
         nn.EdgeIndex(6, d, [5, 0], [3, 2], [0, 1], [2, 4])
+
+
+# sha256 of the output and every gradient of a taped float32, d = 64 ggnn and
+# its backward, then the output of the untaped call: over one context whose
+# type 1 holds a single edge (its message is a 1-row product, which BLAS runs
+# as gemv), and over a batch of five contexts that runs as two halves; in
+# both, some rows have no in-edge
+_GGNN_PINS = {
+    "context": "8b1b63cc95810f5f6edb027b085fbd72263408017f5adbbce03cf4732f1968b2",
+    "batch": "fa9128bd4339148436b773313e9519214bd2d389e77e0126d0b45f80eeaf65a6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GGNN_PINS))
+def test_ggnn_results_are_pinned(case):
+    d, types = 64, 4
+    p, names = _ggnn_f32(84, d, types)
+    rng = np.random.default_rng(85)
+    if case == "context":
+        _, edges = _components(rng, [30], d, [[40, 1, 25, 12]])
+        assert [z - a for _, a, z in edges.spans] == [40, 1, 25, 12] and edges.halves == []
+    else:
+        _, edges = _components(rng, [9, 14, 6, 11, 8], d, [[12, 5, 9, 3], [20, 9, 14, 7],
+                                                            [6, 2, 5, 2], [15, 8, 10, 4],
+                                                            [10, 4, 7, 3]])
+        assert [r.stop for r, _ in edges.halves] == [23, 48]
+    assert len(np.unique(edges.tgt)) < edges.n
+    h, w = (rng.normal(size=(edges.n, d)).astype(np.float32) for _ in range(2))
+    digest = hashlib.sha256()
+    for a in _ggnn_results(edges, p, names, h, w, steps=8):
+        assert a.dtype == np.float32
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == _GGNN_PINS[case]
 
 
 def test_attention_gradients():
