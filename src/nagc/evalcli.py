@@ -241,6 +241,15 @@ def _check_output(path: str):
         raise DataError(f"no directory for {path}")
 
 
+def _decode_at(width: int, run, *args):
+    """run(*args, width=width): a decode at beam `width`, whose MemoryError, a
+    beam too wide for the machine, becomes a DataError naming the width."""
+    try:
+        return run(*args, width=width)
+    except MemoryError:
+        raise DataError(f"out of memory decoding at beam width {width}") from None
+
+
 def _dispatch(args) -> int:
     g = builtin_grammar()
 
@@ -297,7 +306,7 @@ def _dispatch(args) -> int:
             _check_output(args.report)
         m = mo.load_model(args.ckpt)
         fold = pl.read_jsonl(args.data, m.grammar)
-        report = evaluate(m, fold, width=args.beam)
+        report = _decode_at(args.beam, evaluate, m, fold)
         text = json.dumps(asdict(report))
         print(text)
         if args.report:
@@ -310,7 +319,7 @@ def _dispatch(args) -> int:
         fold = pl.read_jsonl(args.sample, m.grammar)
         if not fold:
             raise DataError("no samples in file")
-        results = mo.decode_many(m, [(s.before, s.after, s.scope) for s in fold], width=args.beam)
+        results = _decode_at(args.beam, mo.decode_many, m, [(s.before, s.after, s.scope) for s in fold])
         for s, res in zip(fold, results):
             print(f"hole in {s.file or '<sample>'} ({s.hole_type}):")
             for tree, lp in res.hypotheses:

@@ -256,22 +256,29 @@ def _segment_sum(out, idx, src):
 
 
 def _segment_layout(idx):
-    """(rows, ids): the rows a 1-D index array names, most entries first, and
-    per rank j the position in idx of the j-th entry of rows[:len(ids[j])]."""
+    """(rows, perm, sizes): the rows a 1-D index array names, most entries
+    first, and its positions rank by rank: rank j holds, for each of the
+    first sizes[j] rows, the position in idx of that row's j-th entry."""
     order = np.argsort(idx, kind="stable")  # grouped by row, index order within one
-    names, first, count = np.unique(idx[order], return_index=True, return_counts=True)
+    count = np.bincount(idx)
+    names = np.flatnonzero(count)
+    count = count[names]
     by = np.argsort(-count, kind="stable")
-    more = np.searchsorted(-count[by], -np.arange(count.max(initial=0)))  # rows with > j entries
-    return names[by], [order[first[by][:c] + j] for j, c in enumerate(more)]
+    first = (np.cumsum(count) - count)[by]  # each row's first entry in order
+    sizes = np.searchsorted(-count[by], -np.arange(count.max(initial=0)))  # rows with > j entries
+    rank = np.repeat(np.arange(len(sizes)), sizes)
+    row = np.arange(len(rank)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return names[by], order[first[row] + rank], sizes.tolist()
 
 
 def _layout_sum(out, layout, src):
     """np.add.at(out, idx, src) bit for bit, and returns out, through idx's
-    _segment_layout: per rank, one gather and one add into a prefix."""
-    rows_, ids = layout
-    acc = np.take(out, rows_, axis=0)  # np.take gathers rows faster than indexing
-    for k in ids:
-        acc[: len(k)] += np.take(src, k, axis=0)
+    _segment_layout: per rank, one gather and one add into a prefix of the
+    named rows."""
+    rows_, perm, sizes = layout
+    acc = out.take(rows_, axis=0)  # the take method gathers rows faster than indexing
+    for c, o in zip(sizes, np.cumsum([0] + sizes).tolist()):
+        acc[:c] += src.take(perm[o : o + c], axis=0)
     out[rows_] = acc
     return out
 
@@ -453,9 +460,11 @@ class EdgeIndex:
     """Typed edges among n rows of width d: int64 src, tgt and etype arrays
     sorted by etype, the (type, first, end) span of each type present, and
     the segment layouts of the targets and sources, each built on first
-    use. `cuts`, ascending, are rows at which the graph falls apart: no
-    edge joins a row below a cut to one at or above it (a ShapeError
-    otherwise)."""
+    use. ggnn's forward sums each step's messages through the target
+    layout, whose rows are the rows with in-edges, and its backward the
+    messages' gradients through the source layout. `cuts`, ascending, are
+    rows at which the graph falls apart: no edge joins a row below a cut to
+    one at or above it (a ShapeError otherwise)."""
 
     def __init__(self, n: int, d: int, src, tgt, etype, cuts=()):
         self.n, self.d = n, d
@@ -472,8 +481,9 @@ class EdgeIndex:
 
     def in_counts(self, dtype) -> np.ndarray:
         """The (n, types present) counts of each row's in-edges of each type."""
-        return np.stack([np.bincount(self.tgt[a:z], minlength=self.n) for _, a, z in self.spans],
-                        axis=1).astype(dtype)
+        k = len(self.spans)
+        col = np.repeat(np.arange(k), [z - a for _, a, z in self.spans])
+        return np.bincount(self.tgt * k + col, minlength=self.n * k).reshape(self.n, k).astype(dtype)
 
     @functools.cached_property
     def halves(self) -> list:
@@ -484,6 +494,8 @@ class EdgeIndex:
         which rounds otherwise), so a cut qualifies only if each half has at
         least 2 rows and no edge type of more than one edge has exactly one
         in a half."""
+        if not len(self.cuts):  # a single context's graph: no cut to scan for
+            return []
         c = self.cuts[(self.cuts >= 2) & (self.cuts <= self.n - 2)]
         for _, a, z in self.spans:
             if len(c) and z - a > 1:
@@ -498,14 +510,6 @@ class EdgeIndex:
                                              self.etype[~low]))]
 
 
-def _message_rows(hs, edges: EdgeIndex, Ws: dict, out):
-    """Into out, each edge's message before its bias: hs[e] @ W_top of its
-    type, Ws by type code."""
-    for t, a, z in edges.spans:
-        np.matmul(hs[a:z], Ws[t].data[: edges.d], out=out[a:z])
-    return out
-
-
 class StepBlock:
     """The storage a taped ggnn saves its steps in, lent to one tape at a
     time: a training run owns one and reuses it batch after batch, so its
@@ -517,14 +521,15 @@ class StepBlock:
 
     def hold(self, steps: int, n: int, d: int, dtype) -> list:
         """Uninitialised arrays of `steps` steps of an (n, d) state, held
-        until release: inputs X, states H, z/r blocks ZR and candidates C.
-        Each kind has a buffer of its own. With one buffer for all four
-        (about 30 MB on graph-long), glibc raised its trim threshold to twice
-        that once the buffer was freed, and the heap's retained free pages
-        raised graph-long's peak RSS 12-17% over per-step arrays."""
+        until release: inputs X, states H and gate blocks G, each step's
+        (3, n, d) [c, z, r] as _gru_step leaves it. Each kind has a buffer
+        of its own. With one buffer for all of them (about 30 MB on
+        graph-long), glibc raised its trim threshold to twice that once the
+        buffer was freed, and the heap's retained free pages raised
+        graph-long's peak RSS 12-17% over per-step arrays."""
         if self.held:
             raise NeuralError("ggnn: the step block is held by a tape whose backward has not run")
-        shapes = [(steps, n, d), (steps, n, d), (steps, 2, n, d), (steps, n, d)]
+        shapes = [(steps, n, d), (steps, n, d), (steps, 3, n, d)]
         if not self.bufs or self.bufs[0].dtype != dtype or self.bufs[0].size < steps * n * d:
             self.bufs = ()  # freed before their successors are allocated
             self.bufs = tuple(np.empty(math.prod(shape), dtype) for shape in shapes)
@@ -535,16 +540,41 @@ class StepBlock:
         self.held = False
 
 
+def _gate_inputs(x, Wg, bg, out):
+    """Into out, (3, rows, d), and returns it: the input sides [c, z, r] of
+    a GRU step from x (rows, k), z's and r's negated, as _gru_step takes
+    them. One broadcast product against the stacked input weights Wg = [Wh,
+    Wz, Wr], (3, k, d), one add of the stacked biases bg = [bh, bz, br]
+    (broadcast over the rows, or full size) and one negation. At float32
+    and d = 64, OpenBLAS runs each slice of the broadcast product as the
+    gemm (or, for 1 row, the gemv) of its own product, so each gate gets
+    the bits of x @ W + b."""
+    np.matmul(x, Wg, out=out)
+    out += bg
+    np.negative(out[1:], out=out[1:])
+    return out
+
+
 def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: int,
          block: StepBlock = None):
     """`steps` steps h <- gru_cell(x, h, p, gru_prefix), x the sum of the
     messages linear(h[src], prefixes[etype]) of each target's in-edges, as
-    one tape node with a hand-written backward through the steps. Messages
-    are summed through the target layout onto each target's in-edge bias
-    sum. Only the weights of the types present are read; without edges, h
-    is returned as it is. A taped call keeps per step only node-sized state,
-    its input, state, z/r block and candidate, in `block` (a new one when
-    not given, dropped when the backward ends); an untaped call keeps none.
+    one tape node with a hand-written backward through the steps. Only the
+    weights of the types present are read; without edges, h is returned as
+    it is. A taped call keeps per step only node-sized state, its input,
+    state and [c, z, r] gate block, in `block` (a new one when not given,
+    dropped when the backward ends); an untaped call keeps none.
+
+    Every forward, taped or not, over one range or either half, runs one
+    step body on buffers and views built once per call. A step gathers the
+    sources once, runs one matmul per edge type and gathers the messages
+    once more, into the target layout's rank order. It sums them rank by
+    rank into one accumulator that starts from the rows' in-edge bias sums
+    (the same at every step, so gathered once per call), and scatters the
+    accumulator into the step input, where rows without in-edges stay
+    zero. One broadcast product of the input against the stacked input
+    weights, one bias add and one negation then form the (3, rows, d) [c,
+    z, r] block (_gate_inputs) that _gru_step updates in place.
 
     Two threads, bit-identical to one; no option turns them off. If the
     edges have a qualifying cut (EdgeIndex.halves), the forward runs every
@@ -555,9 +585,10 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     the chain from step to step on the calling thread and each step's
     parameter gradients on one worker thread of its own, which overlaps
     the next chain step and keeps the serial order of every sum. The
-    buffers a worker writes are made on the calling thread. A worker runs
-    under the caller's np.geterr(), its errors are raised on the calling
-    thread, and BLAS threading per call stays as the caller set it."""
+    buffers and views a worker uses are made on the calling thread. A
+    worker runs under the caller's np.geterr(), its errors are raised on
+    the calling thread, and BLAS threading per call stays as the caller
+    set it."""
     h = as_tensor(h)
     if steps == 0 or not edges.spans:
         return h
@@ -568,46 +599,62 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
     bs = [p[prefixes[t] + "_b"] for t, _, _ in edges.spans]
     gru = [p[name] for name in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
-    U = np.array((Uz, Ur))
-    bias = edges.in_counts(h.data.dtype) @ np.stack([b.data for b in bs])
+    U, Wg, bg = np.array((Uz, Ur)), np.array((Wh, Wz, Wr)), np.array((bh, bz, br))[:, None]
+    counts = edges.in_counts(h.data.dtype)
+    bias = counts @ np.array([b.data for b in bs])  # each row's in-edge bias sum
     parents = [h] + Ws + gru + bs
     block = (block or StepBlock()) if _track(*parents) else None
     saved = None if block is None else block.hold(steps, n, d, h.data.dtype)
     H, RH = np.empty_like(h.data), np.empty_like(h.data)  # H: the state after the last step
     if saved is not None:  # the state before step 0 is a copy of h
-        saved[1][0] = h.data
-        X, states, ZR, C = saved
-    else:  # one input, z/r block and candidate for every step, and two states in turn
-        X, ZR, C = ([a] * steps for a in (np.empty_like(H), np.empty((2, n, d), H.dtype), np.empty_like(H)))
+        X, states, G = saved
+        states[0] = h.data
+        X[:, ~counts.any(axis=1)] = 0.0  # the steps write only rows with in-edges
+    else:  # one input and gate block for every step, and two states in turn
+        X, G = [np.zeros_like(H)] * steps, [np.empty((3, n, d), H.dtype)] * steps
         spare = np.empty_like(H)
         states = [h.data] + [spare if (steps - s) % 2 else H for s in range(1, steps)]
-    Wt = {t: W for (t, _, _), W in zip(edges.spans, Ws)}
+    Wt = {t: W.data[:d] for (t, _, _), W in zip(edges.spans, Ws)}
 
-    def run(r, part, layout, hs, m):  # every step of the rows r, whose in-edges are part's
-        with np.errstate(**err):
-            for s in range(steps):
-                x, zr, c, hp = X[s][r], ZR[s][:, r], C[s][r], states[s][r]
-                x[...] = bias[r]
-                # mode "clip" (the indices are in range) writes into out= without a temporary
-                np.take(hp, part.src, axis=0, out=hs, mode="clip")
-                _layout_sum(x, layout, _message_rows(hs, part, Wt, m))
-                for W, b, out in ((Wh, bh, c), (Wz, bz, zr[0]), (Wr, br, zr[1])):
-                    np.add(np.matmul(x, W, out=out), b, out=out)
-                np.negative(zr, out=zr)
-                _gru_step(zr, c, hp, U, Uh, RH[r], (H if s + 1 == steps else states[s + 1])[r])
+    def half(r, part):  # the run of every step of the rows r, whose in-edges are part's
+        rows_, perm, sizes = part.tgt_layout
+        hs, m = (np.empty((len(part.src), d), H.dtype) for _ in range(2))
+        acc = np.empty((len(rows_), d), H.dtype)
+        base = bias[r].take(rows_, axis=0)  # the same at every step
+        msgs = [(hs[a:z], Wt[t], m[a:z]) for t, a, z in part.spans]
+        # each rank's messages, gathered into hs once the matmuls have read the sources
+        ranks = [(acc[:c], hs[o : o + c]) for c, o in zip(sizes, np.cumsum([0] + sizes).tolist())]
+        bgs = np.repeat(bg, part.n, axis=1)  # a full-size bias block adds faster than a broadcast
+
+        def run():
+            with np.errstate(**err):
+                for s in range(steps):
+                    x, g, hp = X[s][r], G[s][:, r], states[s][r]
+                    # mode "clip" (the indices are in range) writes into out= without a temporary
+                    hp.take(part.src, axis=0, out=hs, mode="clip")
+                    for a, W, out in msgs:
+                        np.matmul(a, W, out=out)
+                    m.take(perm, axis=0, out=hs, mode="clip")
+                    np.copyto(acc, base)
+                    for prefix, rows in ranks:  # np.add.at(bias, tgt, m), rank by rank
+                        prefix += rows
+                    x[rows_] = acc
+                    _gate_inputs(x, Wg, bgs, g)
+                    _gru_step(g[1:], g[0], hp, U, Uh, RH[r], (H if s + 1 == steps else states[s + 1])[r])
+
+        return run
 
     with np.errstate(over="ignore"):  # exp overflow saturates a sigmoid to 0
         err = np.geterr()
         # what the worker reads or writes is made here, on the calling thread
-        runs = [(r, part, part.tgt_layout, *(np.empty((len(part.src), d), H.dtype) for _ in range(2)))
-                for r, part in edges.halves or [(slice(0, n), edges)]]
+        runs = [half(r, part) for r, part in edges.halves or [(slice(0, n), edges)]]
         if len(runs) == 1:
-            run(*runs[0])
+            runs[0]()
         else:  # the halves share no edge: the second runs all its steps on a worker thread
             pool = ThreadPoolExecutor(1)
             try:
-                job = pool.submit(run, *runs[1])
-                run(*runs[0])
+                job = pool.submit(runs[1])
+                runs[0]()
                 job.result()
             finally:
                 pool.shutdown(cancel_futures=True)
@@ -628,23 +675,23 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
             with np.errstate(**err):
                 np.add(dX_sum, dX, out=dX_sum)
                 # mode "clip" (the indices are in range) writes into out= without a temporary
-                np.take(HP, edges.src, axis=0, out=hs, mode="clip")
+                HP.take(edges.src, axis=0, out=hs, mode="clip")
                 dWs = [hs[a:z].T @ gm[a:z] for _, a, z in edges.spans]
                 for acc, gt in zip(grads, dWs + _gru_grads(X, da, HP, np.multiply(R, HP, out=RH), da)):
                     acc += gt
 
         pool = ThreadPoolExecutor(1)
         try:
-            for s, (X, HP, ZR, C) in enumerate(zip(*(a[::-1] for a in saved))):
+            for s, (X, HP, (C, Z, R)) in enumerate(zip(*(a[::-1] for a in saved))):
                 (da, dX, gm), job = sets[s % 2], jobs[s % 2]
                 if job is not None:
                     job.result()
-                _gru_step_bw(dh, ZR[1], _gru_local(HP, *ZR, C, local), UT, da + [drh])
+                _gru_step_bw(dh, R, _gru_local(HP, Z, R, C, local), UT, da + [drh])
                 np.matmul(da[0], Wz.T, out=dX)
                 dX += np.matmul(da[1], Wr.T, out=drh)
                 dX += np.matmul(da[2], Wh.T, out=drh)
-                np.take(dX, edges.tgt, axis=0, out=gm, mode="clip")
-                jobs[s % 2] = pool.submit(step_grads, X, HP, ZR[1], da, dX, gm)
+                dX.take(edges.tgt, axis=0, out=gm, mode="clip")
+                jobs[s % 2] = pool.submit(step_grads, X, HP, R, da, dX, gm)
                 for (_, a, z), W in zip(edges.spans, Ws):
                     np.matmul(gm[a:z], W.data[:d].T, out=dhs[a:z])
                 _layout_sum(dh, edges.src_layout, dhs)
@@ -655,6 +702,7 @@ def ggnn(h, edges: EdgeIndex, p: ParamStore, prefixes, gru_prefix: str, steps: i
             pool.shutdown(cancel_futures=True)
         block.release()
         saved = block = None
+        # the counts again: the tape keeps only node-sized state
         for t, gt in zip(Ws + gru + bs, grads + list(edges.in_counts(H.dtype).T @ dX_sum)):
             _accum(t, gt)
         _accum(h, dh)
@@ -700,10 +748,9 @@ def gated_rounds(table, x, rounds: Rounds, p: ParamStore, prefixes, gru_prefix: 
     gru = [p[name] for name in _gru_names((gru_prefix,))]
     Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh = (t.data for t in gru)
     U, X = np.array((Uz, Ur)), x.data
-    C = X @ Wh + bh
-    ZR = np.empty((2,) + C.shape, C.dtype)
-    np.negative(X @ Wz + bz, out=ZR[0])
-    np.negative(X @ Wr + br, out=ZR[1])
+    G = _gate_inputs(X, np.array((Wh, Wz, Wr)), np.array((bh, bz, br))[:, None],
+                     np.empty((3, len(X), d), X.dtype))
+    C, ZR = G[0], G[1:]
     T = np.empty((n + len(X), d), table.data.dtype) if out is None else out[: n + len(X)]
     if out is None:
         T[:n] = table.data

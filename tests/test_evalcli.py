@@ -611,6 +611,25 @@ def test_cli_graph_encoder_rejects_unknown_method_in_context(cmd, fitted_grammar
         2, "", "nagc: context not parseable for graph encoder: unknown method 'Foo'\n")
 
 
+@pytest.mark.parametrize("cmd", ["complete", "evaluate"])
+def test_cli_beam_out_of_memory_exits_2(cmd, fitted_grammar, token_vocab, corpus_samples,
+                                         tmp_path, capsys, monkeypatch):
+    # a beam too wide to allocate, as --beam 100000 is on a small corpus:
+    # one line naming the width, exit 2, no traceback
+    def too_wide(self, width):
+        raise MemoryError(f"Unable to allocate 14.6 GiB for a beam of {width}")
+
+    monkeypatch.setattr(M._Lockstep, "step", too_wide)
+    ckpt, path = str(tmp_path / "m.nagc"), str(tmp_path / "s.jsonl")
+    M.save_model(M.Model(fitted_grammar, hidden=8, emb_dim=4, edge_emb=4, token_vocab=token_vocab),
+                 ckpt)
+    P.write_jsonl(corpus_samples[:2], path)
+    argv = (["complete", "--ckpt", ckpt, "--sample", path] if cmd == "complete"
+            else ["evaluate", "--data", path, "--ckpt", ckpt])
+    assert run_cli(argv + ["--beam", "100000"]) == 2
+    assert capsys.readouterr() == ("", "nagc: out of memory decoding at beam width 100000\n")
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, corpus_samples,
                                            tmp_path, capsys):

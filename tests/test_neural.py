@@ -203,6 +203,27 @@ def test_gru_step_equals_per_gate_formulas(dtype):
             assert got.dtype == dtype and np.array_equal(got, w), (lead, masked)
 
 
+def test_stacked_gate_product_has_the_bits_of_three_products():
+    # the BLAS facts the GGNN step and the attribute rounds rely on, at
+    # float32 and d = 64: a broadcast product of 1, 2 or 40 rows against a
+    # (3, d, d) stack gives each slice the bits of its own product, also
+    # into a strided out as a half's rows of the gate block; and a 1-row
+    # product (gemv) rounds otherwise than the same row inside a larger
+    # product (gemm)
+    rng = np.random.default_rng(90)
+    d = 64
+    Ws = rng.normal(size=(3, d, d)).astype(np.float32)
+    for rows in (1, 2, 40):
+        x = rng.normal(size=(rows, d)).astype(np.float32)
+        out = np.empty((3, rows + 4, d), np.float32)[:, 2 : rows + 2]
+        for got in (x @ Ws, np.matmul(x, Ws, out=out)):
+            for i in range(3):
+                assert got[i].tobytes() == (x @ Ws[i]).tobytes(), (rows, i)
+    x = rng.normal(size=(40, d)).astype(np.float32)
+    full = x @ Ws[0]
+    assert any((x[i : i + 1] @ Ws[0]).tobytes() != full[i : i + 1].tobytes() for i in range(40))
+
+
 def test_gru_kernels_forward_ignores_the_tape():
     # bigru_scan (plain and padded), gru_cell, ggnn and gated_rounds give
     # the same bits under no_grad as on the tape
@@ -456,7 +477,7 @@ def test_ggnn_matches_step_loop():
 
 def test_ggnn_tape_holds_node_sized_state_and_releases_it():
     # many more edges than nodes: the taped forward keeps per step its
-    # input, state, z/r block and candidate (5 N d floats), nothing per
+    # input, state and [c, z, r] block (5 N d floats), nothing per
     # edge, and the backward releases each step's state once it has read it
     N, d, steps, names = 40, 16, 8, [f"e{i}" for i in range(6)]
     shapes = {"h": (N, d), **gru_param_shapes("gg", d, d)}
