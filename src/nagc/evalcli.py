@@ -254,6 +254,7 @@ def _dispatch(args) -> int:
     g = builtin_grammar()
 
     if args.cmd == "gen-corpus":
+        os.makedirs(args.out, exist_ok=True)  # first: a bad path fails before the work
         files = pl.generate_corpus(args.seed, args.files, args.stmts)
         pl.write_corpus(files, args.out)
         print(f"wrote {len(files)} files to {args.out}")
@@ -272,12 +273,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "split":
-        samples = pl.read_jsonl(args.infile, g)
         parts = args.ratio.split(":")
         if len(parts) != 3 or not all(x.isdigit() for x in parts):
             raise DataError(f"bad ratio {args.ratio!r}")
+        os.makedirs(args.out_dir, exist_ok=True)  # first: a bad path fails before the work
+        samples = pl.read_jsonl(args.infile, g)
         folds = pl.split(samples, tuple(int(x) for x in parts), args.seed)
-        os.makedirs(args.out_dir, exist_ok=True)
         for name, part in folds.items():
             pl.write_jsonl(part, os.path.join(args.out_dir, name + ".jsonl"))
             print(f"{name}: {len(part)}")
@@ -285,7 +286,6 @@ def _dispatch(args) -> int:
 
     if args.cmd == "train":
         _check_output(args.ckpt)
-        _check_output(args.ckpt + ".json")  # its manifest
         train_path = os.path.join(args.data, "train.jsonl")
         samples = pl.read_jsonl(train_path, g)
         gv = pl.literal_vocab_from_samples(samples, g)

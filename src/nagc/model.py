@@ -13,7 +13,6 @@ implementation.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 from bisect import bisect_left
@@ -985,9 +984,8 @@ class _Lockstep:
 # Persistence
 
 def save_model(model: Model, path: str):
-    nn.save_checkpoint(model.params, path)
     gtext = serialize_grammar(model.grammar)
-    manifest = {
+    nn.save_checkpoint(model.params, path, {
         "config": model.config.name,
         "encoder": model.encoder,
         "hidden": model.hidden,
@@ -997,24 +995,19 @@ def save_model(model: Model, path: str):
         "token_vocab": model.token_vocab,
         "grammar": gtext,
         "grammar_sha256": hashlib.sha256(gtext.encode()).hexdigest(),
-    }
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f)
+    })
 
 
 def load_model(path: str) -> Model:
+    manifest, params = nn.load_checkpoint(path)  # every shape bounded by the file size
     try:
-        with open(path + ".json", encoding="utf-8") as f:
-            manifest = json.load(f)
         if hashlib.sha256(manifest["grammar"].encode()).hexdigest() != manifest["grammar_sha256"]:
             raise ModelError("grammar hash mismatch in manifest")
-        grammar = load_grammar(manifest["grammar"])
-        loaded = nn.load_checkpoint(path)  # every shape bounded by the file size
         return Model(
-            grammar, config=manifest["config"], encoder=manifest["encoder"],
-            hidden=manifest["hidden"], emb_dim=manifest["emb_dim"],
+            load_grammar(manifest["grammar"]), config=manifest["config"],
+            encoder=manifest["encoder"], hidden=manifest["hidden"], emb_dim=manifest["emb_dim"],
             edge_emb=manifest["edge_emb"], seed=manifest["seed"],
-            token_vocab=manifest["token_vocab"], params=loaded,
+            token_vocab=manifest["token_vocab"], params=params,
         )
     except (ValueError, KeyError, TypeError, AttributeError, GrammarError, ModelError) as e:
-        raise ModelError(f"bad model manifest {path}.json: {type(e).__name__}: {e}") from None
+        raise ModelError(f"bad model manifest in {path}: {type(e).__name__}: {e}") from None

@@ -1,7 +1,7 @@
 """Dense tensor core with reverse-mode autodiff, plus the layers the model
 needs: linear maps, GRU cell, the gated-graph message step, additive
 attention, masked softmax, pooling, embeddings, an Adam optimizer and a
-binary checkpoint format.
+one-file checkpoint format.
 
 Compute is 32-bit by default; gradient checks build 64-bit parameters and the
 engine follows the dtype of its inputs.
@@ -20,11 +20,11 @@ one thread. Everything else runs on the calling thread.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -1137,54 +1137,58 @@ def adam_step(params: ParamStore, st: OptState, max_norm: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-_MAGIC = b"NAGC"
-_VERSION = 1
+_FORMAT = "nagc-checkpoint-2"
 
 
-def save_checkpoint(params: ParamStore, path: str):
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(params)))
-        for name, t in params.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            data = t.data.astype("<f4")
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+def save_checkpoint(params: ParamStore, path: str, manifest: dict):
+    """One file: a JSON line (format tag, manifest, each parameter's name and
+    shape), then the float32 bytes. Synced beside path, then renamed over it:
+    a save that fails part way leaves the file at path as it was."""
+    items = params.items()
+    header = {"format": _FORMAT, "manifest": manifest, "params": [[n, t.shape] for n, t in items]}
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n")
+            for _, t in items:
+                f.write(t.data.astype("<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        with suppress(OSError):
+            os.remove(tmp)  # left only by a failed save
 
 
-def load_checkpoint(path: str) -> ParamStore:
-    store = ParamStore()
+def load_checkpoint(path: str) -> tuple[dict, ParamStore]:
+    """(manifest, params) from a file save_checkpoint wrote. The file is read
+    once, and each parameter is a view of it, bounded by its size, before it
+    is copied: no header value can allocate more than the file holds."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def read(n: int) -> bytes:
-            # checked against the file size first: a corrupt shape must not
-            # turn into a huge allocation
-            if n > size - f.tell():
-                raise NeuralError(f"checkpoint {path} is truncated")
-            return f.read(n)
-
-        if read(4) != _MAGIC:
-            raise NeuralError("bad checkpoint magic")
-        version, count = struct.unpack("<II", read(8))
-        if version != _VERSION:
-            raise NeuralError(f"unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", read(2))
-            try:
-                name = read(nlen).decode("utf-8")
-            except UnicodeDecodeError:
-                raise NeuralError(f"checkpoint {path} has a corrupt parameter name") from None
-            (rank,) = struct.unpack("<B", read(1))
-            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+        raw = f.read()
+    if raw.startswith(b"NAGC"):
+        raise NeuralError(f"checkpoint {path} is in the old two-file format, which is not read")
+    store, off = ParamStore(), raw.find(b"\n") + 1
+    if not off:
+        raise NeuralError(f"checkpoint {path} has no header line")
+    try:
+        header = json.loads(raw[: off - 1].decode())
+        if header["format"] != _FORMAT:
+            raise ValueError(f"format {header['format']!r} is not {_FORMAT!r}")
+        for name, shape in header["params"]:
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"bad shape {shape!r} for parameter {name!r}")
             n = math.prod(shape)
-            data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
+            if off + 4 * n > len(raw):
+                raise NeuralError(f"checkpoint {path} is truncated")
+            data = np.frombuffer(raw, "<f4", n, off).reshape(shape).copy()
             if not np.isfinite(data).all():
                 raise NeuralError(f"checkpoint {path} has a NaN or inf in parameter {name!r}")
-            store.register(name, data.copy())
-        if f.tell() != size:
-            raise NeuralError(f"checkpoint {path} has trailing bytes")
-    return store
+            store.register(name, data)
+            off += 4 * n
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
+        raise NeuralError(f"checkpoint {path} has a bad header: {type(e).__name__}: {e}") from None
+    if off != len(raw):
+        raise NeuralError(f"checkpoint {path} has trailing bytes")
+    return header["manifest"], store

@@ -417,10 +417,11 @@ def test_cli_extract_without_samples_exits_2(files, tmp_path, capsys):
 
 
 # an output path in a missing directory, or one that is a directory, named by
-# each command that writes a file; "manifest" makes the checkpoint's .json
-# manifest a directory
-@pytest.mark.parametrize("cmd", ["train", "manifest", "evaluate", "extract", "graph-dot"])
-@pytest.mark.parametrize("bad", ["missing-dir", "is-dir"])
+# each command that writes a file; or an output directory that is a file,
+# named by each command that writes a directory
+@pytest.mark.parametrize("bad, cmd", [(bad, cmd) for bad in ("missing-dir", "is-dir")
+                                      for cmd in ("train", "evaluate", "extract", "graph-dot")]
+                         + [("is-file", "gen-corpus"), ("is-file", "split")])
 def test_cli_unwritable_output_exits_2_before_any_work(cmd, bad, fitted_grammar, token_vocab,
                                                        corpus_samples, tmp_path, monkeypatch,
                                                        capsys):
@@ -434,16 +435,19 @@ def test_cli_unwritable_output_exits_2_before_any_work(cmd, bad, fitted_grammar,
                          token_vocab=token_vocab), ckpt)
     out = str(tmp_path / ("missing/out" if bad == "missing-dir" else "taken"))
     if bad == "is-dir":
-        (tmp_path / ("taken.json" if cmd == "manifest" else "taken")).mkdir()
+        (tmp_path / "taken").mkdir()
+    elif bad == "is-file":
+        (tmp_path / "taken").write_text("", encoding="utf-8")
     argv = {"train": ["train", "--data", str(data), "--epochs", "1", "--ckpt", out],
             "evaluate": ["evaluate", "--data", str(data / "train.jsonl"), "--ckpt", ckpt,
                          "--report", out],
             "extract": ["extract", "--in", str(corpus), "--out", out],
-            "graph-dot": ["graph-dot", "--sample", str(data / "train.jsonl"), "--out", out]}
-    argv["manifest"] = argv["train"]
+            "graph-dot": ["graph-dot", "--sample", str(data / "train.jsonl"), "--out", out],
+            "gen-corpus": ["gen-corpus", "--files", "2", "--stmts", "1", "--out", out],
+            "split": ["split", "--in", str(data / "train.jsonl"), "--out-dir", out]}
     calls = []
     for mod, name in ((M, "train"), (M, "walk_fold"), (P, "extract_samples"), (P, "read_jsonl"),
-                      (P, "read_corpus")):
+                      (P, "read_corpus"), (P, "generate_corpus")):
         monkeypatch.setattr(mod, name, lambda *a, name=name, **k: calls.append(name))
     assert run_cli(argv[cmd]) == 2
     out_text, err = capsys.readouterr()
@@ -647,11 +651,19 @@ def test_cli_non_finite_checkpoint_exits_2(value, fitted_grammar, token_vocab, c
         assert err.startswith("nagc: ") and "'dec_g_Uz'" in err, err
 
 
-# checkpoint cut to the first n bytes (a float: that share of the file; -1:
-# one byte short), or a manifest fault
+# faults of the one checkpoint file: cut to the first n bytes (a float: that
+# share of the file; -1: one byte short), a trailing byte, a header line that
+# is not JSON, not UTF-8 or nested too deep for the decoder, a manifest field
+# missing or unlike the parameters, a bad token vocab, a tampered grammar, a
+# bad parameter shape, or the old binary format
+_SHAPES = {"shape-negative": [-1, 4], "shape-fraction": [2.5, 4],
+           "shape-huge": [10**12, 10**12]}
+
+
 @pytest.mark.parametrize("fault", [0, 3, 10, 100, 0.5, -1, "trailing", "manifest-json",
                                    "manifest-field", "manifest-hidden", "manifest-utf8",
-                                   "manifest-vocab", "manifest-vocab-order"])
+                                   "manifest-vocab", "manifest-vocab-order", "manifest-grammar",
+                                   "header-nested", *_SHAPES, "old-format"])
 def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corpus_samples,
                                         tmp_path, capsys):
     ckpt = str(tmp_path / "m.nagc")
@@ -660,41 +672,43 @@ def test_cli_corrupt_checkpoint_exits_2(fault, fitted_grammar, token_vocab, corp
     sample = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples[:1], sample)
     with open(ckpt, "rb") as f:
-        data = f.read()
-    with open(ckpt + ".json", "rb") as f:
-        manifest = f.read()
+        head, body = f.read().split(b"\n", 1)
+    header = json.loads(head)
+    man, vocab = header["manifest"], header["manifest"]["token_vocab"]
+    if fault == "manifest-field":
+        del man["hidden"]
+    elif fault == "manifest-hidden":
+        # terabytes of parameters, refused before anything is allocated from it
+        man["hidden"] = 1000000
+    elif fault == "manifest-vocab":  # <UNK> renamed
+        vocab[0] = "<unk>"
+    elif fault == "manifest-vocab-order":  # <UNK> not first
+        vocab[0], vocab[1] = vocab[1], vocab[0]
+    elif fault == "manifest-grammar":
+        man["grammar"] += "\n# tampered"
+    elif fault in _SHAPES:
+        header["params"][0][1] = _SHAPES[fault]
+    data = json.dumps(header).encode() + b"\n" + body
     if fault == "trailing":
         data += b"\0"
     elif fault == "manifest-json":
-        manifest = manifest[: len(manifest) // 2]
-    elif fault in ("manifest-field", "manifest-hidden"):
-        # hidden missing, or far larger than the checkpoint's: terabytes of
-        # parameters, refused before anything is allocated from it
-        man = json.loads(manifest)
-        if fault == "manifest-field":
-            del man["hidden"]
-        else:
-            man["hidden"] = 1000000
-        manifest = json.dumps(man).encode()
+        data = head[: len(head) // 2] + b"\n" + body
     elif fault == "manifest-utf8":
-        manifest = b"\xff" + manifest
-    elif fault in ("manifest-vocab", "manifest-vocab-order"):  # <UNK> renamed, or not first
-        man = json.loads(manifest)
-        vocab = man["token_vocab"]
-        if fault == "manifest-vocab":
-            vocab[0] = "<unk>"
-        else:
-            vocab[0], vocab[1] = vocab[1], vocab[0]
-        manifest = json.dumps(man).encode()
-    else:
+        data = b"\xff" + data
+    elif fault == "header-nested":  # a RecursionError in the JSON decoder
+        data = b"[" * 100000 + b"\n" + body
+    elif fault == "old-format":
+        data = b"NAGC\1\0\0\0" + body
+    elif not isinstance(fault, str):
         data = data[: int(len(data) * fault) if isinstance(fault, float) else fault]
     with open(ckpt, "wb") as f:
         f.write(data)
-    with open(ckpt + ".json", "wb") as f:
-        f.write(manifest)
     assert run_cli(["complete", "--ckpt", ckpt, "--sample", sample]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("nagc: "), err
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1 and err[0].startswith("nagc: ") and ckpt in err[0], err
+    if fault == "old-format":
+        assert "old two-file format" in err[0]
 
 
 def test_cli_odd_seq_hidden_checkpoint_exits_2(fitted_grammar, token_vocab, corpus_samples,
@@ -704,13 +718,9 @@ def test_cli_odd_seq_hidden_checkpoint_exits_2(fitted_grammar, token_vocab, corp
                 token_vocab=token_vocab)
     ckpt = str(tmp_path / "m.nagc")
     M.save_model(m, ckpt)
-    m.hidden = 63
-    nn.save_checkpoint(nn.init_params(m._shapes(), seed=0), ckpt)
-    with open(ckpt + ".json", encoding="utf-8") as f:
-        man = json.load(f)
-    man["hidden"] = 63
-    with open(ckpt + ".json", "w", encoding="utf-8") as f:
-        json.dump(man, f)
+    man, _ = nn.load_checkpoint(ckpt)
+    m.hidden = man["hidden"] = 63
+    nn.save_checkpoint(nn.init_params(m._shapes(), seed=0), ckpt, man)
     sample = str(tmp_path / "s.jsonl")
     P.write_jsonl(corpus_samples[:1], sample)
     assert run_cli(["evaluate", "--ckpt", ckpt, "--data", sample]) == 2

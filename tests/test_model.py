@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -1210,17 +1211,42 @@ def test_save_load_round_trip(small, folds, tmp_path):
 
 
 def test_load_detects_manifest_tamper(small, tmp_path):
-    import json
-
     path = str(tmp_path / "m.ckpt")
     save_model(small, path)
-    with open(path + ".json") as f:
-        man = json.load(f)
+    man, params = nn.load_checkpoint(path)
     man["grammar"] += "\n# tampered"
-    with open(path + ".json", "w") as f:
-        json.dump(man, f)
-    with pytest.raises(ModelError):
+    nn.save_checkpoint(params, path, man)
+    with pytest.raises(ModelError, match="grammar hash mismatch"):
         load_model(path)
+
+
+class _FullDisk(io.FileIO):
+    """A file whose writes after the first raise, as on a full disk."""
+
+    writes = 0
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return super().write(b)
+
+
+def test_save_is_crash_safe(small, folds, tmp_path, monkeypatch):
+    # a save that fails part way leaves the checkpoint already at the path
+    # byte-identical and loadable, and no other file beside it
+    path = tmp_path / "m.ckpt"
+    save_model(small, str(path))
+    before = path.read_bytes()
+    other = Model(small.grammar, config="NAG", encoder="seq", hidden=32, emb_dim=16,
+                  edge_emb=8, seed=1, token_vocab=small.token_vocab)
+    monkeypatch.setattr(nn, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_model(other, str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before and os.listdir(tmp_path) == ["m.ckpt"]
+    s = folds["train"][0]
+    assert sample_loss(load_model(str(path)), s)[0] == sample_loss(small, s)[0]
 
 
 # -- beam pin ---------------------------------------------------------------
@@ -1239,7 +1265,9 @@ def pin_data(g, pin_folds):
 # sha256 of the beams of untrained seeded models on the first test holes of
 # a small seeded corpus, at widths 1 and 5: every hypothesis's decisions and
 # log-probability bits, and each hole's counters. A change to decoding that
-# moves one bit of a beam fails here
+# moves one bit of a beam fails here. Recorded, as the training pin below,
+# under NumPy 2.4.6 with scipy-openblas 0.3.31 on its SkylakeX core (as
+# scipy_openblas_get_corename64_ in numpy.libs reads it)
 @pytest.mark.parametrize("encoder, config, digest", [
     ("seq", "Tree",
      "3b9c125f8406bc265e09fef84be8be40b8569212a97c8e6d019c8a9b93ff0272"),
@@ -1273,7 +1301,8 @@ def test_beams_are_pinned(encoder, config, digest, pin_data):
 # NAG models for 2 epochs at batch size 4 on the beam pin's train fold. A
 # change to the forward, the backward, clipping or Adam that moves one bit of
 # a trained weight fails here; the digests hold with BLAS on one thread or
-# on several
+# on several. Recorded under NumPy 2.4.6 with scipy-openblas 0.3.31 on its
+# SkylakeX core
 @pytest.mark.parametrize("encoder, digest", [
     ("graph", "d387172b97f78c95fbf7de2598e84fb59b4e693f2ba299e3e3f7e846f081ae80"),
     ("seq", "98de8aa5588a26720d79b3fc289a7ebfab714ba308107d81da21f0ba7cc08398"),
